@@ -34,7 +34,7 @@ class NotGroundField(GdmError):
 
 
 class UnsupportedParams(GdmError):
-    """The multiplex construction refuses these parameters (failed validation)."""
+    """The compiled design of these parameters would exceed the memory budget."""
 
 
 class InconsistentFrame(GdmError):

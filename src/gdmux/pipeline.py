@@ -29,19 +29,18 @@ import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator, Optional
 
 import numpy as np
 
 from .cosets import CosetTable, coset_table
-from .errors import (BadLength, BadMagic, InconsistentFrame, ParamMismatch,
-                     UnsupportedParams)
+from .errors import BadLength, BadMagic, InconsistentFrame, ParamMismatch
 from .fields import GaloisInt, SystemParams
-from .transforms import (Kind, SpectrumBlock, TimeBlock, as_kind,
-                         forward_batch, gi_mul_batch, inverse_batch,
-                         sigma_matrix, _forward_flat, _gi_coeff_array,
+from .transforms import (Kind, SpectrumBlock, TimeBlock, as_kind, design,
+                         forward_batch, inverse_batch, _gi_coeff_array,
                          _spectrum_from_array)
+# unused here; kept bound because perfbench/tracer.py wraps them in this module
+from .transforms import _forward_flat, sigma_matrix  # noqa: F401
 
 MAGIC = b"GDM1"
 _KIND_CODE = {Kind.FOURIER: 0, Kind.HARTLEY: 1}
@@ -91,62 +90,18 @@ class CrosstalkReport:
 
 
 # ---------------------------------------------------------------------------
-# construction-time validation
+# design lookup
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def validate_system(params: SystemParams, kind: Kind) -> CosetTable:
-    """Checks done once per (params, kind) before any mux work.
+def validate_system(params: SystemParams, kind) -> CosetTable:
+    """Coset table of (params, kind), compiling its design if needed.
 
-    Refuses parameter sets whose carrier matrix is not orthogonal, whose
-    conjugacy rule fails empirically, or whose compressed frame could not
-    carry the information of a full one.
+    Carrier orthogonality and spectrum conjugacy hold for every valid
+    (p, m, N) and are proved by the test suite, not re-checked here. The
+    only refusal left is the memory budget: UnsupportedParams when the
+    compiled design would exceed transforms.DESIGN_BUDGET_BYTES.
     """
-    kind = as_kind(kind)
-    table = coset_table(params.N, params.p, kind)
-    N, m, p = params.N, params.m, params.p
-
-    if 2 * m * table.nu < N:
-        raise UnsupportedParams(
-            f"{params}/{kind}: nu = {table.nu} leaders cannot carry {N} GF({p}) symbols")
-
-    # carrier rows must be orthogonal with equal energy N under the
-    # bilinear form (Gram = N * I)
-    K = _forward_flat(params, Kind.HARTLEY).reshape(N, 2, m, N).transpose(0, 3, 1, 2)
-    prod = gi_mul_batch(K[:, None], K[None, :], params.field)
-    gram = prod.sum(axis=2) % p
-    expect = np.zeros((N, N, 2, m), dtype=np.int64)
-    expect[np.arange(N), np.arange(N), 0, 0] = N % p
-    if not np.array_equal(gram, expect):
-        raise UnsupportedParams(f"{params}: carrier matrix is not orthogonal")
-
-    # conjugacy spot check: V[sigma(k)] == sigma_value(V[k]) on random frames
-    rng = np.random.default_rng(0)
-    vs = rng.integers(0, p, size=(8, N))
-    V = forward_batch(params, kind, vs)
-    sig = sigma_matrix(params, kind)
-    step = p if kind is Kind.FOURIER else -p
-    perm = [(step * k) % N for k in range(N)]
-    mapped = (V.reshape(8, N, 2 * m) @ sig.T) % p
-    if not np.array_equal(mapped.reshape(8, N, 2, m), V[:, perm]):
-        raise UnsupportedParams(f"{params}/{kind}: conjugacy rule failed on random frames")
-    return table
-
-
-@lru_cache(maxsize=None)
-def _orbit_maps(params: SystemParams, kind: Kind):
-    """Per coset: (orbit index array, stacked sigma^t matrices t = 0..len)."""
-    table = validate_system(params, kind)
-    sig = sigma_matrix(params, kind)
-    w = 2 * params.m
-    out = []
-    for orbit in table.cosets:
-        maps = np.empty((len(orbit) + 1, w, w), dtype=np.int64)
-        maps[0] = np.eye(w, dtype=np.int64)
-        for t in range(1, len(orbit) + 1):
-            maps[t] = (sig @ maps[t - 1]) % params.p
-        out.append((np.array(orbit, dtype=np.int64), maps))
-    return tuple(out)
+    return design(params, as_kind(kind)).table
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +111,8 @@ def _orbit_maps(params: SystemParams, kind: Kind):
 def mux_batch(params: SystemParams, kind, vs: np.ndarray) -> np.ndarray:
     """Compress symbol rows (F, N) to leader arrays (F, nu, 2, m)."""
     kind = as_kind(kind)
-    table = validate_system(params, kind)
     V = forward_batch(params, kind, vs)
-    return V[:, list(table.leaders), :, :]
+    return V[:, list(design(params, kind).table.leaders), :, :]
 
 
 def reconstruct_batch(params: SystemParams, kind, leaders: np.ndarray) -> np.ndarray:
@@ -177,7 +131,7 @@ def reconstruct_batch(params: SystemParams, kind, leaders: np.ndarray) -> np.nda
     N, m, p = params.N, params.m, params.p
     w = 2 * m
     out = np.zeros((F, N, 2, m), dtype=np.int64)
-    for c, (orbit, maps) in enumerate(_orbit_maps(params, kind)):
+    for c, (orbit, maps) in enumerate(design(params, kind).orbit_maps):
         lead = leaders[:, c, :, :].reshape(F, w)
         for t, idx in enumerate(orbit):
             out[:, idx] = ((lead @ maps[t].T) % p).reshape(F, 2, m)

@@ -18,14 +18,17 @@ Frobenius a -> a^p:
 The Hartley map equals plain frobenius exactly when p = 3 (mod 4); for
 p = 1 (mod 4) the extra conjugation is required (e.g. over GI(5) the
 spectrum (2, 3+4j, 3, 3+j) has V_3 = conj(V_1), not V_1^5 = V_1). These
-identities hold for every valid (p, m, N) and are what coset compression
-relies on.
+identities, like the orthogonality of the carriers, hold for every valid
+(p, m, N) and are what coset compression relies on. The test suite proves
+them on a basis over a grid of designs; nothing re-checks them at runtime.
 
-Two implementations are provided and tested against each other: scalar
-element arithmetic (ffht_forward and friends) and batch kernels that
-realize each transform as one integer matrix over GF(p) acting on
-coefficient vectors (forward_batch / inverse_batch), plus a
-decimation-based fast path for smooth N (fast_transform).
+Every transform is one integer matrix over GF(p) acting on coefficient
+vectors (forward_batch / inverse_batch); the scalar operations
+(ffht_forward and friends) go through the same matrices. design()
+compiles those matrices, the coset table and the conjugacy maps of one
+(params, kind) once, refuses any design whose matrices would exceed
+DESIGN_BUDGET_BYTES before allocating them, and keeps the most recent
+DESIGN_CACHE_SIZE designs.
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NotGroundField
+from .cosets import CosetTable, coset_table
+from .errors import NotGroundField, UnsupportedParams
 from .fields import ExtField, FieldElement, GaloisInt, SystemParams
 from .trig import _cas_by_product
 
@@ -104,7 +108,6 @@ def _gi_mul_matrix(z: GaloisInt) -> np.ndarray:
     return np.block([[a, (-b) % p], [b % p, a]]) % p
 
 
-@lru_cache(maxsize=None)
 def frobenius_matrix(field: ExtField) -> np.ndarray:
     """(m, m) matrix of a -> a^p on coefficient vectors (GF(p)-linear)."""
     m = field.m
@@ -115,34 +118,6 @@ def frobenius_matrix(field: ExtField) -> np.ndarray:
     return np.array(cols, dtype=np.int64).T
 
 
-@lru_cache(maxsize=None)
-def fold_tensor(field: ExtField) -> np.ndarray:
-    """(m, m, m) tensor T with (x^u * x^v) = sum_s T[u, v, s] x^s after reduction."""
-    m = field.m
-    T = np.zeros((m, m, m), dtype=np.int64)
-    for u in range(m):
-        eu = tuple(1 if s == u else 0 for s in range(m))
-        for v in range(m):
-            ev = tuple(1 if s == v else 0 for s in range(m))
-            T[u, v] = field.mul_coeffs(eu, ev)
-    return T
-
-
-def gi_mul_batch(x: np.ndarray, y: np.ndarray, field: ExtField) -> np.ndarray:
-    """Elementwise GI product of coefficient arrays shaped (..., 2, m)."""
-    T = fold_tensor(field)
-    p = field.p
-
-    def fold(a, b):
-        return np.einsum("...u,...v,uvs->...s", a, b, T) % p
-
-    xr, xi = x[..., 0, :], x[..., 1, :]
-    yr, yi = y[..., 0, :], y[..., 1, :]
-    re = (fold(xr, yr) - fold(xi, yi)) % p
-    im = (fold(xr, yi) + fold(xi, yr)) % p
-    return np.stack([re, im], axis=-2)
-
-
 def _gi_coeff_array(values: Sequence[GaloisInt], m: int) -> np.ndarray:
     out = np.empty((len(values), 2, m), dtype=np.int64)
     for n, z in enumerate(values):
@@ -151,7 +126,6 @@ def _gi_coeff_array(values: Sequence[GaloisInt], m: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
 def _kernel(params: SystemParams, kind: Kind, inverse: bool) -> tuple[GaloisInt, ...]:
     """Transform kernel by argument t = i*k mod N."""
     if kind is Kind.HARTLEY:
@@ -164,43 +138,126 @@ def _kernel(params: SystemParams, kind: Kind, inverse: bool) -> tuple[GaloisInt,
     return tuple(GaloisInt(w, field.zero) for w in pows)
 
 
-@lru_cache(maxsize=None)
+def _products(N: int) -> np.ndarray:
+    """(N, N) kernel arguments i*k mod N."""
+    n = np.arange(N)
+    return np.outer(n, n) % N
+
+
 def _forward_flat(params: SystemParams, kind: Kind) -> np.ndarray:
     """(2mN, N) integer matrix: spectrum coefficients = M @ symbols (mod p)."""
     N, m = params.N, params.m
-    ker = _kernel(params, kind, inverse=False)
-    K = np.empty((N, N, 2, m), dtype=np.int64)
-    for k in range(N):
-        for i in range(N):
-            z = ker[(i * k) % N]
-            K[k, i, 0] = z.re.coeffs
-            K[k, i, 1] = z.im.coeffs
-    return K.transpose(0, 2, 3, 1).reshape(N * 2 * m, N)
+    ker = _gi_coeff_array(_kernel(params, kind, inverse=False), m)
+    return ker[_products(N)].transpose(0, 2, 3, 1).reshape(N * 2 * m, N)
 
 
-@lru_cache(maxsize=None)
 def _inverse_flat(params: SystemParams, kind: Kind) -> np.ndarray:
     """(2mN, 2mN) integer matrix of the inverse transform (with the 1/N factor)."""
-    N, m = params.N, params.m
-    field = params.field
-    inv_n = field.scalar(N).inverse()
-    ker = _kernel(params, kind, inverse=True)
-    big = np.zeros((N * 2 * m, N * 2 * m), dtype=np.int64)
-    blocks = {}
-    for t in range(N):
-        blocks[t] = _gi_mul_matrix(ker[t] * inv_n)
-    w = 2 * m
-    for i in range(N):
-        for k in range(N):
-            big[i * w:(i + 1) * w, k * w:(k + 1) * w] = blocks[(i * k) % N]
-    return big
+    N, w = params.N, 2 * params.m
+    inv_n = params.field.scalar(N).inverse()
+    blocks = np.stack([_gi_mul_matrix(z * inv_n)
+                       for z in _kernel(params, kind, inverse=True)])
+    # big[i, a, k, b] = blocks[i*k mod N, a, b], gathered straight into the
+    # final layout so no (N, N, 2m, 2m) temporary is transposed and copied
+    r = np.arange(w)
+    big = blocks[_products(N)[:, None, :, None], r[:, None, None], r]
+    return big.reshape(N * w, N * w)
 
+
+# ---------------------------------------------------------------------------
+# compiled designs
+# ---------------------------------------------------------------------------
+
+DESIGN_CACHE_SIZE = 8             # compiled designs kept, least recently used evicted
+DESIGN_BUDGET_BYTES = 256 << 20   # largest compiled design; bigger ones are refused
+
+
+@dataclass(frozen=True, eq=False)
+class Design:
+    """Everything the batch maps need for one (params, kind), compiled once.
+
+    forward (2mN, N) and inverse (2mN, 2mN) are the transform matrices on
+    stacked coefficient vectors, sigma (2m, 2m) is sigma_value as a
+    matrix, and orbit_maps holds per coset its orbit (walk order) and
+    sigma^t for t = 0..len(orbit). The arrays are read-only: every caller
+    shares them.
+    """
+
+    params: SystemParams
+    kind: Kind
+    table: CosetTable
+    forward: np.ndarray
+    inverse: np.ndarray
+    sigma: np.ndarray
+    orbit_maps: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+    @property
+    def nbytes(self) -> int:
+        arrays = [self.forward, self.inverse, self.sigma]
+        for orbit, maps in self.orbit_maps:
+            arrays += [orbit, maps]
+        return sum(a.nbytes for a in arrays)
+
+
+def design_nbytes(m: int, N: int) -> int:
+    """Upper bound on Design.nbytes, from the array shapes alone.
+
+    The orbit maps hold N + nu <= 2N matrices of size (2m, 2m).
+    """
+    w = 2 * m
+    entries = w * N * N + (w * N) ** 2 + w * w + N + 2 * N * w * w
+    return entries * np.dtype(np.int64).itemsize
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _orbit_maps(table: CosetTable, sigma: np.ndarray, p: int):
+    """Per coset: (orbit index array, stacked sigma^t matrices t = 0..len)."""
+    w = sigma.shape[0]
+    out = []
+    for orbit in table.cosets:
+        maps = np.empty((len(orbit) + 1, w, w), dtype=np.int64)
+        maps[0] = np.eye(w, dtype=np.int64)
+        for t in range(1, len(orbit) + 1):
+            maps[t] = (sigma @ maps[t - 1]) % p
+        out.append((_readonly(np.array(orbit, dtype=np.int64)), _readonly(maps)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=DESIGN_CACHE_SIZE)
+def design(params: SystemParams, kind) -> Design:
+    """The compiled design of (params, kind).
+
+    Raises UnsupportedParams, before allocating any matrix, when the
+    design would need more than DESIGN_BUDGET_BYTES.
+    """
+    kind = as_kind(kind)
+    size = design_nbytes(params.m, params.N)
+    if size > DESIGN_BUDGET_BYTES:
+        raise UnsupportedParams(
+            f"{params}/{kind}: compiled design needs {size / 2**20:.1f} MiB, "
+            f"over the {DESIGN_BUDGET_BYTES / 2**20:.0f} MiB budget")
+    table = coset_table(params.N, params.p, kind)
+    sigma = _readonly(sigma_matrix(params, kind))
+    return Design(params=params, kind=kind, table=table,
+                  forward=_readonly(_forward_flat(params, kind)),
+                  inverse=_readonly(_inverse_flat(params, kind)),
+                  sigma=sigma,
+                  orbit_maps=_orbit_maps(table, sigma, params.p))
+
+
+# ---------------------------------------------------------------------------
+# batch transforms
+# ---------------------------------------------------------------------------
 
 def forward_batch(params: SystemParams, kind, vs: np.ndarray) -> np.ndarray:
     """Transform a batch of symbol rows (F, N) to spectra (F, N, 2, m)."""
     kind = as_kind(kind)
     vs = np.atleast_2d(np.asarray(vs, dtype=np.int64)) % params.p
-    M = _forward_flat(params, kind)
+    M = design(params, kind).forward
     flat = (vs @ M.T) % params.p
     F = vs.shape[0]
     return flat.reshape(F, params.N, 2, params.m)
@@ -219,7 +276,7 @@ def inverse_batch(params: SystemParams, kind, spectra: np.ndarray) -> np.ndarray
     if single:
         spectra = spectra[None]
     F = spectra.shape[0]
-    M = _inverse_flat(params, kind)
+    M = design(params, kind).inverse
     out = (spectra.reshape(F, N * 2 * m) @ M.T) % p
     out = out.reshape(F, N, 2, m)
     residue = np.zeros((F, N), dtype=bool)
@@ -295,7 +352,6 @@ def sigma_value(z: GaloisInt, kind) -> GaloisInt:
     return z.frobenius() if as_kind(kind) is Kind.FOURIER else z.conj_frobenius()
 
 
-@lru_cache(maxsize=None)
 def sigma_matrix(params: SystemParams, kind: Kind) -> np.ndarray:
     """(2m, 2m) matrix form of sigma_value on stacked (re, im) coefficients."""
     Fm = frobenius_matrix(params.field)
@@ -306,75 +362,3 @@ def sigma_matrix(params: SystemParams, kind: Kind) -> np.ndarray:
     else:
         lower = (-Fm) % p
     return np.block([[Fm, zero], [zero, lower]]) % p
-
-
-# ---------------------------------------------------------------------------
-# fast path for smooth N
-# ---------------------------------------------------------------------------
-
-def _smallest_factor(n: int) -> int:
-    if n % 2 == 0:
-        return 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return f
-        f += 2
-    return n
-
-
-def _ntt_direct(vals: list[FieldElement], pows: list[FieldElement]) -> list[FieldElement]:
-    N = len(vals)
-    out = []
-    for k in range(N):
-        acc = vals[0]
-        for i in range(1, N):
-            acc = acc + vals[i] * pows[(i * k) % N]
-        out.append(acc)
-    return out
-
-
-def _ntt_fast(vals: list[FieldElement], zeta: FieldElement) -> list[FieldElement]:
-    """Recursive decimation over the factorization of N; O(N^2) at prime lengths."""
-    N = len(vals)
-    if N == 1:
-        return list(vals)
-    pows = [zeta.field.one]
-    for _ in range(N - 1):
-        pows.append(pows[-1] * zeta)
-    r = _smallest_factor(N)
-    if r == N:
-        return _ntt_direct(vals, pows)
-    s = N // r
-    subs = [_ntt_fast(vals[l::r], zeta ** r) for l in range(r)]
-    out = []
-    for k in range(N):
-        acc = subs[0][k % s]
-        for l in range(1, r):
-            acc = acc + pows[(l * k) % N] * subs[l][k % s]
-        out.append(acc)
-    return out
-
-
-def fast_transform(block: TimeBlock, kind=Kind.HARTLEY) -> SpectrumBlock:
-    """Same output as the direct transforms, via Cooley-Tukey decimation.
-
-    The Hartley spectrum is recombined from the Fourier one:
-    H_k = (F_k + F_(-k))/2 + j (F_(-k) - F_k)/2.
-    """
-    kind = as_kind(kind)
-    params = block.params
-    field = params.field
-    N = params.N
-    vals = [field.scalar(v) for v in block.symbols]
-    F = _ntt_fast(vals, params.zeta_elem)
-    if kind is Kind.FOURIER:
-        values = tuple(GaloisInt(f, field.zero) for f in F)
-    else:
-        inv2 = field.scalar(2).inverse()
-        values = []
-        for k in range(N):
-            rev = F[(N - k) % N]
-            values.append(GaloisInt((F[k] + rev) * inv2, (rev - F[k]) * inv2))
-        values = tuple(values)
-    return SpectrumBlock(params, kind, values)

@@ -90,7 +90,6 @@ def carrier(i: int, params: SystemParams) -> Carrier:
     return Carrier(i, tuple(table[(i * k) % N] for k in range(N)), params)
 
 
-@lru_cache(maxsize=None)
 def carrier_matrix(params: SystemParams) -> CarrierMatrix:
     return CarrierMatrix(tuple(carrier(i, params) for i in range(params.N)), params)
 

@@ -10,9 +10,10 @@ from gdmux import (BadLength, BadMagic, InconsistentFrame, Kind, ParamMismatch,
                    deserialize, iter_frames, metrics, mux, reconstruct_spectrum,
                    required_snr, serialize)
 from gdmux.pipeline import (CompressedFrame, demux_batch, mux_batch,
-                            frame_byte_length, validate_system)
+                            frame_byte_length, reconstruct_batch, validate_system)
+from gdmux.transforms import forward_batch
 
-from support import ACCEPT_SYSTEMS, make
+from support import ACCEPT_SYSTEMS, design_grid, make
 
 
 @pytest.fixture(scope="module")
@@ -59,8 +60,6 @@ def test_reconstruct_compress_identity(p3326):
     rng = np.random.default_rng(2)
     table = validate_system(p3326, Kind.HARTLEY)
     vs = rng.integers(0, 3, size=(1000, 26))
-    from gdmux.transforms import forward_batch
-    from gdmux.pipeline import reconstruct_batch
     full = forward_batch(p3326, Kind.HARTLEY, vs)
     rebuilt = reconstruct_batch(p3326, Kind.HARTLEY, full[:, list(table.leaders)])
     assert np.array_equal(rebuilt, full)
@@ -79,6 +78,23 @@ def test_round_trip_exhaustive_514(p514):
     vs = np.array(list(itertools.product(range(5), repeat=4)))
     for kind in (Kind.HARTLEY, Kind.FOURIER):
         assert np.array_equal(demux_batch(p514, kind, mux_batch(p514, kind, vs)), vs)
+
+
+def test_basis_round_trip_and_conjugacy_closure_over_grid():
+    # Every map is GF(p)-linear, so checking the identity basis proves, for
+    # all inputs of each design: demux(mux(v)) = v (carrier orthogonality
+    # with energy N, and an injective leader map) and reconstruct(mux(v)) =
+    # forward(v) (the spectrum is closed under the conjugacy map).
+    grid = design_grid()
+    assert 2 * len(grid) == 346
+    for p, m, N in grid:
+        params = make(p, m, N)
+        basis = np.eye(N, dtype=np.int64)
+        for kind in (Kind.HARTLEY, Kind.FOURIER):
+            leaders = mux_batch(params, kind, basis)
+            assert np.array_equal(demux_batch(params, kind, leaders), basis), (p, m, N, kind)
+            assert np.array_equal(reconstruct_batch(params, kind, leaders),
+                                  forward_batch(params, kind, basis)), (p, m, N, kind)
 
 
 def test_scalar_round_trip(p3326):

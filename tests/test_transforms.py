@@ -1,13 +1,19 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gdmux import (Kind, NotGroundField, SpectrumBlock, SystemParams, TimeBlock,
-                   fast_transform, ffft_forward, ffft_inverse, ffht_forward,
+                   UnsupportedParams, ffft_forward, ffft_inverse, ffht_forward,
                    ffht_inverse, forward_batch, inverse_batch, inner_product)
-from gdmux.transforms import sigma_index, sigma_value, spectrum_to_array
+from gdmux.pipeline import demux_batch, mux_batch, validate_system
+from gdmux.transforms import (DESIGN_BUDGET_BYTES, DESIGN_CACHE_SIZE, _gi_mul_matrix,
+                              _kernel, design, design_nbytes, sigma_index, sigma_value,
+                              spectrum_to_array)
 
-from support import SMALL_SYSTEMS, make
+from support import SMALL_SYSTEMS, forward_definition, make
 
 
 @pytest.fixture(scope="module")
@@ -146,46 +152,46 @@ def test_parseval_energy(p, m, N):
         assert inner_product(F, rev) == rhs
 
 
-def test_fast_transform_agrees_with_direct(p514):
-    for v in [(4, 0, 1, 2), (1, 0, 0, 0), (0, 0, 0, 0), (4, 4, 4, 4)]:
-        block = TimeBlock(p514, v)
-        assert fast_transform(block, Kind.HARTLEY).values == ffht_forward(block).values
-        assert fast_transform(block, Kind.FOURIER).values == ffft_forward(block).values
+def _assert_forward_matches_definition(params, kind, vs):
+    # the identity rows pin every matrix entry (forward_batch is linear);
+    # the random rows also exercise the mod-p reduction of full sums
+    vs = np.vstack([np.eye(params.N, dtype=np.int64), vs])
+    got = forward_batch(params, kind, vs)
+    for f, values in enumerate(forward_definition(params, kind, vs)):
+        assert np.array_equal(got[f], spectrum_to_array(SpectrumBlock(params, kind, values)))
 
 
-def test_fast_transform_bulk_3326():
-    params = make(3, 3, 26)
+def test_forward_matches_definition_514(p514):
+    vs = np.array([(4, 0, 1, 2), (1, 0, 0, 0), (0, 0, 0, 0), (4, 4, 4, 4)])
+    for kind in (Kind.HARTLEY, Kind.FOURIER):
+        _assert_forward_matches_definition(p514, kind, vs)
+
+
+def test_forward_matches_definition_3326_sample():
     rng = np.random.default_rng(11)
-    vs = rng.integers(0, 3, size=(1000, 26))
-    oracle = forward_batch(params, Kind.HARTLEY, vs)
-    for f in range(vs.shape[0]):
-        block = TimeBlock(params, tuple(int(x) for x in vs[f]))
-        got = spectrum_to_array(fast_transform(block, Kind.HARTLEY))
-        assert np.array_equal(got, oracle[f])
+    _assert_forward_matches_definition(make(3, 3, 26), Kind.HARTLEY,
+                                       rng.integers(0, 3, size=(8, 26)))
 
 
-def test_fast_transform_prime_length_falls_back():
-    params = make(11, 1, 5)
+def test_forward_matches_definition_prime_length():
     rng = np.random.default_rng(12)
-    for _ in range(20):
-        block = TimeBlock(params, tuple(int(x) for x in rng.integers(0, 11, 5)))
-        assert fast_transform(block, Kind.HARTLEY).values == ffht_forward(block).values
+    _assert_forward_matches_definition(make(11, 1, 5), Kind.HARTLEY,
+                                       rng.integers(0, 11, size=(20, 5)))
 
 
-def test_fast_transform_7248_both_kinds():
-    params = make(7, 2, 48)   # N = 2^4 * 3, deep decimation over GF(49)
+def test_forward_matches_definition_7248_both_kinds():
+    params = make(7, 2, 48)   # extension field GF(49), composite N = 2^4 * 3
     rng = np.random.default_rng(14)
-    for _ in range(10):
-        block = TimeBlock(params, tuple(int(x) for x in rng.integers(0, 7, 48)))
-        assert fast_transform(block, Kind.HARTLEY).values == ffht_forward(block).values
-        assert fast_transform(block, Kind.FOURIER).values == ffft_forward(block).values
+    vs = rng.integers(0, 7, size=(2, 48))
+    for kind in (Kind.HARTLEY, Kind.FOURIER):
+        _assert_forward_matches_definition(params, kind, vs)
 
 
 def test_n2_butterfly():
     params = make(3, 1, 2)
     for v0 in range(3):
         for v1 in range(3):
-            got = fast_transform(TimeBlock(params, (v0, v1)), Kind.HARTLEY).values
+            got = ffht_forward(TimeBlock(params, (v0, v1))).values
             assert got[0] == params.ring.element((v0 + v1) % 3)
             assert got[1] == params.ring.element((v0 - v1) % 3)
 
@@ -217,3 +223,84 @@ def test_block_validation(p514):
         TimeBlock(p514, (1, 2, 3))
     with pytest.raises(ValueError):
         TimeBlock(p514, (1, 2, 3, 7))
+
+
+# ---------------------------------------------------------------------------
+# compiled designs
+# ---------------------------------------------------------------------------
+
+def _loop_forward(params, kind):
+    """Reference forward matrix, one kernel entry at a time."""
+    N, m = params.N, params.m
+    ker = _kernel(params, kind, inverse=False)
+    K = np.empty((N, N, 2, m), dtype=np.int64)
+    for k in range(N):
+        for i in range(N):
+            K[k, i, 0] = ker[(i * k) % N].re.coeffs
+            K[k, i, 1] = ker[(i * k) % N].im.coeffs
+    return K.transpose(0, 2, 3, 1).reshape(N * 2 * m, N)
+
+
+def _loop_inverse(params, kind):
+    """Reference inverse matrix, one (2m, 2m) block at a time."""
+    N, w = params.N, 2 * params.m
+    inv_n = params.field.scalar(N).inverse()
+    ker = _kernel(params, kind, inverse=True)
+    big = np.zeros((N * w, N * w), dtype=np.int64)
+    for i in range(N):
+        for k in range(N):
+            big[i * w:(i + 1) * w, k * w:(k + 1) * w] = _gi_mul_matrix(ker[(i * k) % N] * inv_n)
+    return big
+
+
+@pytest.mark.parametrize("p,m,N", [(3, 1, 2), (5, 1, 4), (13, 1, 12), (3, 3, 26), (7, 2, 48)])
+@pytest.mark.parametrize("kind", [Kind.HARTLEY, Kind.FOURIER])
+def test_design_matrices_match_loop_builders(p, m, N, kind):
+    d = design(make(p, m, N), kind)
+    assert np.array_equal(d.forward, _loop_forward(d.params, kind))
+    assert np.array_equal(d.inverse, _loop_inverse(d.params, kind))
+
+
+def test_design_3_5_242_builds_and_round_trips():
+    params = make(3, 5, 242)
+    d = design(params, Kind.HARTLEY)
+    assert d.table.nu == validate_system(params, Kind.HARTLEY).nu
+    vs = np.random.default_rng(15).integers(0, 3, size=(1, 242))
+    assert np.array_equal(demux_batch(params, Kind.HARTLEY,
+                                      mux_batch(params, Kind.HARTLEY, vs)), vs)
+
+
+def test_design_over_budget_refused_before_allocation():
+    params = make(3, 6, 728)   # the dense inverse alone would be 582 MiB
+    assert design_nbytes(6, 728) > DESIGN_BUDGET_BYTES
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(UnsupportedParams, match=r"MiB.*256 MiB budget"):
+            design(params, Kind.HARTLEY)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 1 << 20
+    with pytest.raises(UnsupportedParams):
+        validate_system(params, Kind.FOURIER)
+
+
+@pytest.mark.parametrize("p,m,N", [(3, 1, 2), (5, 2, 24), (3, 3, 13), (7, 2, 48), (3, 4, 80)])
+@pytest.mark.parametrize("kind", [Kind.HARTLEY, Kind.FOURIER])
+def test_design_nbytes_within_prediction(p, m, N, kind):
+    d = design(make(p, m, N), kind)
+    assert 0 < d.nbytes <= design_nbytes(m, N)
+    with pytest.raises(ValueError):
+        d.inverse[0, 0] = 1   # shared by every caller, so read-only
+
+
+def test_design_cache_is_bounded():
+    assert 2 * len(SMALL_SYSTEMS) > DESIGN_CACHE_SIZE
+    for p, m, N in SMALL_SYSTEMS:
+        for kind in (Kind.HARTLEY, Kind.FOURIER):
+            design(make(p, m, N), kind)
+            assert design.cache_info().currsize <= DESIGN_CACHE_SIZE
+    assert design.cache_info().maxsize == DESIGN_CACHE_SIZE
