@@ -2,9 +2,17 @@
 
 A frame carries one GF(p) symbol per user. mux() transforms the frame and
 keeps only the spectrum values at cyclotomic coset leaders; demux()
-re-expands the spectrum by chaining the conjugacy map along each orbit
-and applies the inverse transform. The round trip is exact, so in the
-absence of channel errors there is no cross-talk between users.
+recovers the symbols from those leaders. The round trip is exact, so in
+the absence of channel errors there is no cross-talk between users.
+
+The hot path acts on the leaders directly, with the two matrices of the
+compiled design: mux_batch is L = v @ G and demux_batch is v = L @ D
+(mod p), each one float64 BLAS product. demux_batch accepts a batch when
+re-encoding gives the leaders back (v @ G = L), i.e. when every frame
+is one mux could have produced. Otherwise it runs the reference path on
+the same batch: reconstruct_batch re-expands the spectrum by chaining
+the conjugacy map along each orbit, and transforms.inverse_batch applies
+the dense inverse; that path raises the error that names the frame.
 
 Efficiency metrics are kept as exact rationals: the bandwidth compactness
 factor gamma_cc = N/nu, channel gain 100(1 - 1/gamma_cc) percent,
@@ -19,8 +27,10 @@ Wire format (little endian): magic "GDM1", u16 p, u8 m, u16 N, u8 kind
 of 2m bytes each (re coefficients low-first, then im), one byte per GF(p)
 coefficient.
 
-Corrupted input fails loudly (InconsistentFrame / NotGroundField); there
-is no error-correction mode.
+Leaders that no frame of symbols maps to raise (InconsistentFrame /
+NotGroundField). A corruption that turns one valid frame into another
+is not detected: it demuxes to wrong symbols. There is no
+error-correction mode.
 """
 
 from __future__ import annotations
@@ -37,8 +47,7 @@ from .cosets import CosetTable, coset_table
 from .errors import BadLength, BadMagic, InconsistentFrame, ParamMismatch
 from .fields import GaloisInt, SystemParams
 from .transforms import (Kind, SpectrumBlock, TimeBlock, as_kind, design,
-                         forward_batch, inverse_batch, _gi_coeff_array,
-                         _spectrum_from_array)
+                         inverse_batch, _gi_coeff_array, _spectrum_from_array)
 # unused here; kept bound because perfbench/tracer.py wraps them in this module
 from .transforms import _forward_flat, sigma_matrix  # noqa: F401
 
@@ -108,11 +117,17 @@ def validate_system(params: SystemParams, kind) -> CosetTable:
 # mux / demux
 # ---------------------------------------------------------------------------
 
+# The float64 products below are exact: their operands are integers in
+# [0, p), so every partial sum is an integer below n*(p-1)^2, n = 2m*nu
+# <= 2mN, and that stays under 2^53 for every p <= MAX_PRIME and
+# p^m <= MAX_FIELD_SIZE (tests/test_pipeline.py checks the extremes).
+
 def mux_batch(params: SystemParams, kind, vs: np.ndarray) -> np.ndarray:
     """Compress symbol rows (F, N) to leader arrays (F, nu, 2, m)."""
-    kind = as_kind(kind)
-    V = forward_batch(params, kind, vs)
-    return V[:, list(design(params, kind).table.leaders), :, :]
+    d = design(params, as_kind(kind))
+    vs = np.atleast_2d(np.asarray(vs, dtype=np.int64)) % params.p
+    L = np.fmod(vs.astype(np.float64) @ d.G, params.p)
+    return L.astype(np.int64).reshape(vs.shape[0], d.table.nu, 2, params.m)
 
 
 def reconstruct_batch(params: SystemParams, kind, leaders: np.ndarray) -> np.ndarray:
@@ -145,11 +160,25 @@ def reconstruct_batch(params: SystemParams, kind, leaders: np.ndarray) -> np.nda
 
 
 def demux_batch(params: SystemParams, kind, leaders: np.ndarray) -> np.ndarray:
-    spectra = reconstruct_batch(params, kind, leaders)
-    if spectra.ndim == 3:
-        spectra = spectra[None]
-        return inverse_batch(params, kind, spectra)[0]
-    return inverse_batch(params, kind, spectra)
+    """Recover symbol rows (F, N) from leader arrays (F, nu, 2, m).
+
+    Raises InconsistentFrame or NotGroundField, naming the frame, when
+    some frame is not one mux could have produced.
+    """
+    kind = as_kind(kind)
+    d = design(params, kind)
+    p = params.p
+    leaders = np.asarray(leaders, dtype=np.int64)
+    single = leaders.ndim == 3
+    batch = leaders[None] if single else leaders
+    if batch.shape[1:] == (d.table.nu, 2, params.m) and batch.min(initial=0) >= 0:
+        L = batch.reshape(batch.shape[0], -1).astype(np.float64)
+        vs = np.fmod(L @ d.D, p)
+        if np.array_equal(np.fmod(vs @ d.G, p), L):
+            vs = vs.astype(np.int64)
+            return vs[0] if single else vs
+    vs = inverse_batch(params, kind, reconstruct_batch(params, kind, batch))
+    return vs[0] if single else vs
 
 
 def mux(block: TimeBlock, kind=Kind.HARTLEY) -> CompressedFrame:
@@ -236,9 +265,9 @@ def serialize(frame: CompressedFrame) -> bytes:
     return bytes(out)
 
 
-def _parse_one(data: bytes, offset: int,
-               expect: Optional[SystemParams] = None,
-               expect_kind: Optional[Kind] = None) -> tuple[CompressedFrame, int]:
+def _parse_header(data: bytes, offset: int, expect: Optional[SystemParams],
+                  expect_kind: Optional[Kind]) -> tuple[SystemParams, Kind, int]:
+    """Check the header at offset; returns its design, kind and end position."""
     if len(data) - offset < len(MAGIC) or data[offset:offset + 4] != MAGIC:
         raise BadMagic("frame does not start with GDM1")
     if len(data) - offset < _HEADER.size:
@@ -265,8 +294,15 @@ def _parse_one(data: bytes, offset: int,
         raise ParamMismatch(f"frame for {params}, expected {expect}")
     if expect_kind is not None and kind is not as_kind(expect_kind):
         raise ParamMismatch(f"frame kind {kind}, expected {as_kind(expect_kind)}")
-    body = nu * 2 * m
-    if len(data) - pos < body:
+    return params, kind, pos
+
+
+def _parse_leaders(data: bytes, pos: int, params: SystemParams,
+                   kind: Kind) -> tuple[CompressedFrame, int]:
+    """Read the leader values that follow a checked header at pos."""
+    p, m = params.p, params.m
+    nu = coset_table(params.N, p, kind).nu
+    if len(data) - pos < nu * 2 * m:
         raise BadLength("truncated leader values")
     ring = params.ring
     vals = []
@@ -283,7 +319,8 @@ def _parse_one(data: bytes, offset: int,
 def deserialize(data: bytes, expect: Optional[SystemParams] = None,
                 expect_kind: Optional[Kind] = None) -> CompressedFrame:
     """Parse exactly one frame; trailing bytes are an error."""
-    frame, pos = _parse_one(data, 0, expect, expect_kind)
+    params, kind, pos = _parse_header(data, 0, expect, expect_kind)
+    frame, pos = _parse_leaders(data, pos, params, kind)
     if pos != len(data):
         raise BadLength(f"{len(data) - pos} trailing bytes after frame")
     return frame
@@ -291,10 +328,19 @@ def deserialize(data: bytes, expect: Optional[SystemParams] = None,
 
 def iter_frames(data: bytes, expect: Optional[SystemParams] = None,
                 expect_kind: Optional[Kind] = None) -> Iterator[CompressedFrame]:
-    """Parse a concatenated frame stream."""
+    """Parse a concatenated frame stream.
+
+    A header whose bytes equal those of the previous accepted frame
+    reuses that frame's design and kind instead of being checked again:
+    the checks depend on nothing but those bytes and the expectations.
+    """
     pos = 0
+    header = None
     while pos < len(data):
-        frame, pos = _parse_one(data, pos, expect, expect_kind)
+        if header is None or not data.startswith(header, pos):
+            params, kind, end = _parse_header(data, pos, expect, expect_kind)
+            header = data[pos:end]
+        frame, pos = _parse_leaders(data, pos + len(header), params, kind)
         yield frame
 
 

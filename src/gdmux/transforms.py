@@ -25,10 +25,17 @@ them on a basis over a grid of designs; nothing re-checks them at runtime.
 Every transform is one integer matrix over GF(p) acting on coefficient
 vectors (forward_batch / inverse_batch); the scalar operations
 (ffht_forward and friends) go through the same matrices. design()
-compiles those matrices, the coset table and the conjugacy maps of one
-(params, kind) once, refuses any design whose matrices would exceed
-DESIGN_BUDGET_BYTES before allocating them, and keeps the most recent
-DESIGN_CACHE_SIZE designs.
+compiles, once per (params, kind), the forward matrix, the coset table,
+the conjugacy maps and the two leader-space matrices of the hot path:
+G (symbols to coset leaders, what mux applies) and D (leaders to
+symbols, what demux applies). It refuses any design whose matrices would
+exceed DESIGN_BUDGET_BYTES before allocating them, and keeps the most
+recent DESIGN_CACHE_SIZE designs.
+
+The dense (2mN)^2 inverse matrix is not part of a design: inverse_batch
+builds it on each call. It is the reference that tests compare against
+and the path demux falls back to, to report a frame mux could not have
+produced.
 """
 
 from __future__ import annotations
@@ -126,9 +133,9 @@ def _gi_coeff_array(values: Sequence[GaloisInt], m: int) -> np.ndarray:
     return out
 
 
-def _kernel(params: SystemParams, kind: Kind, inverse: bool) -> tuple[GaloisInt, ...]:
+def _kernel(params: SystemParams, kind, inverse: bool) -> tuple[GaloisInt, ...]:
     """Transform kernel by argument t = i*k mod N."""
-    if kind is Kind.HARTLEY:
+    if as_kind(kind) is Kind.HARTLEY:
         return _cas_by_product(params)  # self-dual
     field = params.field
     z = params.zeta_elem if not inverse else params.zeta_elem.inverse()
@@ -144,24 +151,34 @@ def _products(N: int) -> np.ndarray:
     return np.outer(n, n) % N
 
 
-def _forward_flat(params: SystemParams, kind: Kind) -> np.ndarray:
+def _forward_flat(params: SystemParams, kind) -> np.ndarray:
     """(2mN, N) integer matrix: spectrum coefficients = M @ symbols (mod p)."""
-    N, m = params.N, params.m
-    ker = _gi_coeff_array(_kernel(params, kind, inverse=False), m)
-    return ker[_products(N)].transpose(0, 2, 3, 1).reshape(N * 2 * m, N)
-
-
-def _inverse_flat(params: SystemParams, kind: Kind) -> np.ndarray:
-    """(2mN, 2mN) integer matrix of the inverse transform (with the 1/N factor)."""
     N, w = params.N, 2 * params.m
-    inv_n = params.field.scalar(N).inverse()
-    blocks = np.stack([_gi_mul_matrix(z * inv_n)
-                       for z in _kernel(params, kind, inverse=True)])
+    ker = _gi_coeff_array(_kernel(params, kind, inverse=False), params.m).reshape(N, w)
+    # flat[k, a, i] = ker[i*k mod N, a], gathered straight into the final layout
+    return ker[_products(N)[:, None, :], np.arange(w)[:, None]].reshape(N * w, N)
+
+
+def _inverse_blocks(params: SystemParams, kind) -> np.ndarray:
+    """(N, 2m, 2m): multiplication by (1/N) times the inverse kernel, by argument t."""
+    inv_n = params.field.scalar(params.N).inverse()
+    return np.stack([_gi_mul_matrix(z * inv_n)
+                     for z in _kernel(params, kind, inverse=True)])
+
+
+def _inverse_rows(blocks: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """Rows of the inverse matrix for the given output positions: (2m*len, 2mN)."""
+    N, w = blocks.shape[0], blocks.shape[1]
     # big[i, a, k, b] = blocks[i*k mod N, a, b], gathered straight into the
     # final layout so no (N, N, 2m, 2m) temporary is transposed and copied
     r = np.arange(w)
-    big = blocks[_products(N)[:, None, :, None], r[:, None, None], r]
-    return big.reshape(N * w, N * w)
+    big = blocks[(np.outer(positions, np.arange(N)) % N)[:, None, :, None], r[:, None, None], r]
+    return big.reshape(len(positions) * w, N * w)
+
+
+def _inverse_flat(params: SystemParams, kind) -> np.ndarray:
+    """(2mN, 2mN) integer matrix of the inverse transform (with the 1/N factor)."""
+    return _inverse_rows(_inverse_blocks(params, kind), np.arange(params.N))
 
 
 # ---------------------------------------------------------------------------
@@ -170,30 +187,35 @@ def _inverse_flat(params: SystemParams, kind: Kind) -> np.ndarray:
 
 DESIGN_CACHE_SIZE = 8             # compiled designs kept, least recently used evicted
 DESIGN_BUDGET_BYTES = 256 << 20   # largest compiled design; bigger ones are refused
+INVERSE_BAND_BYTES = 16 << 20     # largest slice of the dense inverse inverse_batch holds
 
 
 @dataclass(frozen=True, eq=False)
 class Design:
     """Everything the batch maps need for one (params, kind), compiled once.
 
-    forward (2mN, N) and inverse (2mN, 2mN) are the transform matrices on
-    stacked coefficient vectors, sigma (2m, 2m) is sigma_value as a
-    matrix, and orbit_maps holds per coset its orbit (walk order) and
-    sigma^t for t = 0..len(orbit). The arrays are read-only: every caller
-    shares them.
+    forward (2mN, N) is the transform matrix on stacked coefficient
+    vectors. G (N, n) and D (n, N), with n = 2m*nu coefficients per
+    frame, act on flattened leader arrays: G is forward restricted to the
+    coset leaders (mux) and D its left inverse, G @ D = I (mod p) (demux).
+    They are float64 so that BLAS applies them, exactly (see
+    pipeline.mux_batch). sigma (2m, 2m) is sigma_value as a matrix, and
+    orbit_maps holds per coset its orbit (walk order) and sigma^t for
+    t = 0..len(orbit). The arrays are read-only: every caller shares them.
     """
 
     params: SystemParams
     kind: Kind
     table: CosetTable
     forward: np.ndarray
-    inverse: np.ndarray
+    G: np.ndarray
+    D: np.ndarray
     sigma: np.ndarray
     orbit_maps: tuple[tuple[np.ndarray, np.ndarray], ...]
 
     @property
     def nbytes(self) -> int:
-        arrays = [self.forward, self.inverse, self.sigma]
+        arrays = [self.forward, self.G, self.D, self.sigma]
         for orbit, maps in self.orbit_maps:
             arrays += [orbit, maps]
         return sum(a.nbytes for a in arrays)
@@ -202,11 +224,13 @@ class Design:
 def design_nbytes(m: int, N: int) -> int:
     """Upper bound on Design.nbytes, from the array shapes alone.
 
-    The orbit maps hold N + nu <= 2N matrices of size (2m, 2m).
+    G and D have n = 2m*nu <= 2mN columns and rows, and the orbit maps
+    hold N + nu <= 2N matrices of size (2m, 2m), so the bound grows as
+    m*N^2. Every entry, int64 or float64, takes 8 bytes.
     """
     w = 2 * m
-    entries = w * N * N + (w * N) ** 2 + w * w + N + 2 * N * w * w
-    return entries * np.dtype(np.int64).itemsize
+    entries = w * N * N + 2 * N * (w * N) + w * w + N + 2 * N * w * w
+    return entries * 8
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -227,6 +251,27 @@ def _orbit_maps(table: CosetTable, sigma: np.ndarray, p: int):
     return tuple(out)
 
 
+def _leader_matrices(params: SystemParams, kind: Kind, table: CosetTable,
+                     forward: np.ndarray, orbit_maps) -> tuple[np.ndarray, np.ndarray]:
+    """G (N, n) and D (n, N) as float64, in O(N^2 m^2) without the dense inverse.
+
+    Demux is reconstruction followed by the inverse transform, read at
+    each output's (re, coefficient 0) entry. Reconstruction sets
+    V[orbit[t]] = maps[t] @ leader, so the leader of coset c reaches
+    output i through sum_t row0(B[i * orbit[t]]) @ maps[t], where B[t] is
+    the (2m, 2m) block of the scaled inverse kernel at argument t.
+    """
+    N, w, p = params.N, 2 * params.m, params.p
+    G = forward.reshape(N, w, N)[list(table.leaders)].reshape(-1, N).T
+    row0 = _inverse_blocks(params, kind)[:, 0, :]                 # (N, 2m)
+    i = np.arange(N)
+    D = np.concatenate([
+        np.einsum("tib,tba->ai", row0[np.outer(orbit, i) % N], maps[:len(orbit)]) % p
+        for orbit, maps in orbit_maps])
+    return (_readonly(np.ascontiguousarray(G, dtype=np.float64)),
+            _readonly(D.astype(np.float64)))
+
+
 @lru_cache(maxsize=DESIGN_CACHE_SIZE)
 def design(params: SystemParams, kind) -> Design:
     """The compiled design of (params, kind).
@@ -242,11 +287,11 @@ def design(params: SystemParams, kind) -> Design:
             f"over the {DESIGN_BUDGET_BYTES / 2**20:.0f} MiB budget")
     table = coset_table(params.N, params.p, kind)
     sigma = _readonly(sigma_matrix(params, kind))
-    return Design(params=params, kind=kind, table=table,
-                  forward=_readonly(_forward_flat(params, kind)),
-                  inverse=_readonly(_inverse_flat(params, kind)),
-                  sigma=sigma,
-                  orbit_maps=_orbit_maps(table, sigma, params.p))
+    forward = _readonly(_forward_flat(params, kind))
+    orbit_maps = _orbit_maps(table, sigma, params.p)
+    G, D = _leader_matrices(params, kind, table, forward, orbit_maps)
+    return Design(params=params, kind=kind, table=table, forward=forward,
+                  G=G, D=D, sigma=sigma, orbit_maps=orbit_maps)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +312,9 @@ def inverse_batch(params: SystemParams, kind, spectra: np.ndarray) -> np.ndarray
     """Invert spectra (F, N, 2, m) back to symbol rows (F, N).
 
     Raises NotGroundField when any recovered value has a nonzero imaginary
-    part or nonzero high-degree coefficients.
+    part or nonzero high-degree coefficients. The dense inverse matrix is
+    built on every call, a band at a time, and not cached; demux reaches
+    this only for a batch holding a frame that mux could not have produced.
     """
     kind = as_kind(kind)
     N, m, p = params.N, params.m, params.p
@@ -275,9 +322,16 @@ def inverse_batch(params: SystemParams, kind, spectra: np.ndarray) -> np.ndarray
     single = spectra.ndim == 3
     if single:
         spectra = spectra[None]
-    F = spectra.shape[0]
-    M = design(params, kind).inverse
-    out = (spectra.reshape(F, N * 2 * m) @ M.T) % p
+    F, w = spectra.shape[0], 2 * m
+    flat = spectra.reshape(F, N * w)
+    blocks = _inverse_blocks(params, kind)
+    out = np.empty((F, N, w), dtype=np.int64)
+    # the dense matrix, (2mN)^2 entries, is applied in bands of output
+    # positions so that no more than INVERSE_BAND_BYTES of it exist at once
+    band = max(1, INVERSE_BAND_BYTES // (8 * w * N * w))
+    for i in range(0, N, band):
+        rows = _inverse_rows(blocks, np.arange(i, min(N, i + band)))
+        out[:, i:i + band] = ((flat @ rows.T) % p).reshape(F, -1, w)
     out = out.reshape(F, N, 2, m)
     residue = np.zeros((F, N), dtype=bool)
     residue |= (out[:, :, 1, :] != 0).any(axis=2)

@@ -5,13 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gdmux import (BadLength, BadMagic, InconsistentFrame, Kind, ParamMismatch,
+from gdmux import (BadLength, BadMagic, GdmError, InconsistentFrame, Kind, ParamMismatch,
                    SystemParams, TimeBlock, capacity_check, crosstalk_probe, demux,
                    deserialize, iter_frames, metrics, mux, reconstruct_spectrum,
                    required_snr, serialize)
+from gdmux.fields import MAX_FIELD_SIZE, MAX_PRIME, is_prime
 from gdmux.pipeline import (CompressedFrame, demux_batch, mux_batch,
                             frame_byte_length, reconstruct_batch, validate_system)
-from gdmux.transforms import forward_batch
+from gdmux.transforms import design, forward_batch, inverse_batch
 
 from support import ACCEPT_SYSTEMS, design_grid, make
 
@@ -84,13 +85,16 @@ def test_basis_round_trip_and_conjugacy_closure_over_grid():
     # Every map is GF(p)-linear, so checking the identity basis proves, for
     # all inputs of each design: demux(mux(v)) = v (carrier orthogonality
     # with energy N, and an injective leader map) and reconstruct(mux(v)) =
-    # forward(v) (the spectrum is closed under the conjugacy map).
+    # forward(v) (the spectrum is closed under the conjugacy map). G @ D = I
+    # (mod p) is the same left-inverse property on the compiled matrices.
     grid = design_grid()
     assert 2 * len(grid) == 346
     for p, m, N in grid:
         params = make(p, m, N)
         basis = np.eye(N, dtype=np.int64)
         for kind in (Kind.HARTLEY, Kind.FOURIER):
+            d = design(params, kind)
+            assert np.array_equal(np.fmod(d.G @ d.D, p), basis), (p, m, N, kind)
             leaders = mux_batch(params, kind, basis)
             assert np.array_equal(demux_batch(params, kind, leaders), basis), (p, m, N, kind)
             assert np.array_equal(reconstruct_batch(params, kind, leaders),
@@ -120,6 +124,62 @@ def test_inconsistent_frame_detected(p3326):
     leaders[0] = p3326.ring.element(0, 1)
     with pytest.raises(InconsistentFrame):
         reconstruct_spectrum(CompressedFrame(p3326, Kind.HARTLEY, tuple(leaders)))
+
+
+def _outcome(fn, *args):
+    try:
+        return ("ok", fn(*args).tolist())
+    except GdmError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _reference_demux(params, kind, leaders):
+    return inverse_batch(params, kind, reconstruct_batch(params, kind, leaders))
+
+
+@pytest.mark.parametrize("p,m,N", [(5, 1, 4), (5, 2, 24), (13, 1, 12), (3, 3, 26),
+                                   (7, 2, 48), (3, 4, 80)])
+@pytest.mark.parametrize("kind", [Kind.HARTLEY, Kind.FOURIER])
+def test_demux_of_corrupted_frames_matches_reference(p, m, N, kind):
+    # every outcome, values or exception class and message (with the frame
+    # index), equals that of reconstruction followed by the dense inverse
+    params = make(p, m, N)
+    rng = np.random.default_rng(p * 1000 + N + (kind is Kind.FOURIER))
+    seen = set()
+    for _ in range(40):
+        F = int(rng.integers(1, 5))
+        leaders = mux_batch(params, kind, rng.integers(0, p, size=(F, N)))
+        flat = leaders.reshape(F, -1)
+        for _ in range(int(rng.integers(1, 4))):
+            f, c = int(rng.integers(F)), int(rng.integers(flat.shape[1]))
+            flat[f, c] = (flat[f, c] + rng.integers(1, p)) % p
+        got = _outcome(demux_batch, params, kind, leaders)
+        assert got == _outcome(_reference_demux, params, kind, leaders)
+        if F == 1:   # one frame without the batch axis
+            want = ("ok", got[1][0]) if got[0] == "ok" else got
+            assert _outcome(demux_batch, params, kind, leaders[0]) == want
+        seen.add(got[0])
+    assert len(seen) > 1   # both silent and detected corruptions occurred
+    # entries outside [0, p): a negated frame re-encodes to itself under
+    # fmod, yet is not a frame mux produces
+    leaders = mux_batch(params, kind, rng.integers(1, p, size=(2, N)))
+    for odd in (-leaders, leaders + p):
+        assert _outcome(demux_batch, params, kind, odd) == _outcome(
+            _reference_demux, params, kind, odd)
+
+
+def test_float_products_exact_across_scope():
+    # mux and demux products sum at most n = 2m*nu <= 2mN terms below p^2;
+    # the largest N for each (p, m) is p^m - 1
+    worst = 0
+    for p in range(3, MAX_PRIME + 1, 2):
+        if not is_prime(p):
+            continue
+        m = 1
+        while p ** m <= MAX_FIELD_SIZE:
+            worst = max(worst, 2 * m * (p ** m - 1) * (p - 1) ** 2)
+            m += 1
+    assert 0 < worst < 2 ** 53
 
 
 def test_frame_leader_count_checked(p514):
@@ -229,6 +289,27 @@ def test_iter_frames_stream(p514):
     blob = b"".join(serialize(f) for f in frames)
     assert list(iter_frames(blob, expect=p514)) == frames
     assert list(iter_frames(b"")) == []
+
+
+def test_iter_frames_checks_each_new_header(p514, p3326, monkeypatch):
+    calls = []
+    create = SystemParams.create.__func__
+    monkeypatch.setattr(SystemParams, "create", classmethod(
+        lambda cls, *a, **kw: calls.append(a) or create(cls, *a, **kw)))
+    good = serialize(mux(TimeBlock(p514, (4, 0, 1, 2)), Kind.HARTLEY))
+    assert len(list(iter_frames(good * 5, expect=p514))) == 5
+    assert len(calls) == 1   # repeated header bytes are checked once
+    # a later header that differs is checked in full, at its own frame
+    other = serialize(mux(TimeBlock(p3326, (1,) * 26), Kind.HARTLEY))
+    bad_nu = bytearray(good)
+    bad_nu[11] = 4
+    for tail, error in ((other + good, ParamMismatch), (bytes(bad_nu) + good, ParamMismatch),
+                        (b"NOPE" + good[4:], BadMagic), (good[:12], BadLength)):
+        seen = []
+        with pytest.raises(error):
+            for frame in iter_frames(good * 3 + tail, expect=p514):
+                seen.append(frame)
+        assert len(seen) == 3
 
 
 # ---------------------------------------------------------------------------

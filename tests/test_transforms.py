@@ -8,10 +8,11 @@ from hypothesis import given, settings, strategies as st
 from gdmux import (Kind, NotGroundField, SpectrumBlock, SystemParams, TimeBlock,
                    UnsupportedParams, ffft_forward, ffft_inverse, ffht_forward,
                    ffht_inverse, forward_batch, inverse_batch, inner_product)
+from gdmux import transforms
 from gdmux.pipeline import demux_batch, mux_batch, validate_system
-from gdmux.transforms import (DESIGN_BUDGET_BYTES, DESIGN_CACHE_SIZE, _gi_mul_matrix,
-                              _kernel, design, design_nbytes, sigma_index, sigma_value,
-                              spectrum_to_array)
+from gdmux.transforms import (DESIGN_BUDGET_BYTES, DESIGN_CACHE_SIZE, _forward_flat,
+                              _gi_mul_matrix, _inverse_flat, _kernel, design,
+                              design_nbytes, sigma_index, sigma_value, spectrum_to_array)
 
 from support import SMALL_SYSTEMS, forward_definition, make
 
@@ -258,7 +259,33 @@ def _loop_inverse(params, kind):
 def test_design_matrices_match_loop_builders(p, m, N, kind):
     d = design(make(p, m, N), kind)
     assert np.array_equal(d.forward, _loop_forward(d.params, kind))
-    assert np.array_equal(d.inverse, _loop_inverse(d.params, kind))
+    assert np.array_equal(_inverse_flat(d.params, kind), _loop_inverse(d.params, kind))
+
+
+@pytest.mark.parametrize("p,m,N", [(5, 1, 4), (13, 1, 12), (3, 3, 26)])
+def test_kernel_builders_accept_string_kind(p, m, N):
+    params = make(p, m, N)
+    for kind in (Kind.HARTLEY, Kind.FOURIER):
+        assert _kernel(params, kind.value, inverse=True) == _kernel(params, kind, inverse=True)
+        assert np.array_equal(_forward_flat(params, kind.value), _forward_flat(params, kind))
+        assert np.array_equal(_inverse_flat(params, kind.value), _inverse_flat(params, kind))
+    assert not np.array_equal(_forward_flat(params, "hartley"), _forward_flat(params, "fourier"))
+
+
+def test_inverse_batch_in_bands_matches_dense_matrix(monkeypatch):
+    params = make(3, 3, 26)
+    rng = np.random.default_rng(18)
+    vs = rng.integers(0, 3, size=(6, 26))
+    spectra = forward_batch(params, Kind.FOURIER, vs)
+    bad = spectra.copy()
+    bad[3, 7, 1, 2] = (bad[3, 7, 1, 2] + 1) % 3
+    dense = (bad.reshape(6, -1) @ _inverse_flat(params, Kind.FOURIER).T) % 3
+    residue = dense.reshape(6, 26, 6)[:, :, 1:].any(axis=2)
+    f, i = np.argwhere(residue)[0]
+    monkeypatch.setattr(transforms, "INVERSE_BAND_BYTES", 8 * 6 * 26 * 6 * 4)   # 4 positions
+    assert np.array_equal(inverse_batch(params, Kind.FOURIER, spectra), vs)
+    with pytest.raises(NotGroundField, match=f"frame {f}, position {i} "):
+        inverse_batch(params, Kind.FOURIER, bad)
 
 
 def test_design_3_5_242_builds_and_round_trips():
@@ -270,9 +297,21 @@ def test_design_3_5_242_builds_and_round_trips():
                                       mux_batch(params, Kind.HARTLEY, vs)), vs)
 
 
+def test_design_3_6_728_builds_and_round_trips():
+    params = make(3, 6, 728)
+    assert design_nbytes(6, 728) <= DESIGN_BUDGET_BYTES
+    vs = np.random.default_rng(16).integers(0, 3, size=(4, 728))
+    try:
+        for kind in (Kind.HARTLEY, Kind.FOURIER):
+            leaders = mux_batch(params, kind, vs)
+            assert np.array_equal(demux_batch(params, kind, leaders), vs)
+    finally:
+        design.cache_clear()   # two designs of ~67 MiB each; later tests need neither
+
+
 def test_design_over_budget_refused_before_allocation():
-    params = make(3, 6, 728)   # the dense inverse alone would be 582 MiB
-    assert design_nbytes(6, 728) > DESIGN_BUDGET_BYTES
+    params = make(3, 7, 2186)   # the forward matrix alone would be 535 MB
+    assert design_nbytes(7, 2186) > DESIGN_BUDGET_BYTES
     tracemalloc.start()
     start = time.perf_counter()
     try:
@@ -293,8 +332,9 @@ def test_design_over_budget_refused_before_allocation():
 def test_design_nbytes_within_prediction(p, m, N, kind):
     d = design(make(p, m, N), kind)
     assert 0 < d.nbytes <= design_nbytes(m, N)
-    with pytest.raises(ValueError):
-        d.inverse[0, 0] = 1   # shared by every caller, so read-only
+    for a in (d.forward, d.G, d.D):
+        with pytest.raises(ValueError):
+            a[0, 0] = 1   # shared by every caller, so read-only
 
 
 def test_design_cache_is_bounded():
