@@ -1,8 +1,18 @@
 """Command-line front end.
 
 Subcommands: design, cosets, carriers, mux, demux, crosstalk, psd,
-selftest. Exit codes: 0 success, 1 usage/parameter error, 2 data error,
-3 selftest failure.
+selftest. Exit codes: 0 success, 1 usage/parameter error or a file that
+cannot be read or written, 2 data error (including input text that is
+not UTF-8), 3 selftest failure.
+
+mux and demux move a whole file through one array. mux parses every
+non-blank line into an (F, N) symbol array, muxes it with one
+pipeline.mux_batch and writes it with one pipeline.encode_frames; demux
+reads it with one pipeline.decode_frames and demuxes it with one
+pipeline.demux_batch. Only when the bulk parse refuses the text does mux
+re-read it line by line, to report the first bad line as "line N: ...";
+decode_frames does the same for frames, and demux reports the first bad
+frame as "frame N: ...".
 """
 
 from __future__ import annotations
@@ -10,19 +20,22 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from . import cosets as cosets_mod
 from . import pipeline, statsim, trig
 from .errors import FrameFormatError, GdmError
-from .fields import SystemParams
-from .transforms import Kind, TimeBlock, as_kind
+from .fields import MAX_PRIME, SystemParams
+from .transforms import Kind, TimeBlock, as_kind, design
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_SELFTEST = 3
+
+_SYMBOL_TEXT = tuple(str(s) for s in range(MAX_PRIME))   # demux output, faster than str()
 
 
 def _parse_poly(text):
@@ -158,22 +171,43 @@ def cmd_carriers(args) -> int:
     return EXIT_OK
 
 
-def cmd_mux(args) -> int:
-    params = _params(args)
-    kind = as_kind(args.kind)
-    text = _read_bytes(args.infile).decode()
-    out = bytearray()
-    for lineno, line in enumerate(text.splitlines(), start=1):
+def _symbol_rows(params: SystemParams, lines: list[str]):
+    """(F, N) symbols of the non-blank lines, or None if some line is not N integers in [0, p)."""
+    rows = [toks for toks in map(str.split, lines) if toks]
+    if any(len(toks) != params.N for toks in rows):
+        return None
+    try:
+        vs = np.array(rows, dtype=np.int64).reshape(len(rows), params.N)
+    except (ValueError, OverflowError):   # numpy parses tokens as int() does, up to int64
+        return None
+    return vs if ((vs >= 0) & (vs < params.p)).all() else None
+
+
+def _first_bad_line(params: SystemParams, kind: Kind, lines: list[str]) -> str:
+    """The error message of the first line that is not N integers in [0, p)."""
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
-            symbols = tuple(int(tok) for tok in line.split())
-            block = TimeBlock(params, symbols)
+            TimeBlock(params, tuple(int(tok) for tok in line.split()))
         except (ValueError, GdmError) as exc:
-            print(f"line {lineno}: {exc}", file=sys.stderr)
-            return EXIT_DATA
-        out += pipeline.serialize(pipeline.mux(block, kind))
-    _write_bytes(args.outfile, bytes(out))
+            return f"line {lineno}: {exc}"
+        design(params, kind)   # a design over budget is refused at the first good line
+    raise AssertionError("every line parses, yet the bulk parse refused the text")
+
+
+def cmd_mux(args) -> int:
+    params = _params(args)
+    kind = as_kind(args.kind)
+    lines = _read_bytes(args.infile).decode().splitlines()
+    vs = _symbol_rows(params, lines)
+    if vs is None:
+        print(_first_bad_line(params, kind, lines), file=sys.stderr)
+        return EXIT_DATA
+    out = b""
+    if len(vs):
+        out = pipeline.encode_frames(params, kind, pipeline.mux_batch(params, kind, vs))
+    _write_bytes(args.outfile, out)
     return EXIT_OK
 
 
@@ -181,25 +215,22 @@ def cmd_demux(args) -> int:
     params = _params(args)
     kind = as_kind(args.kind)
     data = _read_bytes(args.infile)
-    arrays = []
-    index = 0
     try:
-        for frame in pipeline.iter_frames(data, expect=params, expect_kind=kind):
-            arrays.append(pipeline.leader_array(frame))
-            index += 1
-    except (FrameFormatError, GdmError) as exc:
-        print(f"frame {index}: {exc}", file=sys.stderr)
+        leaders = pipeline.decode_frames(data, params, kind)
+    except GdmError as exc:
+        print(f"frame {exc.frame_index}: {exc}", file=sys.stderr)
         return EXIT_DATA
-    lines = []
-    if arrays:
+    out = b""
+    if len(leaders):
         try:
             # batch errors carry their own frame index in the message
-            vs = pipeline.demux_batch(params, kind, np.stack(arrays))
+            vs = pipeline.demux_batch(params, kind, leaders)
         except GdmError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_DATA
-        lines = [" ".join(str(int(s)) for s in row) for row in vs]
-    _write_bytes(args.outfile, ("\n".join(lines) + "\n" if lines else "").encode())
+        out = ("\n".join(" ".join([_SYMBOL_TEXT[s] for s in row]) for row in vs.tolist())
+               + "\n").encode()
+    _write_bytes(args.outfile, out)
     return EXIT_OK
 
 
@@ -293,14 +324,20 @@ _COMMANDS = {
 }
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use: parse_args keeps no state between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except FrameFormatError as exc:
+    except (FrameFormatError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except GdmError as exc:
+    except (GdmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -2,7 +2,15 @@
 
 
 class GdmError(Exception):
-    """Base class for all gdmux errors."""
+    """Base class for all gdmux errors.
+
+    frame_index is the 0-based index of the frame an error is about, for
+    errors raised while parsing or demuxing a frame batch; None otherwise.
+    """
+
+    def __init__(self, *args, frame_index=None):
+        super().__init__(*args)
+        self.frame_index = frame_index
 
 
 class InvalidParams(GdmError):

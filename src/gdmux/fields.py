@@ -524,9 +524,14 @@ def mult_order(x: Union[FieldElement, GaloisInt]) -> int:
     raise TypeError(f"unsupported operand type {type(x)!r}")
 
 
+@lru_cache(maxsize=64)
 def find_root_of_unity(p: int, m: int, n: int,
                        poly: Optional[tuple[int, ...]] = None) -> FieldElement:
-    """First element of multiplicative order exactly n, in canonical scan order."""
+    """First element of multiplicative order exactly n, in canonical scan order.
+
+    A pure function of its arguments; the most recent 64 results are kept,
+    so SystemParams.create searches once per design and process.
+    """
     field = get_field(p, m, poly)
     if n < 1 or (field.order - 1) % n != 0:
         raise NoSuchRoot(f"{n} does not divide p^m - 1 = {field.order - 1}")

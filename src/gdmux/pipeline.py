@@ -25,7 +25,13 @@ Wire format (little endian): magic "GDM1", u16 p, u8 m, u16 N, u8 kind
 (0 = Fourier, 1 = Hartley), m bytes of reduction-polynomial coefficients
 (constant term first, leading 1 omitted), u16 nu, then nu leader values
 of 2m bytes each (re coefficients low-first, then im), one byte per GF(p)
-coefficient.
+coefficient. Every byte of a header is determined by the design, so a
+stream of one design is a (frames, frame_len) byte array.
+encode_frames writes such a stream in one piece and decode_frames reads
+it in one piece: one array comparison against the expected header, one
+range check of the coefficients. When either check fails, decode_frames
+runs the per-frame parser iter_frames over the same bytes, and that
+raises the error that names the first bad frame.
 
 Leaders that no frame of symbols maps to raise (InconsistentFrame /
 NotGroundField). A corruption that turns one valid frame into another
@@ -44,7 +50,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .cosets import CosetTable, coset_table
-from .errors import BadLength, BadMagic, InconsistentFrame, ParamMismatch
+from .errors import BadLength, BadMagic, GdmError, InconsistentFrame, ParamMismatch
 from .fields import GaloisInt, SystemParams
 from .transforms import (Kind, SpectrumBlock, TimeBlock, as_kind, design,
                          inverse_batch, _gi_coeff_array, _spectrum_from_array)
@@ -155,7 +161,8 @@ def reconstruct_batch(params: SystemParams, kind, leaders: np.ndarray) -> np.nda
         if bad.any():
             f = int(np.argwhere(bad)[0][0])
             raise InconsistentFrame(
-                f"frame {f}: orbit of leader {orbit[0]} does not close on its value")
+                f"frame {f}: orbit of leader {orbit[0]} does not close on its value",
+                frame_index=f)
     return out[0] if single else out
 
 
@@ -253,16 +260,50 @@ def frame_byte_length(params: SystemParams, kind) -> int:
     return _HEADER.size + params.m + 2 + nu * 2 * params.m
 
 
+def frame_header(params: SystemParams, kind) -> bytes:
+    """The header bytes every frame of (params, kind) starts with."""
+    kind = as_kind(kind)
+    nu = coset_table(params.N, params.p, kind).nu
+    return (_HEADER.pack(MAGIC, params.p, params.m, params.N, _KIND_CODE[kind])
+            + bytes(params.poly[:params.m]) + struct.pack("<H", nu))
+
+
 def serialize(frame: CompressedFrame) -> bytes:
-    p = frame.params
-    out = bytearray()
-    out += _HEADER.pack(MAGIC, p.p, p.m, p.N, _KIND_CODE[frame.kind])
-    out += bytes(p.poly[:p.m])
-    out += struct.pack("<H", len(frame.leaders))
+    out = bytearray(frame_header(frame.params, frame.kind))
     for z in frame.leaders:
         out += bytes(z.re.coeffs)
         out += bytes(z.im.coeffs)
     return bytes(out)
+
+
+def encode_frames(params: SystemParams, kind, leaders: np.ndarray) -> bytes:
+    """Serialize leader arrays (F, nu, 2, m), entries in [0, p), as F frames."""
+    header = np.frombuffer(frame_header(params, kind), dtype=np.uint8)
+    body = np.asarray(leaders, dtype=np.uint8)
+    body = body.reshape(len(body), math.prod(body.shape[1:]))
+    return np.hstack([np.broadcast_to(header, (len(body), header.size)), body]).tobytes()
+
+
+def decode_frames(data: bytes, params: SystemParams, kind) -> np.ndarray:
+    """Leader arrays (F, nu, 2, m) of a stream of frames of (params, kind).
+
+    Raises what iter_frames(data, params, kind) raises, at the same frame:
+    the bulk checks accept exactly the streams iter_frames accepts, since
+    with the design known only one header byte string is valid.
+    """
+    kind = as_kind(kind)
+    header = frame_header(params, kind)
+    nu, m = coset_table(params.N, params.p, kind).nu, params.m
+    frame_len = len(header) + nu * 2 * m
+    if len(data) % frame_len == 0:
+        frames = np.frombuffer(data, dtype=np.uint8).reshape(-1, frame_len)
+        body = frames[:, len(header):]
+        if ((frames[:, :len(header)] == np.frombuffer(header, dtype=np.uint8)).all()
+                and (body < params.p).all()):
+            return body.reshape(-1, nu, 2, m).astype(np.int64)
+    for _ in iter_frames(data, expect=params, expect_kind=kind):
+        pass
+    raise AssertionError("iter_frames accepted a stream the bulk checks refused")
 
 
 def _parse_header(data: bytes, offset: int, expect: Optional[SystemParams],
@@ -294,6 +335,10 @@ def _parse_header(data: bytes, offset: int, expect: Optional[SystemParams],
         raise ParamMismatch(f"frame for {params}, expected {expect}")
     if expect_kind is not None and kind is not as_kind(expect_kind):
         raise ParamMismatch(f"frame kind {kind}, expected {as_kind(expect_kind)}")
+    # the design reduces the polynomial mod p; refusing unreduced bytes
+    # leaves one valid header per design
+    if any(c >= p for c in poly):
+        raise ParamMismatch(f"polynomial coefficient byte >= p = {p}")
     return params, kind, pos
 
 
@@ -333,15 +378,22 @@ def iter_frames(data: bytes, expect: Optional[SystemParams] = None,
     A header whose bytes equal those of the previous accepted frame
     reuses that frame's design and kind instead of being checked again:
     the checks depend on nothing but those bytes and the expectations.
+    A parse error carries the index of its frame as frame_index.
     """
     pos = 0
     header = None
+    index = 0
     while pos < len(data):
-        if header is None or not data.startswith(header, pos):
-            params, kind, end = _parse_header(data, pos, expect, expect_kind)
-            header = data[pos:end]
-        frame, pos = _parse_leaders(data, pos + len(header), params, kind)
+        try:
+            if header is None or not data.startswith(header, pos):
+                params, kind, end = _parse_header(data, pos, expect, expect_kind)
+                header = data[pos:end]
+            frame, pos = _parse_leaders(data, pos + len(header), params, kind)
+        except GdmError as exc:
+            exc.frame_index = index
+            raise
         yield frame
+        index += 1
 
 
 # ---------------------------------------------------------------------------

@@ -221,15 +221,16 @@ class Design:
         return sum(a.nbytes for a in arrays)
 
 
-def design_nbytes(m: int, N: int) -> int:
-    """Upper bound on Design.nbytes, from the array shapes alone.
+def design_nbytes(m: int, N: int, nu: int) -> int:
+    """Design.nbytes of a design with nu cosets, from the array shapes alone.
 
-    G and D have n = 2m*nu <= 2mN columns and rows, and the orbit maps
-    hold N + nu <= 2N matrices of size (2m, 2m), so the bound grows as
-    m*N^2. Every entry, int64 or float64, takes 8 bytes.
+    forward has 2m*N*N entries; G and D have n = 2m*nu columns and rows;
+    sigma is (2m, 2m); the orbits hold N indices and N + nu matrices of
+    size (2m, 2m). The size grows as m*N^2. Every entry, int64 or
+    float64, takes 8 bytes.
     """
     w = 2 * m
-    entries = w * N * N + 2 * N * (w * N) + w * w + N + 2 * N * w * w
+    entries = w * N * N + 2 * N * (w * nu) + w * w + N + (N + nu) * w * w
     return entries * 8
 
 
@@ -280,12 +281,12 @@ def design(params: SystemParams, kind) -> Design:
     design would need more than DESIGN_BUDGET_BYTES.
     """
     kind = as_kind(kind)
-    size = design_nbytes(params.m, params.N)
+    table = coset_table(params.N, params.p, kind)
+    size = design_nbytes(params.m, params.N, table.nu)
     if size > DESIGN_BUDGET_BYTES:
         raise UnsupportedParams(
             f"{params}/{kind}: compiled design needs {size / 2**20:.1f} MiB, "
             f"over the {DESIGN_BUDGET_BYTES / 2**20:.0f} MiB budget")
-    table = coset_table(params.N, params.p, kind)
     sigma = _readonly(sigma_matrix(params, kind))
     forward = _readonly(_forward_flat(params, kind))
     orbit_maps = _orbit_maps(table, sigma, params.p)
@@ -340,7 +341,8 @@ def inverse_batch(params: SystemParams, kind, spectra: np.ndarray) -> np.ndarray
     if residue.any():
         f, i = np.argwhere(residue)[0]
         raise NotGroundField(
-            f"recovered value at frame {f}, position {i} is not in GF({p})")
+            f"recovered value at frame {f}, position {i} is not in GF({p})",
+            frame_index=int(f))
     vs = out[:, :, 0, 0]
     return vs[0] if single else vs
 

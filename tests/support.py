@@ -1,7 +1,10 @@
 """Shared parameter sets and reference oracles for the test suite."""
 
-from gdmux import GaloisInt, Kind, SystemParams
+import numpy as np
+
+from gdmux import GaloisInt, GdmError, Kind, SystemParams, TimeBlock
 from gdmux.fields import is_prime
+from gdmux.pipeline import demux_batch, iter_frames, leader_array, mux, serialize
 
 # desk-scale systems with p^m <= 1000, used for exhaustive property checks
 SMALL_SYSTEMS = [
@@ -66,3 +69,40 @@ def forward_definition(params: SystemParams, kind, rows) -> list[tuple[GaloisInt
             spectrum.append(acc)
         out.append(tuple(spectrum))
     return out
+
+
+def cli_mux_oracle(params: SystemParams, kind, text: bytes):
+    """`gdmux mux` one line and one frame at a time: (exit code, frames or None, stderr).
+
+    The CLI's own loop before it parsed and muxed whole files in bulk;
+    the bulk path must give the same exit code, bytes and message.
+    """
+    out = bytearray()
+    for lineno, line in enumerate(text.decode().splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            block = TimeBlock(params, tuple(int(tok) for tok in line.split()))
+        except (ValueError, GdmError) as exc:
+            return 2, None, f"line {lineno}: {exc}\n"
+        out += serialize(mux(block, kind))
+    return 0, bytes(out), ""
+
+
+def cli_demux_oracle(params: SystemParams, kind, data: bytes):
+    """`gdmux demux` one frame at a time: (exit code, text or None, stderr)."""
+    arrays = []
+    index = 0
+    try:
+        for frame in iter_frames(data, expect=params, expect_kind=kind):
+            arrays.append(leader_array(frame))
+            index += 1
+    except GdmError as exc:
+        return 2, None, f"frame {index}: {exc}\n"
+    if not arrays:
+        return 0, b"", ""
+    try:
+        vs = demux_batch(params, kind, np.stack(arrays))
+    except GdmError as exc:
+        return 2, None, f"error: {exc}\n"
+    return 0, ("\n".join(" ".join(str(int(s)) for s in row) for row in vs) + "\n").encode(), ""

@@ -1,6 +1,12 @@
 import numpy as np
+import pytest
 
+from gdmux import UnsupportedParams, cli, transforms
 from gdmux.cli import main
+from gdmux.fields import SystemParams, find_root_of_unity
+from gdmux.pipeline import encode_frames, frame_header, mux_batch
+
+from support import ACCEPT_SYSTEMS, cli_demux_oracle, cli_mux_oracle, make
 
 
 def run(capsys, *argv):
@@ -138,3 +144,181 @@ def test_psd_command(tmp_path, capsys):
     assert len(head) == 257
     assert acf.read_text().splitlines()[0] == "lag,acf_re,acf_im,stderr"
     assert "fitted_scale" in err
+
+
+def test_mux_non_utf8_input_is_a_data_error(tmp_path, capsys):
+    src = tmp_path / "in.txt"
+    src.write_bytes(b"4 0 1 2\n\xff\xfe 1 2\n")
+    out = tmp_path / "o.bin"
+    code, _, err = run(capsys, "mux", "-p", "5", "-m", "1", "-N", "4",
+                       "--in", str(src), "--out", str(out))
+    assert code == 2
+    assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["mux", "demux"])
+def test_unreadable_input_and_unwritable_output_exit_1(tmp_path, capsys, command):
+    args = [command, "-p", "5", "-m", "1", "-N", "4"]
+    code, _, err = run(capsys, *args, "--in", str(tmp_path / "missing"),
+                       "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert err.startswith("error: [Errno 2] No such file or directory")
+    src = tmp_path / "in"
+    src.write_bytes(b"")
+    for bad_out in (tmp_path / "no-such-dir" / "o", tmp_path):
+        code, _, err = run(capsys, *args, "--in", str(src), "--out", str(bad_out))
+        assert code == 1
+        assert err.startswith("error: [Errno ")
+
+
+def test_main_calls_share_no_parser_state(monkeypatch):
+    seen = []
+    for name in ("mux", "demux", "crosstalk"):
+        monkeypatch.setitem(cli._COMMANDS, name, lambda args: seen.append(vars(args)) or 0)
+    main(["mux", "-p", "5", "-N", "4", "--kind", "fourier", "--in", "a"])
+    main(["demux", "-p", "3", "-m", "3", "-N", "26"])
+    main(["crosstalk", "-p", "5", "-N", "4", "--user", "2"])
+    main(["crosstalk", "-p", "5", "-N", "4"])
+    main(["mux", "-p", "5", "-N", "4"])
+    assert [(a["command"], a["kind"], a["m"]) for a in seen] == [
+        ("mux", "fourier", 1), ("demux", "hartley", 3), ("crosstalk", "hartley", 1),
+        ("crosstalk", "hartley", 1), ("mux", "hartley", 1)]
+    assert (seen[0]["infile"], seen[4]["infile"]) == ("a", "-")
+    assert (seen[2]["user"], seen[3]["user"]) == (2, None)
+    assert "user" not in seen[4] and "infile" not in seen[2]
+
+
+def test_params_create_searches_the_root_once():
+    find_root_of_unity.cache_clear()
+    assert SystemParams.create(7, 2, 48) == SystemParams.create(7, 2, 48)
+    info = find_root_of_unity.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert info.maxsize is not None
+
+
+# ---------------------------------------------------------------------------
+# bulk mux/demux against the per-line and per-frame oracles
+# ---------------------------------------------------------------------------
+
+def _cli_file(tmp_path, capsys, command, params, kind, data):
+    src, dst = tmp_path / f"{command}.in", tmp_path / f"{command}.out"
+    src.write_bytes(data)
+    dst.unlink(missing_ok=True)
+    code = main([command, "-p", str(params.p), "-m", str(params.m), "-N", str(params.N),
+                 "--kind", kind, "--in", str(src), "--out", str(dst)])
+    return code, dst.read_bytes() if dst.exists() else None, capsys.readouterr().err
+
+
+def _mux_corpus(p, N, rng):
+    """Named text inputs: valid ones in several spellings and one bad line each."""
+    def rows(n):
+        return [[str(v) for v in r] for r in rng.integers(0, p, size=(n, N)).tolist()]
+
+    def text(lines, sep=" ", eol="\n"):
+        return "".join(sep.join(r) + eol for r in lines).encode()
+
+    many = rows(int(rng.integers(20, 50)))
+    corpus = {"empty": b"", "one": text(rows(1)), "many": text(many),
+              "no final newline": text(many)[:-1],
+              "tabs": text(many, sep="\t"),
+              "blank lines and CRLF": b"\r\n" + text(many[:5], eol="\r\n\r\n  \r\n\t\n"),
+              "signs and zeros": text([[f"+{v}" if i % 2 else f"0{v}" for i, v in enumerate(r)]
+                                       for r in many])}
+    bad_tokens = ["x", "1.0", str(p), "-1", "-0x1", "9" * 20, "-" + "9" * 20, "\u0663x", "\u0663"]
+    for tok in bad_tokens:
+        lines = [list(r) for r in many]
+        lines[int(rng.integers(len(lines)))][int(rng.integers(N))] = tok
+        corpus[f"token {tok!r}"] = text(lines)
+    for name, edit in (("too few", lambda r: r[:-1]), ("too many", lambda r: r + ["0"]),
+                       ("one of N", lambda r: r[:1])):
+        lines = [list(r) for r in many]
+        k = int(rng.integers(len(lines)))
+        lines[k] = edit(lines[k])
+        corpus[f"{name} tokens"] = text(lines)
+    return corpus
+
+
+def _demux_corpus(params, kind, other_kind_frame, other_design_frame, rng):
+    """Named frame streams: valid ones, and corruptions of each part of a frame."""
+    p, N = params.p, params.N
+    good = encode_frames(params, kind, mux_batch(params, kind, rng.integers(0, p, (24, N))))
+    L, H = len(good) // 24, len(frame_header(params, kind))
+    corpus = {"empty": b"", "one": good[:L], "many": good}
+
+    def flipped(pos, value):
+        blob = bytearray(good)
+        blob[pos] = value
+        return bytes(blob)
+
+    for n in range(8):
+        f, i = int(rng.integers(24)), int(rng.integers(H))
+        corpus[f"header flip {n}"] = flipped(f * L + i, (good[f * L + i] + int(rng.integers(1, 256))) % 256)
+    for n in range(12):
+        pos = int(rng.integers(24)) * L + int(rng.integers(H, L))
+        corpus[f"leader flip {n}"] = flipped(pos, (good[pos] + int(rng.integers(1, p))) % p)
+        pos = int(rng.integers(24)) * L + int(rng.integers(H, L))
+        corpus[f"coefficient >= p {n}"] = flipped(pos, int(rng.integers(p, 256)))
+    for n in range(3):
+        f = int(rng.integers(1, 24))
+        corpus[f"cut in header {n}"] = good[:f * L + int(rng.integers(1, H))]
+        corpus[f"cut in leaders {n}"] = good[:f * L + int(rng.integers(H, L))]
+        corpus[f"trailing {n}"] = good + bytes(rng.integers(0, 256, int(rng.integers(1, L))).tolist())
+    corpus["trailing header"] = good + good[:H]
+    f = int(rng.integers(24)) * L
+    corpus["unreduced polynomial byte"] = flipped(f + 10, good[f + 10] + p)
+    for name, frame in (("other kind", other_kind_frame), ("other design", other_design_frame)):
+        f = int(rng.integers(24)) * L
+        corpus[f"{name} spliced"] = good[:f] + frame + good[f:]
+    return corpus
+
+
+def _zero_frame(params, kind):
+    return encode_frames(params, kind, mux_batch(params, kind, np.zeros((1, params.N))))
+
+
+def _outcome(result):
+    code, _, err = result
+    return "ok" if code == 0 else err.split(" ", 1)[0]
+
+
+def test_bulk_mux_matches_per_line_oracle(tmp_path, capsys):
+    rng = np.random.default_rng(41)
+    outcomes = set()
+    for p, m, N in ACCEPT_SYSTEMS:
+        params = make(p, m, N)
+        for kind in ("hartley", "fourier"):
+            for case, text in _mux_corpus(p, N, rng).items():
+                got = _cli_file(tmp_path, capsys, "mux", params, kind, text)
+                assert got == cli_mux_oracle(params, kind, text), (p, m, N, kind, case)
+                outcomes.add(_outcome(got))
+    assert outcomes == {"ok", "line"}
+
+
+def test_bulk_mux_refuses_an_over_budget_design_as_per_line(tmp_path, capsys, monkeypatch):
+    # the per-line loop compiled the design at the first good line, so a
+    # bad line after it reported the budget, one before it the line
+    monkeypatch.setattr(transforms, "DESIGN_BUDGET_BYTES", 1)
+    transforms.design.cache_clear()
+    params = make(5, 1, 4)
+    for text in (b"4 0 1 2\nx\n", b"\nx\n4 0 1 2\n", b"4 0 1 2\n", b""):
+        try:
+            want = cli_mux_oracle(params, "hartley", text)
+        except UnsupportedParams as exc:
+            want = (1, None, f"error: {exc}\n")
+        assert _cli_file(tmp_path, capsys, "mux", params, "hartley", text) == want
+
+
+def test_bulk_demux_matches_per_frame_oracle(tmp_path, capsys):
+    rng = np.random.default_rng(42)
+    outcomes = set()
+    designs = [make(*pmn) for pmn in ACCEPT_SYSTEMS]
+    for params, other in zip(designs, designs[1:] + designs[:1]):
+        for kind, other_kind in (("hartley", "fourier"), ("fourier", "hartley")):
+            corpus = _demux_corpus(params, kind, _zero_frame(params, other_kind),
+                                   _zero_frame(other, kind), rng)
+            for case, data in corpus.items():
+                got = _cli_file(tmp_path, capsys, "demux", params, kind, data)
+                assert got == cli_demux_oracle(params, kind, data), (params, kind, case)
+                outcomes.add(_outcome(got))
+    assert outcomes == {"ok", "frame", "error:"}

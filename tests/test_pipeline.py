@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -10,8 +11,9 @@ from gdmux import (BadLength, BadMagic, GdmError, InconsistentFrame, Kind, Param
                    deserialize, iter_frames, metrics, mux, reconstruct_spectrum,
                    required_snr, serialize)
 from gdmux.fields import MAX_FIELD_SIZE, MAX_PRIME, is_prime
-from gdmux.pipeline import (CompressedFrame, demux_batch, mux_batch,
-                            frame_byte_length, reconstruct_batch, validate_system)
+from gdmux.pipeline import (CompressedFrame, decode_frames, demux_batch, encode_frames,
+                            frame_byte_length, frame_header, mux_batch, reconstruct_batch,
+                            validate_system)
 from gdmux.transforms import design, forward_batch, inverse_batch
 
 from support import ACCEPT_SYSTEMS, design_grid, make
@@ -135,6 +137,29 @@ def _outcome(fn, *args):
 
 def _reference_demux(params, kind, leaders):
     return inverse_batch(params, kind, reconstruct_batch(params, kind, leaders))
+
+
+@pytest.mark.parametrize("p,m,N", ACCEPT_SYSTEMS)
+@pytest.mark.parametrize("kind", [Kind.HARTLEY, Kind.FOURIER])
+def test_batch_errors_carry_their_frame_index(p, m, N, kind):
+    params = make(p, m, N)
+    rng = np.random.default_rng(7 * N + p)
+    raised = 0
+    for _ in range(30):
+        F = int(rng.integers(2, 8))
+        leaders = mux_batch(params, kind, rng.integers(0, p, size=(F, N)))
+        f = int(rng.integers(F))
+        flat = leaders.reshape(F, -1)
+        c = int(rng.integers(flat.shape[1]))
+        flat[f, c] = (flat[f, c] + rng.integers(1, p)) % p
+        for demux_fn in (demux_batch, _reference_demux):
+            try:
+                demux_fn(params, kind, leaders)
+            except GdmError as exc:
+                assert exc.frame_index == int(re.search(r"frame (\d+)", str(exc))[1]) == f
+                raised += 1
+    assert raised
+    assert GdmError("no frame").frame_index is None
 
 
 @pytest.mark.parametrize("p,m,N", [(5, 1, 4), (5, 2, 24), (13, 1, 12), (3, 3, 26),
@@ -310,6 +335,45 @@ def test_iter_frames_checks_each_new_header(p514, p3326, monkeypatch):
             for frame in iter_frames(good * 3 + tail, expect=p514):
                 seen.append(frame)
         assert len(seen) == 3
+
+
+def test_unreduced_polynomial_byte_refused(p514, p3326):
+    # the design reduces polynomial coefficients mod p, so c and c + p would
+    # name the same system; only c is a valid header byte
+    for params in (p514, p3326):
+        blob = bytearray(serialize(mux(TimeBlock(params, (1,) * params.N), Kind.HARTLEY)))
+        blob[10] += params.p
+        with pytest.raises(ParamMismatch, match=r"polynomial coefficient byte >= p"):
+            deserialize(bytes(blob))
+
+
+def test_iter_frames_errors_carry_their_frame_index(p514):
+    good = serialize(mux(TimeBlock(p514, (4, 0, 1, 2)), Kind.HARTLEY))
+    other = serialize(mux(TimeBlock(p514, (4, 0, 1, 2)), Kind.FOURIER))
+    for blob, index in ((good * 3 + b"NOPE" + good[4:], 3), (good * 4 + good[:12], 4),
+                        (good * 2 + good[:-1] + b"\x09" + good, 2), (good + other, 1),
+                        (good * 5 + b"\x00", 5)):
+        with pytest.raises(GdmError) as parsed:
+            list(iter_frames(blob, expect=p514, expect_kind=Kind.HARTLEY))
+        assert parsed.value.frame_index == index
+        with pytest.raises(type(parsed.value)) as decoded:
+            decode_frames(blob, p514, Kind.HARTLEY)
+        assert (str(decoded.value), decoded.value.frame_index) == (str(parsed.value), index)
+
+
+@pytest.mark.parametrize("p,m,N", ACCEPT_SYSTEMS)
+@pytest.mark.parametrize("kind", [Kind.HARTLEY, Kind.FOURIER])
+def test_encode_decode_frames_match_per_frame_codec(p, m, N, kind):
+    params = make(p, m, N)
+    vs = np.random.default_rng(N).integers(0, p, size=(9, N))
+    leaders = mux_batch(params, kind, vs)
+    blob = encode_frames(params, kind, leaders)
+    frames = [serialize(mux(TimeBlock(params, tuple(map(int, v))), kind)) for v in vs]
+    assert blob == b"".join(frames)
+    assert frames[0].startswith(frame_header(params, kind))
+    assert np.array_equal(decode_frames(blob, params, kind), leaders)
+    assert encode_frames(params, kind, leaders[:0]) == b""
+    assert decode_frames(b"", params, kind).shape == (0,) + leaders.shape[1:]
 
 
 # ---------------------------------------------------------------------------

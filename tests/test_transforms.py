@@ -9,12 +9,13 @@ from gdmux import (Kind, NotGroundField, SpectrumBlock, SystemParams, TimeBlock,
                    UnsupportedParams, ffft_forward, ffft_inverse, ffht_forward,
                    ffht_inverse, forward_batch, inverse_batch, inner_product)
 from gdmux import transforms
+from gdmux.cosets import coset_table
 from gdmux.pipeline import demux_batch, mux_batch, validate_system
 from gdmux.transforms import (DESIGN_BUDGET_BYTES, DESIGN_CACHE_SIZE, _forward_flat,
                               _gi_mul_matrix, _inverse_flat, _kernel, design,
                               design_nbytes, sigma_index, sigma_value, spectrum_to_array)
 
-from support import SMALL_SYSTEMS, forward_definition, make
+from support import SMALL_SYSTEMS, design_grid, forward_definition, make
 
 
 @pytest.fixture(scope="module")
@@ -299,7 +300,8 @@ def test_design_3_5_242_builds_and_round_trips():
 
 def test_design_3_6_728_builds_and_round_trips():
     params = make(3, 6, 728)
-    assert design_nbytes(6, 728) <= DESIGN_BUDGET_BYTES
+    for kind in (Kind.HARTLEY, Kind.FOURIER):
+        assert design_nbytes(6, 728, coset_table(728, 3, kind).nu) <= DESIGN_BUDGET_BYTES
     vs = np.random.default_rng(16).integers(0, 3, size=(4, 728))
     try:
         for kind in (Kind.HARTLEY, Kind.FOURIER):
@@ -311,7 +313,7 @@ def test_design_3_6_728_builds_and_round_trips():
 
 def test_design_over_budget_refused_before_allocation():
     params = make(3, 7, 2186)   # the forward matrix alone would be 535 MB
-    assert design_nbytes(7, 2186) > DESIGN_BUDGET_BYTES
+    assert design_nbytes(7, 2186, coset_table(2186, 3, Kind.HARTLEY).nu) > DESIGN_BUDGET_BYTES
     tracemalloc.start()
     start = time.perf_counter()
     try:
@@ -331,10 +333,39 @@ def test_design_over_budget_refused_before_allocation():
 @pytest.mark.parametrize("kind", [Kind.HARTLEY, Kind.FOURIER])
 def test_design_nbytes_within_prediction(p, m, N, kind):
     d = design(make(p, m, N), kind)
-    assert 0 < d.nbytes <= design_nbytes(m, N)
+    assert 0 < d.nbytes == design_nbytes(m, N, d.table.nu)
     for a in (d.forward, d.G, d.D):
         with pytest.raises(ValueError):
             a[0, 0] = 1   # shared by every caller, so read-only
+
+
+def test_design_nbytes_exact_over_grid():
+    grid = design_grid()
+    assert 2 * len(grid) == 346
+    for p, m, N in grid:
+        for kind in (Kind.HARTLEY, Kind.FOURIER):
+            d = design(make(p, m, N), kind)
+            assert d.nbytes == design_nbytes(m, N, d.table.nu), (p, m, N, kind)
+
+
+def test_design_budget_checks_the_exact_size(monkeypatch):
+    params = make(3, 3, 26)
+    size = design_nbytes(3, 26, coset_table(26, 3, Kind.HARTLEY).nu)
+    assert size < design_nbytes(3, 26, 26)
+    design.cache_clear()
+    monkeypatch.setattr(transforms, "DESIGN_BUDGET_BYTES", size - 1)
+    with pytest.raises(UnsupportedParams):
+        design(params, Kind.HARTLEY)
+    monkeypatch.setattr(transforms, "DESIGN_BUDGET_BYTES", size)
+    assert design(params, Kind.HARTLEY).nbytes == size
+
+
+def test_design_3_7_1093_fits_the_budget_by_its_coset_count():
+    # nu = N would bound it at 386 MiB; the real designs are ~148 and ~166 MiB
+    assert design_nbytes(7, 1093, 1093) > DESIGN_BUDGET_BYTES
+    for kind in (Kind.HARTLEY, Kind.FOURIER):
+        nu = coset_table(1093, 3, kind).nu
+        assert 140 << 20 < design_nbytes(7, 1093, nu) < 170 << 20 < DESIGN_BUDGET_BYTES
 
 
 def test_design_cache_is_bounded():
