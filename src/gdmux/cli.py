@@ -26,7 +26,7 @@ import numpy as np
 
 from . import cosets as cosets_mod
 from . import pipeline, statsim, trig
-from .errors import FrameFormatError, GdmError
+from .errors import FrameFormatError, GdmError, InvalidParams
 from .fields import MAX_PRIME, SystemParams
 from .transforms import Kind, TimeBlock, as_kind, design
 
@@ -59,6 +59,11 @@ def _add_param_flags(sp, need_n=True):
 
 def _params(args) -> SystemParams:
     return SystemParams.create(args.p, args.m, args.N, poly=args.poly)
+
+
+def _require_positive(flag: str, value: int) -> None:
+    if value < 1:
+        raise InvalidParams(f"{flag} must be >= 1, got {value}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -237,6 +242,9 @@ def cmd_demux(args) -> int:
 def cmd_crosstalk(args) -> int:
     params = _params(args)
     kind = as_kind(args.kind)
+    if args.user is not None and not 0 <= args.user < params.N:
+        raise InvalidParams(f"--user {args.user} outside [0, {params.N})")
+    _require_positive("--frames", args.frames)
     users = [args.user] if args.user is not None else list(range(params.N))
     all_clean = True
     for u in users:
@@ -251,6 +259,8 @@ def cmd_crosstalk(args) -> int:
 def cmd_psd(args) -> int:
     params = _params(args)
     kind = as_kind(args.kind)
+    _require_positive("--realizations", args.realizations)
+    _require_positive("--nfft", args.nfft)
     frames_per = max(1, args.frames // args.realizations)
     est = statsim.psd_estimate(params, kind, realizations=args.realizations,
                                frames=frames_per, nfft=args.nfft, seed=args.seed)

@@ -44,6 +44,11 @@ class CosetTable:
     def nu(self) -> int:
         return len(self.cosets)
 
+    @property
+    def longest(self) -> int:
+        """Length of the longest orbit."""
+        return max(len(c) for c in self.cosets)
+
     def format_lines(self) -> list[str]:
         return [f"C{c[0]}=({','.join(str(x) for x in c)})" for c in self.cosets]
 
@@ -70,13 +75,13 @@ def _orbits(N: int, p: int, step: int, kind: str) -> CosetTable:
                       leaders=tuple(c[0] for c in cosets))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def fourier_cosets(N: int, p: int) -> CosetTable:
     """Orbits of k -> pk mod N."""
     return _orbits(N, p, p % N if N > 1 else 0, "fourier")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def hartley_cosets(N: int, p: int) -> CosetTable:
     """Orbits of k -> -pk mod N."""
     return _orbits(N, p, (-p) % N if N > 1 else 0, "hartley")

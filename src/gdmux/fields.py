@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator, Optional, Union
 
+import numpy as np
+
 from .errors import InvalidParams, NonInvertible, NoSuchRoot, NotAUnit
 
 MAX_PRIME = 251
@@ -185,6 +187,26 @@ class ExtField:
         for i in range(self.order):
             yield self.from_int(i)
 
+    @cached_property
+    def x_power_matrices(self) -> np.ndarray:
+        """(m, m, m) read-only: [j] is the matrix of multiplication by x^j.
+
+        Column t of [j] is x^(j+t) reduced: a unit vector for j + t < m,
+        else _xpows[j + t - m]. For m > 1, [1] is the companion matrix of poly.
+        """
+        m = self.m
+        # reduced x^0 .. x^(2m-2), one row each
+        rows = np.vstack([np.eye(m, dtype=np.int64),
+                          np.array(self._xpows, dtype=np.int64)])
+        j = np.arange(m)
+        P = rows[np.add.outer(j, j)].transpose(0, 2, 1)
+        P.setflags(write=False)
+        return P
+
+    def mul_matrices(self, a: np.ndarray) -> np.ndarray:
+        """(..., m, m) matrices of multiplication by the elements a (..., m)."""
+        return np.einsum("...j,jab->...ab", a, self.x_power_matrices) % self.p
+
     def mul_coeffs(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         p, m = self.p, self.m
         if m == 1:
@@ -315,7 +337,7 @@ class FieldElement:
     __repr__ = __str__
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def get_field(p: int, m: int, poly: Optional[tuple[int, ...]] = None) -> ExtField:
     return ExtField(p, m, poly)
 
@@ -360,7 +382,7 @@ class GaloisRing:
         return hash(("GI", self.field))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def gaussian_ring(field: ExtField) -> GaloisRing:
     return GaloisRing(field)
 

@@ -152,11 +152,12 @@ def reconstruct_batch(params: SystemParams, kind, leaders: np.ndarray) -> np.nda
     N, m, p = params.N, params.m, params.p
     w = 2 * m
     out = np.zeros((F, N, 2, m), dtype=np.int64)
-    for c, (orbit, maps) in enumerate(design(params, kind).orbit_maps):
+    d = design(params, kind)
+    for c, orbit in enumerate(d.orbits):
         lead = leaders[:, c, :, :].reshape(F, w)
         for t, idx in enumerate(orbit):
-            out[:, idx] = ((lead @ maps[t].T) % p).reshape(F, 2, m)
-        closure = (lead @ maps[len(orbit)].T) % p
+            out[:, idx] = ((lead @ d.sigma_powers[t].T) % p).reshape(F, 2, m)
+        closure = (lead @ d.sigma_powers[len(orbit)].T) % p
         bad = (closure != lead).any(axis=1)
         if bad.any():
             f = int(np.argwhere(bad)[0][0])

@@ -32,6 +32,25 @@ symbols, what demux applies). It refuses any design whose matrices would
 exceed DESIGN_BUDGET_BYTES before allocating them, and keeps the most
 recent DESIGN_CACHE_SIZE designs.
 
+A design is compiled by array operations on (..., m) coefficient
+vectors, with no GaloisInt arithmetic:
+
+  * ExtField.x_power_matrices holds P, the m matrices of multiplication
+    by x^j (j < m) read off the reduced powers of x; P[1] is the
+    companion matrix. Multiplication by any batch of elements is
+    einsum(a, P) mod p, and by a GI(p^m) value re + j im it is the block
+    matrix [[A, -B], [B, A]] of those.
+  * The kernel is computed once per build, as an (N, 2, m) array:
+    zeta^t for Fourier, cas(t) for Hartley (trig.cas_coeffs), both from
+    one array of the powers of zeta. The forward matrix and G are
+    gathered from it; the inverse kernel is the same array (Hartley) or
+    the same array read at (-t) mod N (Fourier), times 1/N mod p.
+  * sigma is built from the Frobenius matrix, whose columns are the
+    powers of the multiplication matrix of x^p. All cosets walk the same
+    powers sigma^t, so a design holds one stack of them, up to the
+    longest orbit. D is gathered, like G, from one (N, 2m) table per
+    orbit length.
+
 The dense (2mN)^2 inverse matrix is not part of a design: inverse_batch
 builds it on each call. It is the reference that tests compare against
 and the path demux falls back to, to report a frame mux could not have
@@ -49,8 +68,8 @@ import numpy as np
 
 from .cosets import CosetTable, coset_table
 from .errors import NotGroundField, UnsupportedParams
-from .fields import ExtField, FieldElement, GaloisInt, SystemParams
-from .trig import _cas_by_product
+from .fields import ExtField, GaloisInt, SystemParams
+from .trig import cas_coeffs, zeta_powers
 
 
 class Kind(str, Enum):
@@ -96,33 +115,43 @@ class SpectrumBlock:
 # Layout: a spectrum batch is an int64 array (F, N, 2, m); axis 2 is re/im,
 # axis 3 the GF(p) coefficients. Flattened per-block length is 2*m*N.
 
-def _mul_matrix(a: FieldElement) -> np.ndarray:
-    """(m, m) matrix of multiplication by a on coefficient vectors."""
-    field = a.field
-    m = field.m
-    cols = []
-    for t in range(m):
-        unit = tuple(1 if s == t else 0 for s in range(m))
-        cols.append(field.mul_coeffs(a.coeffs, unit))
-    return np.array(cols, dtype=np.int64).T
+def _gi_mul_matrices(params: SystemParams, z: np.ndarray) -> np.ndarray:
+    """(T, 2m, 2m) matrices of multiplication by the GI(p^m) values z (T, 2, m).
 
-
-def _gi_mul_matrix(z: GaloisInt) -> np.ndarray:
-    """(2m, 2m) matrix of multiplication by z on stacked (re, im) coefficients."""
-    a = _mul_matrix(z.re)
-    b = _mul_matrix(z.im)
-    p = z.field.p
-    return np.block([[a, (-b) % p], [b % p, a]]) % p
+    With A and B the multiplication matrices of re and im, z acts on
+    stacked (re, im) coefficients as [[A, -B], [B, A]].
+    """
+    m, p = params.m, params.p
+    ab = params.field.mul_matrices(z)          # (T, 2, m, m): A, B
+    out = np.empty((len(z), 2 * m, 2 * m), dtype=np.int64)
+    out[:, :m, :m] = ab[:, 0]
+    out[:, m:, m:] = ab[:, 0]
+    out[:, m:, :m] = ab[:, 1]
+    out[:, :m, m:] = (-ab[:, 1]) % p
+    return out
 
 
 def frobenius_matrix(field: ExtField) -> np.ndarray:
-    """(m, m) matrix of a -> a^p on coefficient vectors (GF(p)-linear)."""
-    m = field.m
-    cols = []
-    for t in range(m):
-        unit = field.element(tuple(1 if s == t else 0 for s in range(m)))
-        cols.append((unit ** field.p).coeffs)
-    return np.array(cols, dtype=np.int64).T
+    """(m, m) matrix of a -> a^p on coefficient vectors (GF(p)-linear).
+
+    Column t is (x^t)^p = (x^p)^t: the powers of the multiplication
+    matrix of x^p (the companion matrix to the p-th power) applied to 1.
+    """
+    m, p = field.m, field.p
+    out = np.zeros((m, m), dtype=np.int64)
+    out[0, 0] = 1
+    if m == 1:
+        return out
+    x_p = np.eye(m, dtype=np.int64)
+    square, e = field.x_power_matrices[1], p
+    while e:                          # square and multiply, mod p
+        if e & 1:
+            x_p = (x_p @ square) % p
+        square = (square @ square) % p
+        e >>= 1
+    for t in range(1, m):
+        out[:, t] = (x_p @ out[:, t - 1]) % p
+    return out
 
 
 def _gi_coeff_array(values: Sequence[GaloisInt], m: int) -> np.ndarray:
@@ -133,16 +162,13 @@ def _gi_coeff_array(values: Sequence[GaloisInt], m: int) -> np.ndarray:
     return out
 
 
-def _kernel(params: SystemParams, kind, inverse: bool) -> tuple[GaloisInt, ...]:
-    """Transform kernel by argument t = i*k mod N."""
+def _kernel_coeffs(params: SystemParams, kind) -> np.ndarray:
+    """(N, 2, m) transform kernel by argument t = i*k mod N: cas(t) or zeta^t."""
     if as_kind(kind) is Kind.HARTLEY:
-        return _cas_by_product(params)  # self-dual
-    field = params.field
-    z = params.zeta_elem if not inverse else params.zeta_elem.inverse()
-    pows = [field.one]
-    for _ in range(params.N - 1):
-        pows.append(pows[-1] * z)
-    return tuple(GaloisInt(w, field.zero) for w in pows)
+        return cas_coeffs(params)
+    ker = np.zeros((params.N, 2, params.m), dtype=np.int64)
+    ker[:, 0] = zeta_powers(params)
+    return ker
 
 
 def _products(N: int) -> np.ndarray:
@@ -151,19 +177,32 @@ def _products(N: int) -> np.ndarray:
     return np.outer(n, n) % N
 
 
-def _forward_flat(params: SystemParams, kind) -> np.ndarray:
-    """(2mN, N) integer matrix: spectrum coefficients = M @ symbols (mod p)."""
+def _forward_flat(params: SystemParams, kind, ker: np.ndarray | None = None) -> np.ndarray:
+    """(2mN, N) integer matrix: spectrum coefficients = M @ symbols (mod p).
+
+    ker is _kernel_coeffs(params, kind), when the caller already has it.
+    """
     N, w = params.N, 2 * params.m
-    ker = _gi_coeff_array(_kernel(params, kind, inverse=False), params.m).reshape(N, w)
+    if ker is None:
+        ker = _kernel_coeffs(params, kind)
+    ker = ker.reshape(N, w)
     # flat[k, a, i] = ker[i*k mod N, a], gathered straight into the final layout
     return ker[_products(N)[:, None, :], np.arange(w)[:, None]].reshape(N * w, N)
 
 
-def _inverse_blocks(params: SystemParams, kind) -> np.ndarray:
-    """(N, 2m, 2m): multiplication by (1/N) times the inverse kernel, by argument t."""
-    inv_n = params.field.scalar(params.N).inverse()
-    return np.stack([_gi_mul_matrix(z * inv_n)
-                     for z in _kernel(params, kind, inverse=True)])
+def _inverse_blocks(params: SystemParams, kind, ker: np.ndarray | None = None) -> np.ndarray:
+    """(N, 2m, 2m): multiplication by (1/N) times the inverse kernel, by argument t.
+
+    The Hartley kernel is its own inverse. The inverse Fourier kernel is
+    zeta^-t = zeta^(N-t), the forward kernel read at (-t) mod N. 1/N is
+    an integer mod p, since N divides p^m - 1.
+    """
+    N, p = params.N, params.p
+    if ker is None:
+        ker = _kernel_coeffs(params, kind)
+    if as_kind(kind) is Kind.FOURIER:
+        ker = ker[(-np.arange(N)) % N]
+    return _gi_mul_matrices(params, ker * pow(N, -1, p) % p)
 
 
 def _inverse_rows(blocks: np.ndarray, positions: np.ndarray) -> np.ndarray:
@@ -199,9 +238,11 @@ class Design:
     frame, act on flattened leader arrays: G is forward restricted to the
     coset leaders (mux) and D its left inverse, G @ D = I (mod p) (demux).
     They are float64 so that BLAS applies them, exactly (see
-    pipeline.mux_batch). sigma (2m, 2m) is sigma_value as a matrix, and
-    orbit_maps holds per coset its orbit (walk order) and sigma^t for
-    t = 0..len(orbit). The arrays are read-only: every caller shares them.
+    pipeline.mux_batch). sigma (2m, 2m) is sigma_value as a matrix.
+    orbits holds each coset in walk order, and sigma_powers (L + 1, 2m, 2m)
+    holds sigma^t for t = 0..L, L the longest orbit: every coset walks
+    the same powers, sigma_powers[:len(orbit) + 1]. The arrays are
+    read-only: every caller shares them.
     """
 
     params: SystemParams
@@ -211,26 +252,26 @@ class Design:
     G: np.ndarray
     D: np.ndarray
     sigma: np.ndarray
-    orbit_maps: tuple[tuple[np.ndarray, np.ndarray], ...]
+    sigma_powers: np.ndarray
+    orbits: tuple[np.ndarray, ...]
 
     @property
     def nbytes(self) -> int:
-        arrays = [self.forward, self.G, self.D, self.sigma]
-        for orbit, maps in self.orbit_maps:
-            arrays += [orbit, maps]
+        arrays = [self.forward, self.G, self.D, self.sigma, self.sigma_powers, *self.orbits]
         return sum(a.nbytes for a in arrays)
 
 
-def design_nbytes(m: int, N: int, nu: int) -> int:
+def design_nbytes(m: int, N: int, nu: int, longest: int) -> int:
     """Design.nbytes of a design with nu cosets, from the array shapes alone.
 
     forward has 2m*N*N entries; G and D have n = 2m*nu columns and rows;
-    sigma is (2m, 2m); the orbits hold N indices and N + nu matrices of
-    size (2m, 2m). The size grows as m*N^2. Every entry, int64 or
+    sigma is (2m, 2m); the orbits hold N indices, and sigma_powers
+    longest + 1 matrices of size (2m, 2m), longest <= 2m being the
+    longest orbit. The size grows as m*N^2. Every entry, int64 or
     float64, takes 8 bytes.
     """
     w = 2 * m
-    entries = w * N * N + 2 * N * (w * nu) + w * w + N + (N + nu) * w * w
+    entries = w * N * N + 2 * N * (w * nu) + w * w + N + (longest + 1) * w * w
     return entries * 8
 
 
@@ -239,38 +280,43 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _orbit_maps(table: CosetTable, sigma: np.ndarray, p: int):
-    """Per coset: (orbit index array, stacked sigma^t matrices t = 0..len)."""
-    w = sigma.shape[0]
-    out = []
-    for orbit in table.cosets:
-        maps = np.empty((len(orbit) + 1, w, w), dtype=np.int64)
-        maps[0] = np.eye(w, dtype=np.int64)
-        for t in range(1, len(orbit) + 1):
-            maps[t] = (sigma @ maps[t - 1]) % p
-        out.append((_readonly(np.array(orbit, dtype=np.int64)), _readonly(maps)))
-    return tuple(out)
+def _sigma_powers(sigma: np.ndarray, p: int, longest: int) -> np.ndarray:
+    """(longest + 1, 2m, 2m): sigma^t for t = 0..longest."""
+    out = np.empty((longest + 1,) + sigma.shape, dtype=np.int64)
+    out[0] = np.eye(sigma.shape[0], dtype=np.int64)
+    for t in range(1, longest + 1):
+        out[t] = (sigma @ out[t - 1]) % p
+    return out
 
 
-def _leader_matrices(params: SystemParams, kind: Kind, table: CosetTable,
-                     forward: np.ndarray, orbit_maps) -> tuple[np.ndarray, np.ndarray]:
-    """G (N, n) and D (n, N) as float64, in O(N^2 m^2) without the dense inverse.
+def _leader_matrices(params: SystemParams, kind: Kind, table: CosetTable, ker: np.ndarray,
+                     sigma_powers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """G (N, n) and D (n, N) as float64, each gathered from an (N, 2m) table.
 
+    G is forward at the coset leaders: G[i, (c, a)] = ker[i * leader_c, a].
     Demux is reconstruction followed by the inverse transform, read at
     each output's (re, coefficient 0) entry. Reconstruction sets
-    V[orbit[t]] = maps[t] @ leader, so the leader of coset c reaches
-    output i through sum_t row0(B[i * orbit[t]]) @ maps[t], where B[t] is
-    the (2m, 2m) block of the scaled inverse kernel at argument t.
+    V[orbit[t]] = sigma^t @ leader, so the leader of coset c reaches
+    output i through sum_{t < len(orbit)} R_t[i * orbit[t]], where
+    R_t = row0(B) @ sigma^t and B[t] is the (2m, 2m) block of the scaled
+    inverse kernel at argument t. Since orbit[t] = s^t * leader (s = p for
+    Fourier, -p for Hartley), that sum is Q_len[i * leader], with
+    Q_len = sum_{t < len} R_t[n * s^t] one table per orbit length.
     """
     N, w, p = params.N, 2 * params.m, params.p
-    G = forward.reshape(N, w, N)[list(table.leaders)].reshape(-1, N).T
-    row0 = _inverse_blocks(params, kind)[:, 0, :]                 # (N, 2m)
-    i = np.arange(N)
-    D = np.concatenate([
-        np.einsum("tib,tba->ai", row0[np.outer(orbit, i) % N], maps[:len(orbit)]) % p
-        for orbit, maps in orbit_maps])
-    return (_readonly(np.ascontiguousarray(G, dtype=np.float64)),
-            _readonly(D.astype(np.float64)))
+    a = np.arange(w)
+    args = np.outer(table.leaders, np.arange(N)) % N                  # (nu, N): leader * i
+    G = ker.reshape(N, w).astype(np.float64)[args.T[:, :, None], a].reshape(N, -1)
+    longest = len(sigma_powers) - 1
+    row0 = _inverse_blocks(params, kind, ker)[:, 0, :]                # (N, 2m)
+    R = (row0 @ sigma_powers[:longest]) % p                           # (L, N, 2m)
+    step = sigma_index(params, kind, 1)
+    shifts = np.array([pow(step, t, N) for t in range(longest)])
+    Q = np.cumsum(R[np.arange(longest)[:, None], np.outer(shifts, np.arange(N)) % N], axis=0) % p
+    lengths = np.array([len(orbit) for orbit in table.cosets])
+    # D[(c, a), i] = Q_len(c)[i * leader_c, a], gathered straight into the final layout
+    D = Q.astype(np.float64)[(lengths - 1)[:, None, None], args[:, None, :], a[:, None]]
+    return _readonly(G), _readonly(D.reshape(-1, N))
 
 
 @lru_cache(maxsize=DESIGN_CACHE_SIZE)
@@ -282,17 +328,19 @@ def design(params: SystemParams, kind) -> Design:
     """
     kind = as_kind(kind)
     table = coset_table(params.N, params.p, kind)
-    size = design_nbytes(params.m, params.N, table.nu)
+    size = design_nbytes(params.m, params.N, table.nu, table.longest)
     if size > DESIGN_BUDGET_BYTES:
         raise UnsupportedParams(
             f"{params}/{kind}: compiled design needs {size / 2**20:.1f} MiB, "
             f"over the {DESIGN_BUDGET_BYTES / 2**20:.0f} MiB budget")
+    ker = _kernel_coeffs(params, kind)
     sigma = _readonly(sigma_matrix(params, kind))
-    forward = _readonly(_forward_flat(params, kind))
-    orbit_maps = _orbit_maps(table, sigma, params.p)
-    G, D = _leader_matrices(params, kind, table, forward, orbit_maps)
-    return Design(params=params, kind=kind, table=table, forward=forward,
-                  G=G, D=D, sigma=sigma, orbit_maps=orbit_maps)
+    sigma_powers = _readonly(_sigma_powers(sigma, params.p, table.longest))
+    forward = _readonly(_forward_flat(params, kind, ker))
+    G, D = _leader_matrices(params, kind, table, ker, sigma_powers)
+    orbits = tuple(_readonly(np.array(orbit, dtype=np.int64)) for orbit in table.cosets)
+    return Design(params=params, kind=kind, table=table, forward=forward, G=G, D=D,
+                  sigma=sigma, sigma_powers=sigma_powers, orbits=orbits)
 
 
 # ---------------------------------------------------------------------------
@@ -412,9 +460,8 @@ def sigma_matrix(params: SystemParams, kind: Kind) -> np.ndarray:
     """(2m, 2m) matrix form of sigma_value on stacked (re, im) coefficients."""
     Fm = frobenius_matrix(params.field)
     m, p = params.m, params.p
-    zero = np.zeros((m, m), dtype=np.int64)
-    if as_kind(kind) is Kind.FOURIER and p % 4 == 1:
-        lower = Fm
-    else:
-        lower = (-Fm) % p
-    return np.block([[Fm, zero], [zero, lower]]) % p
+    out = np.zeros((2 * m, 2 * m), dtype=np.int64)
+    out[:m, :m] = Fm
+    # the im part maps to b^p (Fourier, j^p = j for p = 1 mod 4) or -b^p
+    out[m:, m:] = Fm if as_kind(kind) is Kind.FOURIER and p % 4 == 1 else (-Fm) % p
+    return out

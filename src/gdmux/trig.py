@@ -11,6 +11,10 @@ matrix its symmetry. Rows are pairwise orthogonal under the bilinear form
 sum_k x_k * y_k with common energy N; note that the conjugated
 sesquilinear form does NOT have this property (rows i and N-i pair up
 instead), so orthogonality utilities default to the bilinear form.
+
+The values come from one coefficient array (cas_coeffs, built from the
+powers of zeta in zeta_powers); the GaloisInt accessors below wrap that
+array, and transforms compiles its kernels from the same array.
 """
 
 from __future__ import annotations
@@ -19,24 +23,47 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
+import numpy as np
+
 from .errors import NoRationalization
 from .fields import GaloisInt, SystemParams, centered, sqrt_of_minus_one
 
 
-@lru_cache(maxsize=None)
+def zeta_powers(params: SystemParams) -> np.ndarray:
+    """(N, m) coefficient vectors of zeta^t, t = 0..N-1.
+
+    Doubling: with the first k powers known, one product with the
+    multiplication matrix of zeta^k gives the next k.
+    """
+    p = params.p
+    pows = np.zeros((1, params.m), dtype=np.int64)
+    pows[0, 0] = 1
+    step = params.field.mul_matrices(np.array(params.zeta, dtype=np.int64))
+    while len(pows) < params.N:
+        pows = np.concatenate([pows, (pows @ step.T) % p])
+        step = (step @ step) % p
+    return pows[:params.N]
+
+
+def cas_coeffs(params: SystemParams) -> np.ndarray:
+    """(N, 2, m) coefficient array of cas(t), t = i*k mod N; axis 1 is re/im.
+
+    re = (zeta^t + zeta^-t) / 2 and im = (zeta^-t - zeta^t) / 2, with
+    zeta^-t = zeta^(N-t) read from the same powers.
+    """
+    p = params.p
+    fwd = zeta_powers(params)
+    rev = fwd[(-np.arange(params.N)) % params.N]
+    inv2 = (p + 1) // 2
+    return np.stack([(fwd + rev) * inv2 % p, (rev - fwd) * inv2 % p], axis=1)
+
+
+@lru_cache(maxsize=64)
 def _cas_by_product(params: SystemParams) -> tuple[GaloisInt, ...]:
-    """cas values indexed by t = i*k mod N."""
+    """cas values indexed by t = i*k mod N, as GaloisInt (from cas_coeffs)."""
     field = params.field
-    N = params.N
-    inv2 = field.scalar(2).inverse()
-    pows = [field.one]
-    for _ in range(N - 1):
-        pows.append(pows[-1] * params.zeta_elem)
-    out = []
-    for t in range(N):
-        fwd, rev = pows[t], pows[(N - t) % N]
-        out.append(GaloisInt((fwd + rev) * inv2, (rev - fwd) * inv2))
-    return tuple(out)
+    return tuple(GaloisInt(field.element(re), field.element(im))
+                 for re, im in cas_coeffs(params).tolist())
 
 
 def _check_index(i: int, N: int) -> None:

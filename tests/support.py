@@ -3,7 +3,8 @@
 import numpy as np
 
 from gdmux import GaloisInt, GdmError, Kind, SystemParams, TimeBlock
-from gdmux.fields import is_prime
+from gdmux.cosets import CosetTable
+from gdmux.fields import ExtField, FieldElement, is_prime
 from gdmux.pipeline import demux_batch, iter_frames, leader_array, mux, serialize
 
 # desk-scale systems with p^m <= 1000, used for exhaustive property checks
@@ -40,24 +41,35 @@ def design_grid(max_p=60, max_q=400, max_n=60):
     return out
 
 
+def kernel_definition(params: SystemParams, kind, inverse: bool = False) -> tuple[GaloisInt, ...]:
+    """Transform kernel by argument t = i*k mod N, one GaloisInt per t.
+
+    Hartley: cas(t) = cos(t) + sin(t) with cos(t) = (zeta^t + zeta^-t) / 2
+    and sin(t) = (zeta^t - zeta^-t) / 2j (its own inverse kernel).
+    Fourier: zeta^t, or powers of zeta.inverse() for the inverse kernel.
+    """
+    N, ring = params.N, params.ring
+    zeta = params.zeta_elem
+    base = zeta.inverse() if inverse and Kind(kind) is Kind.FOURIER else zeta
+    pows = [ring.one]
+    for _ in range(N - 1):
+        pows.append(pows[-1] * base)
+    if Kind(kind) is Kind.FOURIER:
+        return tuple(pows)
+    half, half_j = ring.element(2).inverse(), (ring.element(2) * ring.j).inverse()
+    rev = [pows[(N - t) % N] for t in range(N)]
+    return tuple((pows[t] + rev[t]) * half + (pows[t] - rev[t]) * half_j for t in range(N))
+
+
 def forward_definition(params: SystemParams, kind, rows) -> list[tuple[GaloisInt, ...]]:
     """Spectra of symbol rows straight from the definition, one GaloisInt sum per bin.
 
-    Hartley: V_k = sum_i v_i cas(i, k); Fourier: V_k = sum_i v_i zeta^(ik).
-    cas is taken from its definition, cos(t) + sin(t) with
-    cos(t) = (zeta^t + zeta^-t) / 2 and sin(t) = (zeta^t - zeta^-t) / 2j,
-    so the oracle shares no code with the batch kernels or trig.
+    Hartley: V_k = sum_i v_i cas(i, k); Fourier: V_k = sum_i v_i zeta^(ik),
+    with the kernel from kernel_definition, so the oracle shares no code
+    with the batch kernels or trig.
     """
     N, ring = params.N, params.ring
-    two = ring.element(2)
-    carriers = []
-    for t in range(N):
-        z = ring.element(params.zeta_elem ** t)
-        zinv = ring.element(params.zeta_elem ** ((N - t) % N))
-        if Kind(kind) is Kind.FOURIER:
-            carriers.append(z)
-        else:
-            carriers.append((z + zinv) / two + (z - zinv) / (two * ring.j))
+    carriers = kernel_definition(params, kind)
     out = []
     for row in rows:
         spectrum = []
@@ -69,6 +81,70 @@ def forward_definition(params: SystemParams, kind, rows) -> list[tuple[GaloisInt
             spectrum.append(acc)
         out.append(tuple(spectrum))
     return out
+
+
+# ---------------------------------------------------------------------------
+# object-based builders of the compiled design's arrays, one element at a time
+# ---------------------------------------------------------------------------
+
+def mul_matrix(a: FieldElement) -> np.ndarray:
+    """(m, m) matrix of multiplication by a: column t is a * x^t."""
+    field, m = a.field, a.field.m
+    cols = [field.mul_coeffs(a.coeffs, tuple(int(s == t) for s in range(m))) for t in range(m)]
+    return np.array(cols, dtype=np.int64).T
+
+
+def gi_mul_matrix(z: GaloisInt) -> np.ndarray:
+    """(2m, 2m) matrix of multiplication by z on stacked (re, im) coefficients."""
+    a, b, p = mul_matrix(z.re), mul_matrix(z.im), z.field.p
+    return np.block([[a, (-b) % p], [b % p, a]]) % p
+
+
+def frobenius_matrix(field: ExtField) -> np.ndarray:
+    """(m, m) matrix of a -> a^p: column t is (x^t)^p."""
+    m = field.m
+    cols = [(field.element(tuple(int(s == t) for s in range(m))) ** field.p).coeffs
+            for t in range(m)]
+    return np.array(cols, dtype=np.int64).T
+
+
+def sigma_matrix(params: SystemParams, kind) -> np.ndarray:
+    """(2m, 2m) matrix of sigma_value: [[F, 0], [0, +-F]]."""
+    Fm, p = frobenius_matrix(params.field), params.p
+    zero = np.zeros_like(Fm)
+    lower = Fm if Kind(kind) is Kind.FOURIER and p % 4 == 1 else (-Fm) % p
+    return np.block([[Fm, zero], [zero, lower]]) % p
+
+
+def orbit_maps(table: CosetTable, sigma: np.ndarray, p: int):
+    """Per coset: (orbit index array, sigma^t matrices for t = 0..len(orbit))."""
+    w = sigma.shape[0]
+    out = []
+    for orbit in table.cosets:
+        maps = np.empty((len(orbit) + 1, w, w), dtype=np.int64)
+        maps[0] = np.eye(w, dtype=np.int64)
+        for t in range(1, len(orbit) + 1):
+            maps[t] = (sigma @ maps[t - 1]) % p
+        out.append((np.array(orbit, dtype=np.int64), maps))
+    return out
+
+
+def inverse_blocks(params: SystemParams, kind) -> np.ndarray:
+    """(N, 2m, 2m): multiplication by (1/N) times the inverse kernel, by argument t."""
+    inv_n = params.field.scalar(params.N).inverse()
+    return np.stack([gi_mul_matrix(z * inv_n)
+                     for z in kernel_definition(params, kind, inverse=True)])
+
+
+def leader_inverse(params: SystemParams, blocks: np.ndarray, maps) -> np.ndarray:
+    """D (n, N) one coset at a time from inverse_blocks and orbit_maps:
+    sum_t row0(B[i * orbit[t]]) @ sigma^t."""
+    N, p = params.N, params.p
+    row0 = blocks[:, 0, :]
+    i = np.arange(N)
+    return np.concatenate([
+        np.einsum("tib,tba->ai", row0[np.outer(orbit, i) % N], sigma_t[:len(orbit)]) % p
+        for orbit, sigma_t in maps])
 
 
 def cli_mux_oracle(params: SystemParams, kind, text: bytes):

@@ -132,6 +132,21 @@ def test_crosstalk_command(capsys):
     assert "no cross-talk detected" in out
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["crosstalk", "--user", "9"], "error: --user 9 outside [0, 4)\n"),
+    (["crosstalk", "--user", "-1"], "error: --user -1 outside [0, 4)\n"),
+    (["crosstalk", "--frames", "-1"], "error: --frames must be >= 1, got -1\n"),
+    (["crosstalk", "--frames", "0"], "error: --frames must be >= 1, got 0\n"),
+    (["psd", "--realizations", "0"], "error: --realizations must be >= 1, got 0\n"),
+    (["psd", "--nfft", "0"], "error: --nfft must be >= 1, got 0\n"),
+    (["psd", "--nfft", "-4"], "error: --nfft must be >= 1, got -4\n"),
+])
+def test_invalid_numbers_exit_1_with_a_message(capsys, argv, message):
+    command, *flags = argv
+    code, out, err = run(capsys, command, "-p", "5", "-N", "4", "--frames", "64", *flags)
+    assert (code, out, err) == (1, "", message)
+
+
 def test_psd_command(tmp_path, capsys):
     csv = tmp_path / "psd.csv"
     acf = tmp_path / "acf.csv"

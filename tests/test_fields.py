@@ -1,12 +1,16 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gdmux import (InvalidParams, NonInvertible, NoSuchRoot, NotAUnit, SystemParams,
                    centered, find_root_of_unity, gaussian_ring, get_field,
                    mult_order, sqrt_of_minus_one)
-from gdmux.fields import poly_is_irreducible, smallest_irreducible
+from gdmux import cosets, trig
+from gdmux.fields import is_prime, poly_is_irreducible, smallest_irreducible
+from gdmux.transforms import frobenius_matrix
 
-from support import SMALL_SYSTEMS
+import support
+from support import SMALL_SYSTEMS, design_grid
 
 
 def test_prime_field_mul():
@@ -219,3 +223,47 @@ def test_params_create_small(p, m, N):
     params = SystemParams.create(p, m, N)
     assert mult_order(params.zeta_elem) == N
     assert (params.q - 1) % N == 0
+
+
+def test_small_caches_stay_bounded_and_equal_across_eviction():
+    caches = (get_field, gaussian_ring, find_root_of_unity, cosets.fourier_cosets,
+              cosets.hartley_cosets, trig._cas_by_product)
+    field = get_field(3, 3)
+    x = field.element((1, 2, 0))
+    params = SystemParams.create(3, 3, 26)
+    cas = trig._cas_by_product(params)
+    table = cosets.hartley_cosets(26, 3)
+    # more than 64 designs and more than 64 fields
+    grid = design_grid()
+    assert len(grid) > 64
+    for p, m, N in grid:
+        sweep = SystemParams.create(p, m, N)
+        gaussian_ring(sweep.field)
+        cosets.fourier_cosets(N, p)
+        cosets.hartley_cosets(N, p)
+        trig._cas_by_product(sweep)
+    primes = [p for p in range(3, 252, 2) if is_prime(p)]
+    assert 2 * len(primes) > 64
+    for p in primes:
+        for m in (1, 2):
+            gaussian_ring(get_field(p, m))
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.maxsize == 64 and info.currsize <= 64, cache
+    again = get_field(3, 3)
+    assert again is not field and again == field
+    y = again.element((1, 2, 0))
+    assert y == x and y * y == x * x and (y * y).coeffs == (x * x).coeffs
+    assert np.array_equal(again.x_power_matrices, field.x_power_matrices)
+    assert trig._cas_by_product(SystemParams.create(3, 3, 26)) == cas
+    assert cosets.hartley_cosets(26, 3) == table
+
+
+@pytest.mark.parametrize("p,m", [(3, 1), (5, 2), (3, 5), (7, 3), (3, 12), (7, 7), (251, 2)])
+def test_mul_matrices_match_the_element_product(p, m):
+    field = get_field(p, m)
+    rng = np.random.default_rng(p * m)
+    values = rng.integers(0, p, size=(6, m))
+    for a, M in zip(values, field.mul_matrices(values)):
+        assert np.array_equal(M, support.mul_matrix(field.element(a)))
+    assert np.array_equal(frobenius_matrix(field), support.frobenius_matrix(field))

@@ -12,9 +12,11 @@ from gdmux import transforms
 from gdmux.cosets import coset_table
 from gdmux.pipeline import demux_batch, mux_batch, validate_system
 from gdmux.transforms import (DESIGN_BUDGET_BYTES, DESIGN_CACHE_SIZE, _forward_flat,
-                              _gi_mul_matrix, _inverse_flat, _kernel, design,
-                              design_nbytes, sigma_index, sigma_value, spectrum_to_array)
+                              _inverse_blocks, _inverse_flat, _kernel_coeffs, design,
+                              design_nbytes, sigma_index, sigma_matrix, sigma_value,
+                              spectrum_to_array)
 
+import support
 from support import SMALL_SYSTEMS, design_grid, forward_definition, make
 
 
@@ -234,7 +236,7 @@ def test_block_validation(p514):
 def _loop_forward(params, kind):
     """Reference forward matrix, one kernel entry at a time."""
     N, m = params.N, params.m
-    ker = _kernel(params, kind, inverse=False)
+    ker = support.kernel_definition(params, kind)
     K = np.empty((N, N, 2, m), dtype=np.int64)
     for k in range(N):
         for i in range(N):
@@ -246,12 +248,11 @@ def _loop_forward(params, kind):
 def _loop_inverse(params, kind):
     """Reference inverse matrix, one (2m, 2m) block at a time."""
     N, w = params.N, 2 * params.m
-    inv_n = params.field.scalar(N).inverse()
-    ker = _kernel(params, kind, inverse=True)
+    blocks = support.inverse_blocks(params, kind)
     big = np.zeros((N * w, N * w), dtype=np.int64)
     for i in range(N):
         for k in range(N):
-            big[i * w:(i + 1) * w, k * w:(k + 1) * w] = _gi_mul_matrix(ker[(i * k) % N] * inv_n)
+            big[i * w:(i + 1) * w, k * w:(k + 1) * w] = blocks[(i * k) % N]
     return big
 
 
@@ -267,7 +268,8 @@ def test_design_matrices_match_loop_builders(p, m, N, kind):
 def test_kernel_builders_accept_string_kind(p, m, N):
     params = make(p, m, N)
     for kind in (Kind.HARTLEY, Kind.FOURIER):
-        assert _kernel(params, kind.value, inverse=True) == _kernel(params, kind, inverse=True)
+        assert np.array_equal(_kernel_coeffs(params, kind.value), _kernel_coeffs(params, kind))
+        assert np.array_equal(_inverse_blocks(params, kind.value), _inverse_blocks(params, kind))
         assert np.array_equal(_forward_flat(params, kind.value), _forward_flat(params, kind))
         assert np.array_equal(_inverse_flat(params, kind.value), _inverse_flat(params, kind))
     assert not np.array_equal(_forward_flat(params, "hartley"), _forward_flat(params, "fourier"))
@@ -301,7 +303,8 @@ def test_design_3_5_242_builds_and_round_trips():
 def test_design_3_6_728_builds_and_round_trips():
     params = make(3, 6, 728)
     for kind in (Kind.HARTLEY, Kind.FOURIER):
-        assert design_nbytes(6, 728, coset_table(728, 3, kind).nu) <= DESIGN_BUDGET_BYTES
+        table = coset_table(728, 3, kind)
+        assert design_nbytes(6, 728, table.nu, table.longest) <= DESIGN_BUDGET_BYTES
     vs = np.random.default_rng(16).integers(0, 3, size=(4, 728))
     try:
         for kind in (Kind.HARTLEY, Kind.FOURIER):
@@ -313,7 +316,8 @@ def test_design_3_6_728_builds_and_round_trips():
 
 def test_design_over_budget_refused_before_allocation():
     params = make(3, 7, 2186)   # the forward matrix alone would be 535 MB
-    assert design_nbytes(7, 2186, coset_table(2186, 3, Kind.HARTLEY).nu) > DESIGN_BUDGET_BYTES
+    table = coset_table(2186, 3, Kind.HARTLEY)
+    assert design_nbytes(7, 2186, table.nu, table.longest) > DESIGN_BUDGET_BYTES
     tracemalloc.start()
     start = time.perf_counter()
     try:
@@ -333,25 +337,41 @@ def test_design_over_budget_refused_before_allocation():
 @pytest.mark.parametrize("kind", [Kind.HARTLEY, Kind.FOURIER])
 def test_design_nbytes_within_prediction(p, m, N, kind):
     d = design(make(p, m, N), kind)
-    assert 0 < d.nbytes == design_nbytes(m, N, d.table.nu)
-    for a in (d.forward, d.G, d.D):
+    assert 0 < d.nbytes == design_nbytes(m, N, d.table.nu, d.table.longest)
+    for a in (d.forward, d.G, d.D, d.sigma, d.sigma_powers, d.orbits[0][None]):
         with pytest.raises(ValueError):
             a[0, 0] = 1   # shared by every caller, so read-only
 
 
 def test_design_nbytes_exact_over_grid():
+    # also: every array the design is compiled from equals its object-based
+    # oracle in tests/support.py, built one GaloisInt product at a time
     grid = design_grid()
     assert 2 * len(grid) == 346
     for p, m, N in grid:
+        params = make(p, m, N)
         for kind in (Kind.HARTLEY, Kind.FOURIER):
-            d = design(make(p, m, N), kind)
-            assert d.nbytes == design_nbytes(m, N, d.table.nu), (p, m, N, kind)
+            d = design(params, kind)
+            case = (p, m, N, kind)
+            assert d.nbytes == design_nbytes(m, N, d.table.nu, d.table.longest), case
+            sigma = support.sigma_matrix(params, kind)
+            assert np.array_equal(sigma_matrix(params, kind), sigma), case
+            assert np.array_equal(d.sigma, sigma), case
+            maps = support.orbit_maps(d.table, sigma, p)
+            assert len(d.orbits) == len(maps) and len(d.sigma_powers) == d.table.longest + 1, case
+            for orbit, (want_orbit, sigma_t) in zip(d.orbits, maps):
+                assert np.array_equal(orbit, want_orbit), case
+                assert np.array_equal(d.sigma_powers[:len(orbit) + 1], sigma_t), case
+            blocks = support.inverse_blocks(params, kind)
+            assert np.array_equal(_inverse_blocks(params, kind), blocks), case
+            assert np.array_equal(d.D, support.leader_inverse(params, blocks, maps)), case
 
 
 def test_design_budget_checks_the_exact_size(monkeypatch):
     params = make(3, 3, 26)
-    size = design_nbytes(3, 26, coset_table(26, 3, Kind.HARTLEY).nu)
-    assert size < design_nbytes(3, 26, 26)
+    table = coset_table(26, 3, Kind.HARTLEY)
+    size = design_nbytes(3, 26, table.nu, table.longest)
+    assert size < design_nbytes(3, 26, 26, table.longest)
     design.cache_clear()
     monkeypatch.setattr(transforms, "DESIGN_BUDGET_BYTES", size - 1)
     with pytest.raises(UnsupportedParams):
@@ -362,10 +382,10 @@ def test_design_budget_checks_the_exact_size(monkeypatch):
 
 def test_design_3_7_1093_fits_the_budget_by_its_coset_count():
     # nu = N would bound it at 386 MiB; the real designs are ~148 and ~166 MiB
-    assert design_nbytes(7, 1093, 1093) > DESIGN_BUDGET_BYTES
+    assert design_nbytes(7, 1093, 1093, 14) > DESIGN_BUDGET_BYTES
     for kind in (Kind.HARTLEY, Kind.FOURIER):
-        nu = coset_table(1093, 3, kind).nu
-        assert 140 << 20 < design_nbytes(7, 1093, nu) < 170 << 20 < DESIGN_BUDGET_BYTES
+        table = coset_table(1093, 3, kind)
+        assert 140 << 20 < design_nbytes(7, 1093, table.nu, table.longest) < 170 << 20 < DESIGN_BUDGET_BYTES
 
 
 def test_design_cache_is_bounded():
