@@ -259,6 +259,7 @@ def cmd_crosstalk(args) -> int:
 def cmd_psd(args) -> int:
     params = _params(args)
     kind = as_kind(args.kind)
+    _require_positive("--frames", args.frames)
     _require_positive("--realizations", args.realizations)
     _require_positive("--nfft", args.nfft)
     frames_per = max(1, args.frames // args.realizations)

@@ -10,9 +10,10 @@ compiled design: mux_batch is L = v @ G and demux_batch is v = L @ D
 (mod p), each one float64 BLAS product. demux_batch accepts a batch when
 re-encoding gives the leaders back (v @ G = L), i.e. when every frame
 is one mux could have produced. Otherwise it runs the reference path on
-the same batch: reconstruct_batch re-expands the spectrum by chaining
-the conjugacy map along each orbit, and transforms.inverse_batch applies
-the dense inverse; that path raises the error that names the frame.
+the same batch: reconstruct_batch re-expands the spectrum along each
+orbit (transforms.expand_leaders, as forward_batch does) and checks that
+every orbit closes, and transforms.inverse_batch applies the dense
+inverse; that path raises the error that names the frame.
 
 Efficiency metrics are kept as exact rationals: the bandwidth compactness
 factor gamma_cc = N/nu, channel gain 100(1 - 1/gamma_cc) percent,
@@ -52,7 +53,7 @@ import numpy as np
 from .cosets import CosetTable, coset_table
 from .errors import BadLength, BadMagic, GdmError, InconsistentFrame, ParamMismatch
 from .fields import GaloisInt, SystemParams
-from .transforms import (Kind, SpectrumBlock, TimeBlock, as_kind, design,
+from .transforms import (Kind, SpectrumBlock, TimeBlock, as_kind, design, expand_leaders,
                          inverse_batch, _gi_coeff_array, _spectrum_from_array)
 # unused here; kept bound because perfbench/tracer.py wraps them in this module
 from .transforms import _forward_flat, sigma_matrix  # noqa: F401
@@ -139,32 +140,20 @@ def mux_batch(params: SystemParams, kind, vs: np.ndarray) -> np.ndarray:
 def reconstruct_batch(params: SystemParams, kind, leaders: np.ndarray) -> np.ndarray:
     """Expand leader arrays (F, nu, 2, m) to full spectra (F, N, 2, m).
 
-    Walks each orbit assigning V[sigma^t(leader)] = sigma_value^t(V[leader])
-    and checks that the walk closes; a closure mismatch means the frame was
-    corrupted (it cannot happen for frames produced by mux).
+    Checks that every orbit walk closes; a mismatch means the frame was
+    corrupted (it cannot happen for frames produced by mux). The error
+    names the first such frame of the first coset that does not close.
     """
-    kind = as_kind(kind)
+    d = design(params, as_kind(kind))
     leaders = np.asarray(leaders, dtype=np.int64)
-    single = leaders.ndim == 3
-    if single:
-        leaders = leaders[None]
-    F = leaders.shape[0]
-    N, m, p = params.N, params.m, params.p
-    w = 2 * m
-    out = np.zeros((F, N, 2, m), dtype=np.int64)
-    d = design(params, kind)
-    for c, orbit in enumerate(d.orbits):
-        lead = leaders[:, c, :, :].reshape(F, w)
-        for t, idx in enumerate(orbit):
-            out[:, idx] = ((lead @ d.sigma_powers[t].T) % p).reshape(F, 2, m)
-        closure = (lead @ d.sigma_powers[len(orbit)].T) % p
-        bad = (closure != lead).any(axis=1)
-        if bad.any():
-            f = int(np.argwhere(bad)[0][0])
-            raise InconsistentFrame(
-                f"frame {f}: orbit of leader {orbit[0]} does not close on its value",
-                frame_index=f)
-    return out[0] if single else out
+    spectra, ends = expand_leaders(d, leaders)
+    bad = (ends != leaders.reshape(ends.shape)).any(axis=(2, 3))      # (F, nu)
+    if bad.any():
+        c, f = np.argwhere(bad.T)[0]      # the first coset in leader order, then its first frame
+        raise InconsistentFrame(
+            f"frame {f}: orbit of leader {d.table.leaders[c]} does not close on its value",
+            frame_index=int(f))
+    return spectra[0] if leaders.ndim == 3 else spectra
 
 
 def demux_batch(params: SystemParams, kind, leaders: np.ndarray) -> np.ndarray:
@@ -199,8 +188,7 @@ def mux(block: TimeBlock, kind=Kind.HARTLEY) -> CompressedFrame:
 
 
 def reconstruct_spectrum(frame: CompressedFrame) -> SpectrumBlock:
-    arr = reconstruct_batch(frame.params, frame.kind,
-                            _gi_coeff_array(frame.leaders, frame.params.m))
+    arr = reconstruct_batch(frame.params, frame.kind, leader_array(frame))
     return _spectrum_from_array(frame.params, frame.kind, arr)
 
 

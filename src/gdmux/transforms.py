@@ -22,15 +22,15 @@ identities, like the orthogonality of the carriers, hold for every valid
 (p, m, N) and are what coset compression relies on. The test suite proves
 them on a basis over a grid of designs; nothing re-checks them at runtime.
 
-Every transform is one integer matrix over GF(p) acting on coefficient
-vectors (forward_batch / inverse_batch); the scalar operations
-(ffht_forward and friends) go through the same matrices. design()
-compiles, once per (params, kind), the forward matrix, the coset table,
-the conjugacy maps and the two leader-space matrices of the hot path:
-G (symbols to coset leaders, what mux applies) and D (leaders to
-symbols, what demux applies). It refuses any design whose matrices would
-exceed DESIGN_BUDGET_BYTES before allocating them, and keeps the most
-recent DESIGN_CACHE_SIZE designs.
+forward_batch computes a spectrum at the coset leaders (one product
+with G) and carries each leader along its orbit by powers of the
+conjugacy map (expand_leaders); inverse_batch is one integer matrix over
+GF(p). The scalar operations (ffht_forward and friends) go through them.
+design() compiles, once per (params, kind), the coset table, the
+conjugacy maps and the leader-space matrices of the hot path: G (symbols
+to coset leaders, what mux applies) and D (leaders to symbols, what
+demux applies). It refuses any design over DESIGN_BUDGET_BYTES before
+allocating it, and keeps the most recent DESIGN_CACHE_SIZE designs.
 
 A design is compiled by array operations on (..., m) coefficient
 vectors, with no GaloisInt arithmetic:
@@ -42,19 +42,19 @@ vectors, with no GaloisInt arithmetic:
     matrix [[A, -B], [B, A]] of those.
   * The kernel is computed once per build, as an (N, 2, m) array:
     zeta^t for Fourier, cas(t) for Hartley (trig.cas_coeffs), both from
-    one array of the powers of zeta. The forward matrix and G are
-    gathered from it; the inverse kernel is the same array (Hartley) or
-    the same array read at (-t) mod N (Fourier), times 1/N mod p.
+    one array of the powers of zeta. G is gathered from it; the inverse
+    kernel is the same array (Hartley) or the same array read at (-t)
+    mod N (Fourier), times 1/N mod p.
   * sigma is built from the Frobenius matrix, whose columns are the
     powers of the multiplication matrix of x^p. All cosets walk the same
     powers sigma^t, so a design holds one stack of them, up to the
     longest orbit. D is gathered, like G, from one (N, 2m) table per
     orbit length.
 
-The dense (2mN)^2 inverse matrix is not part of a design: inverse_batch
-builds it on each call. It is the reference that tests compare against
-and the path demux falls back to, to report a frame mux could not have
-produced.
+No dense matrix is part of a design. _forward_flat (2mN x N) is the
+reference tests compare forward_batch against. inverse_batch builds the
+(2mN)^2 inverse on each call: a reference too, and the path demux falls
+back to, to report a frame mux could not have produced.
 """
 
 from __future__ import annotations
@@ -171,23 +171,13 @@ def _kernel_coeffs(params: SystemParams, kind) -> np.ndarray:
     return ker
 
 
-def _products(N: int) -> np.ndarray:
-    """(N, N) kernel arguments i*k mod N."""
-    n = np.arange(N)
-    return np.outer(n, n) % N
-
-
-def _forward_flat(params: SystemParams, kind, ker: np.ndarray | None = None) -> np.ndarray:
-    """(2mN, N) integer matrix: spectrum coefficients = M @ symbols (mod p).
-
-    ker is _kernel_coeffs(params, kind), when the caller already has it.
-    """
+def _forward_flat(params: SystemParams, kind) -> np.ndarray:
+    """(2mN, N) integer matrix: spectrum coefficients = M @ symbols (mod p); tests only."""
     N, w = params.N, 2 * params.m
-    if ker is None:
-        ker = _kernel_coeffs(params, kind)
-    ker = ker.reshape(N, w)
+    ker = _kernel_coeffs(params, kind).reshape(N, w)
+    n = np.arange(N)
     # flat[k, a, i] = ker[i*k mod N, a], gathered straight into the final layout
-    return ker[_products(N)[:, None, :], np.arange(w)[:, None]].reshape(N * w, N)
+    return ker[(np.outer(n, n) % N)[:, None, :], np.arange(w)[:, None]].reshape(N * w, N)
 
 
 def _inverse_blocks(params: SystemParams, kind, ker: np.ndarray | None = None) -> np.ndarray:
@@ -233,45 +223,40 @@ INVERSE_BAND_BYTES = 16 << 20     # largest slice of the dense inverse inverse_b
 class Design:
     """Everything the batch maps need for one (params, kind), compiled once.
 
-    forward (2mN, N) is the transform matrix on stacked coefficient
-    vectors. G (N, n) and D (n, N), with n = 2m*nu coefficients per
-    frame, act on flattened leader arrays: G is forward restricted to the
-    coset leaders (mux) and D its left inverse, G @ D = I (mod p) (demux).
+    G (N, n) and D (n, N), with n = 2m*nu coefficients per frame, act on
+    flattened leader arrays: G is the transform restricted to the coset
+    leaders (mux) and D its left inverse, G @ D = I (mod p) (demux).
     They are float64 so that BLAS applies them, exactly (see
-    pipeline.mux_batch). sigma (2m, 2m) is sigma_value as a matrix.
-    orbits holds each coset in walk order, and sigma_powers (L + 1, 2m, 2m)
-    holds sigma^t for t = 0..L, L the longest orbit: every coset walks
-    the same powers, sigma_powers[:len(orbit) + 1]. The arrays are
-    read-only: every caller shares them.
+    pipeline.mux_batch). sigma_powers (L + 1, 2m, 2m) holds sigma^t, the
+    matrix of sigma_value applied t times, for t = 0..L, L the longest
+    orbit: every coset walks the same powers. walk (N + nu,) says where
+    expand_leaders finds each spectrum position and each orbit's end.
+    The arrays are read-only: every caller shares them.
     """
 
     params: SystemParams
     kind: Kind
     table: CosetTable
-    forward: np.ndarray
     G: np.ndarray
     D: np.ndarray
-    sigma: np.ndarray
     sigma_powers: np.ndarray
-    orbits: tuple[np.ndarray, ...]
+    walk: np.ndarray
 
     @property
     def nbytes(self) -> int:
-        arrays = [self.forward, self.G, self.D, self.sigma, self.sigma_powers, *self.orbits]
-        return sum(a.nbytes for a in arrays)
+        return sum(a.nbytes for a in (self.G, self.D, self.sigma_powers, self.walk))
 
 
 def design_nbytes(m: int, N: int, nu: int, longest: int) -> int:
     """Design.nbytes of a design with nu cosets, from the array shapes alone.
 
-    forward has 2m*N*N entries; G and D have n = 2m*nu columns and rows;
-    sigma is (2m, 2m); the orbits hold N indices, and sigma_powers
-    longest + 1 matrices of size (2m, 2m), longest <= 2m being the
-    longest orbit. The size grows as m*N^2. Every entry, int64 or
-    float64, takes 8 bytes.
+    G and D have n = 2m*nu columns and rows of N entries; sigma_powers
+    holds longest + 1 matrices of size (2m, 2m), longest <= 2m being the
+    longest orbit, and walk N + nu indices. The size grows as m*nu*N.
+    Every entry, int64 or float64, takes 8 bytes.
     """
     w = 2 * m
-    entries = w * N * N + 2 * N * (w * nu) + w * w + N + (longest + 1) * w * w
+    entries = 2 * N * (w * nu) + (longest + 1) * w * w + N + nu
     return entries * 8
 
 
@@ -289,11 +274,25 @@ def _sigma_powers(sigma: np.ndarray, p: int, longest: int) -> np.ndarray:
     return out
 
 
-def _leader_matrices(params: SystemParams, kind: Kind, table: CosetTable, ker: np.ndarray,
-                     sigma_powers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _walk(table: CosetTable, lengths: np.ndarray) -> np.ndarray:
+    """(N + nu,) rows that expand_leaders reads: spectrum positions, then orbit ends.
+
+    Position orbit_c[t] reads row c * (L + 1) + t, sigma^t @ leader_c;
+    entry N + c reads the row of t = len(orbit_c).
+    """
+    N, nu, longest = table.N, table.nu, table.longest
+    rows = np.arange(nu * (longest + 1)).reshape(nu, longest + 1)
+    walk = np.empty(N + nu, dtype=np.int64)
+    walk[np.concatenate(table.cosets)] = rows[np.arange(longest + 1) < lengths[:, None]]
+    walk[N:] = rows[np.arange(nu), lengths]
+    return walk
+
+
+def _leader_matrices(params: SystemParams, kind: Kind, table: CosetTable, lengths: np.ndarray,
+                     ker: np.ndarray, sigma_powers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """G (N, n) and D (n, N) as float64, each gathered from an (N, 2m) table.
 
-    G is forward at the coset leaders: G[i, (c, a)] = ker[i * leader_c, a].
+    G is the transform at the leaders: G[i, (c, a)] = ker[i * leader_c, a].
     Demux is reconstruction followed by the inverse transform, read at
     each output's (re, coefficient 0) entry. Reconstruction sets
     V[orbit[t]] = sigma^t @ leader, so the leader of coset c reaches
@@ -313,7 +312,6 @@ def _leader_matrices(params: SystemParams, kind: Kind, table: CosetTable, ker: n
     step = sigma_index(params, kind, 1)
     shifts = np.array([pow(step, t, N) for t in range(longest)])
     Q = np.cumsum(R[np.arange(longest)[:, None], np.outer(shifts, np.arange(N)) % N], axis=0) % p
-    lengths = np.array([len(orbit) for orbit in table.cosets])
     # D[(c, a), i] = Q_len(c)[i * leader_c, a], gathered straight into the final layout
     D = Q.astype(np.float64)[(lengths - 1)[:, None, None], args[:, None, :], a[:, None]]
     return _readonly(G), _readonly(D.reshape(-1, N))
@@ -333,28 +331,48 @@ def design(params: SystemParams, kind) -> Design:
         raise UnsupportedParams(
             f"{params}/{kind}: compiled design needs {size / 2**20:.1f} MiB, "
             f"over the {DESIGN_BUDGET_BYTES / 2**20:.0f} MiB budget")
-    ker = _kernel_coeffs(params, kind)
-    sigma = _readonly(sigma_matrix(params, kind))
-    sigma_powers = _readonly(_sigma_powers(sigma, params.p, table.longest))
-    forward = _readonly(_forward_flat(params, kind, ker))
-    G, D = _leader_matrices(params, kind, table, ker, sigma_powers)
-    orbits = tuple(_readonly(np.array(orbit, dtype=np.int64)) for orbit in table.cosets)
-    return Design(params=params, kind=kind, table=table, forward=forward, G=G, D=D,
-                  sigma=sigma, sigma_powers=sigma_powers, orbits=orbits)
+    lengths = np.array([len(orbit) for orbit in table.cosets])
+    sigma_powers = _readonly(_sigma_powers(sigma_matrix(params, kind), params.p, table.longest))
+    G, D = _leader_matrices(params, kind, table, lengths, _kernel_coeffs(params, kind),
+                            sigma_powers)
+    return Design(params=params, kind=kind, table=table, G=G, D=D,
+                  sigma_powers=sigma_powers, walk=_readonly(_walk(table, lengths)))
 
 
 # ---------------------------------------------------------------------------
 # batch transforms
 # ---------------------------------------------------------------------------
 
+def expand_leaders(d: Design, leaders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Spectra (F, N, 2, m) of leader arrays (F, nu, 2, m) or (nu, 2, m), and the orbits' ends.
+
+    The walk sets V[orbit[t]] = sigma^t @ V[leader] for every coset and
+    step t at once: one float64 product with the stacked powers
+    sigma^0..sigma^L, read out through d.walk. ends (F, nu, 2, m) is
+    sigma^len(orbit) @ leader (mod p), the leader itself for every frame
+    mux produces. Raises ValueError for any other shape of leaders.
+    """
+    N, m, p = d.params.N, d.params.m, d.params.p
+    nu, w = d.table.nu, 2 * m
+    leaders = np.asarray(leaders, dtype=np.int64)
+    if leaders.ndim not in (3, 4) or leaders.shape[-3:] != (nu, 2, m):
+        raise ValueError(f"expected {nu} leader values, got an array of shape {leaders.shape}")
+    lead = (leaders % p).reshape(-1, w).astype(np.float64)
+    F = len(lead) // nu
+    # column t*2m + a is row a of sigma^t; each sum is exact, 2m terms below p^2
+    powers = d.sigma_powers.transpose(2, 0, 1).reshape(w, -1).astype(np.float64)
+    steps = (lead @ powers).reshape(F, nu * len(d.sigma_powers), w)
+    spectra = steps[:, d.walk[:N]].astype(np.int64) % p
+    ends = steps[:, d.walk[N:]].astype(np.int64) % p
+    return spectra.reshape(F, N, 2, m), ends.reshape(F, nu, 2, m)
+
+
 def forward_batch(params: SystemParams, kind, vs: np.ndarray) -> np.ndarray:
-    """Transform a batch of symbol rows (F, N) to spectra (F, N, 2, m)."""
-    kind = as_kind(kind)
+    """Transform a batch of symbol rows (F, N) to spectra (F, N, 2, m): expand_leaders(vs @ G)."""
+    d = design(params, as_kind(kind))
     vs = np.atleast_2d(np.asarray(vs, dtype=np.int64)) % params.p
-    M = design(params, kind).forward
-    flat = (vs @ M.T) % params.p
-    F = vs.shape[0]
-    return flat.reshape(F, params.N, 2, params.m)
+    leaders = (vs.astype(np.float64) @ d.G).astype(np.int64)     # expand_leaders reduces mod p
+    return expand_leaders(d, leaders.reshape(len(vs), d.table.nu, 2, params.m))[0]
 
 
 def inverse_batch(params: SystemParams, kind, spectra: np.ndarray) -> np.ndarray:
@@ -431,14 +449,6 @@ def ffft_inverse(spec: SpectrumBlock) -> TimeBlock:
     """v_i = (1/N) sum_k V_k zeta^(-ik)."""
     vs = inverse_batch(spec.params, Kind.FOURIER, spectrum_to_array(spec)[None])[0]
     return TimeBlock(spec.params, tuple(int(v) for v in vs))
-
-
-def transform_forward(block: TimeBlock, kind) -> SpectrumBlock:
-    return ffht_forward(block) if as_kind(kind) is Kind.HARTLEY else ffft_forward(block)
-
-
-def transform_inverse(spec: SpectrumBlock) -> TimeBlock:
-    return ffht_inverse(spec) if spec.kind is Kind.HARTLEY else ffft_inverse(spec)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 import numpy as np
 
-from gdmux import GaloisInt, GdmError, Kind, SystemParams, TimeBlock
-from gdmux.cosets import CosetTable
+from gdmux import GaloisInt, GdmError, InconsistentFrame, Kind, SystemParams, TimeBlock
+from gdmux.cosets import CosetTable, coset_table
 from gdmux.fields import ExtField, FieldElement, is_prime
 from gdmux.pipeline import demux_batch, iter_frames, leader_array, mux, serialize
 
@@ -145,6 +145,35 @@ def leader_inverse(params: SystemParams, blocks: np.ndarray, maps) -> np.ndarray
     return np.concatenate([
         np.einsum("tib,tba->ai", row0[np.outer(orbit, i) % N], sigma_t[:len(orbit)]) % p
         for orbit, sigma_t in maps])
+
+
+def reconstruct_walk(params: SystemParams, kind, leaders) -> np.ndarray:
+    """reconstruct_batch one coset and one orbit position at a time.
+
+    Sets V[orbit[t]] = sigma^t @ leader along each orbit, with sigma from
+    the object-based sigma_matrix, and raises InconsistentFrame at the
+    first coset whose orbit does not come back to its leader, naming the
+    first frame where it does not.
+    """
+    kind = Kind(kind)
+    leaders = np.asarray(leaders, dtype=np.int64)
+    single = leaders.ndim == 3
+    if single:
+        leaders = leaders[None]
+    F, N, m, p = leaders.shape[0], params.N, params.m, params.p
+    out = np.zeros((F, N, 2, m), dtype=np.int64)
+    table = coset_table(N, p, kind)
+    for c, (orbit, sigma_t) in enumerate(orbit_maps(table, sigma_matrix(params, kind), p)):
+        lead = leaders[:, c].reshape(F, 2 * m)
+        for t, idx in enumerate(orbit):
+            out[:, idx] = ((lead @ sigma_t[t].T) % p).reshape(F, 2, m)
+        bad = (((lead @ sigma_t[len(orbit)].T) % p) != lead).any(axis=1)
+        if bad.any():
+            f = int(np.argwhere(bad)[0][0])
+            raise InconsistentFrame(
+                f"frame {f}: orbit of leader {orbit[0]} does not close on its value",
+                frame_index=f)
+    return out[0] if single else out
 
 
 def cli_mux_oracle(params: SystemParams, kind, text: bytes):

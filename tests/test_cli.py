@@ -140,6 +140,8 @@ def test_crosstalk_command(capsys):
     (["psd", "--realizations", "0"], "error: --realizations must be >= 1, got 0\n"),
     (["psd", "--nfft", "0"], "error: --nfft must be >= 1, got 0\n"),
     (["psd", "--nfft", "-4"], "error: --nfft must be >= 1, got -4\n"),
+    (["psd", "--frames", "0"], "error: --frames must be >= 1, got 0\n"),
+    (["psd", "--frames", "-5"], "error: --frames must be >= 1, got -5\n"),
 ])
 def test_invalid_numbers_exit_1_with_a_message(capsys, argv, message):
     command, *flags = argv

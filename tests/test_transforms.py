@@ -259,9 +259,9 @@ def _loop_inverse(params, kind):
 @pytest.mark.parametrize("p,m,N", [(3, 1, 2), (5, 1, 4), (13, 1, 12), (3, 3, 26), (7, 2, 48)])
 @pytest.mark.parametrize("kind", [Kind.HARTLEY, Kind.FOURIER])
 def test_design_matrices_match_loop_builders(p, m, N, kind):
-    d = design(make(p, m, N), kind)
-    assert np.array_equal(d.forward, _loop_forward(d.params, kind))
-    assert np.array_equal(_inverse_flat(d.params, kind), _loop_inverse(d.params, kind))
+    params = make(p, m, N)
+    assert np.array_equal(_forward_flat(params, kind), _loop_forward(params, kind))
+    assert np.array_equal(_inverse_flat(params, kind), _loop_inverse(params, kind))
 
 
 @pytest.mark.parametrize("p,m,N", [(5, 1, 4), (13, 1, 12), (3, 3, 26)])
@@ -310,14 +310,29 @@ def test_design_3_6_728_builds_and_round_trips():
         for kind in (Kind.HARTLEY, Kind.FOURIER):
             leaders = mux_batch(params, kind, vs)
             assert np.array_equal(demux_batch(params, kind, leaders), vs)
+            want = (vs @ _forward_flat(params, kind).T % 3).reshape(4, 728, 2, 6)
+            assert np.array_equal(forward_batch(params, kind, vs), want)
     finally:
-        design.cache_clear()   # two designs of ~67 MiB each; later tests need neither
+        design.cache_clear()   # two designs of ~17 MiB each; later tests need neither
+
+
+def test_design_3_7_2186_builds_and_round_trips():
+    params = make(3, 7, 2186)
+    vs = np.random.default_rng(19).integers(0, 3, size=(3, 2186))
+    for kind in (Kind.HARTLEY, Kind.FOURIER):
+        table = coset_table(2186, 3, kind)
+        try:
+            size = design(params, kind).nbytes
+            assert size == design_nbytes(7, 2186, table.nu, table.longest) <= DESIGN_BUDGET_BYTES
+            assert np.array_equal(demux_batch(params, kind, mux_batch(params, kind, vs)), vs)
+        finally:
+            design.cache_clear()   # 74 MiB Hartley, 147 MiB Fourier: hold one at a time
 
 
 def test_design_over_budget_refused_before_allocation():
-    params = make(3, 7, 2186)   # the forward matrix alone would be 535 MB
-    table = coset_table(2186, 3, Kind.HARTLEY)
-    assert design_nbytes(7, 2186, table.nu, table.longest) > DESIGN_BUDGET_BYTES
+    params = make(3, 8, 3280)   # G and D would take about 340 MiB
+    table = coset_table(3280, 3, Kind.HARTLEY)
+    assert design_nbytes(8, 3280, table.nu, table.longest) > DESIGN_BUDGET_BYTES
     tracemalloc.start()
     start = time.perf_counter()
     try:
@@ -338,7 +353,7 @@ def test_design_over_budget_refused_before_allocation():
 def test_design_nbytes_within_prediction(p, m, N, kind):
     d = design(make(p, m, N), kind)
     assert 0 < d.nbytes == design_nbytes(m, N, d.table.nu, d.table.longest)
-    for a in (d.forward, d.G, d.D, d.sigma, d.sigma_powers, d.orbits[0][None]):
+    for a in (d.G, d.D, d.sigma_powers, d.walk[None]):
         with pytest.raises(ValueError):
             a[0, 0] = 1   # shared by every caller, so read-only
 
@@ -356,12 +371,15 @@ def test_design_nbytes_exact_over_grid():
             assert d.nbytes == design_nbytes(m, N, d.table.nu, d.table.longest), case
             sigma = support.sigma_matrix(params, kind)
             assert np.array_equal(sigma_matrix(params, kind), sigma), case
-            assert np.array_equal(d.sigma, sigma), case
+            assert np.array_equal(d.sigma_powers[1], sigma), case
             maps = support.orbit_maps(d.table, sigma, p)
-            assert len(d.orbits) == len(maps) and len(d.sigma_powers) == d.table.longest + 1, case
-            for orbit, (want_orbit, sigma_t) in zip(d.orbits, maps):
-                assert np.array_equal(orbit, want_orbit), case
+            steps = d.table.longest + 1
+            assert len(d.sigma_powers) == steps and len(d.walk) == N + len(maps), case
+            for c, (orbit, sigma_t) in enumerate(maps):
                 assert np.array_equal(d.sigma_powers[:len(orbit) + 1], sigma_t), case
+                # step t of coset c is row c * steps + t of the walk's product
+                rows = c * steps + np.arange(len(orbit) + 1)
+                assert np.array_equal(d.walk[np.append(orbit, N + c)], rows), case
             blocks = support.inverse_blocks(params, kind)
             assert np.array_equal(_inverse_blocks(params, kind), blocks), case
             assert np.array_equal(d.D, support.leader_inverse(params, blocks, maps)), case
@@ -381,11 +399,13 @@ def test_design_budget_checks_the_exact_size(monkeypatch):
 
 
 def test_design_3_7_1093_fits_the_budget_by_its_coset_count():
-    # nu = N would bound it at 386 MiB; the real designs are ~148 and ~166 MiB
-    assert design_nbytes(7, 1093, 1093, 14) > DESIGN_BUDGET_BYTES
-    for kind in (Kind.HARTLEY, Kind.FOURIER):
+    # 32*m*nu*N bytes of G and D, plus the walk and the sigma powers: 18.5
+    # and 36.7 MiB; nu = N would take 255.2 MiB, at the edge of the budget
+    sizes = {Kind.HARTLEY: 19_374_624, Kind.FOURIER: 38_461_168}
+    for kind, size in sizes.items():
         table = coset_table(1093, 3, kind)
-        assert 140 << 20 < design_nbytes(7, 1093, table.nu, table.longest) < 170 << 20 < DESIGN_BUDGET_BYTES
+        assert design_nbytes(7, 1093, table.nu, table.longest) == size
+    assert design_nbytes(7, 1093, 1093, 14) > 6 * max(sizes.values())
 
 
 def test_design_cache_is_bounded():
