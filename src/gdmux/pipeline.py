@@ -7,12 +7,15 @@ the absence of channel errors there is no cross-talk between users.
 
 The hot path acts on the leaders directly, with the two matrices of the
 compiled design: mux_batch is L = v @ G and demux_batch is v = L @ D
-(mod p), each one float64 BLAS product. demux_batch accepts a batch when
-re-encoding gives the leaders back (v @ G = L), i.e. when every frame
-is one mux could have produced. Otherwise it runs the reference path on
-the same batch: reconstruct_batch re-expands the spectrum along each
-orbit (transforms.expand_leaders, as forward_batch does) and checks that
-every orbit closes, and transforms.inverse_batch applies the dense
+(mod p), each one float64 BLAS product. The products are sums of
+integers below 2^52, and transforms.mod_p reduces them exactly as
+x - p*floor(x/p), in float, with no integer division (see the comment
+above mux_batch). demux_batch accepts a batch whose leaders lie in
+[0, p) when re-encoding gives them back (v @ G = L), i.e. when every
+frame is one mux could have produced. Otherwise it runs the reference
+path on the same batch: reconstruct_batch re-expands the spectrum along
+each orbit (transforms.expand_leaders, as forward_batch does) and checks
+that every orbit closes, and transforms.inverse_batch applies the dense
 inverse; that path raises the error that names the frame.
 
 Efficiency metrics are kept as exact rationals: the bandwidth compactness
@@ -54,7 +57,8 @@ from .cosets import CosetTable, coset_table
 from .errors import BadLength, BadMagic, GdmError, InconsistentFrame, ParamMismatch
 from .fields import GaloisInt, SystemParams
 from .transforms import (Kind, SpectrumBlock, TimeBlock, as_kind, design, expand_leaders,
-                         inverse_batch, _gi_coeff_array, _spectrum_from_array)
+                         in_range, inverse_batch, mod_p, _gi_coeff_array, _residues,
+                         _spectrum_from_array)
 # unused here; kept bound because perfbench/tracer.py wraps them in this module
 from .transforms import _forward_flat, sigma_matrix  # noqa: F401
 
@@ -126,14 +130,18 @@ def validate_system(params: SystemParams, kind) -> CosetTable:
 
 # The float64 products below are exact: their operands are integers in
 # [0, p), so every partial sum is an integer below n*(p-1)^2, n = 2m*nu
-# <= 2mN, and that stays under 2^53 for every p <= MAX_PRIME and
+# <= 2mN, and that stays under 2^52 for every p <= MAX_PRIME and
 # p^m <= MAX_FIELD_SIZE (tests/test_pipeline.py checks the extremes).
+# transforms.mod_p reduces each product exactly as x - p*floor(x/p),
+# which needs that 2^52 bound: below it the correctly rounded x/p never
+# rounds up to the next integer. Symbols outside [0, p) are reduced mod p
+# first; leaders outside [0, p) go to the reference path.
 
 def mux_batch(params: SystemParams, kind, vs: np.ndarray) -> np.ndarray:
-    """Compress symbol rows (F, N) to leader arrays (F, nu, 2, m)."""
+    """Compress symbol rows (F, N) to leader arrays (F, nu, 2, m); symbols are taken mod p."""
     d = design(params, as_kind(kind))
-    vs = np.atleast_2d(np.asarray(vs, dtype=np.int64)) % params.p
-    L = np.fmod(vs.astype(np.float64) @ d.G, params.p)
+    vs = _residues(np.atleast_2d(np.asarray(vs, dtype=np.int64)), params.p)
+    L = mod_p(vs.astype(np.float64) @ d.G, params.p)
     return L.astype(np.int64).reshape(vs.shape[0], d.table.nu, 2, params.m)
 
 
@@ -168,10 +176,10 @@ def demux_batch(params: SystemParams, kind, leaders: np.ndarray) -> np.ndarray:
     leaders = np.asarray(leaders, dtype=np.int64)
     single = leaders.ndim == 3
     batch = leaders[None] if single else leaders
-    if batch.shape[1:] == (d.table.nu, 2, params.m) and batch.min(initial=0) >= 0:
+    if batch.shape[1:] == (d.table.nu, 2, params.m) and in_range(batch, p):
         L = batch.reshape(batch.shape[0], -1).astype(np.float64)
-        vs = np.fmod(L @ d.D, p)
-        if np.array_equal(np.fmod(vs @ d.G, p), L):
+        vs = mod_p(L @ d.D, p)
+        if (mod_p(vs @ d.G, p) == L).all():
             vs = vs.astype(np.int64)
             return vs[0] if single else vs
     vs = inverse_batch(params, kind, reconstruct_batch(params, kind, batch))

@@ -26,6 +26,13 @@ forward_batch computes a spectrum at the coset leaders (one product
 with G) and carries each leader along its orbit by powers of the
 conjugacy map (expand_leaders); inverse_batch is one integer matrix over
 GF(p). The scalar operations (ffht_forward and friends) go through them.
+Each of these maps is a float64 BLAS product of integers in [0, p), and
+its sums stay below 2mN(p-1)^2 < 2^52 over the declared scope
+(tests/test_pipeline.py checks the extremes). mod_p reduces such sums
+exactly as x - p*floor(x/p), which needs that 2^52 bound, with no
+integer division: expand_leaders reduces its one product with the sigma
+powers that way, and inverse_batch each band of the dense inverse.
+Inputs outside [0, p) are reduced mod p first.
 design() compiles, once per (params, kind), the coset table, the
 conjugacy maps and the leader-space matrices of the hot path: G (symbols
 to coset leaders, what mux applies) and D (leaders to symbols, what
@@ -343,6 +350,33 @@ def design(params: SystemParams, kind) -> Design:
 # batch transforms
 # ---------------------------------------------------------------------------
 
+def mod_p(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p, exactly, for a float64 array of integers in [0, 2^52).
+
+    Computes x - p*floor(x/p) on one temporary. IEEE division is
+    correctly rounded: with x = qp + r, 0 < r < p, x/p lies at least 1/p
+    below q + 1 and its rounding error is under 1/(2p) when x < 2^52, so
+    floor gives q and the rest is exact integer arithmetic. It is all
+    SIMD float work: no integer division and no libm remainder call.
+    """
+    p = np.array(p, dtype=np.float64)   # 0-d: spares two scalar conversions, which show on small x
+    q = x / p
+    np.floor(q, out=q)
+    q *= p
+    return np.subtract(x, q, out=q)
+
+
+def in_range(a: np.ndarray, p: int) -> bool:
+    """Whether every entry of the int64 array a lies in [0, p)."""
+    # viewed as uint64 a negative entry is >= 2^63, so one max checks both ends
+    return bool(a.view(np.uint64).max(initial=0) < p)
+
+
+def _residues(a: np.ndarray, p: int) -> np.ndarray:
+    """The int64 array a reduced mod p; a itself when its entries lie in [0, p)."""
+    return a if in_range(a, p) else a % p
+
+
 def expand_leaders(d: Design, leaders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Spectra (F, N, 2, m) of leader arrays (F, nu, 2, m) or (nu, 2, m), and the orbits' ends.
 
@@ -350,28 +384,29 @@ def expand_leaders(d: Design, leaders: np.ndarray) -> tuple[np.ndarray, np.ndarr
     step t at once: one float64 product with the stacked powers
     sigma^0..sigma^L, read out through d.walk. ends (F, nu, 2, m) is
     sigma^len(orbit) @ leader (mod p), the leader itself for every frame
-    mux produces. Raises ValueError for any other shape of leaders.
+    mux produces. Leaders outside [0, p) are reduced first, so their ends
+    differ from them. Raises ValueError for any other shape of leaders.
     """
     N, m, p = d.params.N, d.params.m, d.params.p
     nu, w = d.table.nu, 2 * m
     leaders = np.asarray(leaders, dtype=np.int64)
     if leaders.ndim not in (3, 4) or leaders.shape[-3:] != (nu, 2, m):
         raise ValueError(f"expected {nu} leader values, got an array of shape {leaders.shape}")
-    lead = (leaders % p).reshape(-1, w).astype(np.float64)
+    lead = _residues(leaders, p).reshape(-1, w).astype(np.float64)
     F = len(lead) // nu
-    # column t*2m + a is row a of sigma^t; each sum is exact, 2m terms below p^2
+    # column t*2m + a is row a of sigma^t; each sum has 2m terms below p^2
     powers = d.sigma_powers.transpose(2, 0, 1).reshape(w, -1).astype(np.float64)
-    steps = (lead @ powers).reshape(F, nu * len(d.sigma_powers), w)
-    spectra = steps[:, d.walk[:N]].astype(np.int64) % p
-    ends = steps[:, d.walk[N:]].astype(np.int64) % p
+    steps = mod_p(lead @ powers, p).astype(np.int64).reshape(F, nu * len(d.sigma_powers), w)
+    spectra = steps[:, d.walk[:N]]
+    ends = steps[:, d.walk[N:]]
     return spectra.reshape(F, N, 2, m), ends.reshape(F, nu, 2, m)
 
 
 def forward_batch(params: SystemParams, kind, vs: np.ndarray) -> np.ndarray:
     """Transform a batch of symbol rows (F, N) to spectra (F, N, 2, m): expand_leaders(vs @ G)."""
     d = design(params, as_kind(kind))
-    vs = np.atleast_2d(np.asarray(vs, dtype=np.int64)) % params.p
-    leaders = (vs.astype(np.float64) @ d.G).astype(np.int64)     # expand_leaders reduces mod p
+    vs = _residues(np.atleast_2d(np.asarray(vs, dtype=np.int64)), params.p)
+    leaders = mod_p(vs.astype(np.float64) @ d.G, params.p).astype(np.int64)
     return expand_leaders(d, leaders.reshape(len(vs), d.table.nu, 2, params.m))[0]
 
 
@@ -382,23 +417,24 @@ def inverse_batch(params: SystemParams, kind, spectra: np.ndarray) -> np.ndarray
     part or nonzero high-degree coefficients. The dense inverse matrix is
     built on every call, a band at a time, and not cached; demux reaches
     this only for a batch holding a frame that mux could not have produced.
+    Each band is one float64 product, reduced by mod_p.
     """
     kind = as_kind(kind)
     N, m, p = params.N, params.m, params.p
-    spectra = np.asarray(spectra, dtype=np.int64)
+    spectra = _residues(np.asarray(spectra, dtype=np.int64), p)
     single = spectra.ndim == 3
     if single:
         spectra = spectra[None]
     F, w = spectra.shape[0], 2 * m
-    flat = spectra.reshape(F, N * w)
-    blocks = _inverse_blocks(params, kind)
+    flat = spectra.reshape(F, N * w).astype(np.float64)
+    blocks = _inverse_blocks(params, kind).astype(np.float64)
     out = np.empty((F, N, w), dtype=np.int64)
     # the dense matrix, (2mN)^2 entries, is applied in bands of output
     # positions so that no more than INVERSE_BAND_BYTES of it exist at once
     band = max(1, INVERSE_BAND_BYTES // (8 * w * N * w))
     for i in range(0, N, band):
         rows = _inverse_rows(blocks, np.arange(i, min(N, i + band)))
-        out[:, i:i + band] = ((flat @ rows.T) % p).reshape(F, -1, w)
+        out[:, i:i + band] = mod_p(flat @ rows.T, p).reshape(F, -1, w)
     out = out.reshape(F, N, 2, m)
     residue = np.zeros((F, N), dtype=bool)
     residue |= (out[:, :, 1, :] != 0).any(axis=2)

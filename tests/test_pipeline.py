@@ -198,14 +198,33 @@ def test_demux_of_corrupted_frames_matches_reference(p, m, N, kind):
             assert _outcome(demux_batch, params, kind, leaders[0]) == want
         seen.add(got[0])
     assert len(seen) > 1   # both silent and detected corruptions occurred
-    # entries outside [0, p): a negated frame re-encodes to itself under
-    # fmod, yet is not a frame mux produces
+    # entries outside [0, p) are not frames mux produces: the [0, p) guard
+    # of demux_batch's fast path sends them to the reference path. Huge
+    # entries are not exact in float64 and overflow the reference walk's
+    # int64 products.
     leaders = mux_batch(params, kind, rng.integers(1, p, size=(2, N)))
-    for odd in (-leaders, leaders + p):
+    odds = [-leaders, leaders + p]
+    for big in (2 ** 52, 2 ** 53 + 1, np.iinfo(np.int64).max):
+        odd = leaders.copy()
+        odd.reshape(2, -1)[1, rng.integers(odd[0].size)] = big
+        odds.append(odd)
+    for odd in odds:
         assert _outcome(demux_batch, params, kind, odd) == _outcome(
             _reference_demux, params, kind, odd)
         assert _outcome(reconstruct_batch, params, kind, odd) == _outcome(
             reconstruct_walk, params, kind, odd)
+
+
+@pytest.mark.parametrize("kind", [Kind.HARTLEY, Kind.FOURIER])
+def test_mux_takes_symbols_mod_p(p3326, kind):
+    # negative symbols, symbols >= p and +-2^62 mux as their residues
+    vs = np.random.default_rng(3).integers(0, 3, size=(6, 26))
+    odd = vs + 3 * np.array([[-1], [1], [-7], [2 ** 60], [-(2 ** 60)], [0]])
+    odd[5, :6] = [-1, 3, 2 ** 62, -(2 ** 62), -5, 251]
+    want = mux_batch(p3326, kind, odd % 3)
+    assert np.array_equal(mux_batch(p3326, kind, odd), want)
+    assert np.array_equal(want[:5], mux_batch(p3326, kind, vs[:5]))
+    assert np.array_equal(mux_batch(p3326, kind, odd[5]), want[5:])
 
 
 @pytest.mark.parametrize("shape", [(3, 7, 2, 3), (3, 5, 2, 3), (7, 2, 3), (3, 6, 2, 2),
@@ -231,7 +250,7 @@ def test_float_products_exact_across_scope():
         while p ** m <= MAX_FIELD_SIZE:
             worst = max(worst, 2 * m * (p ** m - 1) * (p - 1) ** 2)
             m += 1
-    assert 0 < worst < 2 ** 53
+    assert 0 < worst < 2 ** 52     # transforms.mod_p is exact below 2^52
 
 
 def test_traced_benchmark_finds_every_name_it_wraps(monkeypatch):

@@ -10,10 +10,11 @@ from gdmux import (Kind, NotGroundField, SpectrumBlock, SystemParams, TimeBlock,
                    ffht_inverse, forward_batch, inverse_batch, inner_product)
 from gdmux import transforms
 from gdmux.cosets import coset_table
+from gdmux.fields import MAX_PRIME, is_prime
 from gdmux.pipeline import demux_batch, mux_batch, validate_system
 from gdmux.transforms import (DESIGN_BUDGET_BYTES, DESIGN_CACHE_SIZE, _forward_flat,
                               _inverse_blocks, _inverse_flat, _kernel_coeffs, design,
-                              design_nbytes, sigma_index, sigma_matrix, sigma_value,
+                              design_nbytes, mod_p, sigma_index, sigma_matrix, sigma_value,
                               spectrum_to_array)
 
 import support
@@ -72,6 +73,48 @@ def test_round_trip_random(p, m, N, kind):
     vs = rng.integers(0, p, size=(200, N))
     out = inverse_batch(params, kind, forward_batch(params, kind, vs))
     assert np.array_equal(out, vs)
+
+
+ODD_PRIMES = [p for p in range(3, MAX_PRIME + 1, 2) if is_prime(p)]
+
+
+def _check_mod_p(x: np.ndarray, p: int):
+    got = mod_p(x.astype(np.float64), p)
+    assert got.dtype == np.float64
+    assert np.array_equal(got.astype(np.int64), x % p), p
+
+
+@pytest.mark.parametrize("p", ODD_PRIMES)
+def test_mod_p_matches_integer_remainder(p):
+    # mod_p's domain is [0, 2^52): random values, then the multiples k*p
+    # and k*p - 1 where a rounded-up quotient would show, up to 2^52
+    rng = np.random.default_rng(p)
+    _check_mod_p(rng.integers(0, 2 ** 52, size=20000), p)
+    k = np.unique(np.concatenate([np.arange(1, 2000), rng.integers(1, 2 ** 52 // p, size=20000),
+                                  2 ** 52 // p - np.arange(2000)]))
+    assert (k * p < 2 ** 52).all() and 2 ** 52 // p in k
+    _check_mod_p(k * p, p)
+    _check_mod_p(k * p - 1, p)
+    _check_mod_p(np.array([0, 1, p - 1, p, p + 1, 2 ** 52 - 1]), p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(ODD_PRIMES), st.lists(st.integers(0, 2 ** 52 - 1), min_size=1, max_size=32))
+def test_mod_p_matches_integer_remainder_fuzzed(p, xs):
+    _check_mod_p(np.array(xs, dtype=np.int64), p)
+
+
+@pytest.mark.parametrize("kind", [Kind.HARTLEY, Kind.FOURIER])
+def test_batch_transforms_reduce_out_of_range_input(kind):
+    # forward_batch takes symbols, and inverse_batch spectrum coefficients,
+    # mod p: their float products need entries in [0, p)
+    params = make(3, 3, 26)
+    vs = np.random.default_rng(26).integers(0, 3, size=(5, 26))
+    odd = vs + 3 * np.array([[-1], [1], [2 ** 61], [-(2 ** 61)], [0]])
+    spectra = forward_batch(params, kind, vs)
+    assert np.array_equal(forward_batch(params, kind, odd), spectra)
+    assert np.array_equal(inverse_batch(params, kind, spectra - 3), vs)
+    assert np.array_equal(inverse_batch(params, kind, spectra + 3 * 2 ** 60), vs)
 
 
 @settings(max_examples=30, deadline=None)
