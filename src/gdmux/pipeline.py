@@ -12,11 +12,11 @@ integers below 2^52, and transforms.mod_p reduces them exactly as
 x - p*floor(x/p), in float, with no integer division (see the comment
 above mux_batch). demux_batch accepts a batch whose leaders lie in
 [0, p) when re-encoding gives them back (v @ G = L), i.e. when every
-frame is one mux could have produced. Otherwise it runs the reference
-path on the same batch: reconstruct_batch re-expands the spectrum along
-each orbit (transforms.expand_leaders, as forward_batch does) and checks
-that every orbit closes, and transforms.inverse_batch applies the dense
-inverse; that path raises the error that names the frame.
+frame is one mux could have produced; the re-encode is the syndrome
+check. Otherwise reconstruct_batch re-expands the spectrum along each
+orbit (transforms.expand_leaders, as forward_batch does) and names the
+first frame whose orbit does not close (InconsistentFrame), or else the
+first frame that did not re-encode (NotGroundField).
 
 Efficiency metrics are kept as exact rationals: the bandwidth compactness
 factor gamma_cc = N/nu, channel gain 100(1 - 1/gamma_cc) percent,
@@ -57,7 +57,7 @@ from .cosets import CosetTable, coset_table
 from .errors import BadLength, BadMagic, GdmError, InconsistentFrame, ParamMismatch
 from .fields import GaloisInt, SystemParams
 from .transforms import (Kind, SpectrumBlock, TimeBlock, as_kind, design, expand_leaders,
-                         in_range, inverse_batch, mod_p, _gi_coeff_array, _residues,
+                         in_range, mod_p, _gi_coeff_array, _not_ground_field, _residues,
                          _spectrum_from_array)
 # unused here; kept bound because perfbench/tracer.py wraps them in this module
 from .transforms import _forward_flat, sigma_matrix  # noqa: F401
@@ -135,7 +135,7 @@ def validate_system(params: SystemParams, kind) -> CosetTable:
 # transforms.mod_p reduces each product exactly as x - p*floor(x/p),
 # which needs that 2^52 bound: below it the correctly rounded x/p never
 # rounds up to the next integer. Symbols outside [0, p) are reduced mod p
-# first; leaders outside [0, p) go to the reference path.
+# first; leaders outside [0, p) go to reconstruct_batch, which names the frame.
 
 def mux_batch(params: SystemParams, kind, vs: np.ndarray) -> np.ndarray:
     """Compress symbol rows (F, N) to leader arrays (F, nu, 2, m); symbols are taken mod p."""
@@ -168,7 +168,8 @@ def demux_batch(params: SystemParams, kind, leaders: np.ndarray) -> np.ndarray:
     """Recover symbol rows (F, N) from leader arrays (F, nu, 2, m).
 
     Raises InconsistentFrame or NotGroundField, naming the frame, when
-    some frame is not one mux could have produced.
+    some frame is not one mux could have produced, and ValueError for
+    any other shape of leaders.
     """
     kind = as_kind(kind)
     d = design(params, kind)
@@ -179,11 +180,14 @@ def demux_batch(params: SystemParams, kind, leaders: np.ndarray) -> np.ndarray:
     if batch.shape[1:] == (d.table.nu, 2, params.m) and in_range(batch, p):
         L = batch.reshape(batch.shape[0], -1).astype(np.float64)
         vs = mod_p(L @ d.D, p)
-        if (mod_p(vs @ d.G, p) == L).all():
+        same = mod_p(vs @ d.G, p) == L
+        if same.all():
             vs = vs.astype(np.int64)
             return vs[0] if single else vs
-    vs = inverse_batch(params, kind, reconstruct_batch(params, kind, batch))
-    return vs[0] if single else vs
+    reconstruct_batch(params, kind, batch)
+    # it returns only for a right-shaped batch in [0, p) (an entry outside
+    # differs from its orbit's end), so the re-encode above ran and failed
+    raise _not_ground_field(int(same.all(axis=1).argmin()), p)
 
 
 def mux(block: TimeBlock, kind=Kind.HARTLEY) -> CompressedFrame:
@@ -321,6 +325,15 @@ def _parse_header(data: bytes, offset: int, expect: Optional[SystemParams],
     pos += m
     (nu,) = struct.unpack_from("<H", data, pos)
     pos += 2
+    # a foreign design is refused on its raw fields: building it would run
+    # the root search, seconds for a large field
+    if expect is not None and not (
+            (p, m, N) == (expect.p, expect.m, expect.N)
+            and tuple(c % p for c in poly) == tuple(expect.poly)):
+        raise ParamMismatch(f"frame for p={p}, m={m}, N={N}, poly={poly}, expected "
+                            f"p={expect.p}, m={expect.m}, N={expect.N}, poly={tuple(expect.poly)}")
+    if expect_kind is not None and kind is not as_kind(expect_kind):
+        raise ParamMismatch(f"frame kind {kind}, expected {as_kind(expect_kind)}")
     try:
         params = SystemParams.create(p, m, N, poly=poly)
     except Exception as exc:
@@ -328,10 +341,8 @@ def _parse_header(data: bytes, offset: int, expect: Optional[SystemParams],
     table = coset_table(N, p, kind)
     if nu != table.nu:
         raise ParamMismatch(f"header claims {nu} leaders, cosets give {table.nu}")
-    if expect is not None and params != expect:
+    if expect is not None and params != expect:      # the same fields, another zeta
         raise ParamMismatch(f"frame for {params}, expected {expect}")
-    if expect_kind is not None and kind is not as_kind(expect_kind):
-        raise ParamMismatch(f"frame kind {kind}, expected {as_kind(expect_kind)}")
     # the design reduces the polynomial mod p; refusing unreduced bytes
     # leaves one valid header per design
     if any(c >= p for c in poly):

@@ -24,15 +24,15 @@ them on a basis over a grid of designs; nothing re-checks them at runtime.
 
 forward_batch computes a spectrum at the coset leaders (one product
 with G) and carries each leader along its orbit by powers of the
-conjugacy map (expand_leaders); inverse_batch is one integer matrix over
-GF(p). The scalar operations (ffht_forward and friends) go through them.
+conjugacy map (expand_leaders); inverse_batch applies D to the leader
+values and checks the result with one forward_batch. The scalar
+operations (ffht_forward and friends) go through them.
 Each of these maps is a float64 BLAS product of integers in [0, p), and
 its sums stay below 2mN(p-1)^2 < 2^52 over the declared scope
 (tests/test_pipeline.py checks the extremes). mod_p reduces such sums
 exactly as x - p*floor(x/p), which needs that 2^52 bound, with no
 integer division: expand_leaders reduces its one product with the sigma
-powers that way, and inverse_batch each band of the dense inverse.
-Inputs outside [0, p) are reduced mod p first.
+powers that way. Inputs outside [0, p) are reduced mod p first.
 design() compiles, once per (params, kind), the coset table, the
 conjugacy maps and the leader-space matrices of the hot path: G (symbols
 to coset leaders, what mux applies) and D (leaders to symbols, what
@@ -58,10 +58,9 @@ vectors, with no GaloisInt arithmetic:
     longest orbit. D is gathered, like G, from one (N, 2m) table per
     orbit length.
 
-No dense matrix is part of a design. _forward_flat (2mN x N) is the
-reference tests compare forward_batch against. inverse_batch builds the
-(2mN)^2 inverse on each call: a reference too, and the path demux falls
-back to, to report a frame mux could not have produced.
+No dense matrix is part of a design, and the library builds none: the
+inverse is D. _forward_flat (2mN x N) is the reference tests compare
+forward_batch against.
 """
 
 from __future__ import annotations
@@ -202,28 +201,12 @@ def _inverse_blocks(params: SystemParams, kind, ker: np.ndarray | None = None) -
     return _gi_mul_matrices(params, ker * pow(N, -1, p) % p)
 
 
-def _inverse_rows(blocks: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """Rows of the inverse matrix for the given output positions: (2m*len, 2mN)."""
-    N, w = blocks.shape[0], blocks.shape[1]
-    # big[i, a, k, b] = blocks[i*k mod N, a, b], gathered straight into the
-    # final layout so no (N, N, 2m, 2m) temporary is transposed and copied
-    r = np.arange(w)
-    big = blocks[(np.outer(positions, np.arange(N)) % N)[:, None, :, None], r[:, None, None], r]
-    return big.reshape(len(positions) * w, N * w)
-
-
-def _inverse_flat(params: SystemParams, kind) -> np.ndarray:
-    """(2mN, 2mN) integer matrix of the inverse transform (with the 1/N factor)."""
-    return _inverse_rows(_inverse_blocks(params, kind), np.arange(params.N))
-
-
 # ---------------------------------------------------------------------------
 # compiled designs
 # ---------------------------------------------------------------------------
 
 DESIGN_CACHE_SIZE = 8             # compiled designs kept, least recently used evicted
 DESIGN_BUDGET_BYTES = 256 << 20   # largest compiled design; bigger ones are refused
-INVERSE_BAND_BYTES = 16 << 20     # largest slice of the dense inverse inverse_batch holds
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,8 +215,8 @@ class Design:
 
     G (N, n) and D (n, N), with n = 2m*nu coefficients per frame, act on
     flattened leader arrays: G is the transform restricted to the coset
-    leaders (mux) and D its left inverse, G @ D = I (mod p) (demux).
-    They are float64 so that BLAS applies them, exactly (see
+    leaders (mux) and D its left inverse, G @ D = I (mod p) (demux and
+    inverse_batch: the library's only inverse). They are float64 so that BLAS applies them, exactly (see
     pipeline.mux_batch). sigma_powers (L + 1, 2m, 2m) holds sigma^t, the
     matrix of sigma_value applied t times, for t = 0..L, L the longest
     orbit: every coset walks the same powers. walk (N + nu,) says where
@@ -410,43 +393,35 @@ def forward_batch(params: SystemParams, kind, vs: np.ndarray) -> np.ndarray:
     return expand_leaders(d, leaders.reshape(len(vs), d.table.nu, 2, params.m))[0]
 
 
-def inverse_batch(params: SystemParams, kind, spectra: np.ndarray) -> np.ndarray:
-    """Invert spectra (F, N, 2, m) back to symbol rows (F, N).
+def _not_ground_field(f: int, p: int) -> NotGroundField:
+    """The error for frame f, whose spectrum no symbol row of GF(p)^N transforms to."""
+    return NotGroundField(f"frame {f}: recovered symbols are not in GF({p})", frame_index=f)
 
-    Raises NotGroundField when any recovered value has a nonzero imaginary
-    part or nonzero high-degree coefficients. The dense inverse matrix is
-    built on every call, a band at a time, and not cached; demux reaches
-    this only for a batch holding a frame that mux could not have produced.
-    Each band is one float64 product, reduced by mod_p.
+
+def inverse_batch(params: SystemParams, kind, spectra: np.ndarray) -> np.ndarray:
+    """Invert spectra (F, N, 2, m) or (N, 2, m) back to symbol rows (F, N) or (N,).
+
+    u = S[leaders] @ D (mod p), the demux product on the leader values.
+    Since G @ D = I (mod p) and the forward map is injective, S is the
+    spectrum of a row of GF(p)^N exactly when forward_batch(u) = S, and
+    then u is that row. Raises NotGroundField naming the first frame
+    where they differ, ValueError for any other shape of spectra, and
+    UnsupportedParams for a design over the budget. Spectrum entries
+    outside [0, p) are reduced mod p first.
     """
     kind = as_kind(kind)
+    d = design(params, kind)
     N, m, p = params.N, params.m, params.p
-    spectra = _residues(np.asarray(spectra, dtype=np.int64), p)
-    single = spectra.ndim == 3
-    if single:
-        spectra = spectra[None]
-    F, w = spectra.shape[0], 2 * m
-    flat = spectra.reshape(F, N * w).astype(np.float64)
-    blocks = _inverse_blocks(params, kind).astype(np.float64)
-    out = np.empty((F, N, w), dtype=np.int64)
-    # the dense matrix, (2mN)^2 entries, is applied in bands of output
-    # positions so that no more than INVERSE_BAND_BYTES of it exist at once
-    band = max(1, INVERSE_BAND_BYTES // (8 * w * N * w))
-    for i in range(0, N, band):
-        rows = _inverse_rows(blocks, np.arange(i, min(N, i + band)))
-        out[:, i:i + band] = mod_p(flat @ rows.T, p).reshape(F, -1, w)
-    out = out.reshape(F, N, 2, m)
-    residue = np.zeros((F, N), dtype=bool)
-    residue |= (out[:, :, 1, :] != 0).any(axis=2)
-    if m > 1:
-        residue |= (out[:, :, 0, 1:] != 0).any(axis=2)
-    if residue.any():
-        f, i = np.argwhere(residue)[0]
-        raise NotGroundField(
-            f"recovered value at frame {f}, position {i} is not in GF({p})",
-            frame_index=int(f))
-    vs = out[:, :, 0, 0]
-    return vs[0] if single else vs
+    spectra = np.asarray(spectra, dtype=np.int64)
+    if spectra.ndim not in (3, 4) or spectra.shape[-3:] != (N, 2, m):
+        raise ValueError(f"expected {N} spectrum values, got an array of shape {spectra.shape}")
+    S = _residues(spectra, p).reshape(-1, N, 2, m)
+    L = S[:, d.table.leaders].reshape(len(S), -1).astype(np.float64)
+    vs = mod_p(L @ d.D, p).astype(np.int64)
+    bad = (forward_batch(params, kind, vs) != S).any(axis=(1, 2, 3))
+    if bad.any():
+        raise _not_ground_field(int(bad.argmax()), p)
+    return vs[0] if spectra.ndim == 3 else vs
 
 
 def _spectrum_from_array(params: SystemParams, kind: Kind, arr: np.ndarray) -> SpectrumBlock:

@@ -2,10 +2,12 @@
 
 import numpy as np
 
-from gdmux import GaloisInt, GdmError, InconsistentFrame, Kind, SystemParams, TimeBlock
+from gdmux import (GaloisInt, GdmError, InconsistentFrame, Kind, NotGroundField, SystemParams,
+                   TimeBlock)
 from gdmux.cosets import CosetTable, coset_table
 from gdmux.fields import ExtField, FieldElement, is_prime
 from gdmux.pipeline import demux_batch, iter_frames, leader_array, mux, serialize
+from gdmux.transforms import _inverse_blocks
 
 # desk-scale systems with p^m <= 1000, used for exhaustive property checks
 SMALL_SYSTEMS = [
@@ -145,6 +147,50 @@ def leader_inverse(params: SystemParams, blocks: np.ndarray, maps) -> np.ndarray
     return np.concatenate([
         np.einsum("tib,tba->ai", row0[np.outer(orbit, i) % N], sigma_t[:len(orbit)]) % p
         for orbit, sigma_t in maps])
+
+
+def outcome_of(exc: GdmError):
+    """(class name, message, frame_index) of an error, to compare two paths' errors."""
+    return (type(exc).__name__, str(exc), exc.frame_index)
+
+
+def outcome(fn, *args):
+    """("ok", values as lists) of fn(*args), or outcome_of the GdmError it raises."""
+    try:
+        return ("ok", fn(*args).tolist())
+    except GdmError as exc:
+        return outcome_of(exc)
+
+
+def inverse_matrix(params: SystemParams, kind) -> np.ndarray:
+    """(2mN, 2mN) integer matrix of the inverse transform, the 1/N factor included.
+
+    Block (i, k) is the (2m, 2m) inverse-kernel block at argument i*k mod N.
+    """
+    blocks = _inverse_blocks(params, kind)
+    N, w = blocks.shape[0], blocks.shape[1]
+    n, r = np.arange(N), np.arange(w)
+    # big[i, a, k, b] = blocks[i*k mod N, a, b], gathered straight into the final layout
+    big = blocks[(np.outer(n, n) % N)[:, None, :, None], r[:, None, None], r]
+    return big.reshape(N * w, N * w)
+
+
+def dense_inverse(params: SystemParams, kind, spectra) -> np.ndarray:
+    """Symbol rows (F, N) or (N,) of spectra (F, N, 2, m) or (N, 2, m), through inverse_matrix.
+
+    Raises NotGroundField at the first frame where some recovered value
+    has a nonzero imaginary part or nonzero high-degree coefficients.
+    """
+    N, m, p = params.N, params.m, params.p
+    spectra = np.asarray(spectra, dtype=np.int64) % p
+    flat = spectra.reshape(-1, N * 2 * m)
+    out = (flat @ inverse_matrix(params, kind).T % p).reshape(len(flat), N, 2 * m)
+    residue = out[:, :, 1:].any(axis=(1, 2))
+    if residue.any():
+        f = int(np.argmax(residue))
+        raise NotGroundField(f"frame {f}: recovered symbols are not in GF({p})", frame_index=f)
+    vs = out[:, :, 0]
+    return vs[0] if spectra.ndim == 3 else vs
 
 
 def reconstruct_walk(params: SystemParams, kind, leaders) -> np.ndarray:

@@ -2,6 +2,7 @@ import importlib
 import itertools
 import math
 import re
+import struct
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,9 +17,10 @@ from gdmux.fields import MAX_FIELD_SIZE, MAX_PRIME, is_prime
 from gdmux.pipeline import (CompressedFrame, decode_frames, demux_batch, encode_frames,
                             frame_byte_length, frame_header, leader_array, mux_batch,
                             reconstruct_batch, validate_system)
-from gdmux.transforms import _forward_flat, design, expand_leaders, forward_batch, inverse_batch
+from gdmux.transforms import _forward_flat, design, expand_leaders, forward_batch
 
-from support import ACCEPT_SYSTEMS, design_grid, make, reconstruct_walk
+from support import (ACCEPT_SYSTEMS, dense_inverse, design_grid, make, outcome, outcome_of,
+                     reconstruct_walk)
 
 
 @pytest.fixture(scope="module")
@@ -127,26 +129,15 @@ def test_inconsistent_frame_detected(p3326):
     leaders = list(good.leaders)
     leaders[0] = p3326.ring.element(0, 1)
     for frame in (bad, CompressedFrame(p3326, Kind.HARTLEY, tuple(leaders))):
-        want = _outcome(reconstruct_walk, p3326, Kind.HARTLEY, leader_array(frame))
+        want = outcome(reconstruct_walk, p3326, Kind.HARTLEY, leader_array(frame))
         assert want[0] == "InconsistentFrame"
         with pytest.raises(InconsistentFrame) as raised:
             reconstruct_spectrum(frame)
-        assert _outcome_of(raised.value) == want
-
-
-def _outcome_of(exc):
-    return (type(exc).__name__, str(exc), exc.frame_index)
-
-
-def _outcome(fn, *args):
-    try:
-        return ("ok", fn(*args).tolist())
-    except GdmError as exc:
-        return _outcome_of(exc)
+        assert outcome_of(raised.value) == want
 
 
 def _reference_demux(params, kind, leaders):
-    return inverse_batch(params, kind, reconstruct_walk(params, kind, leaders))
+    return dense_inverse(params, kind, reconstruct_walk(params, kind, leaders))
 
 
 @pytest.mark.parametrize("p,m,N", ACCEPT_SYSTEMS)
@@ -189,13 +180,13 @@ def test_demux_of_corrupted_frames_matches_reference(p, m, N, kind):
         for _ in range(int(rng.integers(1, 4))):
             f, c = int(rng.integers(F)), int(rng.integers(flat.shape[1]))
             flat[f, c] = (flat[f, c] + rng.integers(1, p)) % p
-        got = _outcome(demux_batch, params, kind, leaders)
-        assert got == _outcome(_reference_demux, params, kind, leaders)
-        assert _outcome(reconstruct_batch, params, kind, leaders) == _outcome(
+        got = outcome(demux_batch, params, kind, leaders)
+        assert got == outcome(_reference_demux, params, kind, leaders)
+        assert outcome(reconstruct_batch, params, kind, leaders) == outcome(
             reconstruct_walk, params, kind, leaders)
         if F == 1:   # one frame without the batch axis
             want = ("ok", got[1][0]) if got[0] == "ok" else got
-            assert _outcome(demux_batch, params, kind, leaders[0]) == want
+            assert outcome(demux_batch, params, kind, leaders[0]) == want
         seen.add(got[0])
     assert len(seen) > 1   # both silent and detected corruptions occurred
     # entries outside [0, p) are not frames mux produces: the [0, p) guard
@@ -209,9 +200,9 @@ def test_demux_of_corrupted_frames_matches_reference(p, m, N, kind):
         odd.reshape(2, -1)[1, rng.integers(odd[0].size)] = big
         odds.append(odd)
     for odd in odds:
-        assert _outcome(demux_batch, params, kind, odd) == _outcome(
+        assert outcome(demux_batch, params, kind, odd) == outcome(
             _reference_demux, params, kind, odd)
-        assert _outcome(reconstruct_batch, params, kind, odd) == _outcome(
+        assert outcome(reconstruct_batch, params, kind, odd) == outcome(
             reconstruct_walk, params, kind, odd)
 
 
@@ -391,6 +382,34 @@ def test_iter_frames_checks_each_new_header(p514, p3326, monkeypatch):
         assert len(seen) == 3
 
 
+def test_foreign_header_refused_before_any_design_is_built(p514, p3326, monkeypatch):
+    # a header naming another design, or another kind, is refused on its raw
+    # fields; building (3, 12, 80) first would take seconds of root search
+    good = serialize(mux(TimeBlock(p3326, (1,) * 26), Kind.HARTLEY))
+    foreign = [struct.pack("<4sHBHB", b"GDM1", 3, 12, 80, 1) + bytes(12) + struct.pack("<H", 7),
+               serialize(mux(TimeBlock(p514, (4, 0, 1, 2)), Kind.HARTLEY)),
+               good[:10] + bytes([2, 0, 1]) + good[13:],   # another polynomial of GF(27)
+               serialize(mux(TimeBlock(p3326, (1,) * 26), Kind.FOURIER))]
+    calls = []
+    create = SystemParams.create.__func__
+    monkeypatch.setattr(SystemParams, "create", classmethod(
+        lambda cls, *a, **kw: calls.append(a) or create(cls, *a, **kw)))
+    for header in foreign:
+        for blob, index in ((header, 0), (good * 2 + header, 2)):
+            calls.clear()
+            with pytest.raises(ParamMismatch) as parsed:
+                list(iter_frames(blob, expect=p3326, expect_kind=Kind.HARTLEY))
+            assert parsed.value.frame_index == index
+            assert len(calls) == min(index, 1)   # only the good header is built
+            with pytest.raises(ParamMismatch) as decoded:
+                decode_frames(blob, p3326, Kind.HARTLEY)
+            assert (str(decoded.value), decoded.value.frame_index) == (str(parsed.value), index)
+        calls.clear()
+        with pytest.raises(ParamMismatch):
+            deserialize(header, expect=p3326, expect_kind=Kind.HARTLEY)
+        assert calls == []
+
+
 def test_unreduced_polynomial_byte_refused(p514, p3326):
     # the design reduces polynomial coefficients mod p, so c and c + p would
     # name the same system; only c is a valid header byte
@@ -399,6 +418,10 @@ def test_unreduced_polynomial_byte_refused(p514, p3326):
         blob[10] += params.p
         with pytest.raises(ParamMismatch, match=r"polynomial coefficient byte >= p"):
             deserialize(bytes(blob))
+        # also when the design is expected: the raw header check compares
+        # polynomials mod p and leaves the byte to this rule
+        with pytest.raises(ParamMismatch, match=r"polynomial coefficient byte >= p"):
+            deserialize(bytes(blob), expect=params, expect_kind=Kind.HARTLEY)
 
 
 def test_iter_frames_errors_carry_their_frame_index(p514):

@@ -13,12 +13,12 @@ from gdmux.cosets import coset_table
 from gdmux.fields import MAX_PRIME, is_prime
 from gdmux.pipeline import demux_batch, mux_batch, validate_system
 from gdmux.transforms import (DESIGN_BUDGET_BYTES, DESIGN_CACHE_SIZE, _forward_flat,
-                              _inverse_blocks, _inverse_flat, _kernel_coeffs, design,
+                              _inverse_blocks, _kernel_coeffs, design,
                               design_nbytes, mod_p, sigma_index, sigma_matrix, sigma_value,
                               spectrum_to_array)
 
 import support
-from support import SMALL_SYSTEMS, design_grid, forward_definition, make
+from support import SMALL_SYSTEMS, design_grid, forward_definition, make, outcome
 
 
 @pytest.fixture(scope="module")
@@ -304,7 +304,7 @@ def _loop_inverse(params, kind):
 def test_design_matrices_match_loop_builders(p, m, N, kind):
     params = make(p, m, N)
     assert np.array_equal(_forward_flat(params, kind), _loop_forward(params, kind))
-    assert np.array_equal(_inverse_flat(params, kind), _loop_inverse(params, kind))
+    assert np.array_equal(support.inverse_matrix(params, kind), _loop_inverse(params, kind))
 
 
 @pytest.mark.parametrize("p,m,N", [(5, 1, 4), (13, 1, 12), (3, 3, 26)])
@@ -314,24 +314,45 @@ def test_kernel_builders_accept_string_kind(p, m, N):
         assert np.array_equal(_kernel_coeffs(params, kind.value), _kernel_coeffs(params, kind))
         assert np.array_equal(_inverse_blocks(params, kind.value), _inverse_blocks(params, kind))
         assert np.array_equal(_forward_flat(params, kind.value), _forward_flat(params, kind))
-        assert np.array_equal(_inverse_flat(params, kind.value), _inverse_flat(params, kind))
+        assert np.array_equal(support.inverse_matrix(params, kind.value),
+                              support.inverse_matrix(params, kind))
     assert not np.array_equal(_forward_flat(params, "hartley"), _forward_flat(params, "fourier"))
 
 
-def test_inverse_batch_in_bands_matches_dense_matrix(monkeypatch):
-    params = make(3, 3, 26)
-    rng = np.random.default_rng(18)
-    vs = rng.integers(0, 3, size=(6, 26))
-    spectra = forward_batch(params, Kind.FOURIER, vs)
-    bad = spectra.copy()
-    bad[3, 7, 1, 2] = (bad[3, 7, 1, 2] + 1) % 3
-    dense = (bad.reshape(6, -1) @ _inverse_flat(params, Kind.FOURIER).T) % 3
-    residue = dense.reshape(6, 26, 6)[:, :, 1:].any(axis=2)
-    f, i = np.argwhere(residue)[0]
-    monkeypatch.setattr(transforms, "INVERSE_BAND_BYTES", 8 * 6 * 26 * 6 * 4)   # 4 positions
-    assert np.array_equal(inverse_batch(params, Kind.FOURIER, spectra), vs)
-    with pytest.raises(NotGroundField, match=f"frame {f}, position {i} "):
-        inverse_batch(params, Kind.FOURIER, bad)
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SMALL_SYSTEMS), st.sampled_from([Kind.HARTLEY, Kind.FOURIER]), st.data())
+def test_inverse_batch_matches_dense_inverse(pmn, kind, data):
+    # the leader-space inverse and re-encode give what the dense (2mN)^2
+    # inverse gives, values or NotGroundField at the same frame, on the
+    # spectra of symbol rows and on those spectra with coefficients changed
+    params = make(*pmn)
+    p, m, N = pmn
+    F = data.draw(st.integers(1, 4), label="frames")
+    vs = np.array(data.draw(st.lists(st.integers(0, p - 1), min_size=F * N, max_size=F * N),
+                            label="symbols")).reshape(F, N)
+    spectra = forward_batch(params, kind, vs)
+    flat = spectra.reshape(F, -1)
+    for _ in range(data.draw(st.integers(0, 3), label="corruptions")):
+        f = data.draw(st.integers(0, F - 1), label="frame")
+        c = data.draw(st.integers(0, flat.shape[1] - 1), label="coefficient")
+        flat[f, c] = (flat[f, c] + data.draw(st.integers(1, p - 1), label="delta")) % p
+    got = outcome(inverse_batch, params, kind, spectra)
+    assert got == outcome(support.dense_inverse, params, kind, spectra)
+    assert got[0] in ("ok", "NotGroundField")
+    if F == 1:   # one spectrum without the batch axis
+        assert outcome(inverse_batch, params, kind, spectra[0]) == outcome(
+            support.dense_inverse, params, kind, spectra[0])
+
+
+@pytest.mark.parametrize("shape", [(3, 48, 4, 1), (3, 96, 2, 1), (3, 24, 2, 4), (3, 48, 2, 1),
+                                   (48, 4), (3, 48, 4), (2, 3, 48, 2, 2)])
+def test_wrongly_shaped_spectra_refused(shape):
+    # (3, 48, 4, 1), (3, 96, 2, 1) and (3, 24, 2, 4) hold as many entries as
+    # three (48, 2, 2) spectra, and used to invert to (3, 48) wrong symbols
+    params = make(7, 2, 48)
+    spectra = np.ones(shape, dtype=np.int64)
+    with pytest.raises(ValueError, match=r"^expected 48 spectrum values, got an array of shape"):
+        inverse_batch(params, Kind.HARTLEY, spectra)
 
 
 def test_design_3_5_242_builds_and_round_trips():
@@ -389,6 +410,8 @@ def test_design_over_budget_refused_before_allocation():
     assert peak < 1 << 20
     with pytest.raises(UnsupportedParams):
         validate_system(params, Kind.FOURIER)
+    with pytest.raises(UnsupportedParams):   # the inverse is the design's D
+        inverse_batch(params, Kind.HARTLEY, np.zeros((3280, 2, 8), dtype=np.int64))
 
 
 @pytest.mark.parametrize("p,m,N", [(3, 1, 2), (5, 2, 24), (3, 3, 13), (7, 2, 48), (3, 4, 80)])
