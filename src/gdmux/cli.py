@@ -13,11 +13,21 @@ pipeline.demux_batch. Only when the bulk parse refuses the text does mux
 re-read it line by line, to report the first bad line as "line N: ...";
 decode_frames does the same for frames, and demux reports the first bad
 frame as "frame N: ...".
+
+demux formats its text from a digit table: each symbol becomes the
+right-aligned digits of the design's widest symbol p-1 plus a space or
+a newline, with 0 bytes for the leading blanks, and one compaction
+drops those. --out names stdout ("-") or a file, which is overwritten
+in place and then cut at the end of the new bytes, so no byte of its
+old content is left after them, also when a write fails. Nothing is
+fsynced.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
+import stat
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -35,7 +45,22 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_SELFTEST = 3
 
-_SYMBOL_TEXT = tuple(str(s) for s in range(MAX_PRIME))   # demux output, faster than str()
+_OUT_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+
+
+def _digit_table(n: int) -> np.ndarray:
+    """(n, w) uint8 ASCII digits of 0..n-1, right-aligned, a 0 byte per leading blank.
+
+    Built by one printf-style format rather than numpy arithmetic: ufuncs
+    that nothing else in a CLI process runs would map their code pages
+    and grow its peak RSS.
+    """
+    w = len(str(n - 1))
+    text = (f"%{w}d" * n % tuple(range(n))).replace(" ", "\0")
+    return np.frombuffer(text.encode(), np.uint8).reshape(n, w)
+
+
+_DIGITS = _digit_table(MAX_PRIME)   # demux text: p uses the last len(str(p - 1)) columns
 
 
 def _parse_poly(text):
@@ -122,11 +147,29 @@ def _read_bytes(path: str) -> bytes:
 
 
 def _write_bytes(path: str, data: bytes) -> None:
+    """Write data to stdout ("-") or over the file at path.
+
+    A regular file is cut at the end of what was written, also when a
+    write fails, so no byte of its old content is left after the new
+    ones. It is not truncated to zero first, as open(path, "wb") does:
+    that frees its blocks, and ext4 (auto_da_alloc) then starts writeback
+    at close, which costs ten times the write itself.
+    """
     if path == "-":
         sys.stdout.buffer.write(data)
-    else:
-        with open(path, "wb") as fh:
-            fh.write(data)
+        return
+    fd = os.open(path, _OUT_FLAGS, 0o666)
+    try:
+        st = os.fstat(fd)
+        written = 0
+        try:
+            while written < len(data):
+                written += os.write(fd, data[written:])
+        finally:
+            if stat.S_ISREG(st.st_mode) and st.st_size > written:
+                os.ftruncate(fd, written)
+    finally:
+        os.close(fd)
 
 
 def cmd_design(args) -> int:
@@ -216,6 +259,16 @@ def cmd_mux(args) -> int:
     return EXIT_OK
 
 
+def _symbol_text(vs: np.ndarray, p: int) -> bytes:
+    """(F, N) symbols in [0, p) as F lines of N space-separated decimals."""
+    width = len(str(p - 1))
+    buf = np.empty(vs.shape + (width + 1,), dtype=np.uint8)
+    buf[..., :width] = np.take(_DIGITS[:, -width:], vs, axis=0)
+    buf[..., width] = ord(" ")
+    buf[:, -1, width] = ord("\n")
+    return buf[buf != 0].tobytes()
+
+
 def cmd_demux(args) -> int:
     params = _params(args)
     kind = as_kind(args.kind)
@@ -233,8 +286,7 @@ def cmd_demux(args) -> int:
         except GdmError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_DATA
-        out = ("\n".join(" ".join([_SYMBOL_TEXT[s] for s in row]) for row in vs.tolist())
-               + "\n").encode()
+        out = _symbol_text(vs, params.p)
     _write_bytes(args.outfile, out)
     return EXIT_OK
 

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import gdmux
 from gdmux import UnsupportedParams, cli, transforms
 from gdmux.cli import main
 from gdmux.fields import SystemParams, find_root_of_unity
@@ -189,6 +195,103 @@ def test_unreadable_input_and_unwritable_output_exit_1(tmp_path, capsys, command
         assert err.startswith("error: [Errno ")
 
 
+# ---------------------------------------------------------------------------
+# --out: overwrite in place, trim, and errors from the device or the limit
+# ---------------------------------------------------------------------------
+
+_MUX_ARGS = ["-p", "3", "-m", "3", "-N", "26"]
+
+
+def _mux_text(lines):
+    rng = np.random.default_rng(7)
+    return "".join(" ".join(map(str, r)) + "\n" for r in rng.integers(0, 3, (lines, 26)).tolist())
+
+
+def _outputs_of(tmp_path, capsys, command):
+    """Run one command into fresh files: (argv builder taking --out and --acf-out, their bytes)."""
+    src = tmp_path / "in"
+    if command == "psd":
+        def argv(out, acf):
+            return ["psd", "-p", "5", "-N", "4", "--frames", "256", "--realizations", "4",
+                    "--nfft", "16", "--out", str(out), "--acf-out", str(acf)]
+    else:
+        src.write_text(_mux_text(30))
+        if command == "demux":
+            assert main(["mux", *_MUX_ARGS, "--in", str(src), "--out", str(tmp_path / "frames")]) == 0
+            src = tmp_path / "frames"
+
+        def argv(out, acf):
+            return [command, *_MUX_ARGS, "--in", str(src), "--out", str(out)]
+    want = [tmp_path / "want.out", tmp_path / "want.acf"]
+    assert main(argv(*want)) == 0
+    capsys.readouterr()
+    return argv, [w.read_bytes() for w in want if w.exists()]
+
+
+@pytest.mark.parametrize("command", ["mux", "demux", "psd"])
+def test_out_overwrites_an_existing_file_with_exactly_the_new_bytes(tmp_path, capsys, command):
+    argv, want = _outputs_of(tmp_path, capsys, command)
+    outs = [tmp_path / "o.out", tmp_path / "o.acf"]
+    for extra in (1000, 1, 0, -1, -len(min(want, key=len)) // 2):   # longer, same, shorter
+        for path, w in zip(outs, want):
+            path.write_bytes(b"\xff" * (len(w) + extra))
+        assert main(argv(*outs)) == 0
+        assert [path.read_bytes() for path in outs[:len(want)]] == want, extra
+    capsys.readouterr()
+
+
+def test_out_creates_a_file_with_the_mode_open_gives(tmp_path, capsys):
+    src = tmp_path / "in"
+    src.write_text(_mux_text(2))
+    old = os.umask(0o002)
+    try:
+        with open(tmp_path / "reference", "wb"):
+            pass
+        assert main(["mux", *_MUX_ARGS, "--in", str(src), "--out", str(tmp_path / "o")]) == 0
+    finally:
+        os.umask(old)
+    mode = {name: (tmp_path / name).stat().st_mode for name in ("reference", "o")}
+    assert mode["o"] == mode["reference"]
+
+
+@pytest.mark.parametrize("command", ["mux", "demux"])
+@pytest.mark.parametrize("device,code,message", [
+    ("/dev/null", 0, ""), ("/dev/full", 1, "error: [Errno 28] ")])
+def test_out_to_a_device_is_written_and_not_trimmed(tmp_path, capsys, command, device, code,
+                                                     message):
+    if not os.path.exists(device):
+        pytest.skip(f"no {device} here")
+    argv, _ = _outputs_of(tmp_path, capsys, command)
+    got, _, err = run(capsys, *argv(device, None))
+    assert (got, err[:len(message)]) == (code, message)
+
+
+def test_failed_write_leaves_no_old_bytes_after_the_new_ones(tmp_path, capsys):
+    resource = pytest.importorskip("resource")
+    import signal
+    if not hasattr(signal, "SIGXFSZ"):
+        pytest.skip("no SIGXFSZ here")
+    argv, (want,) = _outputs_of(tmp_path, capsys, "mux")
+    limit = len(want) // 2
+    out = tmp_path / "o"
+    out.write_bytes(b"\xff" * (len(want) + 1000))
+    # the file size limit and the ignored signal hold in the child process only
+    child = ("import resource, signal, sys\n"
+             "from gdmux.cli import main\n"
+             "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+             "hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]\n"
+             f"resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, hard))\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=str(Path(gdmux.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", child, *argv(out, None)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: [Errno 27] ")
+    got = out.read_bytes()
+    assert len(got) <= limit and want.startswith(got)
+
+
 def test_main_calls_share_no_parser_state(monkeypatch):
     seen = []
     for name in ("mux", "demux", "crosstalk"):
@@ -217,6 +320,10 @@ def test_params_create_searches_the_root_once():
 # ---------------------------------------------------------------------------
 # bulk mux/demux against the per-line and per-frame oracles
 # ---------------------------------------------------------------------------
+
+# ACCEPT_SYSTEMS plus 2- and 3-digit alphabets, for the text codec
+CLI_SYSTEMS = ACCEPT_SYSTEMS + [(11, 2, 40), (101, 1, 100)]
+
 
 def _cli_file(tmp_path, capsys, command, params, kind, data):
     src, dst = tmp_path / f"{command}.in", tmp_path / f"{command}.out"
@@ -302,7 +409,7 @@ def _outcome(result):
 def test_bulk_mux_matches_per_line_oracle(tmp_path, capsys):
     rng = np.random.default_rng(41)
     outcomes = set()
-    for p, m, N in ACCEPT_SYSTEMS:
+    for p, m, N in CLI_SYSTEMS:
         params = make(p, m, N)
         for kind in ("hartley", "fourier"):
             for case, text in _mux_corpus(p, N, rng).items():
@@ -329,7 +436,7 @@ def test_bulk_mux_refuses_an_over_budget_design_as_per_line(tmp_path, capsys, mo
 def test_bulk_demux_matches_per_frame_oracle(tmp_path, capsys):
     rng = np.random.default_rng(42)
     outcomes = set()
-    designs = [make(*pmn) for pmn in ACCEPT_SYSTEMS]
+    designs = [make(*pmn) for pmn in CLI_SYSTEMS]
     for params, other in zip(designs, designs[1:] + designs[:1]):
         for kind, other_kind in (("hartley", "fourier"), ("fourier", "hartley")):
             corpus = _demux_corpus(params, kind, _zero_frame(params, other_kind),
