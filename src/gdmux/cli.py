@@ -8,11 +8,10 @@ not UTF-8), 3 selftest failure.
 mux and demux move a whole file through one array. mux parses every
 non-blank line into an (F, N) symbol array, muxes it with one
 pipeline.mux_batch and writes it with one pipeline.encode_frames; demux
-reads it with one pipeline.decode_frames and demuxes it with one
-pipeline.demux_batch. Only when the bulk parse refuses the text does mux
-re-read it line by line, to report the first bad line as "line N: ...";
-decode_frames does the same for frames, and demux reports the first bad
-frame as "frame N: ...".
+reads it with one pipeline.decode_frames, which names the first bad frame
+("frame N: ..."), and demuxes it with one pipeline.demux_batch. Only when
+the bulk parse refuses the text does mux re-read it line by line, to
+report the first bad line as "line N: ...".
 
 demux formats its text from a digit table: each symbol becomes the
 right-aligned digits of the design's widest symbol p-1 plus a space or

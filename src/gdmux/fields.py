@@ -370,6 +370,11 @@ class GaloisRing:
         f = self.field
         return GaloisInt(f.element(re_coeffs), f.element(im_coeffs))
 
+    def from_array(self, arr) -> tuple["GaloisInt", ...]:
+        """The values of an (n, 2, m) coefficient array; axis 1 is re/im."""
+        f = self.field
+        return tuple(GaloisInt(f.element(re), f.element(im)) for re, im in arr.tolist())
+
     def __repr__(self):
         if self.field.m == 1:
             return f"GI({self.field.p})"

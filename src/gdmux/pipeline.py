@@ -13,10 +13,10 @@ x - p*floor(x/p), in float, with no integer division (see the comment
 above mux_batch). demux_batch accepts a batch whose leaders lie in
 [0, p) when re-encoding gives them back (v @ G = L), i.e. when every
 frame is one mux could have produced; the re-encode is the syndrome
-check. Otherwise reconstruct_batch re-expands the spectrum along each
-orbit (transforms.expand_leaders, as forward_batch does) and names the
-first frame whose orbit does not close (InconsistentFrame), or else the
-first frame that did not re-encode (NotGroundField).
+check. Otherwise it checks that each orbit closes (sigma^len(orbit) @
+leader = leader, with no spectrum expanded) and names the first frame
+whose orbit does not (InconsistentFrame), or else the first frame that
+did not re-encode (NotGroundField).
 
 Efficiency metrics are kept as exact rationals: the bandwidth compactness
 factor gamma_cc = N/nu, channel gain 100(1 - 1/gamma_cc) percent,
@@ -31,11 +31,10 @@ Wire format (little endian): magic "GDM1", u16 p, u8 m, u16 N, u8 kind
 of 2m bytes each (re coefficients low-first, then im), one byte per GF(p)
 coefficient. Every byte of a header is determined by the design, so a
 stream of one design is a (frames, frame_len) byte array.
-encode_frames writes such a stream in one piece and decode_frames reads
-it in one piece: one array comparison against the expected header, one
-range check of the coefficients. When either check fails, decode_frames
-runs the per-frame parser iter_frames over the same bytes, and that
-raises the error that names the first bad frame.
+encode_frames writes such a stream in one piece. decode_frames,
+iter_frames and deserialize read one run of frames with equal headers at
+a time: one header comparison and one coefficient range check per run,
+so a refused stream costs what an accepted one does.
 
 Leaders that no frame of symbols maps to raise (InconsistentFrame /
 NotGroundField). A corruption that turns one valid frame into another
@@ -56,9 +55,9 @@ import numpy as np
 from .cosets import CosetTable, coset_table
 from .errors import BadLength, BadMagic, GdmError, InconsistentFrame, ParamMismatch
 from .fields import GaloisInt, SystemParams
-from .transforms import (Kind, SpectrumBlock, TimeBlock, as_kind, design, expand_leaders,
-                         in_range, mod_p, _gi_coeff_array, _not_ground_field, _residues,
-                         _spectrum_from_array)
+from .transforms import (Design, Kind, SpectrumBlock, TimeBlock, as_kind, design, expand_leaders,
+                         in_range, mod_p, _gi_coeff_array, _leader_rows, _not_ground_field,
+                         _residues)
 # unused here; kept bound because perfbench/tracer.py wraps them in this module
 from .transforms import _forward_flat, sigma_matrix  # noqa: F401
 
@@ -131,11 +130,10 @@ def validate_system(params: SystemParams, kind) -> CosetTable:
 # The float64 products below are exact: their operands are integers in
 # [0, p), so every partial sum is an integer below n*(p-1)^2, n = 2m*nu
 # <= 2mN, and that stays under 2^52 for every p <= MAX_PRIME and
-# p^m <= MAX_FIELD_SIZE (tests/test_pipeline.py checks the extremes).
-# transforms.mod_p reduces each product exactly as x - p*floor(x/p),
-# which needs that 2^52 bound: below it the correctly rounded x/p never
-# rounds up to the next integer. Symbols outside [0, p) are reduced mod p
-# first; leaders outside [0, p) go to reconstruct_batch, which names the frame.
+# p^m <= MAX_FIELD_SIZE (tests/test_pipeline.py checks the extremes), the
+# bound below which transforms.mod_p reduces x - p*floor(x/p) exactly.
+# Symbols outside [0, p) are reduced mod p first; leaders outside [0, p)
+# fail _check_orbits, which names the frame.
 
 def mux_batch(params: SystemParams, kind, vs: np.ndarray) -> np.ndarray:
     """Compress symbol rows (F, N) to leader arrays (F, nu, 2, m); symbols are taken mod p."""
@@ -145,23 +143,32 @@ def mux_batch(params: SystemParams, kind, vs: np.ndarray) -> np.ndarray:
     return L.astype(np.int64).reshape(vs.shape[0], d.table.nu, 2, params.m)
 
 
-def reconstruct_batch(params: SystemParams, kind, leaders: np.ndarray) -> np.ndarray:
-    """Expand leader arrays (F, nu, 2, m) to full spectra (F, N, 2, m).
-
-    Checks that every orbit walk closes; a mismatch means the frame was
-    corrupted (it cannot happen for frames produced by mux). The error
-    names the first such frame of the first coset that does not close.
-    """
-    d = design(params, as_kind(kind))
-    leaders = np.asarray(leaders, dtype=np.int64)
-    spectra, ends = expand_leaders(d, leaders)
-    bad = (ends != leaders.reshape(ends.shape)).any(axis=(2, 3))      # (F, nu)
+def _check_orbits(d: Design, leaders: np.ndarray) -> None:
+    """Raise InconsistentFrame, at the first coset and then frame, where sigma^len(orbit) @
+    leader != leader (as for any leader outside [0, p)); ValueError for a wrong shape."""
+    p = d.params.p
+    lead = _leader_rows(d, leaders).transpose(1, 0, 2)               # (nu, F, 2m)
+    # walk[N + c] is step len(orbit_c) in coset c's block of L + 1 steps
+    closing = d.sigma_powers[d.walk[d.params.N:] % len(d.sigma_powers)].transpose(0, 2, 1)
+    ends = mod_p(_residues(lead, p).astype(np.float64) @ closing.astype(np.float64), p)
+    bad = (ends != lead).any(axis=2)                                 # (nu, F)
     if bad.any():
-        c, f = np.argwhere(bad.T)[0]      # the first coset in leader order, then its first frame
+        c, f = np.argwhere(bad)[0]
         raise InconsistentFrame(
             f"frame {f}: orbit of leader {d.table.leaders[c]} does not close on its value",
             frame_index=int(f))
-    return spectra[0] if leaders.ndim == 3 else spectra
+
+
+def reconstruct_batch(params: SystemParams, kind, leaders: np.ndarray) -> np.ndarray:
+    """Expand leader arrays (F, nu, 2, m) to full spectra (F, N, 2, m).
+
+    Checks first that every orbit walk closes; a mismatch means the frame
+    was corrupted (it cannot happen for frames produced by mux).
+    """
+    d = design(params, as_kind(kind))
+    _check_orbits(d, leaders)
+    spectra = expand_leaders(d, leaders)
+    return spectra[0] if np.ndim(leaders) == 3 else spectra
 
 
 def demux_batch(params: SystemParams, kind, leaders: np.ndarray) -> np.ndarray:
@@ -184,9 +191,9 @@ def demux_batch(params: SystemParams, kind, leaders: np.ndarray) -> np.ndarray:
         if same.all():
             vs = vs.astype(np.int64)
             return vs[0] if single else vs
-    reconstruct_batch(params, kind, batch)
+    _check_orbits(d, batch)
     # it returns only for a right-shaped batch in [0, p) (an entry outside
-    # differs from its orbit's end), so the re-encode above ran and failed
+    # does not close its orbit), so the re-encode above ran and failed
     raise _not_ground_field(int(same.all(axis=1).argmin()), p)
 
 
@@ -194,14 +201,12 @@ def mux(block: TimeBlock, kind=Kind.HARTLEY) -> CompressedFrame:
     """Transform one frame and keep the coset-leader values, in leader order."""
     kind = as_kind(kind)
     arr = mux_batch(block.params, kind, np.array([block.symbols]))[0]
-    ring = block.params.ring
-    vals = tuple(ring.from_coeffs(arr[i, 0], arr[i, 1]) for i in range(arr.shape[0]))
-    return CompressedFrame(block.params, kind, vals)
+    return CompressedFrame(block.params, kind, block.params.ring.from_array(arr))
 
 
 def reconstruct_spectrum(frame: CompressedFrame) -> SpectrumBlock:
     arr = reconstruct_batch(frame.params, frame.kind, leader_array(frame))
-    return _spectrum_from_array(frame.params, frame.kind, arr)
+    return SpectrumBlock(frame.params, frame.kind, frame.params.ring.from_array(arr))
 
 
 def leader_array(frame: CompressedFrame) -> np.ndarray:
@@ -270,11 +275,7 @@ def frame_header(params: SystemParams, kind) -> bytes:
 
 
 def serialize(frame: CompressedFrame) -> bytes:
-    out = bytearray(frame_header(frame.params, frame.kind))
-    for z in frame.leaders:
-        out += bytes(z.re.coeffs)
-        out += bytes(z.im.coeffs)
-    return bytes(out)
+    return encode_frames(frame.params, frame.kind, leader_array(frame)[None])
 
 
 def encode_frames(params: SystemParams, kind, leaders: np.ndarray) -> bytes:
@@ -286,25 +287,14 @@ def encode_frames(params: SystemParams, kind, leaders: np.ndarray) -> bytes:
 
 
 def decode_frames(data: bytes, params: SystemParams, kind) -> np.ndarray:
-    """Leader arrays (F, nu, 2, m) of a stream of frames of (params, kind).
-
-    Raises what iter_frames(data, params, kind) raises, at the same frame:
-    the bulk checks accept exactly the streams iter_frames accepts, since
-    with the design known only one header byte string is valid.
-    """
+    """Leader arrays (F, nu, 2, m) of a stream of (params, kind); raises as iter_frames does."""
     kind = as_kind(kind)
-    header = frame_header(params, kind)
-    nu, m = coset_table(params.N, params.p, kind).nu, params.m
-    frame_len = len(header) + nu * 2 * m
-    if len(data) % frame_len == 0:
-        frames = np.frombuffer(data, dtype=np.uint8).reshape(-1, frame_len)
-        body = frames[:, len(header):]
-        if ((frames[:, :len(header)] == np.frombuffer(header, dtype=np.uint8)).all()
-                and (body < params.p).all()):
-            return body.reshape(-1, nu, 2, m).astype(np.int64)
-    for _ in iter_frames(data, expect=params, expect_kind=kind):
-        pass
-    raise AssertionError("iter_frames accepted a stream the bulk checks refused")
+    runs, error = _frame_runs(data, params, kind, (frame_header(params, kind), params, kind))
+    if error:
+        raise error
+    if not runs:
+        return np.zeros((0, coset_table(params.N, params.p, kind).nu, 2, params.m), np.int64)
+    return runs[0][2].astype(np.int64)      # with the design known, one header is valid
 
 
 def _parse_header(data: bytes, offset: int, expect: Optional[SystemParams],
@@ -350,58 +340,71 @@ def _parse_header(data: bytes, offset: int, expect: Optional[SystemParams],
     return params, kind, pos
 
 
-def _parse_leaders(data: bytes, pos: int, params: SystemParams,
-                   kind: Kind) -> tuple[CompressedFrame, int]:
-    """Read the leader values that follow a checked header at pos."""
-    p, m = params.p, params.m
-    nu = coset_table(params.N, p, kind).nu
-    if len(data) - pos < nu * 2 * m:
-        raise BadLength("truncated leader values")
-    ring = params.ring
-    vals = []
-    for _ in range(nu):
-        re = data[pos:pos + m]
-        im = data[pos + m:pos + 2 * m]
-        pos += 2 * m
-        if any(c >= p for c in re) or any(c >= p for c in im):
-            raise InconsistentFrame(f"coefficient byte >= p = {p}")
-        vals.append(ring.from_coeffs(tuple(re), tuple(im)))
-    return CompressedFrame(params, kind, tuple(vals)), pos
+def _frame_runs(data: bytes, expect: Optional[SystemParams], expect_kind: Optional[Kind],
+                known: Optional[tuple] = None) -> tuple[list, Optional[GdmError]]:
+    """(runs, error): (params, kind, uint8 leaders (F, nu, 2, m)) per run of frames with equal
+    headers up to the first bad frame, and its error with frame_index set, or None.
+
+    _parse_header checks a header where its bytes change (known: one taken as checked). The
+    first run is matched in one piece, later ones in windows of 1, 2, 4, ... frames: linear work.
+    """
+    buf = np.frombuffer(data, dtype=np.uint8)
+    header, params, kind = known or (None, None, None)
+    runs, pos, index, window = [], 0, 0, len(buf)
+    while pos < len(buf):
+        try:
+            if header is None or not data.startswith(header, pos):
+                params, kind, end = _parse_header(data, pos, expect, expect_kind)
+                header = data[pos:end]
+            shape = (int.from_bytes(header[-2:], "little"), 2, params.m)     # nu, re/im, m
+            size = len(header) + math.prod(shape)
+            if len(buf) - pos < size:
+                raise BadLength("truncated leader values")
+        except GdmError as exc:
+            exc.frame_index = index
+            return runs, exc
+        frames = buf[pos:pos + (len(buf) - pos) // size * size].reshape(-1, size)
+        heads, count = frames[:, :len(header)], 1      # frame 0 starts with header
+        while count < len(heads):                      # rows of header bytes, by windows
+            rows = heads[count:count + window]
+            if rows.tobytes() != header * len(rows):
+                count += int((rows == np.frombuffer(header, np.uint8)).all(axis=1).argmin())
+                break
+            count, window = count + len(rows), 2 * window
+        body = frames[:count, len(header):]
+        if body.max() >= params.p:
+            count = int((body >= params.p).any(axis=1).argmax())
+            runs.append((params, kind, body[:count].reshape((count,) + shape)))
+            return runs, InconsistentFrame(f"coefficient byte >= p = {params.p}",
+                                           frame_index=index + count)
+        runs.append((params, kind, body.reshape((count,) + shape)))
+        pos, index, window = pos + count * size, index + count, 1
+    return runs, None
 
 
 def deserialize(data: bytes, expect: Optional[SystemParams] = None,
                 expect_kind: Optional[Kind] = None) -> CompressedFrame:
     """Parse exactly one frame; trailing bytes are an error."""
-    params, kind, pos = _parse_header(data, 0, expect, expect_kind)
-    frame, pos = _parse_leaders(data, pos, params, kind)
-    if pos != len(data):
-        raise BadLength(f"{len(data) - pos} trailing bytes after frame")
-    return frame
+    params, kind, end = _parse_header(data, 0, expect, expect_kind)
+    size = frame_byte_length(params, kind)
+    runs, error = _frame_runs(data[:size], expect, expect_kind, (data[:end], params, kind))
+    if error:
+        error.frame_index = None
+        raise error
+    if len(data) > size:
+        raise BadLength(f"{len(data) - size} trailing bytes after frame")
+    return CompressedFrame(params, kind, params.ring.from_array(runs[0][2][0]))
 
 
 def iter_frames(data: bytes, expect: Optional[SystemParams] = None,
                 expect_kind: Optional[Kind] = None) -> Iterator[CompressedFrame]:
-    """Parse a concatenated frame stream.
-
-    A header whose bytes equal those of the previous accepted frame
-    reuses that frame's design and kind instead of being checked again:
-    the checks depend on nothing but those bytes and the expectations.
-    A parse error carries the index of its frame as frame_index.
-    """
-    pos = 0
-    header = None
-    index = 0
-    while pos < len(data):
-        try:
-            if header is None or not data.startswith(header, pos):
-                params, kind, end = _parse_header(data, pos, expect, expect_kind)
-                header = data[pos:end]
-            frame, pos = _parse_leaders(data, pos + len(header), params, kind)
-        except GdmError as exc:
-            exc.frame_index = index
-            raise
-        yield frame
-        index += 1
+    """Parse a frame stream; frames before a bad one are yielded, its error has frame_index."""
+    runs, error = _frame_runs(data, expect, expect_kind)
+    for params, kind, leaders in runs:
+        for values in leaders:
+            yield CompressedFrame(params, kind, params.ring.from_array(values))
+    if error:
+        raise error
 
 
 # ---------------------------------------------------------------------------

@@ -161,11 +161,8 @@ def frobenius_matrix(field: ExtField) -> np.ndarray:
 
 
 def _gi_coeff_array(values: Sequence[GaloisInt], m: int) -> np.ndarray:
-    out = np.empty((len(values), 2, m), dtype=np.int64)
-    for n, z in enumerate(values):
-        out[n, 0] = z.re.coeffs
-        out[n, 1] = z.im.coeffs
-    return out
+    pairs = [(z.re.coeffs, z.im.coeffs) for z in values]
+    return np.array(pairs, dtype=np.int64).reshape(len(values), 2, m)
 
 
 def _kernel_coeffs(params: SystemParams, kind) -> np.ndarray:
@@ -220,7 +217,8 @@ class Design:
     pipeline.mux_batch). sigma_powers (L + 1, 2m, 2m) holds sigma^t, the
     matrix of sigma_value applied t times, for t = 0..L, L the longest
     orbit: every coset walks the same powers. walk (N + nu,) says where
-    expand_leaders finds each spectrum position and each orbit's end.
+    expand_leaders finds each spectrum position, and where each orbit
+    ends (the step len(orbit), which the closure check reads).
     The arrays are read-only: every caller shares them.
     """
 
@@ -265,7 +263,7 @@ def _sigma_powers(sigma: np.ndarray, p: int, longest: int) -> np.ndarray:
 
 
 def _walk(table: CosetTable, lengths: np.ndarray) -> np.ndarray:
-    """(N + nu,) rows that expand_leaders reads: spectrum positions, then orbit ends.
+    """(N + nu,) rows of the orbit walk: spectrum positions, then orbit ends.
 
     Position orbit_c[t] reads row c * (L + 1) + t, sigma^t @ leader_c;
     entry N + c reads the row of t = len(orbit_c).
@@ -360,29 +358,32 @@ def _residues(a: np.ndarray, p: int) -> np.ndarray:
     return a if in_range(a, p) else a % p
 
 
-def expand_leaders(d: Design, leaders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Spectra (F, N, 2, m) of leader arrays (F, nu, 2, m) or (nu, 2, m), and the orbits' ends.
-
-    The walk sets V[orbit[t]] = sigma^t @ V[leader] for every coset and
-    step t at once: one float64 product with the stacked powers
-    sigma^0..sigma^L, read out through d.walk. ends (F, nu, 2, m) is
-    sigma^len(orbit) @ leader (mod p), the leader itself for every frame
-    mux produces. Leaders outside [0, p) are reduced first, so their ends
-    differ from them. Raises ValueError for any other shape of leaders.
-    """
-    N, m, p = d.params.N, d.params.m, d.params.p
-    nu, w = d.table.nu, 2 * m
+def _leader_rows(d: Design, leaders: np.ndarray) -> np.ndarray:
+    """Leaders (F, nu, 2, m) or (nu, 2, m) as int64 (F, nu, 2m); ValueError for other shapes."""
+    nu, m = d.table.nu, d.params.m
     leaders = np.asarray(leaders, dtype=np.int64)
     if leaders.ndim not in (3, 4) or leaders.shape[-3:] != (nu, 2, m):
         raise ValueError(f"expected {nu} leader values, got an array of shape {leaders.shape}")
-    lead = _residues(leaders, p).reshape(-1, w).astype(np.float64)
-    F = len(lead) // nu
+    return leaders.reshape(-1, nu, 2 * m)
+
+
+def expand_leaders(d: Design, leaders: np.ndarray) -> np.ndarray:
+    """Spectra (F, N, 2, m) of leader arrays (F, nu, 2, m) or (nu, 2, m).
+
+    The walk sets V[orbit[t]] = sigma^t @ V[leader] for every coset and
+    step t at once: one float64 product with the stacked powers
+    sigma^0..sigma^L, read out through d.walk. Whether the orbits close
+    is pipeline.reconstruct_batch's check. Leaders outside [0, p) are
+    reduced first. Raises ValueError for any other shape of leaders.
+    """
+    N, m, p = d.params.N, d.params.m, d.params.p
+    w = 2 * m
+    lead = _residues(_leader_rows(d, leaders), p).reshape(-1, w).astype(np.float64)
+    F = len(lead) // d.table.nu
     # column t*2m + a is row a of sigma^t; each sum has 2m terms below p^2
     powers = d.sigma_powers.transpose(2, 0, 1).reshape(w, -1).astype(np.float64)
-    steps = mod_p(lead @ powers, p).astype(np.int64).reshape(F, nu * len(d.sigma_powers), w)
-    spectra = steps[:, d.walk[:N]]
-    ends = steps[:, d.walk[N:]]
-    return spectra.reshape(F, N, 2, m), ends.reshape(F, nu, 2, m)
+    steps = mod_p(lead @ powers, p).astype(np.int64).reshape(F, -1, w)
+    return steps[:, d.walk[:N]].reshape(F, N, 2, m)
 
 
 def forward_batch(params: SystemParams, kind, vs: np.ndarray) -> np.ndarray:
@@ -390,7 +391,7 @@ def forward_batch(params: SystemParams, kind, vs: np.ndarray) -> np.ndarray:
     d = design(params, as_kind(kind))
     vs = _residues(np.atleast_2d(np.asarray(vs, dtype=np.int64)), params.p)
     leaders = mod_p(vs.astype(np.float64) @ d.G, params.p).astype(np.int64)
-    return expand_leaders(d, leaders.reshape(len(vs), d.table.nu, 2, params.m))[0]
+    return expand_leaders(d, leaders.reshape(len(vs), d.table.nu, 2, params.m))
 
 
 def _not_ground_field(f: int, p: int) -> NotGroundField:
@@ -424,12 +425,6 @@ def inverse_batch(params: SystemParams, kind, spectra: np.ndarray) -> np.ndarray
     return vs[0] if spectra.ndim == 3 else vs
 
 
-def _spectrum_from_array(params: SystemParams, kind: Kind, arr: np.ndarray) -> SpectrumBlock:
-    ring = params.ring
-    vals = tuple(ring.from_coeffs(arr[k, 0], arr[k, 1]) for k in range(params.N))
-    return SpectrumBlock(params, kind, vals)
-
-
 def spectrum_to_array(spec: SpectrumBlock) -> np.ndarray:
     return _gi_coeff_array(spec.values, spec.params.m)
 
@@ -441,7 +436,7 @@ def spectrum_to_array(spec: SpectrumBlock) -> np.ndarray:
 def ffht_forward(block: TimeBlock) -> SpectrumBlock:
     """V_k = sum_i v_i cas_k(i)."""
     arr = forward_batch(block.params, Kind.HARTLEY, np.array([block.symbols]))[0]
-    return _spectrum_from_array(block.params, Kind.HARTLEY, arr)
+    return SpectrumBlock(block.params, Kind.HARTLEY, block.params.ring.from_array(arr))
 
 
 def ffht_inverse(spec: SpectrumBlock) -> TimeBlock:
@@ -453,7 +448,7 @@ def ffht_inverse(spec: SpectrumBlock) -> TimeBlock:
 def ffft_forward(block: TimeBlock) -> SpectrumBlock:
     """V_k = sum_i v_i zeta^(ik)."""
     arr = forward_batch(block.params, Kind.FOURIER, np.array([block.symbols]))[0]
-    return _spectrum_from_array(block.params, Kind.FOURIER, arr)
+    return SpectrumBlock(block.params, Kind.FOURIER, block.params.ring.from_array(arr))
 
 
 def ffft_inverse(spec: SpectrumBlock) -> TimeBlock:

@@ -61,9 +61,7 @@ def cas_coeffs(params: SystemParams) -> np.ndarray:
 @lru_cache(maxsize=64)
 def _cas_by_product(params: SystemParams) -> tuple[GaloisInt, ...]:
     """cas values indexed by t = i*k mod N, as GaloisInt (from cas_coeffs)."""
-    field = params.field
-    return tuple(GaloisInt(field.element(re), field.element(im))
-                 for re, im in cas_coeffs(params).tolist())
+    return params.ring.from_array(cas_coeffs(params))
 
 
 def _check_index(i: int, N: int) -> None:

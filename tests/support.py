@@ -2,11 +2,11 @@
 
 import numpy as np
 
-from gdmux import (GaloisInt, GdmError, InconsistentFrame, Kind, NotGroundField, SystemParams,
-                   TimeBlock)
+from gdmux import (BadLength, CompressedFrame, GaloisInt, GdmError, InconsistentFrame, Kind,
+                   NotGroundField, SystemParams, TimeBlock)
 from gdmux.cosets import CosetTable, coset_table
 from gdmux.fields import ExtField, FieldElement, is_prime
-from gdmux.pipeline import demux_batch, iter_frames, leader_array, mux, serialize
+from gdmux.pipeline import _parse_header, demux_batch, frame_header, leader_array, mux
 from gdmux.transforms import _inverse_blocks
 
 # desk-scale systems with p^m <= 1000, used for exhaustive property checks
@@ -222,6 +222,69 @@ def reconstruct_walk(params: SystemParams, kind, leaders) -> np.ndarray:
     return out[0] if single else out
 
 
+# ---------------------------------------------------------------------------
+# the per-frame wire parser, one leader value and one byte at a time
+# ---------------------------------------------------------------------------
+
+def _parse_leaders(data, pos: int, params: SystemParams, kind) -> tuple[CompressedFrame, int]:
+    """Read the leader values that follow a checked header at pos."""
+    p, m = params.p, params.m
+    nu = coset_table(params.N, p, kind).nu
+    if len(data) - pos < nu * 2 * m:
+        raise BadLength("truncated leader values")
+    ring = params.ring
+    vals = []
+    for _ in range(nu):
+        re = data[pos:pos + m]
+        im = data[pos + m:pos + 2 * m]
+        pos += 2 * m
+        if any(c >= p for c in re) or any(c >= p for c in im):
+            raise InconsistentFrame(f"coefficient byte >= p = {p}")
+        vals.append(ring.from_coeffs(tuple(re), tuple(im)))
+    return CompressedFrame(params, kind, tuple(vals)), pos
+
+
+def reference_serialize(frame: CompressedFrame) -> bytes:
+    """pipeline.serialize one coefficient byte string at a time."""
+    out = bytearray(frame_header(frame.params, frame.kind))
+    for z in frame.leaders:
+        out += bytes(z.re.coeffs)
+        out += bytes(z.im.coeffs)
+    return bytes(out)
+
+
+def reference_deserialize(data, expect=None, expect_kind=None) -> CompressedFrame:
+    """pipeline.deserialize one leader value at a time."""
+    params, kind, pos = _parse_header(data, 0, expect, expect_kind)
+    frame, pos = _parse_leaders(data, pos, params, kind)
+    if pos != len(data):
+        raise BadLength(f"{len(data) - pos} trailing bytes after frame")
+    return frame
+
+
+def reference_iter_frames(data, expect=None, expect_kind=None):
+    """pipeline.iter_frames one frame at a time.
+
+    A header whose bytes equal those of the previous accepted frame
+    reuses that frame's design and kind instead of being checked again.
+    A parse error carries the index of its frame as frame_index.
+    """
+    pos = 0
+    header = None
+    index = 0
+    while pos < len(data):
+        try:
+            if header is None or not data.startswith(header, pos):
+                params, kind, end = _parse_header(data, pos, expect, expect_kind)
+                header = data[pos:end]
+            frame, pos = _parse_leaders(data, pos + len(header), params, kind)
+        except GdmError as exc:
+            exc.frame_index = index
+            raise
+        yield frame
+        index += 1
+
+
 def cli_mux_oracle(params: SystemParams, kind, text: bytes):
     """`gdmux mux` one line and one frame at a time: (exit code, frames or None, stderr).
 
@@ -236,7 +299,7 @@ def cli_mux_oracle(params: SystemParams, kind, text: bytes):
             block = TimeBlock(params, tuple(int(tok) for tok in line.split()))
         except (ValueError, GdmError) as exc:
             return 2, None, f"line {lineno}: {exc}\n"
-        out += serialize(mux(block, kind))
+        out += reference_serialize(mux(block, kind))
     return 0, bytes(out), ""
 
 
@@ -245,7 +308,7 @@ def cli_demux_oracle(params: SystemParams, kind, data: bytes):
     arrays = []
     index = 0
     try:
-        for frame in iter_frames(data, expect=params, expect_kind=kind):
+        for frame in reference_iter_frames(data, expect=params, expect_kind=kind):
             arrays.append(leader_array(frame))
             index += 1
     except GdmError as exc:

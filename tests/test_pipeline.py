@@ -4,23 +4,27 @@ import math
 import re
 import struct
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gdmux import (BadLength, BadMagic, GdmError, InconsistentFrame, Kind, ParamMismatch,
                    SystemParams, TimeBlock, capacity_check, crosstalk_probe, demux,
                    deserialize, iter_frames, metrics, mux, reconstruct_spectrum,
                    required_snr, serialize)
-from gdmux.fields import MAX_FIELD_SIZE, MAX_PRIME, is_prime
+from gdmux import pipeline
+from gdmux.fields import MAX_FIELD_SIZE, MAX_PRIME, GaloisInt, is_prime
 from gdmux.pipeline import (CompressedFrame, decode_frames, demux_batch, encode_frames,
                             frame_byte_length, frame_header, leader_array, mux_batch,
                             reconstruct_batch, validate_system)
 from gdmux.transforms import _forward_flat, design, expand_leaders, forward_batch
 
 from support import (ACCEPT_SYSTEMS, dense_inverse, design_grid, make, outcome, outcome_of,
-                     reconstruct_walk)
+                     reconstruct_walk, reference_deserialize, reference_iter_frames,
+                     reference_serialize)
 
 
 @pytest.fixture(scope="module")
@@ -447,10 +451,131 @@ def test_encode_decode_frames_match_per_frame_codec(p, m, N, kind):
     blob = encode_frames(params, kind, leaders)
     frames = [serialize(mux(TimeBlock(params, tuple(map(int, v))), kind)) for v in vs]
     assert blob == b"".join(frames)
+    assert frames == [reference_serialize(mux(TimeBlock(params, tuple(map(int, v))), kind))
+                      for v in vs]
     assert frames[0].startswith(frame_header(params, kind))
     assert np.array_equal(decode_frames(blob, params, kind), leaders)
     assert encode_frames(params, kind, leaders[:0]) == b""
     assert decode_frames(b"", params, kind).shape == (0,) + leaders.shape[1:]
+
+
+# ---------------------------------------------------------------------------
+# the run parser against the per-frame reference parser
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _stream_designs():
+    """(params, kind, 12 frames as bytes) for each acceptance system and kind."""
+    out = []
+    for p, m, N in ACCEPT_SYSTEMS:
+        params = make(p, m, N)
+        for kind in (Kind.HARTLEY, Kind.FOURIER):
+            vs = np.random.default_rng(p * N + len(out)).integers(0, p, size=(12, N))
+            blob = encode_frames(params, kind, mux_batch(params, kind, vs))
+            size = frame_byte_length(params, kind)
+            out.append((params, kind, [blob[i:i + size] for i in range(0, len(blob), size)]))
+    return tuple(out)
+
+
+@st.composite
+def _mutated_streams(draw):
+    """(data, expect, expect_kind, params, kind): 0-12 frames of one or two designs,
+    with byte flips (also inside a header), a cut anywhere, as bytes or bytearray."""
+    designs = _stream_designs()
+    base, other = draw(st.integers(0, len(designs) - 1)), draw(st.integers(0, len(designs) - 1))
+    picks = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 11)), max_size=12))
+    frames = [designs[other if d == 0 else base][2][i] for d, i in picks]
+    data = bytearray(b"".join(frames))
+    starts = list(itertools.accumulate((len(f) for f in frames), initial=0))[:-1]
+    for _ in range(draw(st.integers(0, 2))):
+        if not data:
+            break
+        if draw(st.booleans()):
+            pos = draw(st.sampled_from(starts)) + draw(st.integers(0, 14))   # a header byte
+        else:
+            pos = draw(st.integers(0, len(data) - 1))
+        data[min(pos, len(data) - 1)] = draw(st.integers(0, 8) | st.integers(0, 255))
+    if draw(st.booleans()):
+        data = data[:draw(st.integers(0, len(data)))]
+    params, kind, _ = designs[draw(st.sampled_from([base, other]))]
+    expect = draw(st.sampled_from([None, params]))
+    expect_kind = draw(st.sampled_from([None, kind, Kind.FOURIER, Kind.HARTLEY]))
+    return (draw(st.sampled_from([bytes, bytearray]))(data), expect, expect_kind, params, kind)
+
+
+def _parsed(frames):
+    """(frames yielded, outcome_of the error or None) of a frame iterator."""
+    out = []
+    try:
+        for frame in frames:
+            out.append(frame)
+    except GdmError as exc:
+        return out, outcome_of(exc)
+    return out, None
+
+
+def _deserialized(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except GdmError as exc:
+        return outcome_of(exc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_mutated_streams())
+def test_frame_parsers_match_the_per_frame_reference(case):
+    # the same frames, then the same error class, message and frame_index
+    data, expect, expect_kind, params, kind = case
+    assert (_parsed(iter_frames(data, expect, expect_kind))
+            == _parsed(reference_iter_frames(data, expect, expect_kind)))
+    assert (_deserialized(deserialize, data, expect, expect_kind)
+            == _deserialized(reference_deserialize, data, expect, expect_kind))
+    frames, error = _parsed(reference_iter_frames(data, params, kind))
+    want = error or ("ok", [leader_array(frame).tolist() for frame in frames])
+    assert outcome(decode_frames, data, params, kind) == want
+
+
+def _boom(*args, **kwargs):
+    raise AssertionError("called on a path that must not call it")
+
+
+def test_decode_frames_reads_a_refused_stream_in_one_pass(p514, p3326, monkeypatch):
+    # a bad last frame is named without building a frame object or a
+    # GaloisInt, i.e. without parsing the stream a second time
+    kind = Kind.HARTLEY
+    good = encode_frames(p3326, kind, mux_batch(p3326, kind, np.ones((5, 26), dtype=np.int64)))
+    foreign = serialize(mux(TimeBlock(p514, (4, 0, 1, 2)), kind))
+    mismatch = _parsed(reference_iter_frames(foreign, p3326, kind))[1][1]
+    cases = {good[:-1] + b"\xff": ("InconsistentFrame", "coefficient byte >= p = 3", 4),
+             good[:-1]: ("BadLength", "truncated leader values", 4),
+             good + good[:20]: ("BadLength", "truncated leader values", 5),
+             good + foreign: ("ParamMismatch", mismatch, 5)}
+    for blob, want in cases.items():
+        assert _parsed(reference_iter_frames(blob, p3326, kind))[1] == want
+    monkeypatch.setattr(pipeline, "CompressedFrame", _boom)
+    monkeypatch.setattr(GaloisInt, "__init__", _boom)
+    for blob, want in cases.items():
+        assert outcome(decode_frames, blob, p3326, kind) == want
+
+
+@pytest.mark.parametrize("kind", [Kind.HARTLEY, Kind.FOURIER])
+def test_demux_reject_expands_no_spectrum(kind, monkeypatch):
+    # a batch the re-encode refuses is named from the orbit ends alone;
+    # (7, 2, 48) has single-coefficient corruptions of both classes
+    params = make(7, 2, 48)
+    leaders = mux_batch(params, kind, np.random.default_rng(5).integers(0, 7, size=(6, 48)))
+    wants = {}
+    for c in range(leaders[0].size):
+        bad = leaders.copy()
+        bad[4].reshape(-1)[c] = (bad[4].reshape(-1)[c] + 1) % 7
+        got = outcome(_reference_demux, params, kind, bad)
+        wants.setdefault(got[0], (bad, got))
+    assert set(wants) == {"ok", "InconsistentFrame", "NotGroundField"}
+    del wants["ok"]
+    monkeypatch.setattr(pipeline, "expand_leaders", _boom)
+    for bad, want in wants.values():
+        assert want[2] == 4
+        assert outcome(demux_batch, params, kind, bad) == want
 
 
 # ---------------------------------------------------------------------------
