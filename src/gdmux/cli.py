@@ -35,7 +35,7 @@ import numpy as np
 
 from . import cosets as cosets_mod
 from . import pipeline, statsim, trig
-from .errors import FrameFormatError, GdmError, InvalidParams
+from .errors import FrameFormatError, GdmError, InconsistentFrame, InvalidParams
 from .fields import MAX_PRIME, SystemParams
 from .transforms import Kind, TimeBlock, as_kind, design
 
@@ -71,11 +71,10 @@ def _parse_poly(text):
         raise argparse.ArgumentTypeError("polynomial must be comma-separated integers, low degree first")
 
 
-def _add_param_flags(sp, need_n=True):
+def _add_param_flags(sp):
     sp.add_argument("-p", type=int, required=True, help="ground-field prime")
     sp.add_argument("-m", type=int, default=1, help="extension degree (default 1)")
-    if need_n:
-        sp.add_argument("-N", type=int, required=True, help="block length, N | p^m - 1")
+    sp.add_argument("-N", type=int, required=True, help="block length, N | p^m - 1")
     sp.add_argument("--poly", type=_parse_poly, default=None,
                     help="reduction polynomial coefficients, low degree first, incl. leading 1")
     sp.add_argument("--kind", choices=["fourier", "hartley"], default="hartley")
@@ -274,7 +273,7 @@ def cmd_demux(args) -> int:
     data = _read_bytes(args.infile)
     try:
         leaders = pipeline.decode_frames(data, params, kind)
-    except GdmError as exc:
+    except (FrameFormatError, InconsistentFrame) as exc:    # a bad frame, which it names
         print(f"frame {exc.frame_index}: {exc}", file=sys.stderr)
         return EXIT_DATA
     out = b""

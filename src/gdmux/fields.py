@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -139,11 +139,12 @@ class ExtField:
             raise InvalidParams(f"p^m must be <= {MAX_FIELD_SIZE}, got {p**m}")
         if poly is None:
             poly = smallest_irreducible(p, m)
-        poly = tuple(int(c) % p for c in poly)
-        if len(poly) != m + 1 or poly[-1] != 1:
-            raise InvalidParams("reduction polynomial must be monic of degree m")
-        if not poly_is_irreducible(poly, p):
-            raise InvalidParams(f"reduction polynomial {poly} is reducible over GF({p})")
+        else:
+            poly = tuple(int(c) % p for c in poly)
+            if len(poly) != m + 1 or poly[-1] != 1:
+                raise InvalidParams("reduction polynomial must be monic of degree m")
+            if not poly_is_irreducible(poly, p):
+                raise InvalidParams(f"reduction polynomial {poly} is reducible over GF({p})")
         self.p = p
         self.m = m
         self.poly = poly
@@ -182,10 +183,6 @@ class ExtField:
 
     def from_int(self, i: int) -> "FieldElement":
         return FieldElement(self, _digits(i, self.p, self.m))
-
-    def elements(self) -> Iterator["FieldElement"]:
-        for i in range(self.order):
-            yield self.from_int(i)
 
     @cached_property
     def x_power_matrices(self) -> np.ndarray:
@@ -226,7 +223,46 @@ class ExtField:
         return tuple(v % p for v in out)
 
 
-class FieldElement:
+class _Scalar:
+    """The algebra FieldElement and GaloisInt share, written once over each class's own
+    _coerce, __add__, __neg__, __mul__, inverse and multiplicative identity _one()."""
+
+    __slots__ = ()
+
+    def __radd__(self, other):
+        return self.__add__(other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __rmul__(self, other):
+        return self.__mul__(other)
+
+    def __pow__(self, n: int):
+        if not isinstance(n, int):
+            return NotImplemented
+        if n < 0:
+            return self.inverse() ** (-n)
+        result = self._one()
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inverse()
+
+    def __repr__(self):
+        return str(self)
+
+
+class FieldElement(_Scalar):
     """Element of GF(p^m) in the polynomial basis."""
 
     __slots__ = ("field", "coeffs")
@@ -252,8 +288,6 @@ class FieldElement:
         return FieldElement(self.field,
                             tuple((a + b) % p for a, b in zip(self.coeffs, o.coeffs)))
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -261,9 +295,6 @@ class FieldElement:
         p = self.field.p
         return FieldElement(self.field,
                             tuple((a - b) % p for a, b in zip(self.coeffs, o.coeffs)))
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __neg__(self):
         p = self.field.p
@@ -275,32 +306,13 @@ class FieldElement:
             return NotImplemented
         return FieldElement(self.field, self.field.mul_coeffs(self.coeffs, o.coeffs))
 
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = self.field.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+    def _one(self) -> "FieldElement":
+        return self.field.one
 
     def inverse(self) -> "FieldElement":
         if self.is_zero:
             raise NonInvertible("zero has no multiplicative inverse")
         return self ** (self.field.order - 2)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
 
     @property
     def is_zero(self) -> bool:
@@ -333,8 +345,6 @@ class FieldElement:
         if self.field.m == 1:
             return str(self.coeffs[0])
         return ",".join(str(c) for c in self.coeffs)
-
-    __repr__ = __str__
 
 
 @lru_cache(maxsize=64)
@@ -375,6 +385,11 @@ class GaloisRing:
         f = self.field
         return tuple(GaloisInt(f.element(re), f.element(im)) for re, im in arr.tolist())
 
+    def to_array(self, values) -> np.ndarray:
+        """(n, 2, m) int64 coefficient array of n values; the inverse of from_array."""
+        pairs = [(z.re.coeffs, z.im.coeffs) for z in values]
+        return np.array(pairs, dtype=np.int64).reshape(len(pairs), 2, self.field.m)
+
     def __repr__(self):
         if self.field.m == 1:
             return f"GI({self.field.p})"
@@ -392,7 +407,7 @@ def gaussian_ring(field: ExtField) -> GaloisRing:
     return GaloisRing(field)
 
 
-class GaloisInt:
+class GaloisInt(_Scalar):
     """Element re + j*im of GI(p^m) with j^2 = -1."""
 
     __slots__ = ("re", "im")
@@ -421,16 +436,11 @@ class GaloisInt:
             return NotImplemented
         return GaloisInt(self.re + o.re, self.im + o.im)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return GaloisInt(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __neg__(self):
         return GaloisInt(-self.re, -self.im)
@@ -442,21 +452,8 @@ class GaloisInt:
         return GaloisInt(self.re * o.re - self.im * o.im,
                          self.re * o.im + self.im * o.re)
 
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = GaloisInt(self.field.one, self.field.zero)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+    def _one(self) -> "GaloisInt":
+        return GaloisInt(self.field.one, self.field.zero)
 
     def conj(self) -> "GaloisInt":
         return GaloisInt(self.re, -self.im)
@@ -473,12 +470,6 @@ class GaloisInt:
             raise NonInvertible(f"{self} is a zero divisor of {gaussian_ring(self.field)}")
         ninv = n.inverse()
         return GaloisInt(self.re * ninv, -(self.im * ninv))
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
 
     def frobenius(self) -> "GaloisInt":
         """z^p, the characteristic-p power map on GI(p^m).
@@ -517,8 +508,6 @@ class GaloisInt:
         if self.re.is_zero:
             return f"{self.im}j"
         return f"{self.re}+{self.im}j"
-
-    __repr__ = __str__
 
 
 # ---------------------------------------------------------------------------

@@ -5,18 +5,9 @@ keeps only the spectrum values at cyclotomic coset leaders; demux()
 recovers the symbols from those leaders. The round trip is exact, so in
 the absence of channel errors there is no cross-talk between users.
 
-The hot path acts on the leaders directly, with the two matrices of the
-compiled design: mux_batch is L = v @ G and demux_batch is v = L @ D
-(mod p), each one float64 BLAS product. The products are sums of
-integers below 2^52, and transforms.mod_p reduces them exactly as
-x - p*floor(x/p), in float, with no integer division (see the comment
-above mux_batch). demux_batch accepts a batch whose leaders lie in
-[0, p) when re-encoding gives them back (v @ G = L), i.e. when every
-frame is one mux could have produced; the re-encode is the syndrome
-check. Otherwise it checks that each orbit closes (sigma^len(orbit) @
-leader = leader, with no spectrum expanded) and names the first frame
-whose orbit does not (InconsistentFrame), or else the first frame that
-did not re-encode (NotGroundField).
+The batch maps mux_batch, demux_batch and reconstruct_batch are the
+leader-space core of transforms, re-exported here; this module adds the
+frame objects, the metrics, the wire codec and the cross-talk probe.
 
 Efficiency metrics are kept as exact rationals: the bandwidth compactness
 factor gamma_cc = N/nu, channel gain 100(1 - 1/gamma_cc) percent,
@@ -29,8 +20,9 @@ Wire format (little endian): magic "GDM1", u16 p, u8 m, u16 N, u8 kind
 (0 = Fourier, 1 = Hartley), m bytes of reduction-polynomial coefficients
 (constant term first, leading 1 omitted), u16 nu, then nu leader values
 of 2m bytes each (re coefficients low-first, then im), one byte per GF(p)
-coefficient. Every byte of a header is determined by the design, so a
-stream of one design is a (frames, frame_len) byte array.
+coefficient. A design with N > MAX_WIRE_N has no header (UnsupportedParams).
+Every byte of a header is determined by the design, so a stream of one
+design is a (frames, frame_len) byte array.
 encode_frames writes such a stream in one piece. decode_frames,
 iter_frames and deserialize read one run of frames with equal headers at
 a time: one header comparison and one coefficient range check per run,
@@ -53,11 +45,11 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .cosets import CosetTable, coset_table
-from .errors import BadLength, BadMagic, GdmError, InconsistentFrame, ParamMismatch
+from .errors import (BadLength, BadMagic, GdmError, InconsistentFrame, ParamMismatch,
+                     UnsupportedParams)
 from .fields import GaloisInt, SystemParams
-from .transforms import (Design, Kind, SpectrumBlock, TimeBlock, as_kind, design, expand_leaders,
-                         in_range, mod_p, _gi_coeff_array, _leader_rows, _not_ground_field,
-                         _residues)
+from .transforms import (Kind, SpectrumBlock, TimeBlock, as_kind, demux_batch, design,
+                         mux_batch, reconstruct_batch)
 # unused here; kept bound because perfbench/tracer.py wraps them in this module
 from .transforms import _forward_flat, sigma_matrix  # noqa: F401
 
@@ -127,76 +119,6 @@ def validate_system(params: SystemParams, kind) -> CosetTable:
 # mux / demux
 # ---------------------------------------------------------------------------
 
-# The float64 products below are exact: their operands are integers in
-# [0, p), so every partial sum is an integer below n*(p-1)^2, n = 2m*nu
-# <= 2mN, and that stays under 2^52 for every p <= MAX_PRIME and
-# p^m <= MAX_FIELD_SIZE (tests/test_pipeline.py checks the extremes), the
-# bound below which transforms.mod_p reduces x - p*floor(x/p) exactly.
-# Symbols outside [0, p) are reduced mod p first; leaders outside [0, p)
-# fail _check_orbits, which names the frame.
-
-def mux_batch(params: SystemParams, kind, vs: np.ndarray) -> np.ndarray:
-    """Compress symbol rows (F, N) to leader arrays (F, nu, 2, m); symbols are taken mod p."""
-    d = design(params, as_kind(kind))
-    vs = _residues(np.atleast_2d(np.asarray(vs, dtype=np.int64)), params.p)
-    L = mod_p(vs.astype(np.float64) @ d.G, params.p)
-    return L.astype(np.int64).reshape(vs.shape[0], d.table.nu, 2, params.m)
-
-
-def _check_orbits(d: Design, leaders: np.ndarray) -> None:
-    """Raise InconsistentFrame, at the first coset and then frame, where sigma^len(orbit) @
-    leader != leader (as for any leader outside [0, p)); ValueError for a wrong shape."""
-    p = d.params.p
-    lead = _leader_rows(d, leaders).transpose(1, 0, 2)               # (nu, F, 2m)
-    # walk[N + c] is step len(orbit_c) in coset c's block of L + 1 steps
-    closing = d.sigma_powers[d.walk[d.params.N:] % len(d.sigma_powers)].transpose(0, 2, 1)
-    ends = mod_p(_residues(lead, p).astype(np.float64) @ closing.astype(np.float64), p)
-    bad = (ends != lead).any(axis=2)                                 # (nu, F)
-    if bad.any():
-        c, f = np.argwhere(bad)[0]
-        raise InconsistentFrame(
-            f"frame {f}: orbit of leader {d.table.leaders[c]} does not close on its value",
-            frame_index=int(f))
-
-
-def reconstruct_batch(params: SystemParams, kind, leaders: np.ndarray) -> np.ndarray:
-    """Expand leader arrays (F, nu, 2, m) to full spectra (F, N, 2, m).
-
-    Checks first that every orbit walk closes; a mismatch means the frame
-    was corrupted (it cannot happen for frames produced by mux).
-    """
-    d = design(params, as_kind(kind))
-    _check_orbits(d, leaders)
-    spectra = expand_leaders(d, leaders)
-    return spectra[0] if np.ndim(leaders) == 3 else spectra
-
-
-def demux_batch(params: SystemParams, kind, leaders: np.ndarray) -> np.ndarray:
-    """Recover symbol rows (F, N) from leader arrays (F, nu, 2, m).
-
-    Raises InconsistentFrame or NotGroundField, naming the frame, when
-    some frame is not one mux could have produced, and ValueError for
-    any other shape of leaders.
-    """
-    kind = as_kind(kind)
-    d = design(params, kind)
-    p = params.p
-    leaders = np.asarray(leaders, dtype=np.int64)
-    single = leaders.ndim == 3
-    batch = leaders[None] if single else leaders
-    if batch.shape[1:] == (d.table.nu, 2, params.m) and in_range(batch, p):
-        L = batch.reshape(batch.shape[0], -1).astype(np.float64)
-        vs = mod_p(L @ d.D, p)
-        same = mod_p(vs @ d.G, p) == L
-        if same.all():
-            vs = vs.astype(np.int64)
-            return vs[0] if single else vs
-    _check_orbits(d, batch)
-    # it returns only for a right-shaped batch in [0, p) (an entry outside
-    # does not close its orbit), so the re-encode above ran and failed
-    raise _not_ground_field(int(same.all(axis=1).argmin()), p)
-
-
 def mux(block: TimeBlock, kind=Kind.HARTLEY) -> CompressedFrame:
     """Transform one frame and keep the coset-leader values, in leader order."""
     kind = as_kind(kind)
@@ -211,7 +133,7 @@ def reconstruct_spectrum(frame: CompressedFrame) -> SpectrumBlock:
 
 def leader_array(frame: CompressedFrame) -> np.ndarray:
     """(nu, 2, m) coefficient array of a frame's leader values."""
-    return _gi_coeff_array(frame.leaders, frame.params.m)
+    return frame.params.ring.to_array(frame.leaders)
 
 
 def demux(frame: CompressedFrame) -> TimeBlock:
@@ -259,17 +181,26 @@ def required_snr(params: SystemParams, kind=Kind.HARTLEY) -> float:
 # ---------------------------------------------------------------------------
 
 _HEADER = struct.Struct("<4sHBHB")
+MAX_WIRE_N = 0xFFFF     # N and nu <= N are u16 header fields
+
+
+def _wire_nu(params: SystemParams, kind: Kind) -> int:
+    """The coset count nu of a design the header can describe; UnsupportedParams otherwise."""
+    if params.N > MAX_WIRE_N:
+        raise UnsupportedParams(f"{params}/{kind}: N = {params.N} does not fit the 16-bit N "
+                                f"field of the GDM1 header (N <= {MAX_WIRE_N})")
+    return coset_table(params.N, params.p, kind).nu
 
 
 def frame_byte_length(params: SystemParams, kind) -> int:
-    nu = coset_table(params.N, params.p, as_kind(kind)).nu
+    nu = _wire_nu(params, as_kind(kind))
     return _HEADER.size + params.m + 2 + nu * 2 * params.m
 
 
 def frame_header(params: SystemParams, kind) -> bytes:
     """The header bytes every frame of (params, kind) starts with."""
     kind = as_kind(kind)
-    nu = coset_table(params.N, params.p, kind).nu
+    nu = _wire_nu(params, kind)
     return (_HEADER.pack(MAGIC, params.p, params.m, params.N, _KIND_CODE[kind])
             + bytes(params.poly[:params.m]) + struct.pack("<H", nu))
 

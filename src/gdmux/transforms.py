@@ -22,21 +22,29 @@ identities, like the orthogonality of the carriers, hold for every valid
 (p, m, N) and are what coset compression relies on. The test suite proves
 them on a basis over a grid of designs; nothing re-checks them at runtime.
 
-forward_batch computes a spectrum at the coset leaders (one product
-with G) and carries each leader along its orbit by powers of the
-conjugacy map (expand_leaders); inverse_batch applies D to the leader
-values and checks the result with one forward_batch. The scalar
-operations (ffht_forward and friends) go through them.
-Each of these maps is a float64 BLAS product of integers in [0, p), and
-its sums stay below 2mN(p-1)^2 < 2^52 over the declared scope
-(tests/test_pipeline.py checks the extremes). mod_p reduces such sums
-exactly as x - p*floor(x/p), which needs that 2^52 bound, with no
-integer division: expand_leaders reduces its one product with the sigma
-powers that way. Inputs outside [0, p) are reduced mod p first.
-design() compiles, once per (params, kind), the coset table, the
-conjugacy maps and the leader-space matrices of the hot path: G (symbols
-to coset leaders, what mux applies) and D (leaders to symbols, what
-demux applies). It refuses any design over DESIGN_BUDGET_BYTES before
+The leader-space core. A compiled Design holds G (N, n), the transform
+at the coset leaders (n = 2m*nu coefficients per frame), D (n, N), its
+left inverse (G @ D = I mod p), and the stacked powers of the conjugacy
+map sigma. Every batch map is a short composition of four private
+kernels on it: _mux (L = v @ G), _demux (v = L @ D, with the syndrome
+check v @ G == L, true exactly for the frames mux could have produced),
+_expand (the orbit walk V[orbit[t]] = sigma^t @ V[leader]) and
+_orbit_error (the closure check sigma^len(orbit) @ leader == leader,
+with no spectrum expanded). inverse_batch accepts a spectrum S exactly
+when, with L = S at the leaders, v @ G == L and _expand(L) == S: then
+forward(v) = _expand(v @ G) = S, and otherwise forward(v) differs from
+S at a leader or _expand(L) does elsewhere.
+
+Exactness. Each kernel is a float64 BLAS product of integers in [0, p)
+whose sums stay below 2mN(p-1)^2 < 2^52 for every p <= MAX_PRIME and
+p^m <= MAX_FIELD_SIZE (tests/test_pipeline.py checks the extremes), and
+mod_p reduces such sums exactly. Symbols, spectrum entries and the
+leaders given to expand_leaders are reduced mod p first; demux_batch and
+reconstruct_batch refuse leaders outside [0, p), which never close
+their orbits.
+
+design() compiles, once per (params, kind), the coset table and these
+arrays. It refuses any design over DESIGN_BUDGET_BYTES before
 allocating it, and keeps the most recent DESIGN_CACHE_SIZE designs.
 
 A design is compiled by array operations on (..., m) coefficient
@@ -65,15 +73,16 @@ forward_batch against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Sequence
+from typing import Optional
 
 import numpy as np
 
 from .cosets import CosetTable, coset_table
-from .errors import NotGroundField, UnsupportedParams
+from .errors import InconsistentFrame, NotGroundField, UnsupportedParams
 from .fields import ExtField, GaloisInt, SystemParams
 from .trig import cas_coeffs, zeta_powers
 
@@ -160,11 +169,6 @@ def frobenius_matrix(field: ExtField) -> np.ndarray:
     return out
 
 
-def _gi_coeff_array(values: Sequence[GaloisInt], m: int) -> np.ndarray:
-    pairs = [(z.re.coeffs, z.im.coeffs) for z in values]
-    return np.array(pairs, dtype=np.int64).reshape(len(values), 2, m)
-
-
 def _kernel_coeffs(params: SystemParams, kind) -> np.ndarray:
     """(N, 2, m) transform kernel by argument t = i*k mod N: cas(t) or zeta^t."""
     if as_kind(kind) is Kind.HARTLEY:
@@ -212,14 +216,13 @@ class Design:
 
     G (N, n) and D (n, N), with n = 2m*nu coefficients per frame, act on
     flattened leader arrays: G is the transform restricted to the coset
-    leaders (mux) and D its left inverse, G @ D = I (mod p) (demux and
-    inverse_batch: the library's only inverse). They are float64 so that BLAS applies them, exactly (see
-    pipeline.mux_batch). sigma_powers (L + 1, 2m, 2m) holds sigma^t, the
-    matrix of sigma_value applied t times, for t = 0..L, L the longest
-    orbit: every coset walks the same powers. walk (N + nu,) says where
-    expand_leaders finds each spectrum position, and where each orbit
-    ends (the step len(orbit), which the closure check reads).
-    The arrays are read-only: every caller shares them.
+    leaders and D its left inverse, G @ D = I (mod p), the library's only
+    inverse. They are float64 so that BLAS applies them. sigma_powers
+    (L + 1, 2m, 2m) holds sigma^t for t = 0..L, L the longest orbit:
+    every coset walks the same powers. walk (N + nu,) says where the walk
+    finds each spectrum position, and where each orbit ends (the step
+    len(orbit), which the closure check reads). The arrays are read-only:
+    every caller shares them.
     """
 
     params: SystemParams
@@ -328,7 +331,7 @@ def design(params: SystemParams, kind) -> Design:
 
 
 # ---------------------------------------------------------------------------
-# batch transforms
+# the leader-space core and the batch maps
 # ---------------------------------------------------------------------------
 
 def mod_p(x: np.ndarray, p: int) -> np.ndarray:
@@ -358,75 +361,142 @@ def _residues(a: np.ndarray, p: int) -> np.ndarray:
     return a if in_range(a, p) else a % p
 
 
-def _leader_rows(d: Design, leaders: np.ndarray) -> np.ndarray:
-    """Leaders (F, nu, 2, m) or (nu, 2, m) as int64 (F, nu, 2m); ValueError for other shapes."""
-    nu, m = d.table.nu, d.params.m
-    leaders = np.asarray(leaders, dtype=np.int64)
-    if leaders.ndim not in (3, 4) or leaders.shape[-3:] != (nu, 2, m):
-        raise ValueError(f"expected {nu} leader values, got an array of shape {leaders.shape}")
-    return leaders.reshape(-1, nu, 2 * m)
+def _frames(a, shape: tuple[int, ...], what: str) -> tuple[np.ndarray, bool]:
+    """a as int64 rows (F, prod(shape)), and whether a was one item rather than a batch.
 
-
-def expand_leaders(d: Design, leaders: np.ndarray) -> np.ndarray:
-    """Spectra (F, N, 2, m) of leader arrays (F, nu, 2, m) or (nu, 2, m).
-
-    The walk sets V[orbit[t]] = sigma^t @ V[leader] for every coset and
-    step t at once: one float64 product with the stacked powers
-    sigma^0..sigma^L, read out through d.walk. Whether the orbits close
-    is pipeline.reconstruct_batch's check. Leaders outside [0, p) are
-    reduced first. Raises ValueError for any other shape of leaders.
+    a is one item of the given shape or a batch (F,) + shape of them; any
+    other array raises ValueError ("expected {shape[0]} {what}, ...").
     """
+    a = np.asarray(a, dtype=np.int64)
+    single = a.ndim == len(shape)
+    if a.shape[not single:] != shape:
+        raise ValueError(f"expected {shape[0]} {what}, got an array of shape {a.shape}")
+    # a batch of rows is returned as it is: the mux path then costs no reshape
+    return (a if a.ndim == 2 and not single else a.reshape(-1, math.prod(shape))), single
+
+
+def _mux(d: Design, vs: np.ndarray) -> np.ndarray:
+    """Leader rows (F, n) of float64 symbol rows (F, N) in [0, p): v @ G."""
+    return mod_p(vs @ d.G, d.params.p)
+
+
+def _demux(d: Design, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(v, same) of float64 leader rows L (F, n) in [0, p): v = L @ D as float64, and the
+    syndrome check same = (v @ G == L), true throughout the frames mux could have produced."""
+    vs = mod_p(L @ d.D, d.params.p)
+    return vs, _mux(d, vs) == L
+
+
+def _expand(d: Design, L: np.ndarray) -> np.ndarray:
+    """Spectra (F, N, 2, m) of float64 leader rows L (F, n) in [0, p): the orbit walk, one
+    product with the stacked powers sigma^t, read out at V[orbit[t]] through d.walk."""
     N, m, p = d.params.N, d.params.m, d.params.p
     w = 2 * m
-    lead = _residues(_leader_rows(d, leaders), p).reshape(-1, w).astype(np.float64)
-    F = len(lead) // d.table.nu
     # column t*2m + a is row a of sigma^t; each sum has 2m terms below p^2
     powers = d.sigma_powers.transpose(2, 0, 1).reshape(w, -1).astype(np.float64)
-    steps = mod_p(lead @ powers, p).astype(np.int64).reshape(F, -1, w)
-    return steps[:, d.walk[:N]].reshape(F, N, 2, m)
+    steps = mod_p(L.reshape(-1, w) @ powers, p).astype(np.int64).reshape(len(L), -1, w)
+    return steps[:, d.walk[:N]].reshape(len(L), N, 2, m)
 
 
-def forward_batch(params: SystemParams, kind, vs: np.ndarray) -> np.ndarray:
-    """Transform a batch of symbol rows (F, N) to spectra (F, N, 2, m): expand_leaders(vs @ G)."""
-    d = design(params, as_kind(kind))
-    vs = _residues(np.atleast_2d(np.asarray(vs, dtype=np.int64)), params.p)
-    leaders = mod_p(vs.astype(np.float64) @ d.G, params.p).astype(np.int64)
-    return expand_leaders(d, leaders.reshape(len(vs), d.table.nu, 2, params.m))
+def _orbit_error(d: Design, rows: np.ndarray) -> Optional[InconsistentFrame]:
+    """The closure check of int64 leader rows (F, n): InconsistentFrame at the first coset, then
+    frame, where sigma^len(orbit) @ leader != leader, or None. Walked values lie in [0, p), so a
+    leader with an entry outside [0, p) never closes."""
+    nu, w, p = d.table.nu, 2 * d.params.m, d.params.p
+    lead = rows.reshape(len(rows), nu, w).transpose(1, 0, 2)            # (nu, F, 2m)
+    # walk[N + c] is step len(orbit_c) in coset c's block of L + 1 steps
+    closing = d.sigma_powers[d.walk[d.params.N:] % len(d.sigma_powers)].transpose(0, 2, 1)
+    ends = mod_p(_residues(lead, p).astype(np.float64) @ closing.astype(np.float64), p)
+    bad = (ends != lead).any(axis=2)                                    # (nu, F)
+    if not bad.any():
+        return None
+    c, f = np.argwhere(bad)[0]
+    return InconsistentFrame(
+        f"frame {f}: orbit of leader {d.table.leaders[c]} does not close on its value",
+        frame_index=int(f))
 
 
 def _not_ground_field(f: int, p: int) -> NotGroundField:
-    """The error for frame f, whose spectrum no symbol row of GF(p)^N transforms to."""
+    """The error for frame f, which no symbol row of GF(p)^N gives."""
     return NotGroundField(f"frame {f}: recovered symbols are not in GF({p})", frame_index=f)
 
 
-def inverse_batch(params: SystemParams, kind, spectra: np.ndarray) -> np.ndarray:
-    """Invert spectra (F, N, 2, m) or (N, 2, m) back to symbol rows (F, N) or (N,).
+def mux_batch(params: SystemParams, kind, vs: np.ndarray) -> np.ndarray:
+    """Compress symbol rows (F, N) or (N,) to leader arrays (F, nu, 2, m); symbols are taken mod p."""
+    d = design(params, as_kind(kind))
+    vs, _ = _frames(vs, (params.N,), "symbols")
+    L = _mux(d, _residues(vs, params.p).astype(np.float64))
+    return L.astype(np.int64).reshape(len(vs), d.table.nu, 2, params.m)
 
-    u = S[leaders] @ D (mod p), the demux product on the leader values.
-    Since G @ D = I (mod p) and the forward map is injective, S is the
-    spectrum of a row of GF(p)^N exactly when forward_batch(u) = S, and
-    then u is that row. Raises NotGroundField naming the first frame
-    where they differ, ValueError for any other shape of spectra, and
-    UnsupportedParams for a design over the budget. Spectrum entries
-    outside [0, p) are reduced mod p first.
+
+def demux_batch(params: SystemParams, kind, leaders: np.ndarray) -> np.ndarray:
+    """Recover symbol rows (F, N) or (N,) from leader arrays (F, nu, 2, m) or (nu, 2, m).
+
+    A frame mux could not have produced raises InconsistentFrame if some
+    orbit does not close, else NotGroundField; each names the first such frame.
     """
-    kind = as_kind(kind)
-    d = design(params, kind)
+    d = design(params, as_kind(kind))
+    rows, single = _frames(leaders, (d.table.nu, 2, params.m), "leader values")
+    if not in_range(rows, params.p):
+        raise _orbit_error(d, rows)
+    vs, same = _demux(d, rows.astype(np.float64))
+    if not same.all():
+        raise _orbit_error(d, rows) or _not_ground_field(int(same.all(axis=1).argmin()), params.p)
+    vs = vs.astype(np.int64)
+    return vs[0] if single else vs
+
+
+def reconstruct_batch(params: SystemParams, kind, leaders: np.ndarray) -> np.ndarray:
+    """Expand leader arrays (F, nu, 2, m) or (nu, 2, m) to spectra (F, N, 2, m) or (N, 2, m).
+
+    Raises InconsistentFrame, naming the first frame whose orbits do not all close.
+    """
+    d = design(params, as_kind(kind))
+    rows, single = _frames(leaders, (d.table.nu, 2, params.m), "leader values")
+    error = _orbit_error(d, rows)
+    if error is not None:
+        raise error
+    spectra = _expand(d, rows.astype(np.float64))
+    return spectra[0] if single else spectra
+
+
+def expand_leaders(d: Design, leaders: np.ndarray) -> np.ndarray:
+    """Spectra (F, N, 2, m) of leader arrays (F, nu, 2, m) or (nu, 2, m), taken mod p.
+
+    The orbit walk alone: whether the orbits close is reconstruct_batch's check.
+    """
+    rows, _ = _frames(leaders, (d.table.nu, 2, d.params.m), "leader values")
+    return _expand(d, _residues(rows, d.params.p).astype(np.float64))
+
+
+def forward_batch(params: SystemParams, kind, vs: np.ndarray) -> np.ndarray:
+    """Transform symbol rows (F, N) or (N,) to spectra (F, N, 2, m); symbols are taken mod p."""
+    d = design(params, as_kind(kind))
+    vs, _ = _frames(vs, (params.N,), "symbols")
+    return _expand(d, _mux(d, _residues(vs, params.p).astype(np.float64)))
+
+
+def inverse_batch(params: SystemParams, kind, spectra: np.ndarray) -> np.ndarray:
+    """Invert spectra (F, N, 2, m) or (N, 2, m), taken mod p, to symbol rows (F, N) or (N,).
+
+    Raises NotGroundField at the first spectrum of no symbol row, and
+    UnsupportedParams for a design over the budget.
+    """
+    d = design(params, as_kind(kind))
     N, m, p = params.N, params.m, params.p
-    spectra = np.asarray(spectra, dtype=np.int64)
-    if spectra.ndim not in (3, 4) or spectra.shape[-3:] != (N, 2, m):
-        raise ValueError(f"expected {N} spectrum values, got an array of shape {spectra.shape}")
-    S = _residues(spectra, p).reshape(-1, N, 2, m)
+    rows, single = _frames(spectra, (N, 2, m), "spectrum values")
+    S = _residues(rows, p).reshape(-1, N, 2, m)
     L = S[:, d.table.leaders].reshape(len(S), -1).astype(np.float64)
-    vs = mod_p(L @ d.D, p).astype(np.int64)
-    bad = (forward_batch(params, kind, vs) != S).any(axis=(1, 2, 3))
-    if bad.any():
-        raise _not_ground_field(int(bad.argmax()), p)
-    return vs[0] if spectra.ndim == 3 else vs
+    vs, same = _demux(d, L)
+    good = same.all(axis=1) & (_expand(d, L) == S).all(axis=(1, 2, 3))
+    if not good.all():
+        raise _not_ground_field(int(good.argmin()), p)
+    vs = vs.astype(np.int64)
+    return vs[0] if single else vs
 
 
 def spectrum_to_array(spec: SpectrumBlock) -> np.ndarray:
-    return _gi_coeff_array(spec.values, spec.params.m)
+    return spec.params.ring.to_array(spec.values)
 
 
 # ---------------------------------------------------------------------------
@@ -467,13 +537,10 @@ def sigma_index(params: SystemParams, kind, k: int) -> int:
     return (step * k) % params.N
 
 
-def sigma_value(z: GaloisInt, kind) -> GaloisInt:
-    """Value map paired with sigma_index on spectra of ground-field blocks."""
-    return z.frobenius() if as_kind(kind) is Kind.FOURIER else z.conj_frobenius()
-
-
 def sigma_matrix(params: SystemParams, kind: Kind) -> np.ndarray:
-    """(2m, 2m) matrix form of sigma_value on stacked (re, im) coefficients."""
+    """(2m, 2m) matrix, on stacked (re, im) coefficients, of the value map paired with
+    sigma_index on spectra of ground-field blocks: z.frobenius() for Fourier,
+    z.conj_frobenius() for Hartley."""
     Fm = frobenius_matrix(params.field)
     m, p = params.m, params.p
     out = np.zeros((2 * m, 2 * m), dtype=np.int64)

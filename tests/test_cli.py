@@ -195,6 +195,20 @@ def test_unreadable_input_and_unwritable_output_exit_1(tmp_path, capsys, command
         assert err.startswith("error: [Errno ")
 
 
+def test_demux_n_over_the_header_field_exits_1_without_a_traceback(tmp_path):
+    # N = 106288 divides 3^12 - 1 but not the u16 N field of a GDM1 header
+    src = tmp_path / "empty.bin"
+    src.write_bytes(b"")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=str(Path(gdmux.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "gdmux.cli", "demux", "-p", "3", "-m", "12",
+                           "-N", "106288", "--in", str(src), "--out", "-"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert "does not fit the 16-bit N field of the GDM1 header" in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # --out: overwrite in place, trim, and errors from the device or the limit
 # ---------------------------------------------------------------------------

@@ -12,10 +12,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gdmux import (BadLength, BadMagic, GdmError, InconsistentFrame, Kind, ParamMismatch,
-                   SystemParams, TimeBlock, capacity_check, crosstalk_probe, demux,
-                   deserialize, iter_frames, metrics, mux, reconstruct_spectrum,
+                   SystemParams, TimeBlock, UnsupportedParams, capacity_check, crosstalk_probe,
+                   demux, deserialize, iter_frames, metrics, mux, reconstruct_spectrum,
                    required_snr, serialize)
-from gdmux import pipeline
+from gdmux import pipeline, transforms
+from gdmux.cosets import coset_table
 from gdmux.fields import MAX_FIELD_SIZE, MAX_PRIME, GaloisInt, is_prime
 from gdmux.pipeline import (CompressedFrame, decode_frames, demux_batch, encode_frames,
                             frame_byte_length, frame_header, leader_array, mux_batch,
@@ -322,6 +323,22 @@ def test_serialize_round_trip(p, m, N, kind):
         assert demux(back).symbols == v
 
 
+@pytest.mark.parametrize("kind", [Kind.HARTLEY, Kind.FOURIER])
+def test_header_refuses_n_over_its_16_bit_field(kind, monkeypatch):
+    # (3, 12, 106288) is in the declared scope, but the header stores N,
+    # and nu <= N, as u16: refused up front, before any coset table
+    params = make(3, 12, 106288)
+    frame = CompressedFrame(params, kind, (params.ring.zero,) * coset_table(106288, 3, kind).nu)
+    monkeypatch.setattr(pipeline, "coset_table", _boom)
+    calls = [lambda: frame_header(params, kind), lambda: frame_byte_length(params, kind),
+             lambda: encode_frames(params, kind, leader_array(frame)[None]),
+             lambda: decode_frames(b"", params, kind), lambda: serialize(frame)]
+    for call in calls:
+        with pytest.raises(UnsupportedParams, match=r"N = 106288 does not fit the 16-bit N field "
+                                                    r"of the GDM1 header \(N <= 65535\)$"):
+            call()
+
+
 def test_bad_magic(p514):
     with pytest.raises(BadMagic):
         deserialize(b"")
@@ -560,8 +577,9 @@ def test_decode_frames_reads_a_refused_stream_in_one_pass(p514, p3326, monkeypat
 
 @pytest.mark.parametrize("kind", [Kind.HARTLEY, Kind.FOURIER])
 def test_demux_reject_expands_no_spectrum(kind, monkeypatch):
-    # a batch the re-encode refuses is named from the orbit ends alone;
-    # (7, 2, 48) has single-coefficient corruptions of both classes
+    # a batch the re-encode refuses is named from the orbit ends alone, with
+    # the orbit walk that expands spectra never called; (7, 2, 48) has
+    # single-coefficient corruptions of both classes
     params = make(7, 2, 48)
     leaders = mux_batch(params, kind, np.random.default_rng(5).integers(0, 7, size=(6, 48)))
     wants = {}
@@ -572,7 +590,7 @@ def test_demux_reject_expands_no_spectrum(kind, monkeypatch):
         wants.setdefault(got[0], (bad, got))
     assert set(wants) == {"ok", "InconsistentFrame", "NotGroundField"}
     del wants["ok"]
-    monkeypatch.setattr(pipeline, "expand_leaders", _boom)
+    monkeypatch.setattr(transforms, "_expand", _boom)
     for bad, want in wants.values():
         assert want[2] == 4
         assert outcome(demux_batch, params, kind, bad) == want

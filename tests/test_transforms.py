@@ -14,11 +14,12 @@ from gdmux.fields import MAX_PRIME, is_prime
 from gdmux.pipeline import demux_batch, mux_batch, validate_system
 from gdmux.transforms import (DESIGN_BUDGET_BYTES, DESIGN_CACHE_SIZE, _forward_flat,
                               _inverse_blocks, _kernel_coeffs, design,
-                              design_nbytes, mod_p, sigma_index, sigma_matrix, sigma_value,
+                              design_nbytes, mod_p, sigma_index, sigma_matrix,
                               spectrum_to_array)
 
 import support
-from support import SMALL_SYSTEMS, design_grid, forward_definition, make, outcome
+from support import (ACCEPT_SYSTEMS, SMALL_SYSTEMS, design_grid, forward_definition, make,
+                     outcome)
 
 
 @pytest.fixture(scope="module")
@@ -176,9 +177,17 @@ def test_hartley_frobenius_literal_fails_for_p1mod4(p514):
 def test_sigma_maps(p514):
     assert [sigma_index(p514, Kind.FOURIER, k) for k in range(4)] == [0, 1, 2, 3]
     assert [sigma_index(p514, Kind.HARTLEY, k) for k in range(4)] == [0, 3, 2, 1]
-    z = p514.ring.element(3, 4)
-    assert sigma_value(z, Kind.HARTLEY) == z.conj_frobenius()
-    assert sigma_value(z, Kind.FOURIER) == z.frobenius()
+    # sigma_matrix applied to the stacked (re, im) coefficients of z gives
+    # conj_frobenius(z) for Hartley and frobenius(z) for Fourier
+    rng = np.random.default_rng(6)
+    for params in (p514, make(3, 3, 26), make(5, 2, 24), make(7, 2, 48)):
+        ring, m, p = params.ring, params.m, params.p
+        values = (ring.element(3, 4),) + ring.from_array(rng.integers(0, p, size=(8, 2, m)))
+        for z in values:
+            coeffs = ring.to_array([z]).reshape(2 * m)
+            for kind, want in ((Kind.HARTLEY, z.conj_frobenius()), (Kind.FOURIER, z.frobenius())):
+                got = sigma_matrix(params, kind) @ coeffs % p
+                assert ring.from_array(got.reshape(1, 2, m)) == (want,), (params, kind, z)
 
 
 @pytest.mark.parametrize("p,m,N", [(5, 1, 4), (3, 3, 26), (7, 1, 6)])
@@ -342,6 +351,31 @@ def test_inverse_batch_matches_dense_inverse(pmn, kind, data):
     if F == 1:   # one spectrum without the batch axis
         assert outcome(inverse_batch, params, kind, spectra[0]) == outcome(
             support.dense_inverse, params, kind, spectra[0])
+
+
+@pytest.mark.parametrize("p,m,N", ACCEPT_SYSTEMS)
+@pytest.mark.parametrize("kind", [Kind.HARTLEY, Kind.FOURIER])
+def test_inverse_refuses_a_changed_non_leader_bin(p, m, N, kind):
+    # the leader values still re-encode, so only the comparison of their
+    # orbit walk with the whole spectrum can refuse these spectra
+    params = make(p, m, N)
+    table = coset_table(N, p, kind)
+    others = sorted(set(range(N)) - set(table.leaders))
+    if not others:
+        assert table.nu == N        # (5, 1, 4) Fourier: every bin is a leader
+        return
+    rng = np.random.default_rng(N + p)
+    spectra = forward_batch(params, kind, rng.integers(0, p, size=(3, N)))
+    for k in others:
+        f = k % 3
+        bad = spectra.copy()
+        part, a = rng.integers(2), rng.integers(m)
+        bad[f, k, part, a] = (bad[f, k, part, a] + rng.integers(1, p)) % p
+        assert np.array_equal(demux_batch(params, kind, bad[:, table.leaders]),
+                              inverse_batch(params, kind, spectra))
+        want = ("NotGroundField", f"frame {f}: recovered symbols are not in GF({p})", f)
+        assert outcome(support.dense_inverse, params, kind, bad) == want
+        assert outcome(inverse_batch, params, kind, bad) == want
 
 
 @pytest.mark.parametrize("shape", [(3, 48, 4, 1), (3, 96, 2, 1), (3, 24, 2, 4), (3, 48, 2, 1),
