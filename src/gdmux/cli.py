@@ -35,7 +35,8 @@ import numpy as np
 
 from . import cosets as cosets_mod
 from . import pipeline, statsim, trig
-from .errors import FrameFormatError, GdmError, InconsistentFrame, InvalidParams
+from .errors import (FrameFormatError, GdmError, InconsistentFrame, InvalidParams,
+                     require_positive)
 from .fields import MAX_PRIME, SystemParams
 from .transforms import Kind, TimeBlock, as_kind, design
 
@@ -82,11 +83,6 @@ def _add_param_flags(sp):
 
 def _params(args) -> SystemParams:
     return SystemParams.create(args.p, args.m, args.N, poly=args.poly)
-
-
-def _require_positive(flag: str, value: int) -> None:
-    if value < 1:
-        raise InvalidParams(f"{flag} must be >= 1, got {value}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -294,7 +290,7 @@ def cmd_crosstalk(args) -> int:
     kind = as_kind(args.kind)
     if args.user is not None and not 0 <= args.user < params.N:
         raise InvalidParams(f"--user {args.user} outside [0, {params.N})")
-    _require_positive("--frames", args.frames)
+    require_positive("--frames", args.frames)
     users = [args.user] if args.user is not None else list(range(params.N))
     all_clean = True
     for u in users:
@@ -309,9 +305,9 @@ def cmd_crosstalk(args) -> int:
 def cmd_psd(args) -> int:
     params = _params(args)
     kind = as_kind(args.kind)
-    _require_positive("--frames", args.frames)
-    _require_positive("--realizations", args.realizations)
-    _require_positive("--nfft", args.nfft)
+    require_positive("--frames", args.frames)
+    require_positive("--realizations", args.realizations)
+    require_positive("--nfft", args.nfft)
     frames_per = max(1, args.frames // args.realizations)
     est = statsim.psd_estimate(params, kind, realizations=args.realizations,
                                frames=frames_per, nfft=args.nfft, seed=args.seed)

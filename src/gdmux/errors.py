@@ -17,6 +17,12 @@ class InvalidParams(GdmError):
     """System parameters violate a structural constraint (primality, N | p^m - 1, ...)."""
 
 
+def require_positive(name: str, value: int) -> None:
+    """InvalidParams naming the argument unless value >= 1."""
+    if value < 1:
+        raise InvalidParams(f"{name} must be >= 1, got {value}")
+
+
 class NonInvertible(GdmError):
     """Inversion requested of zero or of a zero divisor of GI(p^m)."""
 

@@ -9,8 +9,8 @@ All values are immutable. Enumeration order is fixed everywhere: element
 number i of GF(p^m) has the base-p digits of i as its coefficient vector,
 least significant digit first (constant coefficient cycles fastest).
 Deterministic searches (default reduction polynomial, roots of unity,
-square roots of -1) scan in this order, so every derived quantity is
-reproducible across runs.
+square roots of -1) return the canonical-first element, found by
+enumeration, so every derived quantity is reproducible across runs.
 
 Scope is deliberately "desk scale": odd primes p <= 251 and p^m <= 2^20,
 which keeps one byte per coefficient on the wire and makes exhaustive
@@ -203,6 +203,22 @@ class ExtField:
     def mul_matrices(self, a: np.ndarray) -> np.ndarray:
         """(..., m, m) matrices of multiplication by the elements a (..., m)."""
         return np.einsum("...j,jab->...ab", a, self.x_power_matrices) % self.p
+
+    def powers(self, x, n: int) -> np.ndarray:
+        """(n, m) int64 coefficient rows of x^0 .. x^(n-1), for x given by its m coefficients.
+
+        Doubling: with the first k powers known, one product with the
+        multiplication matrix of x^k gives up to k more.
+        """
+        out = np.zeros((n, self.m), dtype=np.int64)
+        out[:1, 0] = 1
+        step, k = self.mul_matrices(np.asarray(x, dtype=np.int64)), 1
+        while k < n:
+            c = min(k, n - k)
+            np.matmul(out[:c], step.T, out=out[k:k + c])
+            out[k:k + c] %= self.p
+            step, k = step @ step % self.p, k + c
+        return out
 
     def mul_coeffs(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         p, m = self.p, self.m
@@ -543,33 +559,36 @@ def mult_order(x: Union[FieldElement, GaloisInt]) -> int:
 @lru_cache(maxsize=64)
 def find_root_of_unity(p: int, m: int, n: int,
                        poly: Optional[tuple[int, ...]] = None) -> FieldElement:
-    """First element of multiplicative order exactly n, in canonical scan order.
+    """The element of multiplicative order exactly n that is first in canonical order.
 
-    A pure function of its arguments; the most recent 64 results are kept,
-    so SystemParams.create searches once per design and process.
+    g = x^((q-1)/n) for the first x with g^(n/r) != 1 for every prime r | n
+    generates the n-th roots of unity, and the elements of order n are
+    exactly its powers g^k with gcd(k, n) = 1. Of those, read from
+    field.powers(g, n), the one of least canonical index is returned.
+    A pure function of its arguments; the most recent 64 results are
+    kept, so SystemParams.create searches once per design and process.
     """
     field = get_field(p, m, poly)
     if n < 1 or (field.order - 1) % n != 0:
         raise NoSuchRoot(f"{n} does not divide p^m - 1 = {field.order - 1}")
+    primes = factorize(n)
     for i in range(1, field.order):
-        x = field.from_int(i)
-        if x ** n == field.one and mult_order(x) == n:
-            return x
-    raise NoSuchRoot(f"no element of order {n} in {field}")  # unreachable
+        g = field.from_int(i) ** ((field.order - 1) // n)
+        if all(g ** (n // r) != field.one for r in primes):
+            break
+    roots = field.powers(g.coeffs, n)
+    index = np.where(np.gcd(np.arange(n), n) == 1, roots @ p ** np.arange(m), field.order)
+    return field.element(roots[index.argmin()])
 
 
 def sqrt_of_minus_one(p: int, m: int,
                       poly: Optional[tuple[int, ...]] = None) -> Optional[FieldElement]:
-    """Smallest x (canonical order) with x^2 = -1, or None when p^m = 3 (mod 4)."""
+    """Smallest x (canonical order) with x^2 = -1, or None when p^m = 3 (mod 4).
+
+    x^2 = -1 exactly when x has order 4, so this is the root search for n = 4.
+    """
     field = get_field(p, m, poly)
-    if field.order % 4 != 1:
-        return None
-    minus_one = -field.one
-    for i in range(field.order):
-        x = field.from_int(i)
-        if x * x == minus_one:
-            return x
-    return None  # unreachable: -1 is a residue when q = 1 (mod 4)
+    return find_root_of_unity(p, m, 4, poly) if field.order % 4 == 1 else None
 
 
 # ---------------------------------------------------------------------------

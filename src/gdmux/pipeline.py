@@ -246,8 +246,7 @@ def _parse_header(data: bytes, offset: int, expect: Optional[SystemParams],
     pos += m
     (nu,) = struct.unpack_from("<H", data, pos)
     pos += 2
-    # a foreign design is refused on its raw fields: building it would run
-    # the root search, seconds for a large field
+    # a foreign design is refused on its raw fields, before it is built
     if expect is not None and not (
             (p, m, N) == (expect.p, expect.m, expect.N)
             and tuple(c % p for c in poly) == tuple(expect.poly)):

@@ -32,7 +32,7 @@ from typing import Iterator, NamedTuple, Optional
 import numpy as np
 
 from .cosets import coset_table
-from .errors import ExtensionNotEmbeddable, InvalidParams
+from .errors import ExtensionNotEmbeddable, InvalidParams, require_positive
 from .fields import GaloisInt, SystemParams, centered, sqrt_of_minus_one
 from .pipeline import mux_batch, validate_system
 from .transforms import Kind, as_kind, forward_batch
@@ -133,8 +133,11 @@ def galois_acf(params: SystemParams, kind=Kind.HARTLEY, frames: int = 100_000,
     """
     kind = as_kind(kind)
     mode = _resolve_embedding(params, embedding)
+    require_positive("frames", frames)
     if max_lag is None:
         max_lag = params.N - 1
+    if not 0 <= max_lag < frames * params.N:
+        raise InvalidParams(f"max_lag {max_lag} outside [0, {frames * params.N})")
     rng = np.random.default_rng(seed)
     vs = rng.integers(0, params.p, size=(frames, params.N))
     V = forward_batch(params, kind, vs)
@@ -280,6 +283,9 @@ def psd_estimate(params: SystemParams, kind=Kind.HARTLEY, *,
     discrete-time model bias dominates any multiplex effect.
     """
     kind = as_kind(kind)
+    require_positive("realizations", realizations)
+    require_positive("frames", frames)
+    require_positive("nfft", nfft)
     pulse = pulse or PulseShape()
     rng = np.random.default_rng(seed)
     fs = pulse.sample_rate

@@ -61,10 +61,10 @@ vectors, with no GaloisInt arithmetic:
     kernel is the same array (Hartley) or the same array read at (-t)
     mod N (Fourier), times 1/N mod p.
   * sigma is built from the Frobenius matrix, whose columns are the
-    powers of the multiplication matrix of x^p. All cosets walk the same
-    powers sigma^t, so a design holds one stack of them, up to the
-    longest orbit. D is gathered, like G, from one (N, 2m) table per
-    orbit length.
+    powers of x^p, computed by ExtField.powers like those of zeta. All
+    cosets walk the same powers sigma^t, so a design holds one stack of
+    them, up to the longest orbit. D is gathered, like G, from one
+    (N, 2m) table per orbit length.
 
 No dense matrix is part of a design, and the library builds none: the
 inverse is D. _forward_flat (2mN x N) is the reference tests compare
@@ -84,7 +84,7 @@ import numpy as np
 from .cosets import CosetTable, coset_table
 from .errors import InconsistentFrame, NotGroundField, UnsupportedParams
 from .fields import ExtField, GaloisInt, SystemParams
-from .trig import cas_coeffs, zeta_powers
+from .trig import cas_coeffs
 
 
 class Kind(str, Enum):
@@ -149,24 +149,11 @@ def _gi_mul_matrices(params: SystemParams, z: np.ndarray) -> np.ndarray:
 def frobenius_matrix(field: ExtField) -> np.ndarray:
     """(m, m) matrix of a -> a^p on coefficient vectors (GF(p)-linear).
 
-    Column t is (x^t)^p = (x^p)^t: the powers of the multiplication
-    matrix of x^p (the companion matrix to the p-th power) applied to 1.
+    Column t is (x^t)^p = y^t with y = x^p, so the matrix is the powers
+    of y, one per column. For m = 1 "x" is 0 and any y gives [[1]].
     """
-    m, p = field.m, field.p
-    out = np.zeros((m, m), dtype=np.int64)
-    out[0, 0] = 1
-    if m == 1:
-        return out
-    x_p = np.eye(m, dtype=np.int64)
-    square, e = field.x_power_matrices[1], p
-    while e:                          # square and multiply, mod p
-        if e & 1:
-            x_p = (x_p @ square) % p
-        square = (square @ square) % p
-        e >>= 1
-    for t in range(1, m):
-        out[:, t] = (x_p @ out[:, t - 1]) % p
-    return out
+    y = field.powers(np.eye(1, field.m, 1)[0], field.p + 1)[field.p]
+    return field.powers(y, field.m).T
 
 
 def _kernel_coeffs(params: SystemParams, kind) -> np.ndarray:
@@ -174,7 +161,7 @@ def _kernel_coeffs(params: SystemParams, kind) -> np.ndarray:
     if as_kind(kind) is Kind.HARTLEY:
         return cas_coeffs(params)
     ker = np.zeros((params.N, 2, params.m), dtype=np.int64)
-    ker[:, 0] = zeta_powers(params)
+    ker[:, 0] = params.field.powers(params.zeta, params.N)
     return ker
 
 

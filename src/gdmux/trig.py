@@ -13,8 +13,8 @@ sesquilinear form does NOT have this property (rows i and N-i pair up
 instead), so orthogonality utilities default to the bilinear form.
 
 The values come from one coefficient array (cas_coeffs, built from the
-powers of zeta in zeta_powers); the GaloisInt accessors below wrap that
-array, and transforms compiles its kernels from the same array.
+powers of zeta by ExtField.powers); the GaloisInt accessors below wrap
+that array, and transforms compiles its kernels from the same array.
 """
 
 from __future__ import annotations
@@ -29,22 +29,6 @@ from .errors import NoRationalization
 from .fields import GaloisInt, SystemParams, centered, sqrt_of_minus_one
 
 
-def zeta_powers(params: SystemParams) -> np.ndarray:
-    """(N, m) coefficient vectors of zeta^t, t = 0..N-1.
-
-    Doubling: with the first k powers known, one product with the
-    multiplication matrix of zeta^k gives the next k.
-    """
-    p = params.p
-    pows = np.zeros((1, params.m), dtype=np.int64)
-    pows[0, 0] = 1
-    step = params.field.mul_matrices(np.array(params.zeta, dtype=np.int64))
-    while len(pows) < params.N:
-        pows = np.concatenate([pows, (pows @ step.T) % p])
-        step = (step @ step) % p
-    return pows[:params.N]
-
-
 def cas_coeffs(params: SystemParams) -> np.ndarray:
     """(N, 2, m) coefficient array of cas(t), t = i*k mod N; axis 1 is re/im.
 
@@ -52,7 +36,7 @@ def cas_coeffs(params: SystemParams) -> np.ndarray:
     zeta^-t = zeta^(N-t) read from the same powers.
     """
     p = params.p
-    fwd = zeta_powers(params)
+    fwd = params.field.powers(params.zeta, params.N)
     rev = fwd[(-np.arange(params.N)) % params.N]
     inv2 = (p + 1) // 2
     return np.stack([(fwd + rev) * inv2 % p, (rev - fwd) * inv2 % p], axis=1)

@@ -3,9 +3,9 @@
 import numpy as np
 
 from gdmux import (BadLength, CompressedFrame, GaloisInt, GdmError, InconsistentFrame, Kind,
-                   NotGroundField, SystemParams, TimeBlock)
+                   NoSuchRoot, NotGroundField, SystemParams, TimeBlock)
 from gdmux.cosets import CosetTable, coset_table
-from gdmux.fields import ExtField, FieldElement, is_prime
+from gdmux.fields import ExtField, FieldElement, get_field, is_prime, mult_order
 from gdmux.pipeline import _parse_header, demux_batch, frame_header, leader_array, mux
 from gdmux.transforms import _inverse_blocks
 
@@ -30,17 +30,40 @@ def make(p, m, N) -> SystemParams:
     return SystemParams.create(p, m, N)
 
 
-def design_grid(max_p=60, max_q=400, max_n=60):
-    """Every (p, m, N) with odd prime p < max_p, p^m <= max_q, N | p^m - 1, 2 <= N <= max_n."""
+def design_grid(max_p=60, max_q=400, max_n=60, min_n=2):
+    """Every (p, m, N) with odd prime p < max_p, p^m <= max_q, N | p^m - 1, min_n <= N <= max_n."""
     out = []
     for p in range(3, max_p, 2):
         if not is_prime(p):
             continue
         m = 1
         while p ** m <= max_q:
-            out += [(p, m, N) for N in range(2, max_n + 1) if (p ** m - 1) % N == 0]
+            out += [(p, m, N) for N in range(min_n, max_n + 1) if (p ** m - 1) % N == 0]
             m += 1
     return out
+
+
+# ---------------------------------------------------------------------------
+# the deterministic searches as canonical-order scans, one scalar power at a time
+# ---------------------------------------------------------------------------
+
+def scan_root_of_unity(p, m, n, poly=None) -> FieldElement:
+    """The first element of multiplicative order exactly n, scanning GF(p^m) in canonical order."""
+    field = get_field(p, m, poly)
+    for i in range(1, field.order):
+        x = field.from_int(i)
+        if x ** n == field.one and mult_order(x) == n:
+            return x
+    raise NoSuchRoot(f"no element of order {n} in {field}")
+
+
+def scan_sqrt_of_minus_one(p, m, poly=None):
+    """The first x in canonical order with x^2 = -1, or None when p^m = 3 (mod 4)."""
+    field = get_field(p, m, poly)
+    if field.order % 4 != 1:
+        return None
+    minus_one = -field.one
+    return next((x for x in map(field.from_int, range(field.order)) if x * x == minus_one), None)
 
 
 def kernel_definition(params: SystemParams, kind, inverse: bool = False) -> tuple[GaloisInt, ...]:

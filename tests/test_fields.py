@@ -1,3 +1,6 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +10,7 @@ from gdmux import (InvalidParams, NonInvertible, NoSuchRoot, NotAUnit, SystemPar
                    mult_order, sqrt_of_minus_one)
 from gdmux import cosets, trig
 from gdmux.fields import is_prime, poly_is_irreducible, smallest_irreducible
-from gdmux.transforms import frobenius_matrix
+from gdmux.transforms import DESIGN_BUDGET_BYTES, frobenius_matrix
 
 import support
 from support import SMALL_SYSTEMS, design_grid
@@ -186,6 +189,64 @@ def test_sqrt_of_minus_one():
     assert sqrt_of_minus_one(13, 1).to_int() == 5
     s = sqrt_of_minus_one(3, 2)    # 9 = 1 (mod 4): exists in GF(9)
     assert s is not None and (s * s) == -get_field(3, 2).one
+
+
+# every design with odd p <= 31 and p^m <= 2000, N = 1 included: 314 of them
+ROOT_GRID = design_grid(max_p=32, max_q=2000, max_n=2000, min_n=1)
+
+
+def test_root_search_matches_the_canonical_scan_over_the_grid():
+    assert len(ROOT_GRID) == 314
+    for p, m, N in ROOT_GRID:
+        assert find_root_of_unity(p, m, N) == support.scan_root_of_unity(p, m, N), (p, m, N)
+
+
+def test_sqrt_of_minus_one_matches_the_canonical_scan_over_the_grid():
+    fields = sorted({(p, m) for p, m, _ in ROOT_GRID})
+    assert sum(p**m % 4 == 1 for p, m in fields) == 18
+    for p, m in fields:
+        assert sqrt_of_minus_one(p, m) == support.scan_sqrt_of_minus_one(p, m), (p, m)
+
+
+@pytest.mark.parametrize("p,m,N", [(101, 3, 1030300), (7, 7, 823542)])
+def test_root_search_at_the_largest_n_matches_the_scan_within_half_the_design_budget(p, m, N):
+    find_root_of_unity.cache_clear()
+    tracemalloc.start()
+    try:
+        zeta = find_root_of_unity(p, m, N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < DESIGN_BUDGET_BYTES // 2
+    assert zeta == support.scan_root_of_unity(p, m, N)
+    assert sqrt_of_minus_one(p, m) == support.scan_sqrt_of_minus_one(p, m)
+
+
+@pytest.mark.parametrize("p,m", [(5, 1), (3, 3), (7, 2), (3, 12)])
+def test_powers_match_repeated_multiplication(p, m):
+    field = get_field(p, m)
+    rng = np.random.default_rng(p * m)
+    for x in [field.zero, field.one] + [field.element(c) for c in rng.integers(0, p, (4, m))]:
+        expected, acc = [], field.one
+        for _ in range(40):
+            expected.append(acc.coeffs)
+            acc = acc * x
+        for n in (0, 1, 2, 3, 17, 40):
+            pows = field.powers(x.coeffs, n)
+            assert pows.dtype == np.int64 and pows.shape == (n, m)
+            assert pows.tolist() == [list(c) for c in expected[:n]]
+
+
+@pytest.mark.parametrize("p,m,N", [(3, 12, 7), (3, 12, 80), (3, 12, 13), (5, 8, 13)])
+def test_params_create_is_fast_cold_at_the_slow_corners(p, m, N):
+    # a root that lies in a small subfield sits deep in the canonical scan
+    # order; enumerating the N-th roots of unity does not depend on where
+    find_root_of_unity.cache_clear()
+    get_field.cache_clear()
+    start = time.perf_counter()
+    params = SystemParams.create(p, m, N)
+    assert time.perf_counter() - start < 1.0
+    assert mult_order(params.zeta_elem) == N
 
 
 def test_centered():

@@ -3,6 +3,7 @@ import itertools
 import math
 import re
 import struct
+import time
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -17,7 +18,8 @@ from gdmux import (BadLength, BadMagic, GdmError, InconsistentFrame, Kind, Param
                    required_snr, serialize)
 from gdmux import pipeline, transforms
 from gdmux.cosets import coset_table
-from gdmux.fields import MAX_FIELD_SIZE, MAX_PRIME, GaloisInt, is_prime
+from gdmux.fields import (MAX_FIELD_SIZE, MAX_PRIME, GaloisInt, find_root_of_unity, get_field,
+                          is_prime)
 from gdmux.pipeline import (CompressedFrame, decode_frames, demux_batch, encode_frames,
                             frame_byte_length, frame_header, leader_array, mux_batch,
                             reconstruct_batch, validate_system)
@@ -405,7 +407,7 @@ def test_iter_frames_checks_each_new_header(p514, p3326, monkeypatch):
 
 def test_foreign_header_refused_before_any_design_is_built(p514, p3326, monkeypatch):
     # a header naming another design, or another kind, is refused on its raw
-    # fields; building (3, 12, 80) first would take seconds of root search
+    # fields, without building the design it names
     good = serialize(mux(TimeBlock(p3326, (1,) * 26), Kind.HARTLEY))
     foreign = [struct.pack("<4sHBHB", b"GDM1", 3, 12, 80, 1) + bytes(12) + struct.pack("<H", 7),
                serialize(mux(TimeBlock(p514, (4, 0, 1, 2)), Kind.HARTLEY)),
@@ -429,6 +431,21 @@ def test_foreign_header_refused_before_any_design_is_built(p514, p3326, monkeypa
         with pytest.raises(ParamMismatch):
             deserialize(header, expect=p3326, expect_kind=Kind.HARTLEY)
         assert calls == []
+
+
+@pytest.mark.parametrize("parse", [deserialize, lambda blob: list(iter_frames(blob))],
+                         ids=["deserialize", "iter_frames"])
+def test_crafted_header_of_a_slow_corner_is_refused_fast(parse):
+    # 24 bytes naming (3, 12, 7), whose zeta lies deep in the canonical scan
+    # order, with the canonical polynomial and a wrong leader count
+    blob = (struct.pack("<4sHBHB", b"GDM1", 3, 12, 7, 1) + bytes(get_field(3, 12).poly[:12])
+            + struct.pack("<H", 0))
+    assert len(blob) == 24
+    find_root_of_unity.cache_clear()
+    start = time.perf_counter()
+    with pytest.raises(ParamMismatch, match=r"^header claims 0 leaders, "):
+        parse(blob)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_unreduced_polynomial_byte_refused(p514, p3326):

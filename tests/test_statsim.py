@@ -7,6 +7,7 @@ import pytest
 from gdmux import (ExtensionNotEmbeddable, InvalidParams, Kind, PulseShape,
                    SystemParams, embed, galois_acf, gaussian_ring, get_field,
                    psd_estimate, symbol_source, synthesize_envelope)
+from gdmux import statsim
 from gdmux.statsim import acf_of_stream, embed_spectra, _resolve_embedding
 
 
@@ -106,6 +107,36 @@ def test_time_domain_whiteness():
     vals, errs = acf_of_stream(xs.astype(complex), 4)
     for j in range(1, 5):
         assert abs(vals[j]) < 3 * errs[j] + 1e-12
+
+
+BAD_ARGUMENTS = [
+    (galois_acf, {"frames": 0}, "frames"),
+    (galois_acf, {"frames": -3}, "frames"),
+    (galois_acf, {"frames": 2, "max_lag": 50}, "max_lag"),
+    (galois_acf, {"frames": 2, "max_lag": 8}, "max_lag"),      # 2 frames of N = 4 samples
+    (galois_acf, {"frames": 2, "max_lag": -1}, "max_lag"),
+    (psd_estimate, {"realizations": 0}, "realizations"),
+    (psd_estimate, {"frames": 0}, "frames"),
+    (psd_estimate, {"nfft": 0}, "nfft"),
+    (psd_estimate, {"nfft": -4}, "nfft"),
+]
+
+
+@pytest.mark.parametrize("fn,kwargs,name", BAD_ARGUMENTS,
+                         ids=[fn.__name__ + "-" + ",".join(f"{k}={v}" for k, v in kw.items())
+                              for fn, kw, _ in BAD_ARGUMENTS])
+def test_unusable_arguments_are_refused_before_sampling(p514, monkeypatch, fn, kwargs, name):
+    def sampled(*args, **kw):
+        raise AssertionError("samples drawn before the arguments were checked")
+    for target in ("forward_batch", "synthesize_envelope", "_transmit_symbols"):
+        monkeypatch.setattr(statsim, target, sampled)
+    with pytest.raises(InvalidParams, match=rf"^{name} "):
+        fn(p514, Kind.HARTLEY, **kwargs)
+
+
+def test_galois_acf_takes_every_lag_of_its_stream(p514):
+    est = galois_acf(p514, Kind.HARTLEY, frames=2, seed=1, max_lag=7)
+    assert list(est.lags) == list(range(8)) and np.isfinite(est.values).all()
 
 
 # ---------------------------------------------------------------------------
