@@ -576,8 +576,11 @@ def find_root_of_unity(p: int, m: int, n: int,
         g = field.from_int(i) ** ((field.order - 1) // n)
         if all(g ** (n // r) != field.one for r in primes):
             break
+    coprime = np.ones(n, dtype=bool)
+    for r in primes:
+        coprime[::r] = False
     roots = field.powers(g.coeffs, n)
-    index = np.where(np.gcd(np.arange(n), n) == 1, roots @ p ** np.arange(m), field.order)
+    index = np.where(coprime, roots @ p ** np.arange(m), field.order)
     return field.element(roots[index.argmin()])
 
 

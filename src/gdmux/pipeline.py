@@ -46,7 +46,7 @@ import numpy as np
 
 from .cosets import CosetTable, coset_table
 from .errors import (BadLength, BadMagic, GdmError, InconsistentFrame, ParamMismatch,
-                     UnsupportedParams)
+                     UnsupportedParams, require_positive)
 from .fields import GaloisInt, SystemParams
 from .transforms import (Kind, SpectrumBlock, TimeBlock, as_kind, demux_batch, design,
                          mux_batch, reconstruct_batch)
@@ -351,6 +351,7 @@ def crosstalk_probe(params: SystemParams, active_user: int, trials: int,
     kind = as_kind(kind)
     if not 0 <= active_user < params.N:
         raise ValueError(f"active_user {active_user} outside [0, {params.N})")
+    require_positive("trials", trials)
     rng = np.random.default_rng(seed)
     vs = np.zeros((trials, params.N), dtype=np.int64)
     vs[:, active_user] = rng.integers(0, params.p, size=trials)

@@ -14,6 +14,12 @@ Symbols are mapped to the complex plane through centered representatives
 The default "auto" rationalizes whenever possible. Extension fields are
 not embeddable; m > 1 is rejected.
 
+The spectrum ACF comes from Gram products of blocks of the stream: every
+lag sum, and the sums of squares behind the standard errors, in
+O(S * max_lag) time and O(S) memory for a stream of S samples. For an
+integer-valued stream, such as every centered embedding, the values are
+exact.
+
 The synthesized baseband puts one pulse per transmitted coefficient
 (the nu coset leaders per frame) at the compressed symbol clock, applies
 a uniform random start offset over one frame per realization to
@@ -108,16 +114,52 @@ class AcfEstimate:
     embedding: str
 
 
+def _lag_sums(x: np.ndarray, lags: int) -> np.ndarray:
+    """sum_n x[n+j] conj(x[n]) for 0 <= j < lags, from Gram products of blocks.
+
+    x is cut into F zero-padded blocks of B = min(lags, isqrt(S) + 1)
+    samples, the rows of X. Lag j = gB + d is the sum along diagonal d of
+    [X^H X_g | X^H X_(g+1)], where X_g is X shifted down by g blocks: two
+    B x B products per lag group, read with one strided view. Time is
+    O(S * lags) and memory O(S) for any lags. Every partial sum of an
+    integer-valued x is an integer, so below 2^53 the sums are exact.
+    """
+    size = len(x)
+    width = min(lags, math.isqrt(size) + 1)
+    groups = -(-lags // width)
+    rows = -(-size // width)
+    padded = np.zeros((rows + groups) * width, dtype=x.dtype)
+    padded[:size] = x
+    blocks = padded.reshape(-1, width)
+    head = blocks[:rows].conj().T
+    gram = np.empty((width, 2 * width), dtype=x.dtype)
+    row, col = gram.strides
+    diagonals = np.lib.stride_tricks.as_strided(gram, (width, width), (col, row + col))
+    sums = np.empty(groups * width, dtype=x.dtype)
+    for g in range(groups):
+        np.matmul(head, blocks[g:g + rows], out=gram[:, :width])
+        np.matmul(head, blocks[g + 1:g + 1 + rows], out=gram[:, width:])
+        diagonals.sum(axis=1, out=sums[g * width:(g + 1) * width])
+    return sums[:lags]
+
+
 def acf_of_stream(stream: np.ndarray, max_lag: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lagged products mean(s[n] conj(s[n-j])) with per-lag standard errors."""
+    """Lagged products mean(s[n] conj(s[n-j])) with per-lag standard errors.
+
+    With prod_j = s[n+j] conj(s[n]) over its cnt = S - j terms, the sums
+    of prod_j come from _lag_sums of s and those of |prod_j|^2 from
+    _lag_sums of |s|^2; the standard error is sqrt(var / cnt) with
+    var = (cnt sum|prod|^2 - |sum prod|^2) / cnt^2, clamped at 0. For an
+    integer-valued stream whose sums stay below 2^53 the numerator is
+    exact and the means equal prod_j.mean() bit for bit.
+    """
     stream = np.asarray(stream, dtype=np.complex128)
-    vals = np.empty(max_lag + 1, dtype=np.complex128)
-    errs = np.empty(max_lag + 1)
-    for j in range(max_lag + 1):
-        prod = stream[j:] * np.conj(stream[:len(stream) - j]) if j else stream * np.conj(stream)
-        vals[j] = prod.mean()
-        errs[j] = float(np.std(prod) / math.sqrt(len(prod)))
-    return vals, errs
+    lags = max_lag + 1
+    cnt = len(stream) - np.arange(lags, dtype=np.float64)
+    sums = _lag_sums(stream, lags)
+    squares = _lag_sums(stream.real ** 2 + stream.imag ** 2, lags)
+    spread = np.maximum(cnt * squares - (sums.real ** 2 + sums.imag ** 2), 0.0)
+    return sums / cnt, np.sqrt(spread / cnt ** 3)
 
 
 def galois_acf(params: SystemParams, kind=Kind.HARTLEY, frames: int = 100_000,
@@ -140,8 +182,7 @@ def galois_acf(params: SystemParams, kind=Kind.HARTLEY, frames: int = 100_000,
         raise InvalidParams(f"max_lag {max_lag} outside [0, {frames * params.N})")
     rng = np.random.default_rng(seed)
     vs = rng.integers(0, params.p, size=(frames, params.N))
-    V = forward_batch(params, kind, vs)
-    stream = embed_spectra(params, V, mode).reshape(-1)
+    stream = embed_spectra(params, forward_batch(params, kind, vs), mode).reshape(-1)
     vals, errs = acf_of_stream(stream, max_lag)
     time_r0 = float((_center_array(vs, params.p) ** 2).mean())
     return AcfEstimate(lags=np.arange(max_lag + 1), values=vals, stderr=errs,
@@ -239,6 +280,7 @@ def synthesize_envelope(params: SystemParams, kind=Kind.HARTLEY, frames: int = 1
                         source: str = "gdm") -> np.ndarray:
     """One realization of the complex baseband: a pulse per transmitted coefficient."""
     kind = as_kind(kind)
+    require_positive("frames", frames)
     pulse = pulse or PulseShape()
     rng = rng if rng is not None else np.random.default_rng(0)
     mode = _resolve_embedding(params, embedding) if source == "gdm" else embedding

@@ -1,5 +1,7 @@
 """Shared parameter sets and reference oracles for the test suite."""
 
+import math
+
 import numpy as np
 
 from gdmux import (BadLength, CompressedFrame, GaloisInt, GdmError, InconsistentFrame, Kind,
@@ -343,3 +345,16 @@ def cli_demux_oracle(params: SystemParams, kind, data: bytes):
     except GdmError as exc:
         return 2, None, f"error: {exc}\n"
     return 0, ("\n".join(" ".join(str(int(s)) for s in row) for row in vs) + "\n").encode(), ""
+
+
+def acf_by_lags(stream, max_lag: int) -> tuple[np.ndarray, np.ndarray]:
+    """`statsim.acf_of_stream` one numpy pass per lag: the mean and the standard
+    error of prod_j = s[n+j] conj(s[n]) from prod_j itself, for j <= max_lag."""
+    stream = np.asarray(stream, dtype=np.complex128)
+    vals = np.empty(max_lag + 1, dtype=np.complex128)
+    errs = np.empty(max_lag + 1)
+    for j in range(max_lag + 1):
+        prod = stream[j:] * np.conj(stream[:len(stream) - j])
+        vals[j] = prod.mean()
+        errs[j] = float(np.std(prod) / math.sqrt(len(prod)))
+    return vals, errs

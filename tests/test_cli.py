@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 import gdmux
-from gdmux import UnsupportedParams, cli, transforms
+from gdmux import UnsupportedParams, cli, statsim, transforms
 from gdmux.cli import main
 from gdmux.fields import SystemParams, find_root_of_unity
 from gdmux.pipeline import encode_frames, frame_header, mux_batch
 
-from support import ACCEPT_SYSTEMS, cli_demux_oracle, cli_mux_oracle, make
+from support import ACCEPT_SYSTEMS, acf_by_lags, cli_demux_oracle, cli_mux_oracle, make
 
 
 def run(capsys, *argv):
@@ -167,6 +167,18 @@ def test_psd_command(tmp_path, capsys):
     assert len(head) == 257
     assert acf.read_text().splitlines()[0] == "lag,acf_re,acf_im,stderr"
     assert "fitted_scale" in err
+
+
+@pytest.mark.parametrize("p,N,kind", [(5, 4, "hartley"), (7, 6, "hartley"), (13, 12, "fourier"),
+                                      (59, 58, "hartley")])
+def test_psd_acf_csv_equals_the_per_lag_oracle(tmp_path, capsys, monkeypatch, p, N, kind):
+    argv = ["psd", "-p", str(p), "-m", "1", "-N", str(N), "--kind", kind, "--frames", "1024",
+            "--realizations", "4", "--nfft", "64", "--out", str(tmp_path / "psd.csv")]
+    assert run(capsys, *argv, "--acf-out", str(tmp_path / "acf.csv"))[0] == 0
+    monkeypatch.setattr(statsim, "acf_of_stream", acf_by_lags)
+    assert run(capsys, *argv, "--acf-out", str(tmp_path / "oracle.csv"))[0] == 0
+    csv = (tmp_path / "acf.csv").read_bytes()
+    assert csv == (tmp_path / "oracle.csv").read_bytes() and csv.count(b"\n") == N + 1
 
 
 def test_mux_non_utf8_input_is_a_data_error(tmp_path, capsys):

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gdmux import (BadLength, BadMagic, GdmError, InconsistentFrame, Kind, ParamMismatch,
-                   SystemParams, TimeBlock, UnsupportedParams, capacity_check, crosstalk_probe,
-                   demux, deserialize, iter_frames, metrics, mux, reconstruct_spectrum,
-                   required_snr, serialize)
+from gdmux import (BadLength, BadMagic, GdmError, InconsistentFrame, InvalidParams, Kind,
+                   ParamMismatch, SystemParams, TimeBlock, UnsupportedParams, capacity_check,
+                   crosstalk_probe, demux, deserialize, iter_frames, metrics, mux,
+                   reconstruct_spectrum, required_snr, serialize)
 from gdmux import pipeline, transforms
 from gdmux.cosets import coset_table
 from gdmux.fields import (MAX_FIELD_SIZE, MAX_PRIME, GaloisInt, find_root_of_unity, get_field,
@@ -626,6 +626,15 @@ def test_crosstalk_all_users_3326(p3326):
     for u in range(26):
         rep = crosstalk_probe(p3326, u, 100, Kind.HARTLEY, seed=u)
         assert rep.clean, f"user {u} leaked"
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_crosstalk_without_trials_is_refused_before_sampling(p514, monkeypatch, trials):
+    def sampled(*args, **kw):
+        raise AssertionError("samples drawn before trials was checked")
+    monkeypatch.setattr(pipeline.np.random, "default_rng", sampled)
+    with pytest.raises(InvalidParams, match=rf"^trials must be >= 1, got {trials}$"):
+        crosstalk_probe(p514, 1, trials)
 
 
 def test_crosstalk_invalid_user(p514):

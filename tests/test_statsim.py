@@ -1,14 +1,19 @@
 import itertools
 import math
+import tracemalloc
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gdmux import (ExtensionNotEmbeddable, InvalidParams, Kind, PulseShape,
                    SystemParams, embed, galois_acf, gaussian_ring, get_field,
                    psd_estimate, symbol_source, synthesize_envelope)
 from gdmux import statsim
 from gdmux.statsim import acf_of_stream, embed_spectra, _resolve_embedding
+
+from support import acf_by_lags
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +76,46 @@ def test_acf_of_zero_stream():
     assert np.all(vals == 0)
 
 
+@st.composite
+def _integer_streams(draw):
+    """Integer-valued real or complex streams in the centered range of p <= 251,
+    with a lag count from one up to the whole stream (many lag groups)."""
+    size = draw(st.integers(1, 3000))
+    values = hnp.arrays(np.int64, size, elements=st.integers(-125, 125))
+    stream = draw(values).astype(np.complex128)
+    if draw(st.booleans()):
+        stream += 1j * draw(values)
+    return stream, draw(st.integers(0, size - 1))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_integer_streams())
+@example((np.arange(10, dtype=np.complex128), 9))                      # 3 groups of 4 lags
+@example((np.append(np.full(2999, 125 + 125j), 124 + 125j), 2999))      # 55 groups
+def test_acf_of_stream_matches_the_per_lag_oracle(case):
+    stream, max_lag = case
+    vals, errs = acf_of_stream(stream, max_lag)
+    want_vals, want_errs = acf_by_lags(stream, max_lag)
+    assert np.array_equal(vals, want_vals)
+    # the oracle's std centers on its rounded mean, so it is off by up to that
+    # rounding, |mean| * eps / sqrt(cnt), even where the exact stderr is 0
+    cnt = len(stream) - np.arange(max_lag + 1)
+    slack = 2 * np.finfo(float).eps * np.abs(want_vals) / np.sqrt(cnt)
+    assert np.all(np.abs(errs - want_errs) <= 1e-12 * want_errs + slack)
+
+
+def test_acf_of_stream_memory_is_linear_in_the_stream():
+    # every lag of 10^4 samples: one 10^4 x 10^4 Gram would take 1.6 GB
+    stream = np.random.default_rng(0).integers(-2, 3, 10_000).astype(np.complex128)
+    tracemalloc.start()
+    try:
+        acf_of_stream(stream, len(stream) - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * stream.nbytes
+
+
 def test_galois_acf_whiteness_quick(p514):
     est = galois_acf(p514, Kind.HARTLEY, frames=20_000, seed=1)
     assert est.embedding == "rationalized"
@@ -119,6 +164,8 @@ BAD_ARGUMENTS = [
     (psd_estimate, {"frames": 0}, "frames"),
     (psd_estimate, {"nfft": 0}, "nfft"),
     (psd_estimate, {"nfft": -4}, "nfft"),
+    (synthesize_envelope, {"frames": 0}, "frames"),
+    (synthesize_envelope, {"frames": -2}, "frames"),
 ]
 
 
