@@ -9,9 +9,9 @@ from .fields import (ExtField, FieldElement, GaloisInt, GaloisRing, SystemParams
                      mult_order, sqrt_of_minus_one)
 from .trig import Carrier, CarrierMatrix, carrier, carrier_matrix, cas, ff_cos, ff_sin, \
     inner_product, rationalize_walsh
-from .transforms import (Kind, SpectrumBlock, TimeBlock, ffft_forward, ffft_inverse,
+from .transforms import (SpectrumBlock, TimeBlock, ffft_forward, ffft_inverse,
                          ffht_forward, ffht_inverse, forward_batch, inverse_batch)
-from .cosets import (CosetTable, approx_nu, coset_table, count_irreducibles,
+from .cosets import (CosetTable, Kind, approx_nu, coset_table, count_irreducibles,
                      fourier_cosets, hartley_cosets, moebius, nu_g_formula,
                      nu_h_formula)
 from .pipeline import (CapacityCheck, CompressedFrame, CrosstalkReport, MuxMetrics,

@@ -38,7 +38,7 @@ from . import pipeline, statsim, trig
 from .errors import (FrameFormatError, GdmError, InconsistentFrame, InvalidParams,
                      require_positive)
 from .fields import MAX_PRIME, SystemParams
-from .transforms import Kind, TimeBlock, as_kind, design
+from .transforms import Kind, TimeBlock, design
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -168,10 +168,10 @@ def _write_bytes(path: str, data: bytes) -> None:
 
 def cmd_design(args) -> int:
     params = _params(args)
-    kind = as_kind(args.kind)
+    kind = Kind(args.kind)
     table = pipeline.validate_system(params, kind)
     met = pipeline.metrics(params, kind)
-    other = as_kind("fourier" if kind is Kind.HARTLEY else "hartley")
+    other = Kind.FOURIER if kind is Kind.HARTLEY else Kind.HARTLEY
     other_nu = cosets_mod.coset_table(params.N, params.p, other).nu
     ring_note = "" if params.ring.is_field else " (ring with zero divisors: p^m = 1 mod 4)"
     print(f"{params}  kind={kind}")
@@ -225,7 +225,7 @@ def _symbol_rows(params: SystemParams, lines: list[str]):
     return vs if ((vs >= 0) & (vs < params.p)).all() else None
 
 
-def _first_bad_line(params: SystemParams, kind: Kind, lines: list[str]) -> str:
+def _first_bad_line(params: SystemParams, kind, lines: list[str]) -> str:
     """The error message of the first line that is not N integers in [0, p)."""
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
@@ -240,15 +240,14 @@ def _first_bad_line(params: SystemParams, kind: Kind, lines: list[str]) -> str:
 
 def cmd_mux(args) -> int:
     params = _params(args)
-    kind = as_kind(args.kind)
     lines = _read_bytes(args.infile).decode().splitlines()
     vs = _symbol_rows(params, lines)
     if vs is None:
-        print(_first_bad_line(params, kind, lines), file=sys.stderr)
+        print(_first_bad_line(params, args.kind, lines), file=sys.stderr)
         return EXIT_DATA
     out = b""
     if len(vs):
-        out = pipeline.encode_frames(params, kind, pipeline.mux_batch(params, kind, vs))
+        out = pipeline.encode_frames(params, args.kind, pipeline.mux_batch(params, args.kind, vs))
     _write_bytes(args.outfile, out)
     return EXIT_OK
 
@@ -265,10 +264,9 @@ def _symbol_text(vs: np.ndarray, p: int) -> bytes:
 
 def cmd_demux(args) -> int:
     params = _params(args)
-    kind = as_kind(args.kind)
     data = _read_bytes(args.infile)
     try:
-        leaders = pipeline.decode_frames(data, params, kind)
+        leaders = pipeline.decode_frames(data, params, args.kind)
     except (FrameFormatError, InconsistentFrame) as exc:    # a bad frame, which it names
         print(f"frame {exc.frame_index}: {exc}", file=sys.stderr)
         return EXIT_DATA
@@ -276,7 +274,7 @@ def cmd_demux(args) -> int:
     if len(leaders):
         try:
             # batch errors carry their own frame index in the message
-            vs = pipeline.demux_batch(params, kind, leaders)
+            vs = pipeline.demux_batch(params, args.kind, leaders)
         except GdmError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_DATA
@@ -287,14 +285,13 @@ def cmd_demux(args) -> int:
 
 def cmd_crosstalk(args) -> int:
     params = _params(args)
-    kind = as_kind(args.kind)
     if args.user is not None and not 0 <= args.user < params.N:
         raise InvalidParams(f"--user {args.user} outside [0, {params.N})")
     require_positive("--frames", args.frames)
     users = [args.user] if args.user is not None else list(range(params.N))
     all_clean = True
     for u in users:
-        rep = pipeline.crosstalk_probe(params, u, args.frames, kind, seed=args.seed + u)
+        rep = pipeline.crosstalk_probe(params, u, args.frames, args.kind, seed=args.seed + u)
         all_clean &= rep.clean
         print(f"user {u}: trials={rep.trials} max_leak={rep.max_leak} "
               f"active_errors={rep.active_errors} {'CLEAN' if rep.clean else 'LEAKY'}")
@@ -304,19 +301,18 @@ def cmd_crosstalk(args) -> int:
 
 def cmd_psd(args) -> int:
     params = _params(args)
-    kind = as_kind(args.kind)
     require_positive("--frames", args.frames)
     require_positive("--realizations", args.realizations)
     require_positive("--nfft", args.nfft)
     frames_per = max(1, args.frames // args.realizations)
-    est = statsim.psd_estimate(params, kind, realizations=args.realizations,
+    est = statsim.psd_estimate(params, args.kind, realizations=args.realizations,
                                frames=frames_per, nfft=args.nfft, seed=args.seed)
     rows = ["freq_hz,psd_est,psd_theory"]
     rows += [f"{f:.6g},{p:.8g},{t:.8g}"
              for f, p, t in zip(est.freqs, est.power, est.theory)]
     _write_bytes(args.outfile, ("\n".join(rows) + "\n").encode())
     if args.acffile:
-        acf = statsim.galois_acf(params, kind, frames=min(args.frames, 100_000),
+        acf = statsim.galois_acf(params, args.kind, frames=min(args.frames, 100_000),
                                  seed=args.seed)
         arows = ["lag,acf_re,acf_im,stderr"]
         arows += [f"{int(l)},{v.real:.8g},{v.imag:.8g},{e:.8g}"

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
@@ -26,17 +27,36 @@ from .errors import NotCoprime
 from .fields import factorize
 
 
+class Kind(str, Enum):
+    """The transform, which fixes the coset map: k -> pk (Fourier) or k -> -pk (Hartley).
+
+    Kind(x) is the one normaliser: it takes a member or its value in any case,
+    and raises ValueError for anything else.
+    """
+
+    FOURIER = "fourier"
+    HARTLEY = "hartley"
+
+    def __str__(self):
+        return self.value
+
+    @classmethod
+    def _missing_(cls, value):
+        return cls.__members__.get(value.upper()) if isinstance(value, str) else None
+
+
 @dataclass(frozen=True)
 class CosetTable:
     """Partition of {0..N-1} into sigma-orbits, sorted by leader.
 
     Each orbit is stored in walk order starting at its leader, so the t-th
-    entry is sigma^t(leader).
+    entry is sigma^t(leader) = step^t * leader mod N.
     """
 
-    kind: str
+    kind: Kind
     N: int
     p: int
+    step: int
     cosets: tuple[tuple[int, ...], ...]
     leaders: tuple[int, ...]
 
@@ -53,11 +73,12 @@ class CosetTable:
         return [f"C{c[0]}=({','.join(str(x) for x in c)})" for c in self.cosets]
 
 
-def _orbits(N: int, p: int, step: int, kind: str) -> CosetTable:
+def _orbits(N: int, p: int, kind: Kind) -> CosetTable:
     if N < 1:
         raise NotCoprime(f"N must be >= 1, got {N}")
     if math.gcd(N, p) != 1:
         raise NotCoprime(f"gcd({N}, {p}) != 1")
+    step = (p if kind is Kind.FOURIER else -p) % N
     seen = [False] * N
     cosets = []
     for s in range(N):
@@ -71,29 +92,24 @@ def _orbits(N: int, p: int, step: int, kind: str) -> CosetTable:
             orbit.append(k)
             k = (step * k) % N
         cosets.append(tuple(orbit))
-    return CosetTable(kind=kind, N=N, p=p, cosets=tuple(cosets),
+    return CosetTable(kind=kind, N=N, p=p, step=step, cosets=tuple(cosets),
                       leaders=tuple(c[0] for c in cosets))
 
 
 @lru_cache(maxsize=64)
 def fourier_cosets(N: int, p: int) -> CosetTable:
     """Orbits of k -> pk mod N."""
-    return _orbits(N, p, p % N if N > 1 else 0, "fourier")
+    return _orbits(N, p, Kind.FOURIER)
 
 
 @lru_cache(maxsize=64)
 def hartley_cosets(N: int, p: int) -> CosetTable:
     """Orbits of k -> -pk mod N."""
-    return _orbits(N, p, (-p) % N if N > 1 else 0, "hartley")
+    return _orbits(N, p, Kind.HARTLEY)
 
 
 def coset_table(N: int, p: int, kind) -> CosetTable:
-    kind = str(kind).lower()
-    if kind == "fourier":
-        return fourier_cosets(N, p)
-    if kind == "hartley":
-        return hartley_cosets(N, p)
-    raise ValueError(f"unknown kind {kind!r}")
+    return (fourier_cosets if Kind(kind) is Kind.FOURIER else hartley_cosets)(N, p)
 
 
 # ---------------------------------------------------------------------------

@@ -626,6 +626,10 @@ class SystemParams:
             z = find_root_of_unity(p, m, N, field.poly)
         else:
             if isinstance(zeta, FieldElement):
+                if zeta.field != field:
+                    raise InvalidParams(
+                        f"zeta = {zeta} is an element of {zeta.field} mod {zeta.field.poly}, "
+                        f"not of the design's {field} mod {field.poly}")
                 z = zeta
             elif isinstance(zeta, int):
                 z = field.scalar(zeta) if m == 1 else field.from_int(zeta)

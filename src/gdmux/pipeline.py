@@ -44,11 +44,11 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .cosets import CosetTable, coset_table
+from .cosets import CosetTable, Kind, coset_table
 from .errors import (BadLength, BadMagic, GdmError, InconsistentFrame, ParamMismatch,
                      UnsupportedParams, require_positive)
 from .fields import GaloisInt, SystemParams
-from .transforms import (Kind, SpectrumBlock, TimeBlock, as_kind, demux_batch, design,
+from .transforms import (SpectrumBlock, TimeBlock, _frames, demux_batch, design, in_range,
                          mux_batch, reconstruct_batch)
 # unused here; kept bound because perfbench/tracer.py wraps them in this module
 from .transforms import _forward_flat, sigma_matrix  # noqa: F401
@@ -112,7 +112,7 @@ def validate_system(params: SystemParams, kind) -> CosetTable:
     only refusal left is the memory budget: UnsupportedParams when the
     compiled design would exceed transforms.DESIGN_BUDGET_BYTES.
     """
-    return design(params, as_kind(kind)).table
+    return design(params, kind).table
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +121,7 @@ def validate_system(params: SystemParams, kind) -> CosetTable:
 
 def mux(block: TimeBlock, kind=Kind.HARTLEY) -> CompressedFrame:
     """Transform one frame and keep the coset-leader values, in leader order."""
-    kind = as_kind(kind)
+    kind = Kind(kind)
     arr = mux_batch(block.params, kind, np.array([block.symbols]))[0]
     return CompressedFrame(block.params, kind, block.params.ring.from_array(arr))
 
@@ -147,7 +147,6 @@ def demux(frame: CompressedFrame) -> TimeBlock:
 # ---------------------------------------------------------------------------
 
 def metrics(params: SystemParams, kind=Kind.HARTLEY) -> MuxMetrics:
-    kind = as_kind(kind)
     nu = coset_table(params.N, params.p, kind).nu
     gamma = Fraction(params.N, nu)
     gain = 100 * (1 - 1 / gamma)
@@ -184,7 +183,7 @@ _HEADER = struct.Struct("<4sHBHB")
 MAX_WIRE_N = 0xFFFF     # N and nu <= N are u16 header fields
 
 
-def _wire_nu(params: SystemParams, kind: Kind) -> int:
+def _wire_nu(params: SystemParams, kind) -> int:
     """The coset count nu of a design the header can describe; UnsupportedParams otherwise."""
     if params.N > MAX_WIRE_N:
         raise UnsupportedParams(f"{params}/{kind}: N = {params.N} does not fit the 16-bit N "
@@ -193,13 +192,13 @@ def _wire_nu(params: SystemParams, kind: Kind) -> int:
 
 
 def frame_byte_length(params: SystemParams, kind) -> int:
-    nu = _wire_nu(params, as_kind(kind))
+    nu = _wire_nu(params, kind)
     return _HEADER.size + params.m + 2 + nu * 2 * params.m
 
 
 def frame_header(params: SystemParams, kind) -> bytes:
     """The header bytes every frame of (params, kind) starts with."""
-    kind = as_kind(kind)
+    kind = Kind(kind)
     nu = _wire_nu(params, kind)
     return (_HEADER.pack(MAGIC, params.p, params.m, params.N, _KIND_CODE[kind])
             + bytes(params.poly[:params.m]) + struct.pack("<H", nu))
@@ -210,16 +209,23 @@ def serialize(frame: CompressedFrame) -> bytes:
 
 
 def encode_frames(params: SystemParams, kind, leaders: np.ndarray) -> bytes:
-    """Serialize leader arrays (F, nu, 2, m), entries in [0, p), as F frames."""
+    """Serialize leader arrays (F, nu, 2, m), entries in [0, p), as F frames.
+
+    Any other shape, or an entry outside [0, p), raises ValueError.
+    """
     header = np.frombuffer(frame_header(params, kind), dtype=np.uint8)
-    body = np.asarray(leaders, dtype=np.uint8)
-    body = body.reshape(len(body), math.prod(body.shape[1:]))
-    return np.hstack([np.broadcast_to(header, (len(body), header.size)), body]).tobytes()
+    shape = (coset_table(params.N, params.p, kind).nu, 2, params.m)
+    body, single = _frames(leaders, shape, "leader values")
+    if single:
+        raise ValueError(f"expected frames (F, {shape[0]}, 2, {params.m}), got one frame")
+    if not in_range(body, params.p):
+        raise ValueError(f"leader coefficients must lie in [0, {params.p})")
+    return np.hstack([np.broadcast_to(header, (len(body), header.size)),
+                      body.astype(np.uint8)]).tobytes()
 
 
 def decode_frames(data: bytes, params: SystemParams, kind) -> np.ndarray:
     """Leader arrays (F, nu, 2, m) of a stream of (params, kind); raises as iter_frames does."""
-    kind = as_kind(kind)
     runs, error = _frame_runs(data, params, kind, (frame_header(params, kind), params, kind))
     if error:
         raise error
@@ -252,8 +258,8 @@ def _parse_header(data: bytes, offset: int, expect: Optional[SystemParams],
             and tuple(c % p for c in poly) == tuple(expect.poly)):
         raise ParamMismatch(f"frame for p={p}, m={m}, N={N}, poly={poly}, expected "
                             f"p={expect.p}, m={expect.m}, N={expect.N}, poly={tuple(expect.poly)}")
-    if expect_kind is not None and kind is not as_kind(expect_kind):
-        raise ParamMismatch(f"frame kind {kind}, expected {as_kind(expect_kind)}")
+    if expect_kind is not None and kind is not Kind(expect_kind):
+        raise ParamMismatch(f"frame kind {kind}, expected {Kind(expect_kind)}")
     try:
         params = SystemParams.create(p, m, N, poly=poly)
     except Exception as exc:
@@ -275,17 +281,22 @@ def _frame_runs(data: bytes, expect: Optional[SystemParams], expect_kind: Option
     """(runs, error): (params, kind, uint8 leaders (F, nu, 2, m)) per run of frames with equal
     headers up to the first bad frame, and its error with frame_index set, or None.
 
-    _parse_header checks a header where its bytes change (known: one taken as checked). The
-    first run is matched in one piece, later ones in windows of 1, 2, 4, ... frames: linear work.
+    _parse_header checks each distinct header once (known: one taken as checked). The first
+    run is matched in one piece, later ones in windows of 1, 2, 4, ... frames: linear work.
     """
     buf = np.frombuffer(data, dtype=np.uint8)
-    header, params, kind = known or (None, None, None)
+    checked = {known[0]: known[1:]} if known else {}       # header bytes -> (params, kind)
     runs, pos, index, window = [], 0, 0, len(buf)
     while pos < len(buf):
         try:
-            if header is None or not data.startswith(header, pos):
+            # a header's length follows from its m byte, at offset 6
+            m = data[pos + 6] if pos + 6 < len(data) else 0
+            header = bytes(data[pos:pos + _HEADER.size + m + 2])
+            if header not in checked:
                 params, kind, end = _parse_header(data, pos, expect, expect_kind)
-                header = data[pos:end]
+                header = bytes(data[pos:end])
+                checked[header] = params, kind
+            params, kind = checked[header]
             shape = (int.from_bytes(header[-2:], "little"), 2, params.m)     # nu, re/im, m
             size = len(header) + math.prod(shape)
             if len(buf) - pos < size:
@@ -317,7 +328,7 @@ def deserialize(data: bytes, expect: Optional[SystemParams] = None,
     """Parse exactly one frame; trailing bytes are an error."""
     params, kind, end = _parse_header(data, 0, expect, expect_kind)
     size = frame_byte_length(params, kind)
-    runs, error = _frame_runs(data[:size], expect, expect_kind, (data[:end], params, kind))
+    runs, error = _frame_runs(data[:size], expect, expect_kind, (bytes(data[:end]), params, kind))
     if error:
         error.frame_index = None
         raise error
@@ -348,7 +359,7 @@ def crosstalk_probe(params: SystemParams, active_user: int, trials: int,
     Exact round-tripping guarantees every inactive channel recovers
     exactly zero; the report makes that measurable.
     """
-    kind = as_kind(kind)
+    kind = Kind(kind)
     if not 0 <= active_user < params.N:
         raise ValueError(f"active_user {active_user} outside [0, {params.N})")
     require_positive("trials", trials)

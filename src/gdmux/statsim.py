@@ -37,11 +37,11 @@ from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .cosets import coset_table
+from .cosets import Kind, coset_table
 from .errors import ExtensionNotEmbeddable, InvalidParams, require_positive
 from .fields import GaloisInt, SystemParams, centered, sqrt_of_minus_one
 from .pipeline import mux_batch, validate_system
-from .transforms import Kind, as_kind, forward_batch
+from .transforms import forward_batch
 
 
 class ConstellationPoint(NamedTuple):
@@ -173,7 +173,6 @@ def galois_acf(params: SystemParams, kind=Kind.HARTLEY, frames: int = 100_000,
     R_V(0) matches the time-domain symbol power under the rationalized
     embedding.
     """
-    kind = as_kind(kind)
     mode = _resolve_embedding(params, embedding)
     require_positive("frames", frames)
     if max_lag is None:
@@ -259,7 +258,7 @@ class PulseShape:
         return ts * mag ** 2 / (1 - beta / 4)
 
 
-def _transmit_symbols(params: SystemParams, kind: Kind, frames: int,
+def _transmit_symbols(params: SystemParams, kind, frames: int,
                       rng: np.random.Generator, embedding: str,
                       source: str = "gdm") -> np.ndarray:
     """Complex symbol stream actually sent: nu coset leaders per frame."""
@@ -279,7 +278,6 @@ def synthesize_envelope(params: SystemParams, kind=Kind.HARTLEY, frames: int = 1
                         embedding: str = "auto",
                         source: str = "gdm") -> np.ndarray:
     """One realization of the complex baseband: a pulse per transmitted coefficient."""
-    kind = as_kind(kind)
     require_positive("frames", frames)
     pulse = pulse or PulseShape()
     rng = rng if rng is not None else np.random.default_rng(0)
@@ -324,7 +322,6 @@ def psd_estimate(params: SystemParams, kind=Kind.HARTLEY, *,
     main lobe excludes the neighborhood of the first sinc null, where the
     discrete-time model bias dominates any multiplex effect.
     """
-    kind = as_kind(kind)
     require_positive("realizations", realizations)
     require_positive("frames", frames)
     require_positive("nfft", nfft)

@@ -59,7 +59,9 @@ vectors, with no GaloisInt arithmetic:
     zeta^t for Fourier, cas(t) for Hartley (trig.cas_coeffs), both from
     one array of the powers of zeta. G is gathered from it; the inverse
     kernel is the same array (Hartley) or the same array read at (-t)
-    mod N (Fourier), times 1/N mod p.
+    mod N (Fourier), times 1/N mod p. Demux reads each output at its
+    (re, coefficient 0) entry, so the inverse is one linear form per
+    argument t: coefficient 0 of the product, (N, 2m) in all.
   * sigma is built from the Frobenius matrix, whose columns are the
     powers of x^p, computed by ExtField.powers like those of zeta. All
     cosets walk the same powers sigma^t, so a design holds one stack of
@@ -75,28 +77,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from .cosets import CosetTable, coset_table
+from .cosets import CosetTable, Kind, coset_table
 from .errors import InconsistentFrame, NotGroundField, UnsupportedParams
 from .fields import ExtField, GaloisInt, SystemParams
 from .trig import cas_coeffs
-
-
-class Kind(str, Enum):
-    FOURIER = "fourier"
-    HARTLEY = "hartley"
-
-    def __str__(self):
-        return self.value
-
-
-def as_kind(kind) -> Kind:
-    return Kind(kind.value if isinstance(kind, Kind) else str(kind).lower())
 
 
 @dataclass(frozen=True)
@@ -130,22 +119,6 @@ class SpectrumBlock:
 # Layout: a spectrum batch is an int64 array (F, N, 2, m); axis 2 is re/im,
 # axis 3 the GF(p) coefficients. Flattened per-block length is 2*m*N.
 
-def _gi_mul_matrices(params: SystemParams, z: np.ndarray) -> np.ndarray:
-    """(T, 2m, 2m) matrices of multiplication by the GI(p^m) values z (T, 2, m).
-
-    With A and B the multiplication matrices of re and im, z acts on
-    stacked (re, im) coefficients as [[A, -B], [B, A]].
-    """
-    m, p = params.m, params.p
-    ab = params.field.mul_matrices(z)          # (T, 2, m, m): A, B
-    out = np.empty((len(z), 2 * m, 2 * m), dtype=np.int64)
-    out[:, :m, :m] = ab[:, 0]
-    out[:, m:, m:] = ab[:, 0]
-    out[:, m:, :m] = ab[:, 1]
-    out[:, :m, m:] = (-ab[:, 1]) % p
-    return out
-
-
 def frobenius_matrix(field: ExtField) -> np.ndarray:
     """(m, m) matrix of a -> a^p on coefficient vectors (GF(p)-linear).
 
@@ -158,7 +131,7 @@ def frobenius_matrix(field: ExtField) -> np.ndarray:
 
 def _kernel_coeffs(params: SystemParams, kind) -> np.ndarray:
     """(N, 2, m) transform kernel by argument t = i*k mod N: cas(t) or zeta^t."""
-    if as_kind(kind) is Kind.HARTLEY:
+    if Kind(kind) is Kind.HARTLEY:
         return cas_coeffs(params)
     ker = np.zeros((params.N, 2, params.m), dtype=np.int64)
     ker[:, 0] = params.field.powers(params.zeta, params.N)
@@ -174,19 +147,21 @@ def _forward_flat(params: SystemParams, kind) -> np.ndarray:
     return ker[(np.outer(n, n) % N)[:, None, :], np.arange(w)[:, None]].reshape(N * w, N)
 
 
-def _inverse_blocks(params: SystemParams, kind, ker: np.ndarray | None = None) -> np.ndarray:
-    """(N, 2m, 2m): multiplication by (1/N) times the inverse kernel, by argument t.
+def _inverse_form(params: SystemParams, kind, ker: np.ndarray) -> np.ndarray:
+    """(N, 2m): coefficient 0 of (1/N) times the inverse kernel at argument t times z, as a
+    linear form in z's stacked (re, im) coefficients, from the forward kernel ker (N, 2, m).
 
     The Hartley kernel is its own inverse. The inverse Fourier kernel is
     zeta^-t = zeta^(N-t), the forward kernel read at (-t) mod N. 1/N is
-    an integer mod p, since N divides p^m - 1.
+    an integer mod p, since N divides p^m - 1. Coefficient 0 of a * b is
+    a @ P0 @ b, P0 = row 0 of the matrices of multiplication by x^j; the
+    real part of (re + j im)(b + j c) is re*b - im*c.
     """
     N, p = params.N, params.p
-    if ker is None:
-        ker = _kernel_coeffs(params, kind)
-    if as_kind(kind) is Kind.FOURIER:
+    if Kind(kind) is Kind.FOURIER:
         ker = ker[(-np.arange(N)) % N]
-    return _gi_mul_matrices(params, ker * pow(N, -1, p) % p)
+    row0 = ker @ params.field.x_power_matrices[:, 0, :]                 # (N, 2, m)
+    return np.concatenate([row0[:, 0], -row0[:, 1]], axis=1) * pow(N, -1, p) % p
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +241,7 @@ def _walk(table: CosetTable, lengths: np.ndarray) -> np.ndarray:
     return walk
 
 
-def _leader_matrices(params: SystemParams, kind: Kind, table: CosetTable, lengths: np.ndarray,
+def _leader_matrices(params: SystemParams, table: CosetTable, lengths: np.ndarray,
                      ker: np.ndarray, sigma_powers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """G (N, n) and D (n, N) as float64, each gathered from an (N, 2m) table.
 
@@ -275,9 +250,8 @@ def _leader_matrices(params: SystemParams, kind: Kind, table: CosetTable, length
     each output's (re, coefficient 0) entry. Reconstruction sets
     V[orbit[t]] = sigma^t @ leader, so the leader of coset c reaches
     output i through sum_{t < len(orbit)} R_t[i * orbit[t]], where
-    R_t = row0(B) @ sigma^t and B[t] is the (2m, 2m) block of the scaled
-    inverse kernel at argument t. Since orbit[t] = s^t * leader (s = p for
-    Fourier, -p for Hartley), that sum is Q_len[i * leader], with
+    R_t = _inverse_form @ sigma^t. Since orbit[t] = s^t * leader, with s
+    the table's step, that sum is Q_len[i * leader], with
     Q_len = sum_{t < len} R_t[n * s^t] one table per orbit length.
     """
     N, w, p = params.N, 2 * params.m, params.p
@@ -285,10 +259,8 @@ def _leader_matrices(params: SystemParams, kind: Kind, table: CosetTable, length
     args = np.outer(table.leaders, np.arange(N)) % N                  # (nu, N): leader * i
     G = ker.reshape(N, w).astype(np.float64)[args.T[:, :, None], a].reshape(N, -1)
     longest = len(sigma_powers) - 1
-    row0 = _inverse_blocks(params, kind, ker)[:, 0, :]                # (N, 2m)
-    R = (row0 @ sigma_powers[:longest]) % p                           # (L, N, 2m)
-    step = sigma_index(params, kind, 1)
-    shifts = np.array([pow(step, t, N) for t in range(longest)])
+    R = (_inverse_form(params, table.kind, ker) @ sigma_powers[:longest]) % p  # (L, N, 2m)
+    shifts = np.array([pow(table.step, t, N) for t in range(longest)])
     Q = np.cumsum(R[np.arange(longest)[:, None], np.outer(shifts, np.arange(N)) % N], axis=0) % p
     # D[(c, a), i] = Q_len(c)[i * leader_c, a], gathered straight into the final layout
     D = Q.astype(np.float64)[(lengths - 1)[:, None, None], args[:, None, :], a[:, None]]
@@ -302,7 +274,7 @@ def design(params: SystemParams, kind) -> Design:
     Raises UnsupportedParams, before allocating any matrix, when the
     design would need more than DESIGN_BUDGET_BYTES.
     """
-    kind = as_kind(kind)
+    kind = Kind(kind)
     table = coset_table(params.N, params.p, kind)
     size = design_nbytes(params.m, params.N, table.nu, table.longest)
     if size > DESIGN_BUDGET_BYTES:
@@ -311,8 +283,7 @@ def design(params: SystemParams, kind) -> Design:
             f"over the {DESIGN_BUDGET_BYTES / 2**20:.0f} MiB budget")
     lengths = np.array([len(orbit) for orbit in table.cosets])
     sigma_powers = _readonly(_sigma_powers(sigma_matrix(params, kind), params.p, table.longest))
-    G, D = _leader_matrices(params, kind, table, lengths, _kernel_coeffs(params, kind),
-                            sigma_powers)
+    G, D = _leader_matrices(params, table, lengths, _kernel_coeffs(params, kind), sigma_powers)
     return Design(params=params, kind=kind, table=table, G=G, D=D,
                   sigma_powers=sigma_powers, walk=_readonly(_walk(table, lengths)))
 
@@ -410,7 +381,7 @@ def _not_ground_field(f: int, p: int) -> NotGroundField:
 
 def mux_batch(params: SystemParams, kind, vs: np.ndarray) -> np.ndarray:
     """Compress symbol rows (F, N) or (N,) to leader arrays (F, nu, 2, m); symbols are taken mod p."""
-    d = design(params, as_kind(kind))
+    d = design(params, kind)
     vs, _ = _frames(vs, (params.N,), "symbols")
     L = _mux(d, _residues(vs, params.p).astype(np.float64))
     return L.astype(np.int64).reshape(len(vs), d.table.nu, 2, params.m)
@@ -422,7 +393,7 @@ def demux_batch(params: SystemParams, kind, leaders: np.ndarray) -> np.ndarray:
     A frame mux could not have produced raises InconsistentFrame if some
     orbit does not close, else NotGroundField; each names the first such frame.
     """
-    d = design(params, as_kind(kind))
+    d = design(params, kind)
     rows, single = _frames(leaders, (d.table.nu, 2, params.m), "leader values")
     if not in_range(rows, params.p):
         raise _orbit_error(d, rows)
@@ -438,7 +409,7 @@ def reconstruct_batch(params: SystemParams, kind, leaders: np.ndarray) -> np.nda
 
     Raises InconsistentFrame, naming the first frame whose orbits do not all close.
     """
-    d = design(params, as_kind(kind))
+    d = design(params, kind)
     rows, single = _frames(leaders, (d.table.nu, 2, params.m), "leader values")
     error = _orbit_error(d, rows)
     if error is not None:
@@ -458,7 +429,7 @@ def expand_leaders(d: Design, leaders: np.ndarray) -> np.ndarray:
 
 def forward_batch(params: SystemParams, kind, vs: np.ndarray) -> np.ndarray:
     """Transform symbol rows (F, N) or (N,) to spectra (F, N, 2, m); symbols are taken mod p."""
-    d = design(params, as_kind(kind))
+    d = design(params, kind)
     vs, _ = _frames(vs, (params.N,), "symbols")
     return _expand(d, _mux(d, _residues(vs, params.p).astype(np.float64)))
 
@@ -469,7 +440,7 @@ def inverse_batch(params: SystemParams, kind, spectra: np.ndarray) -> np.ndarray
     Raises NotGroundField at the first spectrum of no symbol row, and
     UnsupportedParams for a design over the budget.
     """
-    d = design(params, as_kind(kind))
+    d = design(params, kind)
     N, m, p = params.N, params.m, params.p
     rows, single = _frames(spectra, (N, 2, m), "spectrum values")
     S = _residues(rows, p).reshape(-1, N, 2, m)
@@ -520,8 +491,7 @@ def ffft_inverse(spec: SpectrumBlock) -> TimeBlock:
 
 def sigma_index(params: SystemParams, kind, k: int) -> int:
     """Index map whose orbits are the cyclotomic cosets: pk or -pk mod N."""
-    step = params.p if as_kind(kind) is Kind.FOURIER else -params.p
-    return (step * k) % params.N
+    return coset_table(params.N, params.p, kind).step * k % params.N
 
 
 def sigma_matrix(params: SystemParams, kind: Kind) -> np.ndarray:
@@ -533,5 +503,5 @@ def sigma_matrix(params: SystemParams, kind: Kind) -> np.ndarray:
     out = np.zeros((2 * m, 2 * m), dtype=np.int64)
     out[:m, :m] = Fm
     # the im part maps to b^p (Fourier, j^p = j for p = 1 mod 4) or -b^p
-    out[m:, m:] = Fm if as_kind(kind) is Kind.FOURIER and p % 4 == 1 else (-Fm) % p
+    out[m:, m:] = Fm if Kind(kind) is Kind.FOURIER and p % 4 == 1 else (-Fm) % p
     return out

@@ -9,7 +9,6 @@ from gdmux import (BadLength, CompressedFrame, GaloisInt, GdmError, Inconsistent
 from gdmux.cosets import CosetTable, coset_table
 from gdmux.fields import ExtField, FieldElement, get_field, is_prime, mult_order
 from gdmux.pipeline import _parse_header, demux_batch, frame_header, leader_array, mux
-from gdmux.transforms import _inverse_blocks
 
 # desk-scale systems with p^m <= 1000, used for exhaustive property checks
 SMALL_SYSTEMS = [
@@ -192,7 +191,7 @@ def inverse_matrix(params: SystemParams, kind) -> np.ndarray:
 
     Block (i, k) is the (2m, 2m) inverse-kernel block at argument i*k mod N.
     """
-    blocks = _inverse_blocks(params, kind)
+    blocks = inverse_blocks(params, kind)
     N, w = blocks.shape[0], blocks.shape[1]
     n, r = np.arange(N), np.arange(w)
     # big[i, a, k, b] = blocks[i*k mod N, a, b], gathered straight into the final layout

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from gdmux import (NotCoprime, approx_nu, count_irreducibles, coset_table,
+import gdmux
+from gdmux import (Kind, NotCoprime, approx_nu, count_irreducibles, coset_table,
                    fourier_cosets, hartley_cosets, moebius, nu_g_formula,
-                   nu_h_formula)
+                   nu_h_formula, transforms)
 
 FOURIER_26_3 = [
     (0,), (1, 3, 9), (2, 6, 18), (4, 12, 10), (5, 15, 19),
@@ -39,6 +40,28 @@ def test_hartley_cosets_26_3():
 def test_cosets_4_5():
     assert fourier_cosets(4, 5).cosets == ((0,), (1,), (2,), (3,))
     assert hartley_cosets(4, 5).cosets == ((0,), (1, 3), (2,))
+
+
+def test_kind_normalises_any_case_and_refuses_the_rest():
+    assert gdmux.Kind is transforms.Kind is Kind
+    assert Kind("HARTLEY") is Kind.HARTLEY
+    assert Kind("Fourier") is Kind.FOURIER
+    assert Kind(Kind.HARTLEY) is Kind.HARTLEY
+    for bad in ("foo", 3, None, ""):
+        with pytest.raises(ValueError, match="not a valid Kind"):
+            Kind(bad)
+        with pytest.raises(ValueError, match="not a valid Kind"):
+            coset_table(26, 3, bad)
+
+
+@pytest.mark.parametrize("kind,step", [(Kind.FOURIER, 3), (Kind.HARTLEY, 23)])
+def test_table_holds_its_kind_and_step(kind, step):
+    t = coset_table(26, 3, kind.value.upper())
+    assert t is coset_table(26, 3, kind)
+    assert t.kind is kind and t.kind == kind.value and str(t.kind) == kind.value
+    assert t.step == step
+    assert all(c[(i + 1) % len(c)] == step * c[i] % 26 for c in t.cosets for i in range(len(c)))
+    assert coset_table(1, 3, kind).step == 0
 
 
 def test_trivial_length_one():

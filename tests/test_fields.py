@@ -279,6 +279,20 @@ def test_params_validation():
     assert p.zeta == (3,)
 
 
+def test_params_create_refuses_a_zeta_from_another_field():
+    # (0, 2, 0) has order 26 mod x^3 + 2x + 2, but 13 in the default field
+    # of (3, 3, 26), mod x^3 + 2x + 1, where no round trip would succeed
+    zeta = get_field(3, 3, (2, 2, 0, 1)).element((0, 2, 0))
+    assert mult_order(zeta) == 26
+    assert mult_order(SystemParams.create(3, 3, 26).field.element((0, 2, 0))) == 13
+    with pytest.raises(InvalidParams, match=r"mod \(2, 2, 0, 1\), not of the design's "
+                                            r"GF\(3\^3\) mod \(1, 2, 0, 1\)$"):
+        SystemParams.create(3, 3, 26, zeta=zeta)
+    with pytest.raises(InvalidParams, match="does not have order 26"):
+        SystemParams.create(3, 3, 26, zeta=(0, 2, 0))
+    assert SystemParams.create(3, 3, 26, poly=(2, 2, 0, 1), zeta=zeta).zeta == (0, 2, 0)
+
+
 @pytest.mark.parametrize("p,m,N", SMALL_SYSTEMS)
 def test_params_create_small(p, m, N):
     params = SystemParams.create(p, m, N)

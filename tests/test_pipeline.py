@@ -23,7 +23,9 @@ from gdmux.fields import (MAX_FIELD_SIZE, MAX_PRIME, GaloisInt, find_root_of_uni
 from gdmux.pipeline import (CompressedFrame, decode_frames, demux_batch, encode_frames,
                             frame_byte_length, frame_header, leader_array, mux_batch,
                             reconstruct_batch, validate_system)
-from gdmux.transforms import _forward_flat, design, expand_leaders, forward_batch
+from gdmux.statsim import galois_acf, psd_estimate, synthesize_envelope
+from gdmux.transforms import (_forward_flat, design, expand_leaders, forward_batch,
+                              inverse_batch, sigma_index, sigma_matrix)
 
 from support import (ACCEPT_SYSTEMS, dense_inverse, design_grid, make, outcome, outcome_of,
                      reconstruct_walk, reference_deserialize, reference_iter_frames,
@@ -491,6 +493,64 @@ def test_encode_decode_frames_match_per_frame_codec(p, m, N, kind):
     assert np.array_equal(decode_frames(blob, params, kind), leaders)
     assert encode_frames(params, kind, leaders[:0]) == b""
     assert decode_frames(b"", params, kind).shape == (0,) + leaders.shape[1:]
+
+
+def test_encode_frames_refuses_leaders_it_cannot_write(p3326):
+    kind = Kind.HARTLEY
+    leaders = mux_batch(p3326, kind, np.ones((2, 26), dtype=np.int64))      # (2, 6, 2, 3)
+    # one frame without its batch axis, another nu, flat rows, an extra axis
+    for bad in (leaders[0], leaders[:, :-1], leaders.reshape(2, -1), leaders[None]):
+        with pytest.raises(ValueError, match="^expected "):
+            encode_frames(p3326, kind, bad)
+    # a uint8 cast would write 257 as byte 1 and -1 as byte 255
+    for value in (3, 257, -1):
+        bad = leaders.copy()
+        bad[1, 2, 0, 1] = value
+        with pytest.raises(ValueError, match=r"in \[0, 3\)$"):
+            encode_frames(p3326, kind, bad)
+
+
+def test_frame_runs_check_each_distinct_header_once(p514, p3326, monkeypatch):
+    calls = []
+    parse = pipeline._parse_header
+    monkeypatch.setattr(pipeline, "_parse_header",
+                        lambda data, pos, *a: calls.append(pos) or parse(data, pos, *a))
+    one = mux_batch(p514, Kind.HARTLEY, np.array([[4, 0, 1, 2]]))
+    two = mux_batch(p3326, Kind.FOURIER, np.ones((1, 26), dtype=np.int64))
+    first = encode_frames(p514, Kind.HARTLEY, one)
+    runs, error = pipeline._frame_runs((first + encode_frames(p3326, "fourier", two)) * 1000,
+                                       None, None)
+    assert error is None and len(runs) == 2000
+    assert calls == [0, len(first)]
+    for n, (params, kind, leaders) in enumerate(runs):
+        assert (params, kind) == ((p514, Kind.HARTLEY), (p3326, Kind.FOURIER))[n % 2]
+        assert np.array_equal(leaders, (one, two)[n % 2])
+
+
+@pytest.mark.parametrize("kind", ["foo", 3])
+def test_bad_kind_raises_value_error_at_every_entry_point(p514, kind):
+    vs = np.array([[4, 0, 1, 2]])
+    leaders = mux_batch(p514, Kind.HARTLEY, vs)
+    spectra = forward_batch(p514, Kind.HARTLEY, vs)
+    calls = [lambda: mux_batch(p514, kind, vs), lambda: demux_batch(p514, kind, leaders),
+             lambda: reconstruct_batch(p514, kind, leaders),
+             lambda: forward_batch(p514, kind, vs), lambda: inverse_batch(p514, kind, spectra),
+             lambda: design(p514, kind), lambda: validate_system(p514, kind),
+             lambda: coset_table(4, 5, kind), lambda: sigma_index(p514, kind, 1),
+             lambda: sigma_matrix(p514, kind), lambda: metrics(p514, kind),
+             lambda: required_snr(p514, kind), lambda: capacity_check(p514, kind, 10.0),
+             lambda: mux(TimeBlock(p514, (4, 0, 1, 2)), kind),
+             lambda: crosstalk_probe(p514, 0, 4, kind),
+             lambda: frame_header(p514, kind), lambda: frame_byte_length(p514, kind),
+             lambda: encode_frames(p514, kind, leaders), lambda: decode_frames(b"", p514, kind),
+             lambda: iter_frames(serialize(mux(TimeBlock(p514, (4, 0, 1, 2)))),
+                                 expect_kind=kind).__next__(),
+             lambda: galois_acf(p514, kind, frames=8),
+             lambda: synthesize_envelope(p514, kind, frames=8),
+             lambda: psd_estimate(p514, kind, realizations=1, frames=64, nfft=16)]
+    for call in calls:
+        with pytest.raises(ValueError, match="not a valid Kind$"):
+            call()
 
 
 # ---------------------------------------------------------------------------

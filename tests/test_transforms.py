@@ -13,7 +13,7 @@ from gdmux.cosets import coset_table
 from gdmux.fields import MAX_PRIME, is_prime
 from gdmux.pipeline import demux_batch, mux_batch, validate_system
 from gdmux.transforms import (DESIGN_BUDGET_BYTES, DESIGN_CACHE_SIZE, _forward_flat,
-                              _inverse_blocks, _kernel_coeffs, design,
+                              _inverse_form, _kernel_coeffs, design,
                               design_nbytes, mod_p, sigma_index, sigma_matrix,
                               spectrum_to_array)
 
@@ -321,7 +321,8 @@ def test_kernel_builders_accept_string_kind(p, m, N):
     params = make(p, m, N)
     for kind in (Kind.HARTLEY, Kind.FOURIER):
         assert np.array_equal(_kernel_coeffs(params, kind.value), _kernel_coeffs(params, kind))
-        assert np.array_equal(_inverse_blocks(params, kind.value), _inverse_blocks(params, kind))
+        assert np.array_equal(_inverse_form(params, kind.value, _kernel_coeffs(params, kind)),
+                              support.inverse_blocks(params, kind)[:, 0, :])
         assert np.array_equal(_forward_flat(params, kind.value), _forward_flat(params, kind))
         assert np.array_equal(support.inverse_matrix(params, kind.value),
                               support.inverse_matrix(params, kind))
@@ -481,7 +482,8 @@ def test_design_nbytes_exact_over_grid():
                 rows = c * steps + np.arange(len(orbit) + 1)
                 assert np.array_equal(d.walk[np.append(orbit, N + c)], rows), case
             blocks = support.inverse_blocks(params, kind)
-            assert np.array_equal(_inverse_blocks(params, kind), blocks), case
+            assert np.array_equal(_inverse_form(params, kind, _kernel_coeffs(params, kind)),
+                                  blocks[:, 0, :]), case
             assert np.array_equal(d.D, support.leader_inverse(params, blocks, maps)), case
 
 
@@ -506,6 +508,13 @@ def test_design_3_7_1093_fits_the_budget_by_its_coset_count():
         table = coset_table(1093, 3, kind)
         assert design_nbytes(7, 1093, table.nu, table.longest) == size
     assert design_nbytes(7, 1093, 1093, 14) > 6 * max(sizes.values())
+
+
+def test_design_is_shared_by_every_spelling_of_a_kind():
+    params = make(3, 3, 26)
+    assert design(params, "hartley") is design(params, Kind.HARTLEY)
+    assert design(params, "fourier") is design(params, Kind.FOURIER)
+    assert design(params, "Hartley").kind is design(params, "hartley").table.kind is Kind.HARTLEY
 
 
 def test_design_cache_is_bounded():
