@@ -85,9 +85,16 @@ def _params(args) -> SystemParams:
     return SystemParams.create(args.p, args.m, args.N, poly=args.poly)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with its usage errors on EXIT_USAGE instead of 2; subparsers inherit it."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="gdmux",
-                                 description="Galois-division multiplex toolkit")
+    ap = _Parser(prog="gdmux", description="Galois-division multiplex toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("design", help="print the design report for one parameter set")

@@ -23,8 +23,8 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import NotCoprime
-from .fields import factorize
+from .errors import InvalidParams, NotCoprime
+from .fields import MAX_FIELD_SIZE, factorize
 
 
 class Kind(str, Enum):
@@ -76,6 +76,8 @@ class CosetTable:
 def _orbits(N: int, p: int, kind: Kind) -> CosetTable:
     if N < 1:
         raise NotCoprime(f"N must be >= 1, got {N}")
+    if N >= MAX_FIELD_SIZE:     # refused before the table is allocated
+        raise InvalidParams(f"N must be < {MAX_FIELD_SIZE}, as it divides p^m - 1, got {N}")
     if math.gcd(N, p) != 1:
         raise NotCoprime(f"gcd({N}, {p}) != 1")
     step = (p if kind is Kind.FOURIER else -p) % N

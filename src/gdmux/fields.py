@@ -32,16 +32,7 @@ MAX_FIELD_SIZE = 1 << 20
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n > 1 and factorize(n) == {n: 1}
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -58,10 +49,10 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-def centered(value: int, p: int) -> int:
-    """Representative of value mod p in {-(p-1)/2, ..., (p-1)/2}."""
+def centered(value, p: int):
+    """Representative of value mod p in {-(p-1)/2, ..., (p-1)/2}; elementwise on an int array."""
     v = value % p
-    return v - p if v > (p - 1) // 2 else v
+    return v - p * (v > (p - 1) // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -129,14 +120,16 @@ class ExtField:
     """
 
     def __init__(self, p: int, m: int, poly: Optional[tuple[int, ...]] = None):
-        if not is_prime(p) or p == 2:
-            raise InvalidParams(f"p must be an odd prime, got {p}")
+        # bounds first: neither primality nor p^m is worked out for input out of scope
         if p > MAX_PRIME:
             raise InvalidParams(f"p must be <= {MAX_PRIME}, got {p}")
+        if not is_prime(p) or p == 2:
+            raise InvalidParams(f"p must be an odd prime, got {p}")
         if m < 1:
             raise InvalidParams(f"extension degree must be >= 1, got {m}")
-        if p**m > MAX_FIELD_SIZE:
-            raise InvalidParams(f"p^m must be <= {MAX_FIELD_SIZE}, got {p**m}")
+        # p > 2, so p^m > 2^m > MAX_FIELD_SIZE from m = MAX_FIELD_SIZE.bit_length() on
+        if m >= MAX_FIELD_SIZE.bit_length() or p**m > MAX_FIELD_SIZE:
+            raise InvalidParams(f"p^m must be <= {MAX_FIELD_SIZE}, got {p}^{m}")
         if poly is None:
             poly = smallest_irreducible(p, m)
         else:

@@ -67,6 +67,7 @@ class CompressedFrame:
     leaders: tuple[GaloisInt, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "kind", Kind(self.kind))
         expect = coset_table(self.params.N, self.params.p, self.kind).nu
         if len(self.leaders) != expect:
             raise ValueError(f"expected {expect} leader values, got {len(self.leaders)}")
@@ -121,7 +122,6 @@ def validate_system(params: SystemParams, kind) -> CosetTable:
 
 def mux(block: TimeBlock, kind=Kind.HARTLEY) -> CompressedFrame:
     """Transform one frame and keep the coset-leader values, in leader order."""
-    kind = Kind(kind)
     arr = mux_batch(block.params, kind, np.array([block.symbols]))[0]
     return CompressedFrame(block.params, kind, block.params.ring.from_array(arr))
 

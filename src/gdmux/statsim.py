@@ -5,8 +5,9 @@ Symbols are mapped to the complex plane through centered representatives
 
   * component: re + 1i*im, a two-dimensional point per value;
   * rationalized: substitute j := sqrt(-1) mod p and center, available
-    when p = 1 (mod 4). This is the degenerate one-dimensional carrier
-    case (over GF(5) the carriers collapse to Walsh sequences), and it is
+    when p = 1 (mod 4). This is trig.rationalize, the degenerate
+    one-dimensional carrier case (over GF(5) the carriers collapse to
+    Walsh sequences, trig.rationalize_walsh), and it is
     the embedding under which the spectral power equals the time-domain
     power: componentwise, generic spectrum bins carry two independent
     uniform coordinates and average 1.5x the symbol power.
@@ -39,9 +40,10 @@ import numpy as np
 
 from .cosets import Kind, coset_table
 from .errors import ExtensionNotEmbeddable, InvalidParams, require_positive
-from .fields import GaloisInt, SystemParams, centered, sqrt_of_minus_one
+from .fields import GaloisInt, SystemParams, centered
 from .pipeline import mux_batch, validate_system
 from .transforms import forward_batch
+from .trig import rationalize
 
 
 class ConstellationPoint(NamedTuple):
@@ -80,23 +82,21 @@ def _resolve_embedding(params: SystemParams, embedding: str) -> str:
     return embedding
 
 
+def _sampling_mode(params: SystemParams, embedding: str, source: str) -> str:
+    """What _transmit_symbols draws: "gaussian", or the resolved embedding of GDM leaders."""
+    if source == "gaussian":
+        return source
+    if source != "gdm":
+        raise ValueError(f"unknown source {source!r}")
+    return _resolve_embedding(params, embedding)
+
+
 def embed_spectra(params: SystemParams, arr: np.ndarray,
                   embedding: str = "auto") -> np.ndarray:
     """Map spectrum coefficient arrays (..., 2, 1) to complex samples."""
-    mode = _resolve_embedding(params, embedding)
-    p = params.p
-    re = arr[..., 0, 0]
-    im = arr[..., 1, 0]
-    if mode == "rationalized":
-        s = sqrt_of_minus_one(params.p, 1, params.poly).coeffs[0]
-        val = (re + s * im) % p
-        return _center_array(val, p).astype(np.complex128)
-    return _center_array(re, p) + 1j * _center_array(im, p)
-
-
-def _center_array(a: np.ndarray, p: int) -> np.ndarray:
-    a = a % p
-    return np.where(a > (p - 1) // 2, a - p, a).astype(np.float64)
+    if _resolve_embedding(params, embedding) == "rationalized":
+        return rationalize(params, arr).astype(np.complex128)
+    return centered(arr[..., 0, 0], params.p) + 1j * centered(arr[..., 1, 0], params.p)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +183,7 @@ def galois_acf(params: SystemParams, kind=Kind.HARTLEY, frames: int = 100_000,
     vs = rng.integers(0, params.p, size=(frames, params.N))
     stream = embed_spectra(params, forward_batch(params, kind, vs), mode).reshape(-1)
     vals, errs = acf_of_stream(stream, max_lag)
-    time_r0 = float((_center_array(vs, params.p) ** 2).mean())
+    time_r0 = float((centered(vs, params.p) ** 2).mean())
     return AcfEstimate(lags=np.arange(max_lag + 1), values=vals, stderr=errs,
                        r0=float(vals[0].real), time_r0=time_r0,
                        frames=frames, embedding=mode)
@@ -259,17 +259,16 @@ class PulseShape:
 
 
 def _transmit_symbols(params: SystemParams, kind, frames: int,
-                      rng: np.random.Generator, embedding: str,
-                      source: str = "gdm") -> np.ndarray:
-    """Complex symbol stream actually sent: nu coset leaders per frame."""
+                      rng: np.random.Generator, mode: str) -> np.ndarray:
+    """Complex symbol stream actually sent, in a _sampling_mode: nu coset leaders per frame."""
     nu = validate_system(params, kind).nu
-    if source == "gaussian":
+    if mode == "gaussian":
         # control experiment: white non-multiplexed symbols, same clock
         n = frames * nu
         return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2)
     vs = rng.integers(0, params.p, size=(frames, params.N))
     leaders = mux_batch(params, kind, vs)
-    return embed_spectra(params, leaders, embedding).reshape(-1)
+    return embed_spectra(params, leaders, mode).reshape(-1)
 
 
 def synthesize_envelope(params: SystemParams, kind=Kind.HARTLEY, frames: int = 1000,
@@ -277,12 +276,16 @@ def synthesize_envelope(params: SystemParams, kind=Kind.HARTLEY, frames: int = 1
                         rng: Optional[np.random.Generator] = None,
                         embedding: str = "auto",
                         source: str = "gdm") -> np.ndarray:
-    """One realization of the complex baseband: a pulse per transmitted coefficient."""
+    """One realization of the complex baseband: a pulse per transmitted coefficient.
+
+    source "gdm" sends the embedded coset leaders of random frames, "gaussian" a
+    white control stream at the same clock; any other source raises ValueError.
+    """
     require_positive("frames", frames)
     pulse = pulse or PulseShape()
     rng = rng if rng is not None else np.random.default_rng(0)
-    mode = _resolve_embedding(params, embedding) if source == "gdm" else embedding
-    symbols = _transmit_symbols(params, kind, frames, rng, mode, source)
+    symbols = _transmit_symbols(params, kind, frames, rng,
+                                _sampling_mode(params, embedding, source))
     spp = pulse.samples_per_symbol
     if pulse.kind == "rectangular":
         return np.repeat(symbols, spp) * pulse.taps()[0]
@@ -325,6 +328,7 @@ def psd_estimate(params: SystemParams, kind=Kind.HARTLEY, *,
     require_positive("realizations", realizations)
     require_positive("frames", frames)
     require_positive("nfft", nfft)
+    mode = _sampling_mode(params, embedding, source)
     pulse = pulse or PulseShape()
     rng = np.random.default_rng(seed)
     fs = pulse.sample_rate
@@ -344,9 +348,7 @@ def psd_estimate(params: SystemParams, kind=Kind.HARTLEY, *,
         acc += (spec.real ** 2 + spec.imag ** 2).sum(axis=0)
         nseg_total += nseg
     # R0 from the same ensemble (fresh draw, same statistics)
-    sym = _transmit_symbols(params, kind, min(frames, 4096), rng,
-                            _resolve_embedding(params, embedding) if source == "gdm" else embedding,
-                            source)
+    sym = _transmit_symbols(params, kind, min(frames, 4096), rng, mode)
     r0 = float((sym.real ** 2 + sym.imag ** 2).mean())
     psd = np.fft.fftshift(acc) / (nseg_total * nfft * fs)
     freqs = np.fft.fftshift(np.fft.fftfreq(nfft, d=1.0 / fs))

@@ -38,14 +38,14 @@ S at a leader or _expand(L) does elsewhere.
 Exactness. Each kernel is a float64 BLAS product of integers in [0, p)
 whose sums stay below 2mN(p-1)^2 < 2^52 for every p <= MAX_PRIME and
 p^m <= MAX_FIELD_SIZE (tests/test_pipeline.py checks the extremes), and
-mod_p reduces such sums exactly. Symbols, spectrum entries and the
-leaders given to expand_leaders are reduced mod p first; demux_batch and
-reconstruct_batch refuse leaders outside [0, p), which never close
-their orbits.
+mod_p reduces such sums exactly. Symbols and spectrum entries are reduced
+mod p first; demux_batch and reconstruct_batch refuse leaders outside
+[0, p), which never close their orbits.
 
 design() compiles, once per (params, kind), the coset table and these
-arrays. It refuses any design over DESIGN_BUDGET_BYTES before
-allocating it, and keeps the most recent DESIGN_CACHE_SIZE designs.
+arrays; every spelling of a kind shares the design of its Kind. It
+refuses any design over DESIGN_BUDGET_BYTES before allocating it, and
+keeps the most recent DESIGN_CACHE_SIZE designs.
 
 A design is compiled by array operations on (..., m) coefficient
 vectors, with no GaloisInt arithmetic:
@@ -109,6 +109,7 @@ class SpectrumBlock:
     values: tuple[GaloisInt, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "kind", Kind(self.kind))
         if len(self.values) != self.params.N:
             raise ValueError(f"expected {self.params.N} values, got {len(self.values)}")
 
@@ -274,7 +275,8 @@ def design(params: SystemParams, kind) -> Design:
     Raises UnsupportedParams, before allocating any matrix, when the
     design would need more than DESIGN_BUDGET_BYTES.
     """
-    kind = Kind(kind)
+    if not isinstance(kind, Kind):      # any other spelling shares the Kind's design
+        return design(params, Kind(kind))
     table = coset_table(params.N, params.p, kind)
     size = design_nbytes(params.m, params.N, table.nu, table.longest)
     if size > DESIGN_BUDGET_BYTES:
@@ -418,15 +420,6 @@ def reconstruct_batch(params: SystemParams, kind, leaders: np.ndarray) -> np.nda
     return spectra[0] if single else spectra
 
 
-def expand_leaders(d: Design, leaders: np.ndarray) -> np.ndarray:
-    """Spectra (F, N, 2, m) of leader arrays (F, nu, 2, m) or (nu, 2, m), taken mod p.
-
-    The orbit walk alone: whether the orbits close is reconstruct_batch's check.
-    """
-    rows, _ = _frames(leaders, (d.table.nu, 2, d.params.m), "leader values")
-    return _expand(d, _residues(rows, d.params.p).astype(np.float64))
-
-
 def forward_batch(params: SystemParams, kind, vs: np.ndarray) -> np.ndarray:
     """Transform symbol rows (F, N) or (N,) to spectra (F, N, 2, m); symbols are taken mod p."""
     d = design(params, kind)
@@ -453,10 +446,6 @@ def inverse_batch(params: SystemParams, kind, spectra: np.ndarray) -> np.ndarray
     return vs[0] if single else vs
 
 
-def spectrum_to_array(spec: SpectrumBlock) -> np.ndarray:
-    return spec.params.ring.to_array(spec.values)
-
-
 # ---------------------------------------------------------------------------
 # the four transform operations
 # ---------------------------------------------------------------------------
@@ -469,7 +458,7 @@ def ffht_forward(block: TimeBlock) -> SpectrumBlock:
 
 def ffht_inverse(spec: SpectrumBlock) -> TimeBlock:
     """v_i = (1/N) sum_k V_k cas_i(k); exact inverse of ffht_forward."""
-    vs = inverse_batch(spec.params, Kind.HARTLEY, spectrum_to_array(spec)[None])[0]
+    vs = inverse_batch(spec.params, Kind.HARTLEY, spec.params.ring.to_array(spec.values))
     return TimeBlock(spec.params, tuple(int(v) for v in vs))
 
 
@@ -481,7 +470,7 @@ def ffft_forward(block: TimeBlock) -> SpectrumBlock:
 
 def ffft_inverse(spec: SpectrumBlock) -> TimeBlock:
     """v_i = (1/N) sum_k V_k zeta^(-ik)."""
-    vs = inverse_batch(spec.params, Kind.FOURIER, spectrum_to_array(spec)[None])[0]
+    vs = inverse_batch(spec.params, Kind.FOURIER, spec.params.ring.to_array(spec.values))
     return TimeBlock(spec.params, tuple(int(v) for v in vs))
 
 
@@ -489,15 +478,10 @@ def ffft_inverse(spec: SpectrumBlock) -> TimeBlock:
 # conjugacy structure
 # ---------------------------------------------------------------------------
 
-def sigma_index(params: SystemParams, kind, k: int) -> int:
-    """Index map whose orbits are the cyclotomic cosets: pk or -pk mod N."""
-    return coset_table(params.N, params.p, kind).step * k % params.N
-
-
 def sigma_matrix(params: SystemParams, kind: Kind) -> np.ndarray:
     """(2m, 2m) matrix, on stacked (re, im) coefficients, of the value map paired with
-    sigma_index on spectra of ground-field blocks: z.frobenius() for Fourier,
-    z.conj_frobenius() for Hartley."""
+    the coset step k -> CosetTable.step * k on spectra of ground-field blocks:
+    z.frobenius() for Fourier, z.conj_frobenius() for Hartley."""
     Fm = frobenius_matrix(params.field)
     m, p = params.m, params.p
     out = np.zeros((2 * m, 2 * m), dtype=np.int64)

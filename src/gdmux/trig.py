@@ -42,6 +42,28 @@ def cas_coeffs(params: SystemParams) -> np.ndarray:
     return np.stack([(fwd + rev) * inv2 % p, (rev - fwd) * inv2 % p], axis=1)
 
 
+def rationalize(params: SystemParams, coeffs: np.ndarray) -> np.ndarray:
+    """Centered int64 values of re + s*im for an (..., 2, m) coefficient array, s = sqrt(-1).
+
+    Substituting j := s maps GI(p^m) to GF(p^m); the result is real when
+    every value lands in GF(p). Raises NoRationalization when -1 is a
+    non-residue, and when some value leaves the prime field.
+    """
+    s = sqrt_of_minus_one(params.p, params.m, params.poly)
+    if s is None:
+        raise NoRationalization(
+            f"-1 is a non-residue in GF({params.p}^{params.m}); carriers stay two-dimensional")
+    # the matrix of multiplication by s, applied to each im row; nothing is reduced
+    # but the checked coefficients, as centered() reduces the rest
+    times_s = params.field.mul_matrices(np.array(s.coeffs)).T
+    values = coeffs[..., 0, :] + np.einsum("...j,jk->...k", coeffs[..., 1, :], times_s)
+    if (values[..., 1:] % params.p).any():
+        raise NoRationalization(
+            "substituted carrier value leaves the prime field; "
+            "no integer Walsh form exists for these parameters")
+    return centered(values[..., 0], params.p)
+
+
 @lru_cache(maxsize=64)
 def _cas_by_product(params: SystemParams) -> tuple[GaloisInt, ...]:
     """cas values indexed by t = i*k mod N, as GaloisInt (from cas_coeffs)."""
@@ -129,19 +151,5 @@ def rationalize_walsh(matrix: CarrierMatrix) -> list[list[int]]:
     the row-permuted 4x4 Walsh-Hadamard matrix.
     """
     params = matrix.params
-    s = sqrt_of_minus_one(params.p, params.m, params.poly)
-    if s is None:
-        raise NoRationalization(
-            f"-1 is a non-residue in GF({params.p}^{params.m}); carriers stay two-dimensional")
-    out = []
-    for row in matrix.rows:
-        vals = []
-        for z in row.samples:
-            v = z.re + s * z.im
-            if not v.in_prime_field():
-                raise NoRationalization(
-                    "substituted carrier value leaves the prime field; "
-                    "no integer Walsh form exists for these parameters")
-            vals.append(centered(v.coeffs[0], params.p))
-        out.append(vals)
-    return out
+    coeffs = params.ring.to_array([z for row in matrix.rows for z in row.samples])
+    return rationalize(params, coeffs).reshape(len(matrix.rows), -1).tolist()

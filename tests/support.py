@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 
-from gdmux import (BadLength, CompressedFrame, GaloisInt, GdmError, InconsistentFrame, Kind,
-                   NoSuchRoot, NotGroundField, SystemParams, TimeBlock)
+from gdmux import (BadLength, CarrierMatrix, CompressedFrame, GaloisInt, GdmError,
+                   InconsistentFrame, Kind, NoRationalization, NoSuchRoot, NotGroundField,
+                   SystemParams, TimeBlock)
 from gdmux.cosets import CosetTable, coset_table
 from gdmux.fields import ExtField, FieldElement, get_field, is_prime, mult_order
 from gdmux.pipeline import _parse_header, demux_batch, frame_header, leader_array, mux
@@ -65,6 +66,29 @@ def scan_sqrt_of_minus_one(p, m, poly=None):
         return None
     minus_one = -field.one
     return next((x for x in map(field.from_int, range(field.order)) if x * x == minus_one), None)
+
+
+def rationalize_by_elements(matrix: CarrierMatrix) -> list[list[int]]:
+    """The carriers with j := sqrt(-1) substituted, one FieldElement at a time, centered."""
+    params = matrix.params
+    p = params.p
+    s = scan_sqrt_of_minus_one(params.p, params.m, params.poly)
+    if s is None:
+        raise NoRationalization(
+            f"-1 is a non-residue in GF({params.p}^{params.m}); carriers stay two-dimensional")
+    out = []
+    for row in matrix.rows:
+        vals = []
+        for z in row.samples:
+            v = z.re + s * z.im
+            if not v.in_prime_field():
+                raise NoRationalization(
+                    "substituted carrier value leaves the prime field; "
+                    "no integer Walsh form exists for these parameters")
+            c = v.coeffs[0]
+            vals.append(c - p if c > (p - 1) // 2 else c)
+        out.append(vals)
+    return out
 
 
 def kernel_definition(params: SystemParams, kind, inverse: bool = False) -> tuple[GaloisInt, ...]:

@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -7,9 +8,9 @@ import numpy as np
 import pytest
 
 import gdmux
-from gdmux import UnsupportedParams, cli, statsim, transforms
+from gdmux import UnsupportedParams, cli, fields, statsim, transforms
 from gdmux.cli import main
-from gdmux.fields import SystemParams, find_root_of_unity
+from gdmux.fields import MAX_FIELD_SIZE, MAX_PRIME, SystemParams, find_root_of_unity
 from gdmux.pipeline import encode_frames, frame_header, mux_batch
 
 from support import ACCEPT_SYSTEMS, acf_by_lags, cli_demux_oracle, cli_mux_oracle, make
@@ -205,6 +206,52 @@ def test_unreadable_input_and_unwritable_output_exit_1(tmp_path, capsys, command
         code, _, err = run(capsys, *args, "--in", str(src), "--out", str(bad_out))
         assert code == 1
         assert err.startswith("error: [Errno ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["mux"], ["mux", "-p", "5", "-N", "4", "--kind", "foo"], ["bogus"],
+    ["mux", "-p", "x", "-N", "4"], ["cosets", "--poly", "1"], [],
+], ids=["no-flags", "bad-kind", "unknown-command", "bad-int", "unknown-flag", "no-command"])
+def test_usage_errors_exit_1_with_argparse_usage_text(capsys, monkeypatch, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    ours = capsys.readouterr()
+    assert info.value.code == 1 and ours.out == ""
+    # byte for byte what argparse itself writes before its exit 2
+    monkeypatch.setattr(cli._Parser, "error", argparse.ArgumentParser.error)
+    with pytest.raises(SystemExit) as stock:
+        main(argv)
+    assert stock.value.code == 2
+    assert ours.err == capsys.readouterr().err
+    assert ours.err.startswith("usage: gdmux") and ": error: " in ours.err
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["mux", "-h"], ["cosets", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: gdmux")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["design", "-p", "1000000000000000003", "-N", "2"],
+     "p must be <= 251, got 1000000000000000003"),
+    (["design", "-p", "3", "-m", "100000", "-N", "2"],
+     f"p^m must be <= {MAX_FIELD_SIZE}, got 3^100000"),
+    (["cosets", "-p", "3", "-N", str(MAX_FIELD_SIZE)],
+     f"N must be < {MAX_FIELD_SIZE}, as it divides p^m - 1, got {MAX_FIELD_SIZE}"),
+], ids=["p", "m", "N"])
+def test_out_of_scope_design_input_exits_1_before_any_large_work(capsys, monkeypatch, argv,
+                                                                  message):
+    # a prime test of 10^18 + 3 by trial division does not finish
+    is_prime = fields.is_prime
+
+    def bounded_is_prime(n):
+        assert n <= MAX_PRIME, f"is_prime({n}) called"
+        return is_prime(n)
+    monkeypatch.setattr(fields, "is_prime", bounded_is_prime)
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
 def test_demux_n_over_the_header_field_exits_1_without_a_traceback(tmp_path):

@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 import gdmux
-from gdmux import (Kind, NotCoprime, approx_nu, count_irreducibles, coset_table,
+from gdmux import (InvalidParams, Kind, NotCoprime, approx_nu, count_irreducibles, coset_table,
                    fourier_cosets, hartley_cosets, moebius, nu_g_formula,
                    nu_h_formula, transforms)
+from gdmux.fields import MAX_FIELD_SIZE
 
 FOURIER_26_3 = [
     (0,), (1, 3, 9), (2, 6, 18), (4, 12, 10), (5, 15, 19),
@@ -188,3 +189,12 @@ def test_reciprocal_clustering_counterexample_48_7():
     assert not any(set(hc) == {1, 7, 41, 47} for hc in h.cosets)
     # and here Hartley compresses WORSE than Fourier
     assert h.nu == 28 and f.nu == 27
+
+
+@pytest.mark.parametrize("kind", [Kind.FOURIER, Kind.HARTLEY])
+def test_block_lengths_outside_every_field_are_refused_before_the_table(kind):
+    # every design's N divides p^m - 1 < MAX_FIELD_SIZE; N = 10^9 used to
+    # allocate an 8 GB list before any check
+    N = MAX_FIELD_SIZE
+    with pytest.raises(InvalidParams, match=rf"^N must be < {MAX_FIELD_SIZE}, .*, got {N}$"):
+        coset_table(N, 3, kind)

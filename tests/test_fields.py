@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from gdmux import (InvalidParams, NonInvertible, NoSuchRoot, NotAUnit, SystemParams,
                    centered, find_root_of_unity, gaussian_ring, get_field,
                    mult_order, sqrt_of_minus_one)
-from gdmux import cosets, trig
-from gdmux.fields import is_prime, poly_is_irreducible, smallest_irreducible
+from gdmux import cosets, fields, trig
+from gdmux.fields import (MAX_FIELD_SIZE, ExtField, is_prime, poly_is_irreducible,
+                          smallest_irreducible)
 from gdmux.transforms import DESIGN_BUDGET_BYTES, frobenius_matrix
 
 import support
@@ -252,6 +253,34 @@ def test_params_create_is_fast_cold_at_the_slow_corners(p, m, N):
 def test_centered():
     assert [centered(v, 5) for v in range(5)] == [0, 1, 2, -2, -1]
     assert centered(6, 5) == 1
+
+
+def test_centered_works_elementwise_on_int_arrays():
+    values = np.arange(-12, 13).reshape(5, 5)
+    got = centered(values, 5)
+    assert got.dtype == np.int64 and got.shape == (5, 5)
+    assert got.tolist() == [[centered(int(v), 5) for v in row] for row in values]
+
+
+def test_is_prime():
+    assert [n for n in range(-3, 40) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+
+
+def test_out_of_scope_fields_are_refused_before_any_large_work(monkeypatch):
+    # primality is tested only for p <= MAX_PRIME: 10^18 + 3 would take
+    # trial division up to 10^9 before the bound was checked
+    def no_primality(n):
+        raise AssertionError(f"is_prime({n}) called")
+    monkeypatch.setattr(fields, "is_prime", no_primality)
+    with pytest.raises(InvalidParams, match=r"^p must be <= 251, got 1000000000000000003$"):
+        ExtField(10 ** 18 + 3, 1)
+    monkeypatch.undo()
+    # m is bounded before p^m is computed, and the message does not print p^m
+    for m in (13, 21, 100_000):
+        start = time.perf_counter()
+        with pytest.raises(InvalidParams, match=rf"^p\^m must be <= {MAX_FIELD_SIZE}, got 3\^{m}$"):
+            ExtField(3, m)
+        assert time.perf_counter() - start < 0.5
 
 
 def test_canonical_text():

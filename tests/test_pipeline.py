@@ -24,8 +24,7 @@ from gdmux.pipeline import (CompressedFrame, decode_frames, demux_batch, encode_
                             frame_byte_length, frame_header, leader_array, mux_batch,
                             reconstruct_batch, validate_system)
 from gdmux.statsim import galois_acf, psd_estimate, synthesize_envelope
-from gdmux.transforms import (_forward_flat, design, expand_leaders, forward_batch,
-                              inverse_batch, sigma_index, sigma_matrix)
+from gdmux.transforms import _forward_flat, design, forward_batch, inverse_batch, sigma_matrix
 
 from support import (ACCEPT_SYSTEMS, dense_inverse, design_grid, make, outcome, outcome_of,
                      reconstruct_walk, reference_deserialize, reference_iter_frames,
@@ -229,8 +228,7 @@ def test_mux_takes_symbols_mod_p(p3326, kind):
 
 @pytest.mark.parametrize("shape", [(3, 7, 2, 3), (3, 5, 2, 3), (7, 2, 3), (3, 6, 2, 2),
                                    (3, 6, 6), (2, 3, 6, 2, 3), (6, 2)])
-@pytest.mark.parametrize("fn", [demux_batch, reconstruct_batch,
-                                lambda params, kind, L: expand_leaders(design(params, kind), L)])
+@pytest.mark.parametrize("fn", [demux_batch, reconstruct_batch])
 def test_wrongly_shaped_leader_arrays_refused(p3326, shape, fn):
     # (3, 7, 2, 3) used to demux to the symbols of its first 6 leaders, and
     # (3, 5, 2, 3) to end in an IndexError
@@ -527,6 +525,18 @@ def test_frame_runs_check_each_distinct_header_once(p514, p3326, monkeypatch):
         assert np.array_equal(leaders, (one, two)[n % 2])
 
 
+@pytest.mark.parametrize("spelling", ["fourier", "FOURIER", "Fourier", Kind.FOURIER],
+                         ids=["lower", "upper", "title", "member"])
+def test_compressed_frame_holds_the_kind_of_any_spelling(p514, spelling):
+    frame = mux(TimeBlock(p514, (4, 0, 1, 2)), Kind.FOURIER)
+    again = CompressedFrame(p514, spelling, frame.leaders)
+    assert again == frame and again.kind is Kind.FOURIER
+    assert mux(TimeBlock(p514, (4, 0, 1, 2)), spelling) == frame
+    assert serialize(again) == serialize(frame) and demux(again) == demux(frame)
+    with pytest.raises(ValueError, match="not a valid Kind$"):
+        CompressedFrame(p514, "foo", frame.leaders)
+
+
 @pytest.mark.parametrize("kind", ["foo", 3])
 def test_bad_kind_raises_value_error_at_every_entry_point(p514, kind):
     vs = np.array([[4, 0, 1, 2]])
@@ -536,8 +546,8 @@ def test_bad_kind_raises_value_error_at_every_entry_point(p514, kind):
              lambda: reconstruct_batch(p514, kind, leaders),
              lambda: forward_batch(p514, kind, vs), lambda: inverse_batch(p514, kind, spectra),
              lambda: design(p514, kind), lambda: validate_system(p514, kind),
-             lambda: coset_table(4, 5, kind), lambda: sigma_index(p514, kind, 1),
-             lambda: sigma_matrix(p514, kind), lambda: metrics(p514, kind),
+             lambda: coset_table(4, 5, kind), lambda: sigma_matrix(p514, kind),
+             lambda: metrics(p514, kind),
              lambda: required_snr(p514, kind), lambda: capacity_check(p514, kind, 10.0),
              lambda: mux(TimeBlock(p514, (4, 0, 1, 2)), kind),
              lambda: crosstalk_probe(p514, 0, 4, kind),

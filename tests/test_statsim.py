@@ -155,29 +155,32 @@ def test_time_domain_whiteness():
 
 
 BAD_ARGUMENTS = [
-    (galois_acf, {"frames": 0}, "frames"),
-    (galois_acf, {"frames": -3}, "frames"),
-    (galois_acf, {"frames": 2, "max_lag": 50}, "max_lag"),
-    (galois_acf, {"frames": 2, "max_lag": 8}, "max_lag"),      # 2 frames of N = 4 samples
-    (galois_acf, {"frames": 2, "max_lag": -1}, "max_lag"),
-    (psd_estimate, {"realizations": 0}, "realizations"),
-    (psd_estimate, {"frames": 0}, "frames"),
-    (psd_estimate, {"nfft": 0}, "nfft"),
-    (psd_estimate, {"nfft": -4}, "nfft"),
-    (synthesize_envelope, {"frames": 0}, "frames"),
-    (synthesize_envelope, {"frames": -2}, "frames"),
+    (galois_acf, {"frames": 0}, InvalidParams, "frames"),
+    (galois_acf, {"frames": -3}, InvalidParams, "frames"),
+    (galois_acf, {"frames": 2, "max_lag": 50}, InvalidParams, "max_lag"),
+    (galois_acf, {"frames": 2, "max_lag": 8}, InvalidParams, "max_lag"),  # 2 frames of N = 4
+    (galois_acf, {"frames": 2, "max_lag": -1}, InvalidParams, "max_lag"),
+    (psd_estimate, {"realizations": 0}, InvalidParams, "realizations"),
+    (psd_estimate, {"frames": 0}, InvalidParams, "frames"),
+    (psd_estimate, {"nfft": 0}, InvalidParams, "nfft"),
+    (psd_estimate, {"nfft": -4}, InvalidParams, "nfft"),
+    (psd_estimate, {"source": "bogus"}, ValueError, "unknown source"),
+    (synthesize_envelope, {"frames": 0}, InvalidParams, "frames"),
+    (synthesize_envelope, {"frames": -2}, InvalidParams, "frames"),
+    (synthesize_envelope, {"source": "bogus"}, ValueError, "unknown source"),
 ]
 
 
-@pytest.mark.parametrize("fn,kwargs,name", BAD_ARGUMENTS,
+@pytest.mark.parametrize("fn,kwargs,error,name", BAD_ARGUMENTS,
                          ids=[fn.__name__ + "-" + ",".join(f"{k}={v}" for k, v in kw.items())
-                              for fn, kw, _ in BAD_ARGUMENTS])
-def test_unusable_arguments_are_refused_before_sampling(p514, monkeypatch, fn, kwargs, name):
+                              for fn, kw, _, _ in BAD_ARGUMENTS])
+def test_unusable_arguments_are_refused_before_sampling(p514, monkeypatch, fn, kwargs, error,
+                                                         name):
     def sampled(*args, **kw):
         raise AssertionError("samples drawn before the arguments were checked")
     for target in ("forward_batch", "synthesize_envelope", "_transmit_symbols"):
         monkeypatch.setattr(statsim, target, sampled)
-    with pytest.raises(InvalidParams, match=rf"^{name} "):
+    with pytest.raises(error, match=rf"^{name} "):
         fn(p514, Kind.HARTLEY, **kwargs)
 
 

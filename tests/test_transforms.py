@@ -14,8 +14,7 @@ from gdmux.fields import MAX_PRIME, is_prime
 from gdmux.pipeline import demux_batch, mux_batch, validate_system
 from gdmux.transforms import (DESIGN_BUDGET_BYTES, DESIGN_CACHE_SIZE, _forward_flat,
                               _inverse_form, _kernel_coeffs, design,
-                              design_nbytes, mod_p, sigma_index, sigma_matrix,
-                              spectrum_to_array)
+                              design_nbytes, mod_p, sigma_matrix)
 
 import support
 from support import (ACCEPT_SYSTEMS, SMALL_SYSTEMS, design_grid, forward_definition, make,
@@ -175,8 +174,8 @@ def test_hartley_frobenius_literal_fails_for_p1mod4(p514):
 
 
 def test_sigma_maps(p514):
-    assert [sigma_index(p514, Kind.FOURIER, k) for k in range(4)] == [0, 1, 2, 3]
-    assert [sigma_index(p514, Kind.HARTLEY, k) for k in range(4)] == [0, 3, 2, 1]
+    for kind, want in ((Kind.FOURIER, [0, 1, 2, 3]), (Kind.HARTLEY, [0, 3, 2, 1])):
+        assert [coset_table(4, 5, kind).step * k % 4 for k in range(4)] == want
     # sigma_matrix applied to the stacked (re, im) coefficients of z gives
     # conj_frobenius(z) for Hartley and frobenius(z) for Fourier
     rng = np.random.default_rng(6)
@@ -214,7 +213,7 @@ def _assert_forward_matches_definition(params, kind, vs):
     vs = np.vstack([np.eye(params.N, dtype=np.int64), vs])
     got = forward_batch(params, kind, vs)
     for f, values in enumerate(forward_definition(params, kind, vs)):
-        assert np.array_equal(got[f], spectrum_to_array(SpectrumBlock(params, kind, values)))
+        assert np.array_equal(got[f], params.ring.to_array(values))
 
 
 def test_forward_matches_definition_514(p514):
@@ -515,6 +514,23 @@ def test_design_is_shared_by_every_spelling_of_a_kind():
     assert design(params, "hartley") is design(params, Kind.HARTLEY)
     assert design(params, "fourier") is design(params, Kind.FOURIER)
     assert design(params, "Hartley").kind is design(params, "hartley").table.kind is Kind.HARTLEY
+
+
+def test_design_of_any_case_spelling_is_the_kinds_design():
+    params = make(5, 2, 24)
+    for spelling in ("HARTLEY", "Hartley", "hartley"):
+        assert design(params, spelling) is design(params, Kind.HARTLEY)
+    assert design(params, "FOURIER") is design(params, Kind.FOURIER)
+
+
+@pytest.mark.parametrize("spelling", ["hartley", "HARTLEY", "Hartley", Kind.HARTLEY],
+                         ids=["lower", "upper", "title", "member"])
+def test_spectrum_block_holds_the_kind_of_any_spelling(p514, spelling):
+    spec = ffht_forward(TimeBlock(p514, (4, 0, 1, 2)))
+    again = SpectrumBlock(p514, spelling, spec.values)
+    assert again == spec and again.kind is Kind.HARTLEY
+    with pytest.raises(ValueError, match="not a valid Kind$"):
+        SpectrumBlock(p514, "foo", spec.values)
 
 
 def test_design_cache_is_bounded():

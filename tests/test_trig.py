@@ -1,10 +1,12 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from gdmux import (NoRationalization, SystemParams, carrier, carrier_matrix, cas,
+from gdmux import (GdmError, NoRationalization, SystemParams, carrier, carrier_matrix, cas,
                    ff_cos, ff_sin, inner_product, rationalize_walsh)
 
-from support import SMALL_SYSTEMS, make
+from support import SMALL_SYSTEMS, design_grid, make, outcome_of, rationalize_by_elements
 
 CAS_GI5 = [
     ["1", "1", "1", "1"],
@@ -100,6 +102,30 @@ def test_walsh_degeneration(p514):
 def test_no_rationalization_p3():
     with pytest.raises(NoRationalization):
         rationalize_walsh(carrier_matrix(SystemParams.create(3, 1, 2)))
+
+
+def test_rationalize_walsh_matches_the_element_loop_over_the_grid():
+    # results and messages agree on every design of the grid, extension fields
+    # included: (3,2,4) rationalizes, (3,2,8) leaves the prime field, and
+    # (3,3,26) has no sqrt(-1), as 27 = 3 (mod 4)
+    grid = design_grid(max_q=400, max_n=40)
+    extension_outcomes = Counter()
+    for p, m, N in grid:
+        matrix = carrier_matrix(make(p, m, N))
+        results = []
+        for fn in (rationalize_walsh, rationalize_by_elements):
+            try:
+                results.append(("ok", fn(matrix)))
+            except GdmError as exc:
+                results.append(outcome_of(exc))
+        assert results[0] == results[1], (p, m, N)
+        status, value = results[0][:2]
+        if status == "ok":
+            assert {type(v) for row in value for v in row} == {int}
+        if m > 1:
+            extension_outcomes[status if status == "ok" else value.split(" ")[0]] += 1
+    assert len(grid) == 161
+    assert extension_outcomes == {"ok": 30, "substituted": 51, "-1": 13}
 
 
 def test_inner_product_examples(p514):
