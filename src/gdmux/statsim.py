@@ -46,6 +46,18 @@ from .transforms import forward_batch
 from .trig import rationalize
 
 
+# most symbols (frames * N) one draw of random frames may hold; `gdmux psd`'s
+# largest default draw, 100000 ACF frames at N = 250, fits
+SAMPLE_BUDGET = 1 << 25
+
+
+def _check_samples(params: SystemParams, frames: int) -> None:
+    """Refuse, before anything is drawn, frames * N symbols over SAMPLE_BUDGET."""
+    if frames * params.N > SAMPLE_BUDGET:
+        raise InvalidParams(f"{frames} frames of {params.N} symbols exceed the sample "
+                            f"budget of {SAMPLE_BUDGET} symbols per draw")
+
+
 class ConstellationPoint(NamedTuple):
     re: float
     im: float
@@ -179,6 +191,7 @@ def galois_acf(params: SystemParams, kind=Kind.HARTLEY, frames: int = 100_000,
         max_lag = params.N - 1
     if not 0 <= max_lag < frames * params.N:
         raise InvalidParams(f"max_lag {max_lag} outside [0, {frames * params.N})")
+    _check_samples(params, frames)
     rng = np.random.default_rng(seed)
     vs = rng.integers(0, params.p, size=(frames, params.N))
     stream = embed_spectra(params, forward_batch(params, kind, vs), mode).reshape(-1)
@@ -261,6 +274,7 @@ class PulseShape:
 def _transmit_symbols(params: SystemParams, kind, frames: int,
                       rng: np.random.Generator, mode: str) -> np.ndarray:
     """Complex symbol stream actually sent, in a _sampling_mode: nu coset leaders per frame."""
+    _check_samples(params, frames)
     nu = validate_system(params, kind).nu
     if mode == "gaussian":
         # control experiment: white non-multiplexed symbols, same clock

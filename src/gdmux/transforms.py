@@ -35,12 +35,14 @@ when, with L = S at the leaders, v @ G == L and _expand(L) == S: then
 forward(v) = _expand(v @ G) = S, and otherwise forward(v) differs from
 S at a leader or _expand(L) does elsewhere.
 
-Exactness. Each kernel is a float64 BLAS product of integers in [0, p)
-whose sums stay below 2mN(p-1)^2 < 2^52 for every p <= MAX_PRIME and
-p^m <= MAX_FIELD_SIZE (tests/test_pipeline.py checks the extremes), and
-mod_p reduces such sums exactly. Symbols and spectrum entries are reduced
-mod p first; demux_batch and reconstruct_batch refuse leaders outside
-[0, p), which never close their orbits.
+Exactness. Each kernel is a BLAS product of integers in [0, p) whose
+sums stay below 2mN(p-1)^2, and mod_p reduces such sums exactly in the
+dtype of G. A design is float32 when 2mN(p-1)^2 < 2^24 and float64
+otherwise; the bound is below 2^52 for every p <= MAX_PRIME and p^m <=
+MAX_FIELD_SIZE (tests/test_pipeline.py checks the extremes of both).
+Symbols and spectrum entries are reduced mod p first; demux_batch and
+reconstruct_batch refuse leaders outside [0, p), which never close their
+orbits.
 
 design() compiles, once per (params, kind), the coset table and these
 arrays; every spelling of a kind shares the design of its Kind. It
@@ -180,7 +182,8 @@ class Design:
     G (N, n) and D (n, N), with n = 2m*nu coefficients per frame, act on
     flattened leader arrays: G is the transform restricted to the coset
     leaders and D its left inverse, G @ D = I (mod p), the library's only
-    inverse. They are float64 so that BLAS applies them. sigma_powers
+    inverse. They are float so that BLAS applies them: float32 when
+    2mN(p-1)^2 < 2^24 (leader_dtype), float64 otherwise. sigma_powers
     (L + 1, 2m, 2m) holds sigma^t for t = 0..L, L the longest orbit:
     every coset walks the same powers. walk (N + nu,) says where the walk
     finds each spectrum position, and where each orbit ends (the step
@@ -201,17 +204,23 @@ class Design:
         return sum(a.nbytes for a in (self.G, self.D, self.sigma_powers, self.walk))
 
 
-def design_nbytes(m: int, N: int, nu: int, longest: int) -> int:
+def leader_dtype(p: int, m: int, N: int) -> type:
+    """The float dtype of G and D: float32 when every product sum, below 2mN(p-1)^2,
+    is below 2^24 and so exact in it, else float64."""
+    return np.float32 if 2 * m * N * (p - 1) ** 2 < 1 << 24 else np.float64
+
+
+def design_nbytes(p: int, m: int, N: int, nu: int, longest: int) -> int:
     """Design.nbytes of a design with nu cosets, from the array shapes alone.
 
-    G and D have n = 2m*nu columns and rows of N entries; sigma_powers
-    holds longest + 1 matrices of size (2m, 2m), longest <= 2m being the
-    longest orbit, and walk N + nu indices. The size grows as m*nu*N.
-    Every entry, int64 or float64, takes 8 bytes.
+    G and D have n = 2m*nu columns and rows of N entries of leader_dtype,
+    4 or 8 bytes; sigma_powers holds longest + 1 int64 matrices of size
+    (2m, 2m), longest <= 2m being the longest orbit, and walk N + nu int64
+    indices. The size grows as m*nu*N.
     """
     w = 2 * m
-    entries = 2 * N * (w * nu) + (longest + 1) * w * w + N + nu
-    return entries * 8
+    entry = np.dtype(leader_dtype(p, m, N)).itemsize
+    return 2 * N * (w * nu) * entry + ((longest + 1) * w * w + N + nu) * 8
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -244,7 +253,7 @@ def _walk(table: CosetTable, lengths: np.ndarray) -> np.ndarray:
 
 def _leader_matrices(params: SystemParams, table: CosetTable, lengths: np.ndarray,
                      ker: np.ndarray, sigma_powers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """G (N, n) and D (n, N) as float64, each gathered from an (N, 2m) table.
+    """G (N, n) and D (n, N) in leader_dtype, each gathered from an (N, 2m) table.
 
     G is the transform at the leaders: G[i, (c, a)] = ker[i * leader_c, a].
     Demux is reconstruction followed by the inverse transform, read at
@@ -256,15 +265,16 @@ def _leader_matrices(params: SystemParams, table: CosetTable, lengths: np.ndarra
     Q_len = sum_{t < len} R_t[n * s^t] one table per orbit length.
     """
     N, w, p = params.N, 2 * params.m, params.p
+    dt = leader_dtype(p, params.m, N)
     a = np.arange(w)
     args = np.outer(table.leaders, np.arange(N)) % N                  # (nu, N): leader * i
-    G = ker.reshape(N, w).astype(np.float64)[args.T[:, :, None], a].reshape(N, -1)
+    G = ker.reshape(N, w).astype(dt)[args.T[:, :, None], a].reshape(N, -1)
     longest = len(sigma_powers) - 1
     R = (_inverse_form(params, table.kind, ker) @ sigma_powers[:longest]) % p  # (L, N, 2m)
     shifts = np.array([pow(table.step, t, N) for t in range(longest)])
     Q = np.cumsum(R[np.arange(longest)[:, None], np.outer(shifts, np.arange(N)) % N], axis=0) % p
     # D[(c, a), i] = Q_len(c)[i * leader_c, a], gathered straight into the final layout
-    D = Q.astype(np.float64)[(lengths - 1)[:, None, None], args[:, None, :], a[:, None]]
+    D = Q.astype(dt)[(lengths - 1)[:, None, None], args[:, None, :], a[:, None]]
     return _readonly(G), _readonly(D.reshape(-1, N))
 
 
@@ -278,7 +288,7 @@ def design(params: SystemParams, kind) -> Design:
     if not isinstance(kind, Kind):      # any other spelling shares the Kind's design
         return design(params, Kind(kind))
     table = coset_table(params.N, params.p, kind)
-    size = design_nbytes(params.m, params.N, table.nu, table.longest)
+    size = design_nbytes(params.p, params.m, params.N, table.nu, table.longest)
     if size > DESIGN_BUDGET_BYTES:
         raise UnsupportedParams(
             f"{params}/{kind}: compiled design needs {size / 2**20:.1f} MiB, "
@@ -295,15 +305,19 @@ def design(params: SystemParams, kind) -> Design:
 # ---------------------------------------------------------------------------
 
 def mod_p(x: np.ndarray, p: int) -> np.ndarray:
-    """x mod p, exactly, for a float64 array of integers in [0, 2^52).
+    """x mod p, exactly, for a float array of integers in [0, 2^24) (float32) or
+    [0, 2^52) (float64), in x's dtype.
 
     Computes x - p*floor(x/p) on one temporary. IEEE division is
-    correctly rounded: with x = qp + r, 0 < r < p, x/p lies at least 1/p
-    below q + 1 and its rounding error is under 1/(2p) when x < 2^52, so
-    floor gives q and the rest is exact integer arithmetic. It is all
+    correctly rounded, with relative error at most u = 2^-24 (float32)
+    or 2^-53 (float64). With x = qp + r, 0 < r < p, x/p lies at least
+    1/p below q + 1, and its rounding error is at most u*x/p < 1/p when
+    x < 2^24 in float32, or < 1/(2p) when x < 2^52 in float64; rounding
+    is monotone and q is representable, so floor gives q. For r = 0, x/p
+    = q exactly. The rest is exact integer arithmetic below x. It is all
     SIMD float work: no integer division and no libm remainder call.
     """
-    p = np.array(p, dtype=np.float64)   # 0-d: spares two scalar conversions, which show on small x
+    p = np.array(p, dtype=x.dtype)      # 0-d: spares two scalar conversions, which show on small x
     q = x / p
     np.floor(q, out=q)
     q *= p
@@ -325,9 +339,14 @@ def _frames(a, shape: tuple[int, ...], what: str) -> tuple[np.ndarray, bool]:
     """a as int64 rows (F, prod(shape)), and whether a was one item rather than a batch.
 
     a is one item of the given shape or a batch (F,) + shape of them; any
-    other array raises ValueError ("expected {shape[0]} {what}, ...").
+    other array, or one of a dtype other than (unsigned) integer, raises
+    ValueError ("expected {shape[0]} {what}, ...").
     """
-    a = np.asarray(a, dtype=np.int64)
+    a = np.asarray(a)
+    if a.dtype != np.int64:
+        if a.dtype.kind not in "iu":    # no silent truncation of 1.7 to 1, nor parsing of "3"
+            raise ValueError(f"expected {shape[0]} integer {what}, got an array of dtype {a.dtype}")
+        a = a.astype(np.int64)
     single = a.ndim == len(shape)
     if a.shape[not single:] != shape:
         raise ValueError(f"expected {shape[0]} {what}, got an array of shape {a.shape}")
@@ -336,24 +355,24 @@ def _frames(a, shape: tuple[int, ...], what: str) -> tuple[np.ndarray, bool]:
 
 
 def _mux(d: Design, vs: np.ndarray) -> np.ndarray:
-    """Leader rows (F, n) of float64 symbol rows (F, N) in [0, p): v @ G."""
+    """Leader rows (F, n) of symbol rows (F, N) in [0, p), both in G's dtype: v @ G."""
     return mod_p(vs @ d.G, d.params.p)
 
 
 def _demux(d: Design, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(v, same) of float64 leader rows L (F, n) in [0, p): v = L @ D as float64, and the
+    """(v, same) of leader rows L (F, n) in [0, p), in G's dtype: v = L @ D in it, and the
     syndrome check same = (v @ G == L), true throughout the frames mux could have produced."""
     vs = mod_p(L @ d.D, d.params.p)
     return vs, _mux(d, vs) == L
 
 
 def _expand(d: Design, L: np.ndarray) -> np.ndarray:
-    """Spectra (F, N, 2, m) of float64 leader rows L (F, n) in [0, p): the orbit walk, one
+    """Spectra (F, N, 2, m) of leader rows L (F, n) in [0, p), in G's dtype: the orbit walk, one
     product with the stacked powers sigma^t, read out at V[orbit[t]] through d.walk."""
     N, m, p = d.params.N, d.params.m, d.params.p
     w = 2 * m
     # column t*2m + a is row a of sigma^t; each sum has 2m terms below p^2
-    powers = d.sigma_powers.transpose(2, 0, 1).reshape(w, -1).astype(np.float64)
+    powers = d.sigma_powers.transpose(2, 0, 1).reshape(w, -1).astype(d.G.dtype)
     steps = mod_p(L.reshape(-1, w) @ powers, p).astype(np.int64).reshape(len(L), -1, w)
     return steps[:, d.walk[:N]].reshape(len(L), N, 2, m)
 
@@ -366,7 +385,7 @@ def _orbit_error(d: Design, rows: np.ndarray) -> Optional[InconsistentFrame]:
     lead = rows.reshape(len(rows), nu, w).transpose(1, 0, 2)            # (nu, F, 2m)
     # walk[N + c] is step len(orbit_c) in coset c's block of L + 1 steps
     closing = d.sigma_powers[d.walk[d.params.N:] % len(d.sigma_powers)].transpose(0, 2, 1)
-    ends = mod_p(_residues(lead, p).astype(np.float64) @ closing.astype(np.float64), p)
+    ends = mod_p(_residues(lead, p).astype(d.G.dtype) @ closing.astype(d.G.dtype), p)
     bad = (ends != lead).any(axis=2)                                    # (nu, F)
     if not bad.any():
         return None
@@ -385,7 +404,7 @@ def mux_batch(params: SystemParams, kind, vs: np.ndarray) -> np.ndarray:
     """Compress symbol rows (F, N) or (N,) to leader arrays (F, nu, 2, m); symbols are taken mod p."""
     d = design(params, kind)
     vs, _ = _frames(vs, (params.N,), "symbols")
-    L = _mux(d, _residues(vs, params.p).astype(np.float64))
+    L = _mux(d, _residues(vs, params.p).astype(d.G.dtype))
     return L.astype(np.int64).reshape(len(vs), d.table.nu, 2, params.m)
 
 
@@ -399,7 +418,7 @@ def demux_batch(params: SystemParams, kind, leaders: np.ndarray) -> np.ndarray:
     rows, single = _frames(leaders, (d.table.nu, 2, params.m), "leader values")
     if not in_range(rows, params.p):
         raise _orbit_error(d, rows)
-    vs, same = _demux(d, rows.astype(np.float64))
+    vs, same = _demux(d, rows.astype(d.G.dtype))
     if not same.all():
         raise _orbit_error(d, rows) or _not_ground_field(int(same.all(axis=1).argmin()), params.p)
     vs = vs.astype(np.int64)
@@ -416,7 +435,7 @@ def reconstruct_batch(params: SystemParams, kind, leaders: np.ndarray) -> np.nda
     error = _orbit_error(d, rows)
     if error is not None:
         raise error
-    spectra = _expand(d, rows.astype(np.float64))
+    spectra = _expand(d, rows.astype(d.G.dtype))
     return spectra[0] if single else spectra
 
 
@@ -424,7 +443,7 @@ def forward_batch(params: SystemParams, kind, vs: np.ndarray) -> np.ndarray:
     """Transform symbol rows (F, N) or (N,) to spectra (F, N, 2, m); symbols are taken mod p."""
     d = design(params, kind)
     vs, _ = _frames(vs, (params.N,), "symbols")
-    return _expand(d, _mux(d, _residues(vs, params.p).astype(np.float64)))
+    return _expand(d, _mux(d, _residues(vs, params.p).astype(d.G.dtype)))
 
 
 def inverse_batch(params: SystemParams, kind, spectra: np.ndarray) -> np.ndarray:
@@ -437,7 +456,7 @@ def inverse_batch(params: SystemParams, kind, spectra: np.ndarray) -> np.ndarray
     N, m, p = params.N, params.m, params.p
     rows, single = _frames(spectra, (N, 2, m), "spectrum values")
     S = _residues(rows, p).reshape(-1, N, 2, m)
-    L = S[:, d.table.leaders].reshape(len(S), -1).astype(np.float64)
+    L = S[:, d.table.leaders].reshape(len(S), -1).astype(d.G.dtype)
     vs, same = _demux(d, L)
     good = same.all(axis=1) & (_expand(d, L) == S).all(axis=(1, 2, 3))
     if not good.all():

@@ -1,14 +1,16 @@
 """Shared parameter sets and reference oracles for the test suite."""
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
 from gdmux import (BadLength, CarrierMatrix, CompressedFrame, GaloisInt, GdmError,
                    InconsistentFrame, Kind, NoRationalization, NoSuchRoot, NotGroundField,
                    SystemParams, TimeBlock)
-from gdmux.cosets import CosetTable, coset_table
-from gdmux.fields import ExtField, FieldElement, get_field, is_prime, mult_order
+from gdmux.cosets import CosetTable, coset_table, divisors
+from gdmux.fields import (MAX_FIELD_SIZE, MAX_PRIME, ExtField, FieldElement, get_field, is_prime,
+                          mult_order)
 from gdmux.pipeline import _parse_header, demux_batch, frame_header, leader_array, mux
 
 # desk-scale systems with p^m <= 1000, used for exhaustive property checks
@@ -43,6 +45,21 @@ def design_grid(max_p=60, max_q=400, max_n=60, min_n=2):
             out += [(p, m, N) for N in range(min_n, max_n + 1) if (p ** m - 1) % N == 0]
             m += 1
     return out
+
+
+@lru_cache(maxsize=1)
+def scope_designs() -> tuple[tuple[int, int, int], ...]:
+    """Every (p, m, N) of the declared scope: odd prime p <= MAX_PRIME, p^m <= MAX_FIELD_SIZE,
+    N | p^m - 1 and N >= 2."""
+    out = []
+    for p in range(3, MAX_PRIME + 1, 2):
+        if not is_prime(p):
+            continue
+        m = 1
+        while p ** m <= MAX_FIELD_SIZE:
+            out += [(p, m, N) for N in divisors(p ** m - 1) if N >= 2]
+            m += 1
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

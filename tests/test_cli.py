@@ -156,6 +156,18 @@ def test_invalid_numbers_exit_1_with_a_message(capsys, argv, message):
     assert (code, out, err) == (1, "", message)
 
 
+def test_psd_over_the_sample_budget_exits_1_before_sampling(capsys, monkeypatch):
+    class NoDraws:
+        def integers(self, *args, **kwargs):
+            raise AssertionError("samples drawn over the budget")
+    monkeypatch.setattr(np.random, "default_rng", lambda *args, **kwargs: NoDraws())
+    code, out, err = run(capsys, "psd", "-p", "5", "-N", "4", "--frames", "100000000",
+                         "--realizations", "1")
+    assert (code, out) == (1, "")
+    assert err == (f"error: 100000000 frames of 4 symbols exceed the sample budget of "
+                   f"{statsim.SAMPLE_BUDGET} symbols per draw\n")
+
+
 def test_psd_command(tmp_path, capsys):
     csv = tmp_path / "psd.csv"
     acf = tmp_path / "acf.csv"
@@ -471,7 +483,8 @@ def _demux_corpus(params, kind, other_kind_frame, other_design_frame, rng):
 
 
 def _zero_frame(params, kind):
-    return encode_frames(params, kind, mux_batch(params, kind, np.zeros((1, params.N))))
+    zeros = np.zeros((1, params.N), dtype=np.int64)
+    return encode_frames(params, kind, mux_batch(params, kind, zeros))
 
 
 def _outcome(result):

@@ -24,11 +24,12 @@ from gdmux.pipeline import (CompressedFrame, decode_frames, demux_batch, encode_
                             frame_byte_length, frame_header, leader_array, mux_batch,
                             reconstruct_batch, validate_system)
 from gdmux.statsim import galois_acf, psd_estimate, synthesize_envelope
-from gdmux.transforms import _forward_flat, design, forward_batch, inverse_batch, sigma_matrix
+from gdmux.transforms import (DESIGN_BUDGET_BYTES, _forward_flat, design, design_nbytes,
+                              forward_batch, inverse_batch, leader_dtype, sigma_matrix)
 
 from support import (ACCEPT_SYSTEMS, dense_inverse, design_grid, make, outcome, outcome_of,
                      reconstruct_walk, reference_deserialize, reference_iter_frames,
-                     reference_serialize)
+                     reference_serialize, scope_designs)
 
 
 @pytest.fixture(scope="module")
@@ -249,6 +250,48 @@ def test_float_products_exact_across_scope():
             worst = max(worst, 2 * m * (p ** m - 1) * (p - 1) ** 2)
             m += 1
     assert 0 < worst < 2 ** 52     # transforms.mod_p is exact below 2^52
+
+
+def _product_bound(design_key) -> int:
+    p, m, N = design_key
+    return 2 * m * N * (p - 1) ** 2
+
+
+def test_float32_products_exact_across_scope():
+    # mux and demux sums stay below 2mN(p-1)^2, so G and D may be float32,
+    # whose mod_p is exact below 2^24, exactly where that bound is below it
+    counts = {np.float32: 0, np.float64: 0}
+    for p, m, N in scope_designs():
+        dtype = np.float32 if _product_bound((p, m, N)) < 2 ** 24 else np.float64
+        assert leader_dtype(p, m, N) is dtype, (p, m, N)
+        counts[dtype] += 1
+    assert counts == {np.float32: 2954, np.float64: 1327}
+
+
+@pytest.mark.parametrize("kind", [Kind.HARTLEY, Kind.FOURIER])
+def test_float32_bound_edges_of_the_buildable_scope(kind):
+    # the buildable designs with the largest bound below 2^24 and the
+    # smallest at or above it: the first is float32, the second float64,
+    # and both are exact at their largest sums
+    def fits(p, m, N):
+        table = coset_table(N, p, kind)
+        return design_nbytes(p, m, N, table.nu, table.longest) <= DESIGN_BUDGET_BYTES
+
+    scope = sorted(scope_designs(), key=_product_bound)
+    below = next(d for d in reversed(scope) if _product_bound(d) < 2 ** 24 and fits(*d))
+    above = next(d for d in scope if _product_bound(d) >= 2 ** 24 and fits(*d))
+    assert (below, above) == ((223, 2, 84), (233, 2, 78))
+    rng = np.random.default_rng(24)
+    for (p, m, N), dtype in ((below, np.float32), (above, np.float64)):
+        params = make(p, m, N)
+        d = design(params, kind)
+        assert d.G.dtype == d.D.dtype == dtype
+        vs = rng.integers(0, p, size=(64, N))
+        vs[0] = p - 1
+        leaders = mux_batch(params, kind, vs)
+        assert np.array_equal(demux_batch(params, kind, leaders), vs)
+        want = (vs @ _forward_flat(params, kind).T % p).reshape(len(vs), N, 2, m)
+        assert np.array_equal(forward_batch(params, kind, vs), want)
 
 
 def test_traced_benchmark_finds_every_name_it_wraps(monkeypatch):

@@ -184,6 +184,39 @@ def test_unusable_arguments_are_refused_before_sampling(p514, monkeypatch, fn, k
         fn(p514, Kind.HARTLEY, **kwargs)
 
 
+class _Drawn(Exception):
+    pass
+
+
+class _RecordingRng:
+    """A generator stand-in that raises _Drawn at the first draw."""
+
+    def integers(self, *args, **kwargs):
+        raise _Drawn
+
+    standard_normal = integers
+
+
+@pytest.mark.parametrize("source", ["gdm", "gaussian"])
+def test_draws_over_the_sample_budget_are_refused_before_sampling(p514, monkeypatch, source):
+    # (5,1,4): frames * 4 symbols per draw; one frame over the budget is
+    # refused before anything is drawn, and the budget itself is drawn
+    monkeypatch.setattr(np.random, "default_rng", lambda *args, **kwargs: _RecordingRng())
+    most = statsim.SAMPLE_BUDGET // 4
+    over = rf"^{most + 1} frames of 4 symbols exceed the sample budget of {statsim.SAMPLE_BUDGET}"
+    calls = [lambda frames: synthesize_envelope(p514, Kind.HARTLEY, frames, rng=_RecordingRng(),
+                                                source=source),
+             lambda frames: psd_estimate(p514, Kind.HARTLEY, realizations=1, frames=frames,
+                                         source=source)]
+    if source == "gdm":
+        calls.append(lambda frames: galois_acf(p514, Kind.HARTLEY, frames=frames))
+    for call in calls:
+        with pytest.raises(InvalidParams, match=over):
+            call(most + 1)
+        with pytest.raises(_Drawn):
+            call(most)
+
+
 def test_galois_acf_takes_every_lag_of_its_stream(p514):
     est = galois_acf(p514, Kind.HARTLEY, frames=2, seed=1, max_lag=7)
     assert list(est.lags) == list(range(8)) and np.isfinite(est.values).all()

@@ -14,7 +14,7 @@ from gdmux.fields import MAX_PRIME, is_prime
 from gdmux.pipeline import demux_batch, mux_batch, validate_system
 from gdmux.transforms import (DESIGN_BUDGET_BYTES, DESIGN_CACHE_SIZE, _forward_flat,
                               _inverse_form, _kernel_coeffs, design,
-                              design_nbytes, mod_p, sigma_matrix)
+                              design_nbytes, leader_dtype, mod_p, sigma_matrix)
 
 import support
 from support import (ACCEPT_SYSTEMS, SMALL_SYSTEMS, design_grid, forward_definition, make,
@@ -78,30 +78,67 @@ def test_round_trip_random(p, m, N, kind):
 ODD_PRIMES = [p for p in range(3, MAX_PRIME + 1, 2) if is_prime(p)]
 
 
-def _check_mod_p(x: np.ndarray, p: int):
-    got = mod_p(x.astype(np.float64), p)
-    assert got.dtype == np.float64
+def _check_mod_p(x: np.ndarray, p: int, dtype=np.float64):
+    got = mod_p(x.astype(dtype), p)
+    assert got.dtype == dtype
     assert np.array_equal(got.astype(np.int64), x % p), p
+
+
+def _check_mod_p_domain(p: int, dtype, top: int):
+    # random values in [0, top), then the multiples k*p and k*p - 1 where
+    # a rounded-up quotient would show, up to top
+    rng = np.random.default_rng(p)
+    _check_mod_p(rng.integers(0, top, size=20000), p, dtype)
+    k = np.unique(np.concatenate([np.arange(1, 2000), rng.integers(1, top // p, size=20000),
+                                  top // p - np.arange(2000)]))
+    assert (k * p < top).all() and top // p in k
+    _check_mod_p(k * p, p, dtype)
+    _check_mod_p(k * p - 1, p, dtype)
+    _check_mod_p(np.array([0, 1, p - 1, p, p + 1, top - 1]), p, dtype)
 
 
 @pytest.mark.parametrize("p", ODD_PRIMES)
 def test_mod_p_matches_integer_remainder(p):
-    # mod_p's domain is [0, 2^52): random values, then the multiples k*p
-    # and k*p - 1 where a rounded-up quotient would show, up to 2^52
-    rng = np.random.default_rng(p)
-    _check_mod_p(rng.integers(0, 2 ** 52, size=20000), p)
-    k = np.unique(np.concatenate([np.arange(1, 2000), rng.integers(1, 2 ** 52 // p, size=20000),
-                                  2 ** 52 // p - np.arange(2000)]))
-    assert (k * p < 2 ** 52).all() and 2 ** 52 // p in k
-    _check_mod_p(k * p, p)
-    _check_mod_p(k * p - 1, p)
-    _check_mod_p(np.array([0, 1, p - 1, p, p + 1, 2 ** 52 - 1]), p)
+    _check_mod_p_domain(p, np.float64, 2 ** 52)    # mod_p's float64 domain is [0, 2^52)
+
+
+@pytest.mark.parametrize("p", ODD_PRIMES)
+def test_mod_p_matches_integer_remainder_in_float32(p):
+    _check_mod_p_domain(p, np.float32, 2 ** 24)    # and its float32 domain [0, 2^24)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(ODD_PRIMES), st.lists(st.integers(0, 2 ** 52 - 1), min_size=1, max_size=32))
 def test_mod_p_matches_integer_remainder_fuzzed(p, xs):
     _check_mod_p(np.array(xs, dtype=np.int64), p)
+
+
+NON_INTEGER_INPUT = {"float": lambda shape: np.full(shape, 1.7),
+                     "str": lambda shape: np.full(shape, "1"),
+                     "object": lambda shape: np.ones(shape, dtype=object)}
+
+
+@pytest.mark.parametrize("make_input", NON_INTEGER_INPUT.values(), ids=NON_INTEGER_INPUT.keys())
+@pytest.mark.parametrize("fn,shape,what", [
+    (mux_batch, (2, 26), "26 integer symbols"), (forward_batch, (26,), "26 integer symbols"),
+    (demux_batch, (2, 6, 2, 3), "6 integer leader values"),
+    (inverse_batch, (26, 2, 3), "26 integer spectrum values"),
+], ids=["mux_batch", "forward_batch", "demux_batch", "inverse_batch"])
+def test_non_integer_input_is_refused(fn, shape, what, make_input):
+    # a float symbol used to be truncated (1.7 muxed as 1) and a string parsed
+    a = make_input(shape)
+    with pytest.raises(ValueError, match=rf"^expected {what}, got an array of dtype {a.dtype}$"):
+        fn(make(3, 3, 26), Kind.HARTLEY, a)
+
+
+def test_integer_input_of_any_width_is_accepted():
+    params = make(5, 1, 4)
+    want = mux_batch(params, Kind.HARTLEY, np.array([[4, 0, 1, 2]]))
+    for dtype in (np.int8, np.uint8, np.int32, np.uint64):
+        assert np.array_equal(mux_batch(params, Kind.HARTLEY, np.array([[4, 0, 1, 2]], dtype)), want)
+    assert np.array_equal(mux_batch(params, Kind.HARTLEY, [[4, 0, 1, 2]]), want)
+    with pytest.raises(ValueError, match="integer symbols, got an array of dtype float64$"):
+        mux_batch(params, Kind.HARTLEY, [[1.7, 0, 0, 0]])
 
 
 @pytest.mark.parametrize("kind", [Kind.HARTLEY, Kind.FOURIER])
@@ -402,7 +439,7 @@ def test_design_3_6_728_builds_and_round_trips():
     params = make(3, 6, 728)
     for kind in (Kind.HARTLEY, Kind.FOURIER):
         table = coset_table(728, 3, kind)
-        assert design_nbytes(6, 728, table.nu, table.longest) <= DESIGN_BUDGET_BYTES
+        assert design_nbytes(3, 6, 728, table.nu, table.longest) <= DESIGN_BUDGET_BYTES
     vs = np.random.default_rng(16).integers(0, 3, size=(4, 728))
     try:
         for kind in (Kind.HARTLEY, Kind.FOURIER):
@@ -421,16 +458,37 @@ def test_design_3_7_2186_builds_and_round_trips():
         table = coset_table(2186, 3, kind)
         try:
             size = design(params, kind).nbytes
-            assert size == design_nbytes(7, 2186, table.nu, table.longest) <= DESIGN_BUDGET_BYTES
+            assert size == design_nbytes(3, 7, 2186, table.nu, table.longest) <= DESIGN_BUDGET_BYTES
             assert np.array_equal(demux_batch(params, kind, mux_batch(params, kind, vs)), vs)
         finally:
-            design.cache_clear()   # 74 MiB Hartley, 147 MiB Fourier: hold one at a time
+            design.cache_clear()   # 37 MiB Hartley, 73 MiB Fourier: hold one at a time
+
+
+def test_design_3_8_3280_builds_in_float32_at_about_its_size():
+    # 4-byte G and D take 170 MiB, where 8-byte ones would be over the budget
+    params = make(3, 8, 3280)
+    table = coset_table(3280, 3, Kind.HARTLEY)
+    size = design_nbytes(3, 8, 3280, table.nu, table.longest)
+    assert size <= DESIGN_BUDGET_BYTES < 2 * size
+    vs = np.random.default_rng(20).integers(0, 3, size=(4, 3280))
+    design.cache_clear()
+    tracemalloc.start()
+    try:
+        d = design(params, Kind.HARTLEY)
+        back = demux_batch(params, Kind.HARTLEY, mux_batch(params, Kind.HARTLEY, vs))
+        _, peak = tracemalloc.get_traced_memory()
+        assert d.G.dtype == d.D.dtype == np.float32 and d.nbytes == size
+        assert np.array_equal(back, vs)
+        assert peak <= 1.2 * size
+    finally:
+        tracemalloc.stop()
+        design.cache_clear()
 
 
 def test_design_over_budget_refused_before_allocation():
-    params = make(3, 8, 3280)   # G and D would take about 340 MiB
-    table = coset_table(3280, 3, Kind.HARTLEY)
-    assert design_nbytes(8, 3280, table.nu, table.longest) > DESIGN_BUDGET_BYTES
+    params = make(3, 8, 6560)   # G and D would take about 668 MiB at 4 bytes an entry
+    table = coset_table(6560, 3, Kind.HARTLEY)
+    assert design_nbytes(3, 8, 6560, table.nu, table.longest) > DESIGN_BUDGET_BYTES
     tracemalloc.start()
     start = time.perf_counter()
     try:
@@ -445,14 +503,15 @@ def test_design_over_budget_refused_before_allocation():
     with pytest.raises(UnsupportedParams):
         validate_system(params, Kind.FOURIER)
     with pytest.raises(UnsupportedParams):   # the inverse is the design's D
-        inverse_batch(params, Kind.HARTLEY, np.zeros((3280, 2, 8), dtype=np.int64))
+        inverse_batch(params, Kind.HARTLEY, np.zeros((6560, 2, 8), dtype=np.int64))
 
 
 @pytest.mark.parametrize("p,m,N", [(3, 1, 2), (5, 2, 24), (3, 3, 13), (7, 2, 48), (3, 4, 80)])
 @pytest.mark.parametrize("kind", [Kind.HARTLEY, Kind.FOURIER])
 def test_design_nbytes_within_prediction(p, m, N, kind):
     d = design(make(p, m, N), kind)
-    assert 0 < d.nbytes == design_nbytes(m, N, d.table.nu, d.table.longest)
+    assert 0 < d.nbytes == design_nbytes(p, m, N, d.table.nu, d.table.longest)
+    assert d.G.dtype == d.D.dtype == leader_dtype(p, m, N) == np.float32
     for a in (d.G, d.D, d.sigma_powers, d.walk[None]):
         with pytest.raises(ValueError):
             a[0, 0] = 1   # shared by every caller, so read-only
@@ -468,7 +527,8 @@ def test_design_nbytes_exact_over_grid():
         for kind in (Kind.HARTLEY, Kind.FOURIER):
             d = design(params, kind)
             case = (p, m, N, kind)
-            assert d.nbytes == design_nbytes(m, N, d.table.nu, d.table.longest), case
+            assert d.nbytes == design_nbytes(p, m, N, d.table.nu, d.table.longest), case
+            assert d.G.dtype == d.D.dtype == leader_dtype(p, m, N), case
             sigma = support.sigma_matrix(params, kind)
             assert np.array_equal(sigma_matrix(params, kind), sigma), case
             assert np.array_equal(d.sigma_powers[1], sigma), case
@@ -489,8 +549,9 @@ def test_design_nbytes_exact_over_grid():
 def test_design_budget_checks_the_exact_size(monkeypatch):
     params = make(3, 3, 26)
     table = coset_table(26, 3, Kind.HARTLEY)
-    size = design_nbytes(3, 26, table.nu, table.longest)
-    assert size < design_nbytes(3, 26, 26, table.longest)
+    size = design_nbytes(3, 3, 26, table.nu, table.longest)
+    assert size < design_nbytes(3, 3, 26, 26, table.longest)
+    assert size == 4 * 2 * 26 * 6 * table.nu + 8 * ((table.longest + 1) * 36 + 26 + table.nu)
     design.cache_clear()
     monkeypatch.setattr(transforms, "DESIGN_BUDGET_BYTES", size - 1)
     with pytest.raises(UnsupportedParams):
@@ -500,13 +561,13 @@ def test_design_budget_checks_the_exact_size(monkeypatch):
 
 
 def test_design_3_7_1093_fits_the_budget_by_its_coset_count():
-    # 32*m*nu*N bytes of G and D, plus the walk and the sigma powers: 18.5
-    # and 36.7 MiB; nu = N would take 255.2 MiB, at the edge of the budget
-    sizes = {Kind.HARTLEY: 19_374_624, Kind.FOURIER: 38_461_168}
+    # 16*m*nu*N bytes of float32 G and D, plus the walk and the sigma
+    # powers: 9.3 and 18.4 MiB; nu = N would take 127.6 MiB
+    sizes = {Kind.HARTLEY: 9_703_760, Kind.FOURIER: 19_241_856}
     for kind, size in sizes.items():
         table = coset_table(1093, 3, kind)
-        assert design_nbytes(7, 1093, table.nu, table.longest) == size
-    assert design_nbytes(7, 1093, 1093, 14) > 6 * max(sizes.values())
+        assert design_nbytes(3, 7, 1093, table.nu, table.longest) == size
+    assert design_nbytes(3, 7, 1093, 1093, 14) > 6 * max(sizes.values())
 
 
 def test_design_is_shared_by_every_spelling_of_a_kind():
