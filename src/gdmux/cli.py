@@ -25,6 +25,7 @@ fsynced.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import stat
 import sys
@@ -174,6 +175,13 @@ def _write_bytes(path: str, data: bytes) -> None:
 
 
 def cmd_design(args) -> int:
+    if args.snr_db is not None:     # refused before any output
+        try:
+            snr_linear = 10 ** (args.snr_db / 10)
+        except OverflowError:
+            snr_linear = math.inf
+        if not math.isfinite(snr_linear):
+            raise InvalidParams(f"--snr-db {args.snr_db} gives no finite SNR")
     params = _params(args)
     kind = Kind(args.kind)
     table = pipeline.validate_system(params, kind)
@@ -199,7 +207,7 @@ def cmd_design(args) -> int:
     if met.gamma_cc == 1 or params.m == 1:
         print("note: no gain when the transform is taken without alphabet extension")
     if args.snr_db is not None:
-        chk = pipeline.capacity_check(params, kind, 10 ** (args.snr_db / 10))
+        chk = pipeline.capacity_check(params, kind, snr_linear)
         print(f"at {args.snr_db:.2f} dB: gamma_max = {chk.gamma_max:.4f} -> "
               f"{'admissible' if chk.admissible else 'NOT admissible'}")
     return EXIT_OK
@@ -352,8 +360,9 @@ def cmd_selftest(args) -> int:
     check("walsh degeneration", trig.rationalize_walsh(matrix),
           [[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]])
     spec = pipeline.mux(TimeBlock(p514, (4, 0, 1, 2)), "hartley")
-    full = pipeline.reconstruct_spectrum(spec)
-    check("mux example spectrum", [str(z) for z in full.values], ["2", "3+4j", "3", "3+1j"])
+    full = p514.ring.from_array(
+        pipeline.reconstruct_batch(p514, "hartley", pipeline.leader_array(spec)))
+    check("mux example spectrum", [str(z) for z in full], ["2", "3+4j", "3", "3+1j"])
     check("demux round trip", pipeline.demux(spec).symbols, (4, 0, 1, 2))
     ft = cosets_mod.fourier_cosets(26, 3)
     check("fourier cosets (26,3)", ft.nu, 10)

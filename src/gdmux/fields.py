@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -337,9 +337,6 @@ class FieldElement(_Scalar):
             v = v * self.field.p + c
         return v
 
-    def in_prime_field(self) -> bool:
-        return not any(self.coeffs[1:])
-
     def __eq__(self, other):
         if isinstance(other, int):
             other = self.field.scalar(other)
@@ -384,10 +381,6 @@ class GaloisRing:
         if isinstance(im, int):
             im = f.scalar(im)
         return GaloisInt(re, im)
-
-    def from_coeffs(self, re_coeffs, im_coeffs) -> "GaloisInt":
-        f = self.field
-        return GaloisInt(f.element(re_coeffs), f.element(im_coeffs))
 
     def from_array(self, arr) -> tuple["GaloisInt", ...]:
         """The values of an (n, 2, m) coefficient array; axis 1 is re/im."""
@@ -523,30 +516,17 @@ class GaloisInt(_Scalar):
 # orders and deterministic searches
 # ---------------------------------------------------------------------------
 
-def _order_from_exponent(x, one, exponent: int) -> int:
-    if x ** exponent != one:
-        raise NotAUnit(f"{x} is not a unit")
-    t = exponent
-    for q in factorize(exponent):
-        while t % q == 0 and x ** (t // q) == one:
+def mult_order(x: FieldElement) -> int:
+    """Smallest t >= 1 with x^t = 1; divides q - 1."""
+    if not isinstance(x, FieldElement):     # a GaloisInt's order need not divide q - 1
+        raise TypeError(f"mult_order takes a FieldElement, got {type(x).__name__}")
+    if x.is_zero:
+        raise NotAUnit("zero is not a unit")
+    t = x.field.order - 1
+    for q in factorize(t):
+        while t % q == 0 and x ** (t // q) == x.field.one:
             t //= q
     return t
-
-
-def mult_order(x: Union[FieldElement, GaloisInt]) -> int:
-    """Smallest t >= 1 with x^t = 1; divides the unit-group exponent."""
-    if isinstance(x, FieldElement):
-        if x.is_zero:
-            raise NotAUnit("zero is not a unit")
-        return _order_from_exponent(x, x.field.one, x.field.order - 1)
-    if isinstance(x, GaloisInt):
-        if x.norm().is_zero:
-            raise NotAUnit(f"{x} is zero or a zero divisor")
-        q = x.field.order
-        ring = gaussian_ring(x.field)
-        exponent = q * q - 1 if ring.is_field else q - 1
-        return _order_from_exponent(x, ring.one, exponent)
-    raise TypeError(f"unsupported operand type {type(x)!r}")
 
 
 @lru_cache(maxsize=64)

@@ -48,8 +48,8 @@ from .cosets import CosetTable, Kind, coset_table
 from .errors import (BadLength, BadMagic, GdmError, InconsistentFrame, ParamMismatch,
                      UnsupportedParams, require_positive)
 from .fields import GaloisInt, SystemParams
-from .transforms import (SpectrumBlock, TimeBlock, _frames, demux_batch, design, in_range,
-                         mux_batch, reconstruct_batch)
+from .transforms import (TimeBlock, _frames, demux_batch, design, in_range, mux_batch,
+                         reconstruct_batch)
 # unused here; kept bound because perfbench/tracer.py wraps them in this module
 from .transforms import _forward_flat, sigma_matrix  # noqa: F401
 
@@ -126,11 +126,6 @@ def mux(block: TimeBlock, kind=Kind.HARTLEY) -> CompressedFrame:
     return CompressedFrame(block.params, kind, block.params.ring.from_array(arr))
 
 
-def reconstruct_spectrum(frame: CompressedFrame) -> SpectrumBlock:
-    arr = reconstruct_batch(frame.params, frame.kind, leader_array(frame))
-    return SpectrumBlock(frame.params, frame.kind, frame.params.ring.from_array(arr))
-
-
 def leader_array(frame: CompressedFrame) -> np.ndarray:
     """(nu, 2, m) coefficient array of a frame's leader values."""
     return frame.params.ring.to_array(frame.leaders)
@@ -161,7 +156,7 @@ def metrics(params: SystemParams, kind=Kind.HARTLEY) -> MuxMetrics:
 
 def capacity_check(params: SystemParams, kind, snr_linear: float) -> CapacityCheck:
     """Shannon bound on the compactness factor: gamma_cc <= log_p(1 + S/N)."""
-    if snr_linear < 0:
+    if not snr_linear >= 0:     # NaN too
         raise ValueError("snr must be >= 0")
     gamma = metrics(params, kind).gamma_cc
     gamma_max = math.log1p(snr_linear) / math.log(params.p)

@@ -1,7 +1,10 @@
 """Monte-Carlo checks of the whiteness and spectral-shape claims.
 
-Symbols are mapped to the complex plane through centered representatives
-{-(p-1)/2, ..., (p-1)/2}. Two embeddings of GI(p) exist for m = 1:
+Random frames are drawn as one (frames, N) array of symbols, and
+embed_spectra maps whole coefficient arrays (..., 2, 1) to the complex
+plane through centered representatives {-(p-1)/2, ..., (p-1)/2}; no
+value is drawn or embedded one at a time. Two embeddings of GI(p) exist
+for m = 1:
 
   * component: re + 1i*im, a two-dimensional point per value;
   * rationalized: substitute j := sqrt(-1) mod p and center, available
@@ -34,13 +37,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
 from .cosets import Kind, coset_table
 from .errors import ExtensionNotEmbeddable, InvalidParams, require_positive
-from .fields import GaloisInt, SystemParams, centered
+from .fields import SystemParams, centered
 from .pipeline import mux_batch, validate_system
 from .transforms import forward_batch
 from .trig import rationalize
@@ -56,30 +59,6 @@ def _check_samples(params: SystemParams, frames: int) -> None:
     if frames * params.N > SAMPLE_BUDGET:
         raise InvalidParams(f"{frames} frames of {params.N} symbols exceed the sample "
                             f"budget of {SAMPLE_BUDGET} symbols per draw")
-
-
-class ConstellationPoint(NamedTuple):
-    re: float
-    im: float
-
-
-def symbol_source(p: int, seed: int = 0) -> Iterator[int]:
-    """Infinite i.i.d. uniform stream over {-(p-1)/2, ..., (p-1)/2}."""
-    rng = np.random.default_rng(seed)
-    half = (p - 1) // 2
-    while True:
-        for v in rng.integers(-half, half + 1, size=4096):
-            yield int(v)
-
-
-def embed(z: GaloisInt) -> ConstellationPoint:
-    """Componentwise centered embedding of a GI(p) value; m = 1 only."""
-    if z.field.m != 1:
-        raise ExtensionNotEmbeddable(
-            f"constellation embedding is two-dimensional; GF({z.field.p}^{z.field.m}) values do not embed")
-    p = z.field.p
-    return ConstellationPoint(float(centered(z.re.coeffs[0], p)),
-                              float(centered(z.im.coeffs[0], p)))
 
 
 def _resolve_embedding(params: SystemParams, embedding: str) -> str:

@@ -1,11 +1,17 @@
-"""Finite-field Hartley and Fourier transforms, forward and inverse.
+"""Finite-field Hartley and Fourier transforms, forward and inverse, as batch maps.
 
-Forward maps take N symbols of GF(p) to a spectrum in GI(p^m)^N:
+forward_batch takes rows of N symbols of GF(p) to spectra in GI(p^m)^N:
 
     Fourier:  V_k = sum_i v_i zeta^(ik)
     Hartley:  V_k = sum_i v_i cas_k(i)
 
-Inverses carry the 1/N normalization forced by exact round-tripping; the
+Every map here takes and returns integer arrays: a spectrum batch is
+(F, N, 2, m), axis 2 re/im and axis 3 the GF(p) coefficients.
+GaloisRing.from_array and to_array convert such arrays to GaloisInt
+values and back, for printing or scalar checks; there is no per-value
+copy of the maps.
+
+inverse_batch carries the 1/N normalization forced by exact round-tripping; the
 Hartley kernel is self-inverse up to that factor (sum_k cas(ik) cas(kj)
 = N delta_ij), so mux and demux share one kernel.
 
@@ -86,7 +92,7 @@ import numpy as np
 
 from .cosets import CosetTable, Kind, coset_table
 from .errors import InconsistentFrame, NotGroundField, UnsupportedParams
-from .fields import ExtField, GaloisInt, SystemParams
+from .fields import ExtField, SystemParams
 from .trig import cas_coeffs
 
 
@@ -102,18 +108,6 @@ class TimeBlock:
             raise ValueError(f"expected {self.params.N} symbols, got {len(self.symbols)}")
         if any(not 0 <= s < self.params.p for s in self.symbols):
             raise ValueError(f"symbols must lie in [0, {self.params.p})")
-
-
-@dataclass(frozen=True)
-class SpectrumBlock:
-    params: SystemParams
-    kind: Kind
-    values: tuple[GaloisInt, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "kind", Kind(self.kind))
-        if len(self.values) != self.params.N:
-            raise ValueError(f"expected {self.params.N} values, got {len(self.values)}")
 
 
 # ---------------------------------------------------------------------------
@@ -339,13 +333,16 @@ def _frames(a, shape: tuple[int, ...], what: str) -> tuple[np.ndarray, bool]:
     """a as int64 rows (F, prod(shape)), and whether a was one item rather than a batch.
 
     a is one item of the given shape or a batch (F,) + shape of them; any
-    other array, or one of a dtype other than (unsigned) integer, raises
-    ValueError ("expected {shape[0]} {what}, ...").
+    other array, one of a dtype other than (unsigned) integer, or an
+    unsigned one with an entry of 2^63 or more, raises ValueError
+    ("expected {shape[0]} {what}, ...").
     """
     a = np.asarray(a)
     if a.dtype != np.int64:
         if a.dtype.kind not in "iu":    # no silent truncation of 1.7 to 1, nor parsing of "3"
             raise ValueError(f"expected {shape[0]} integer {what}, got an array of dtype {a.dtype}")
+        if a.dtype.kind == "u" and a.max(initial=0) >= 2 ** 63:   # the int64 cast would wrap it
+            raise ValueError(f"expected {shape[0]} {what} below 2^63, got {a.max()}")
         a = a.astype(np.int64)
     single = a.ndim == len(shape)
     if a.shape[not single:] != shape:
@@ -463,34 +460,6 @@ def inverse_batch(params: SystemParams, kind, spectra: np.ndarray) -> np.ndarray
         raise _not_ground_field(int(good.argmin()), p)
     vs = vs.astype(np.int64)
     return vs[0] if single else vs
-
-
-# ---------------------------------------------------------------------------
-# the four transform operations
-# ---------------------------------------------------------------------------
-
-def ffht_forward(block: TimeBlock) -> SpectrumBlock:
-    """V_k = sum_i v_i cas_k(i)."""
-    arr = forward_batch(block.params, Kind.HARTLEY, np.array([block.symbols]))[0]
-    return SpectrumBlock(block.params, Kind.HARTLEY, block.params.ring.from_array(arr))
-
-
-def ffht_inverse(spec: SpectrumBlock) -> TimeBlock:
-    """v_i = (1/N) sum_k V_k cas_i(k); exact inverse of ffht_forward."""
-    vs = inverse_batch(spec.params, Kind.HARTLEY, spec.params.ring.to_array(spec.values))
-    return TimeBlock(spec.params, tuple(int(v) for v in vs))
-
-
-def ffft_forward(block: TimeBlock) -> SpectrumBlock:
-    """V_k = sum_i v_i zeta^(ik)."""
-    arr = forward_batch(block.params, Kind.FOURIER, np.array([block.symbols]))[0]
-    return SpectrumBlock(block.params, Kind.FOURIER, block.params.ring.from_array(arr))
-
-
-def ffft_inverse(spec: SpectrumBlock) -> TimeBlock:
-    """v_i = (1/N) sum_k V_k zeta^(-ik)."""
-    vs = inverse_batch(spec.params, Kind.FOURIER, spec.params.ring.to_array(spec.values))
-    return TimeBlock(spec.params, tuple(int(v) for v in vs))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Finite-field trigonometry: cos, sin and cas carriers over GI(p^m).
+"""Finite-field trigonometry: the cas carriers over GI(p^m).
 
 With zeta a fixed element of order N in GF(p^m), argument t = i*k mod N:
 
@@ -6,22 +6,23 @@ With zeta a fixed element of order N in GF(p^m), argument t = i*k mod N:
     sin(t) = (zeta^t - zeta^-t) / 2j         (purely imaginary in GI(p^m))
     cas(t) = cos(t) + sin(t)
 
-The kernel depends only on the product i*k mod N, which gives the carrier
+so cos(t) and sin(t) are the real and the imaginary part of cas(t). The
+kernel depends only on the product i*k mod N, which gives the carrier
 matrix its symmetry. Rows are pairwise orthogonal under the bilinear form
-sum_k x_k * y_k with common energy N; note that the conjugated
-sesquilinear form does NOT have this property (rows i and N-i pair up
-instead), so orthogonality utilities default to the bilinear form.
+sum_k x_k * y_k with common energy N; the conjugated sesquilinear form
+does NOT have this property (rows i and N-i pair up instead).
 
 The values come from one coefficient array (cas_coeffs, built from the
-powers of zeta by ExtField.powers); the GaloisInt accessors below wrap
-that array, and transforms compiles its kernels from the same array.
+powers of zeta by ExtField.powers). transforms compiles its kernels from
+that array; cas, carrier and carrier_matrix read GaloisInt values off it
+for printing and for scalar references, and rationalize is the one real
+embedding of such arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -75,20 +76,6 @@ def _check_index(i: int, N: int) -> None:
         raise IndexError(f"index {i} outside [0, {N})")
 
 
-def ff_cos(i: int, k: int, params: SystemParams) -> GaloisInt:
-    _check_index(i, params.N)
-    _check_index(k, params.N)
-    z = _cas_by_product(params)[(i * k) % params.N]
-    return GaloisInt(z.re, params.field.zero)
-
-
-def ff_sin(i: int, k: int, params: SystemParams) -> GaloisInt:
-    _check_index(i, params.N)
-    _check_index(k, params.N)
-    z = _cas_by_product(params)[(i * k) % params.N]
-    return GaloisInt(params.field.zero, z.im)
-
-
 def cas(i: int, k: int, params: SystemParams) -> GaloisInt:
     """cas_i(k) = cos_i(k) + sin_i(k); symmetric in i and k."""
     _check_index(i, params.N)
@@ -110,9 +97,6 @@ class CarrierMatrix:
     rows: tuple[Carrier, ...]
     params: SystemParams
 
-    def entry(self, i: int, k: int) -> GaloisInt:
-        return self.rows[i].samples[k]
-
 
 def carrier(i: int, params: SystemParams) -> Carrier:
     table = _cas_by_product(params)
@@ -123,24 +107,6 @@ def carrier(i: int, params: SystemParams) -> Carrier:
 
 def carrier_matrix(params: SystemParams) -> CarrierMatrix:
     return CarrierMatrix(tuple(carrier(i, params) for i in range(params.N)), params)
-
-
-def inner_product(x: Sequence[GaloisInt], y: Sequence[GaloisInt],
-                  conjugate: bool = False) -> GaloisInt:
-    """sum_k x_k * y_k over GI(p^m); set conjugate=True for sum_k x_k * conj(y_k).
-
-    Carrier orthogonality and the equal-energy property hold for the
-    bilinear default.
-    """
-    if len(x) != len(y):
-        raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
-    if not x:
-        raise ValueError("empty vectors")
-    acc = None
-    for a, b in zip(x, y):
-        term = a * (b.conj() if conjugate else b)
-        acc = term if acc is None else acc + term
-    return acc
 
 
 def rationalize_walsh(matrix: CarrierMatrix) -> list[list[int]]:

@@ -98,7 +98,7 @@ def rationalize_by_elements(matrix: CarrierMatrix) -> list[list[int]]:
         vals = []
         for z in row.samples:
             v = z.re + s * z.im
-            if not v.in_prime_field():
+            if any(v.coeffs[1:]):
                 raise NoRationalization(
                     "substituted carrier value leaves the prime field; "
                     "no integer Walsh form exists for these parameters")
@@ -297,7 +297,6 @@ def _parse_leaders(data, pos: int, params: SystemParams, kind) -> tuple[Compress
     nu = coset_table(params.N, p, kind).nu
     if len(data) - pos < nu * 2 * m:
         raise BadLength("truncated leader values")
-    ring = params.ring
     vals = []
     for _ in range(nu):
         re = data[pos:pos + m]
@@ -305,7 +304,7 @@ def _parse_leaders(data, pos: int, params: SystemParams, kind) -> tuple[Compress
         pos += 2 * m
         if any(c >= p for c in re) or any(c >= p for c in im):
             raise InconsistentFrame(f"coefficient byte >= p = {p}")
-        vals.append(ring.from_coeffs(tuple(re), tuple(im)))
+        vals.append(GaloisInt(params.field.element(re), params.field.element(im)))
     return CompressedFrame(params, kind, tuple(vals)), pos
 
 

@@ -12,12 +12,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gdmux import (Kind, SystemParams, TimeBlock, capacity_check, carrier_matrix,
+from gdmux import (Kind, SystemParams, capacity_check, carrier_matrix,
                    cas, fourier_cosets, hartley_cosets, metrics, nu_g_formula,
                    nu_h_formula, rationalize_walsh, required_snr)
 from gdmux.pipeline import crosstalk_probe, demux_batch, mux_batch
 from gdmux.statsim import PulseShape, galois_acf, psd_estimate
-from gdmux.transforms import ffht_forward, forward_batch
+from gdmux.transforms import forward_batch
 
 from support import ACCEPT_SYSTEMS
 
@@ -64,10 +64,10 @@ def test_c02_walsh_degeneration(p514):
 
 def test_c03_mux_example(p514):
     t0 = time.time()
-    spec = ffht_forward(TimeBlock(p514, (4, 0, 1, 2)))
-    assert [str(z) for z in spec.values] == ["2", "3+4j", "3", "3+1j"]
+    spec = p514.ring.from_array(forward_batch(p514, Kind.HARTLEY, [4, 0, 1, 2])[0])
+    assert [str(z) for z in spec] == ["2", "3+4j", "3", "3+1j"]
     assert time.time() - t0 < 1.0
-    _report(3, "ffht_forward({4,0,1,2}) = (2, 3+4j, 3, 3+j)")
+    _report(3, "forward_batch(hartley, {4,0,1,2}) = (2, 3+4j, 3, 3+j)")
 
 
 def test_c04_coset_tables():
@@ -154,8 +154,8 @@ def test_c09_conjugacy_invariant():
         F = forward_batch(params, Kind.FOURIER, vs)
         H = forward_batch(params, Kind.HARTLEY, vs)
         for f in range(0, 1000, 97):   # spot-convert a sample to exact elements
-            Fv = [ring.from_coeffs(F[f, k, 0], F[f, k, 1]) for k in range(N)]
-            Hv = [ring.from_coeffs(H[f, k, 0], H[f, k, 1]) for k in range(N)]
+            Fv = ring.from_array(F[f])
+            Hv = ring.from_array(H[f])
             for k in range(N):
                 assert Fv[(p * k) % N] == Fv[k].frobenius()
                 assert Hv[(-p * k) % N] == Hv[k].conj_frobenius()

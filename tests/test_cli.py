@@ -56,6 +56,23 @@ def test_design_snr_flag(capsys):
     assert "admissible" in out
 
 
+@pytest.mark.parametrize("snr_db", ["nan", "inf", "1e10"])
+def test_design_snr_of_no_finite_power_exits_1_with_a_message(capsys, snr_db):
+    # nan printed "gamma_max = nan -> NOT admissible" and exited 0, and 1e10
+    # ended in an OverflowError traceback from 10 ** (snr_db / 10)
+    code, out, err = run(capsys, "design", "-p", "5", "-N", "4", "--snr-db", snr_db)
+    assert (code, out, err) == (1, "", f"error: --snr-db {float(snr_db)} gives no finite SNR\n")
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.txt")), ids=lambda path: path.stem)
+def test_stdout_matches_its_golden_file(capsys, path):
+    # each file holds the stdout of the command its name spells, "_" for " "
+    assert run(capsys, *path.stem.split("_")) == (0, path.read_text(), "")
+
+
 def test_cosets_output(capsys):
     code, out, _ = run(capsys, "cosets", "-p", "3", "-N", "26", "--kind", "fourier")
     assert code == 0

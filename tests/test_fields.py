@@ -161,10 +161,12 @@ def test_mult_order_examples():
     assert mult_order(f5.scalar(3)) == 4
     with pytest.raises(NotAUnit):
         mult_order(f5.zero)
-    ring = gaussian_ring(f5)
-    with pytest.raises(NotAUnit):
-        mult_order(ring.element(1, 2))   # zero divisor
-    assert mult_order(ring.j) == 4
+    f27 = get_field(3, 3)
+    assert mult_order(f27.element((0, 1, 0))) == 26    # x generates GF(27)*
+    assert mult_order(f27.element((0, 0, 1))) == 13    # x^2
+    assert mult_order(-f27.one) == 2
+    with pytest.raises(TypeError):   # j has order 4 in GI(3), which does not divide 3 - 1
+        mult_order(gaussian_ring(get_field(3, 1)).j)
 
 
 def test_mult_order_divides_group_order():
@@ -289,7 +291,7 @@ def test_canonical_text():
     assert str(ring.element(0, 3)) == "3j"
     assert str(ring.element(2, 0)) == "2"
     ring27 = gaussian_ring(get_field(3, 3))
-    z = ring27.from_coeffs((1, 0, 2), (0, 1, 1))
+    z = ring27.element(ring27.field.element((1, 0, 2)), ring27.field.element((0, 1, 1)))
     assert str(z) == "1,0,2+0,1,1j"
 
 

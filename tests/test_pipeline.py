@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from gdmux import (BadLength, BadMagic, GdmError, InconsistentFrame, InvalidParams, Kind,
                    ParamMismatch, SystemParams, TimeBlock, UnsupportedParams, capacity_check,
                    crosstalk_probe, demux, deserialize, iter_frames, metrics, mux,
-                   reconstruct_spectrum, required_snr, serialize)
+                   required_snr, serialize)
 from gdmux import pipeline, transforms
 from gdmux.cosets import coset_table
 from gdmux.fields import (MAX_FIELD_SIZE, MAX_PRIME, GaloisInt, find_root_of_unity, get_field,
@@ -51,8 +51,8 @@ def test_mux_zero_block(p514):
     frame = mux(TimeBlock(p514, (0, 0, 0, 0)), Kind.HARTLEY)
     assert len(frame.leaders) == 3
     assert all(z.is_zero for z in frame.leaders)
-    spec = reconstruct_spectrum(frame)
-    assert all(z.is_zero for z in spec.values)
+    spec = reconstruct_batch(p514, Kind.HARTLEY, leader_array(frame))
+    assert spec.shape == (4, 2, 1) and not spec.any()
 
 
 def test_frame_length_3326(p3326):
@@ -63,13 +63,13 @@ def test_frame_length_3326(p3326):
 
 def test_reconstruction_follows_hartley_chain(p514):
     frame = mux(TimeBlock(p514, (4, 0, 1, 2)), Kind.HARTLEY)
-    spec = reconstruct_spectrum(frame)
-    assert [str(z) for z in spec.values] == ["2", "3+4j", "3", "3+1j"]
+    spec = p514.ring.from_array(reconstruct_batch(p514, Kind.HARTLEY, leader_array(frame)))
+    assert [str(z) for z in spec] == ["2", "3+4j", "3", "3+1j"]
     # V_3 is filled from leader V_1 by the Hartley map a^p - j b^p; for
     # p = 1 (mod 4) that is conj(frobenius), NOT the bare p-th power
     v1 = frame.leaders[1]
-    assert spec.values[3] == v1.conj_frobenius() == (v1 ** 5).conj()
-    assert spec.values[3] != v1 ** 5
+    assert spec[3] == v1.conj_frobenius() == (v1 ** 5).conj()
+    assert spec[3] != v1 ** 5
 
 
 def test_reconstruct_compress_identity(p3326):
@@ -141,7 +141,7 @@ def test_inconsistent_frame_detected(p3326):
         want = outcome(reconstruct_walk, p3326, Kind.HARTLEY, leader_array(frame))
         assert want[0] == "InconsistentFrame"
         with pytest.raises(InconsistentFrame) as raised:
-            reconstruct_spectrum(frame)
+            reconstruct_batch(p3326, Kind.HARTLEY, leader_array(frame))
         assert outcome_of(raised.value) == want
 
 
@@ -302,6 +302,21 @@ def test_traced_benchmark_finds_every_name_it_wraps(monkeypatch):
     importlib.import_module("tracer").Tracer()   # raises AttributeError for a missing name
 
 
+@pytest.mark.parametrize("pmn", [(5, 1, 4), (3, 3, 26)])
+@pytest.mark.parametrize("kind", [Kind.HARTLEY, Kind.FOURIER])
+def test_benchmark_reference_leaders_equal_mux_batch(monkeypatch, pmn, kind):
+    # perfbench/reference.py checks the benchmark's outputs against leaders it
+    # recomputes in GaloisInt arithmetic (trig.cas, +, *, zeta_elem); a source
+    # change that breaks those fails here, and not only in a benchmark run
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    reference = importlib.import_module("reference")
+    params = make(*pmn)
+    vs = np.random.default_rng(params.N).integers(0, params.p, size=(4, params.N))
+    for row, leaders in zip(vs, mux_batch(params, kind, vs).tolist()):
+        assert reference.scalar_leaders(params, kind.value, row) == [
+            (tuple(re), tuple(im)) for re, im in leaders]
+
+
 def test_frame_leader_count_checked(p514):
     with pytest.raises(ValueError):
         CompressedFrame(p514, Kind.HARTLEY, (p514.ring.one,) * 4)
@@ -347,6 +362,9 @@ def test_capacity_check(p3326):
     assert not chk.admissible
     with pytest.raises(ValueError):
         capacity_check(p3326, Kind.HARTLEY, -1.0)
+    with pytest.raises(ValueError, match="^snr must be >= 0$"):   # was gamma_max = nan
+        capacity_check(p3326, Kind.HARTLEY, math.nan)
+    assert capacity_check(p3326, Kind.HARTLEY, math.inf).admissible
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,3 @@
-import itertools
-import math
 import tracemalloc
 
 import hypothesis.extra.numpy as hnp
@@ -7,9 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gdmux import (ExtensionNotEmbeddable, InvalidParams, Kind, PulseShape,
-                   SystemParams, embed, galois_acf, gaussian_ring, get_field,
-                   psd_estimate, symbol_source, synthesize_envelope)
+from gdmux import (ExtensionNotEmbeddable, InvalidParams, Kind, PulseShape, SystemParams,
+                   centered, galois_acf, psd_estimate, synthesize_envelope)
 from gdmux import statsim
 from gdmux.statsim import acf_of_stream, embed_spectra, _resolve_embedding
 
@@ -26,31 +23,15 @@ def p716():
     return SystemParams.create(7, 1, 6)
 
 
-def test_symbol_source_deterministic():
-    a = list(itertools.islice(symbol_source(5, seed=3), 1000))
-    b = list(itertools.islice(symbol_source(5, seed=3), 1000))
-    assert a == b
-    c = list(itertools.islice(symbol_source(5, seed=4), 1000))
-    assert a != c
-
-
-def test_symbol_source_moments():
-    n = 200_000
-    xs = np.fromiter(itertools.islice(symbol_source(7, seed=0), n), dtype=float)
-    assert set(np.unique(xs)) <= {-3, -2, -1, 0, 1, 2, 3}
-    second = sum(a * a for a in range(-3, 4)) / 7
-    assert abs(xs.mean()) < 3 * xs.std() / math.sqrt(n)
-    assert abs((xs**2).mean() - second) / second < 0.02
-
-
-def test_embed_examples():
-    ring5 = gaussian_ring(get_field(5, 1))
-    assert embed(ring5.element(3, 4)) == (-2.0, -1.0)
-    assert embed(ring5.zero) == (0.0, 0.0)
-    assert embed(ring5.element(2)) == (2.0, 0.0)
-    ring27 = gaussian_ring(get_field(3, 3))
+def test_embed_examples(p514):
+    # the componentwise embedding of GaloisInt values, through their coefficient array
+    ring = p514.ring
+    values = (ring.element(3, 4), ring.zero, ring.element(2), ring.element(0, 1))
+    got = embed_spectra(p514, ring.to_array(values), "component")
+    assert got.tolist() == [-2 - 1j, 0j, 2 + 0j, 1j]
+    p3326 = SystemParams.create(3, 3, 26)
     with pytest.raises(ExtensionNotEmbeddable):
-        embed(ring27.one)
+        embed_spectra(p3326, p3326.ring.to_array([p3326.ring.one]), "component")
 
 
 def test_embedding_resolution(p514, p716):
@@ -147,8 +128,7 @@ def test_component_embedding_power_excess(p514):
 
 
 def test_time_domain_whiteness():
-    n = 100_000
-    xs = np.fromiter(itertools.islice(symbol_source(5, seed=9), n), dtype=float)
+    xs = centered(np.random.default_rng(9).integers(0, 5, size=100_000), 5)
     vals, errs = acf_of_stream(xs.astype(complex), 4)
     for j in range(1, 5):
         assert abs(vals[j]) < 3 * errs[j] + 1e-12

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gdmux import (Kind, NotGroundField, SpectrumBlock, SystemParams, TimeBlock,
-                   UnsupportedParams, ffft_forward, ffft_inverse, ffht_forward,
-                   ffht_inverse, forward_batch, inverse_batch, inner_product)
+from gdmux import (Kind, NotGroundField, SystemParams, TimeBlock, UnsupportedParams,
+                   forward_batch, inverse_batch)
 from gdmux import transforms
 from gdmux.cosets import coset_table
 from gdmux.fields import MAX_PRIME, is_prime
@@ -30,39 +29,45 @@ def gi(params, re, im=0):
     return params.ring.element(re, im)
 
 
+def spectrum(params, kind, symbols):
+    """forward_batch of one symbol row, as GaloisInt values."""
+    return params.ring.from_array(forward_batch(params, kind, np.array(symbols))[0])
+
+
+def invert(params, kind, values):
+    """inverse_batch of one spectrum given as GaloisInt values, as a tuple of symbols."""
+    return tuple(inverse_batch(params, kind, params.ring.to_array(values)).tolist())
+
+
 def test_mux_example_spectrum(p514):
-    spec = ffht_forward(TimeBlock(p514, (4, 0, 1, 2)))
-    assert spec.values == (gi(p514, 2), gi(p514, 3, 4), gi(p514, 3), gi(p514, 3, 1))
+    spec = spectrum(p514, Kind.HARTLEY, (4, 0, 1, 2))
+    assert spec == (gi(p514, 2), gi(p514, 3, 4), gi(p514, 3), gi(p514, 3, 1))
 
 
 def test_hartley_impulse_and_zero(p514):
-    assert all(z == p514.ring.one
-               for z in ffht_forward(TimeBlock(p514, (1, 0, 0, 0))).values)
-    assert all(z.is_zero for z in ffht_forward(TimeBlock(p514, (0, 0, 0, 0))).values)
+    assert all(z == p514.ring.one for z in spectrum(p514, Kind.HARTLEY, (1, 0, 0, 0)))
+    assert all(z.is_zero for z in spectrum(p514, Kind.HARTLEY, (0, 0, 0, 0)))
 
 
 def test_hartley_inverse_of_known_spectrum(p514):
-    spec = SpectrumBlock(p514, Kind.HARTLEY,
-                         (gi(p514, 2), gi(p514, 3, 4), gi(p514, 3), gi(p514, 3, 1)))
-    assert ffht_inverse(spec).symbols == (4, 0, 1, 2)
+    spec = (gi(p514, 2), gi(p514, 3, 4), gi(p514, 3), gi(p514, 3, 1))
+    assert invert(p514, Kind.HARTLEY, spec) == (4, 0, 1, 2)
 
 
 def test_all_ones_spectrum_gives_impulse(p514):
-    spec = SpectrumBlock(p514, Kind.HARTLEY, (p514.ring.one,) * 4)
-    assert ffht_inverse(spec).symbols == (1, 0, 0, 0)
+    assert invert(p514, Kind.HARTLEY, (p514.ring.one,) * 4) == (1, 0, 0, 0)
 
 
 def test_ffft_examples(p514):
-    assert all(z.is_zero for z in ffft_forward(TimeBlock(p514, (0, 0, 0, 0))).values)
-    assert all(z == p514.ring.one
-               for z in ffft_forward(TimeBlock(p514, (1, 0, 0, 0))).values)
-    spec = ffft_forward(TimeBlock(p514, (4, 0, 1, 2)))
-    assert spec.values[1] == gi(p514, 4)
+    assert all(z.is_zero for z in spectrum(p514, Kind.FOURIER, (0, 0, 0, 0)))
+    assert all(z == p514.ring.one for z in spectrum(p514, Kind.FOURIER, (1, 0, 0, 0)))
+    spec = spectrum(p514, Kind.FOURIER, (4, 0, 1, 2))
+    assert spec[1] == gi(p514, 4)
     # full vector against an independent integer oracle
     brute = [sum(v * pow(2, (i * k) % 4, 5) for i, v in enumerate((4, 0, 1, 2))) % 5
              for k in range(4)]
-    assert [z.re.to_int() for z in spec.values] == brute
-    assert all(z.im.is_zero for z in spec.values)
+    assert [z.re.to_int() for z in spec] == brute
+    assert all(z.im.is_zero for z in spec)
 
 
 @pytest.mark.parametrize("p,m,N", SMALL_SYSTEMS)
@@ -141,6 +146,27 @@ def test_integer_input_of_any_width_is_accepted():
         mux_batch(params, Kind.HARTLEY, [[1.7, 0, 0, 0]])
 
 
+@pytest.mark.parametrize("fn,shape,what", [
+    (mux_batch, (1, 4), "4 symbols"), (forward_batch, (4,), "4 symbols"),
+    (demux_batch, (1, 3, 2, 1), "3 leader values"),
+    (inverse_batch, (4, 2, 1), "4 spectrum values"),
+], ids=["mux_batch", "forward_batch", "demux_batch", "inverse_batch"])
+def test_unsigned_input_at_or_above_2_63_is_refused(fn, shape, what):
+    # the int64 cast wrapped 2^64 - 1 to -1, so mux_batch gave the leaders of
+    # (4, 0, 0, 0) at (5, 1, 4), not those of the residue (0, 0, 0, 0)
+    params = make(5, 1, 4)
+    top = np.zeros(shape, dtype=np.uint64)
+    top.flat[0] = 2 ** 64 - 1
+    with pytest.raises(ValueError, match=rf"^expected {what} below 2\^63, got {2 ** 64 - 1}$"):
+        fn(params, Kind.HARTLEY, top)
+    top.flat[0] = 2 ** 63
+    with pytest.raises(ValueError, match=r"below 2\^63"):
+        fn(params, Kind.HARTLEY, top)
+    top.flat[0] = 2 ** 63 - 1          # the largest accepted entry: as its int64 value
+    assert outcome(fn, params, Kind.HARTLEY, top) == outcome(fn, params, Kind.HARTLEY,
+                                                             top.astype(np.int64))
+
+
 @pytest.mark.parametrize("kind", [Kind.HARTLEY, Kind.FOURIER])
 def test_batch_transforms_reduce_out_of_range_input(kind):
     # forward_batch takes symbols, and inverse_batch spectrum coefficients,
@@ -159,8 +185,8 @@ def test_batch_transforms_reduce_out_of_range_input(kind):
 def test_round_trip_scalar(pmn, data):
     params = make(*pmn)
     v = tuple(data.draw(st.integers(0, params.p - 1)) for _ in range(params.N))
-    assert ffht_inverse(ffht_forward(TimeBlock(params, v))).symbols == v
-    assert ffft_inverse(ffft_forward(TimeBlock(params, v))).symbols == v
+    for kind in (Kind.HARTLEY, Kind.FOURIER):
+        assert invert(params, kind, spectrum(params, kind, v)) == v
 
 
 @pytest.mark.parametrize("kind", [Kind.HARTLEY, Kind.FOURIER])
@@ -180,9 +206,8 @@ def test_linearity(kind):
 def test_fourier_conjugacy(p, m, N):
     params = make(p, m, N)
     rng = np.random.default_rng(3)
-    for _ in range(20):
-        v = TimeBlock(params, tuple(int(x) for x in rng.integers(0, p, N)))
-        V = ffft_forward(v).values
+    for row in forward_batch(params, Kind.FOURIER, rng.integers(0, p, size=(20, N))):
+        V = params.ring.from_array(row)
         for k in range(N):
             assert V[(p * k) % N] == V[k].frobenius()
 
@@ -193,9 +218,8 @@ def test_hartley_conjugacy(p, m, N):
     # p = 3 (mod 4) that map IS frobenius
     params = make(p, m, N)
     rng = np.random.default_rng(4)
-    for _ in range(20):
-        v = TimeBlock(params, tuple(int(x) for x in rng.integers(0, p, N)))
-        V = ffht_forward(v).values
+    for row in forward_batch(params, Kind.HARTLEY, rng.integers(0, p, size=(20, N))):
+        V = params.ring.from_array(row)
         for k in range(N):
             assert V[(-p * k) % N] == V[k].conj_frobenius()
             if p % 4 == 3:
@@ -204,7 +228,7 @@ def test_hartley_conjugacy(p, m, N):
 
 def test_hartley_frobenius_literal_fails_for_p1mod4(p514):
     # over GI(5) the worked spectrum has V_3 = conj(V_1), yet V_1^5 = V_1
-    V = ffht_forward(TimeBlock(p514, (4, 0, 1, 2))).values
+    V = spectrum(p514, Kind.HARTLEY, (4, 0, 1, 2))
     assert V[3] == V[1].conj_frobenius() == V[1].conj()
     assert V[1].frobenius() == V[1]
     assert V[3] != V[1].frobenius()
@@ -237,11 +261,11 @@ def test_parseval_energy(p, m, N):
     for _ in range(10):
         v = tuple(int(x) for x in rng.integers(0, p, N))
         rhs = params.ring.element((N * sum(x * x for x in v)) % p)
-        H = ffht_forward(TimeBlock(params, v)).values
-        assert inner_product(H, H) == rhs
-        F = ffft_forward(TimeBlock(params, v)).values
+        H = spectrum(params, Kind.HARTLEY, v)
+        assert sum(a * b for a, b in zip(H, H)) == rhs
+        F = spectrum(params, Kind.FOURIER, v)
         rev = tuple(F[(N - k) % N] for k in range(N))
-        assert inner_product(F, rev) == rhs
+        assert sum(a * b for a, b in zip(F, rev)) == rhs
 
 
 def _assert_forward_matches_definition(params, kind, vs):
@@ -283,22 +307,19 @@ def test_n2_butterfly():
     params = make(3, 1, 2)
     for v0 in range(3):
         for v1 in range(3):
-            got = ffht_forward(TimeBlock(params, (v0, v1))).values
+            got = spectrum(params, Kind.HARTLEY, (v0, v1))
             assert got[0] == params.ring.element((v0 + v1) % 3)
             assert got[1] == params.ring.element((v0 - v1) % 3)
 
 
 def test_not_ground_field(p514):
     # a spectrum violating the conjugacy constraint cannot invert into GF(p)
-    bad = SpectrumBlock(p514, Kind.HARTLEY,
-                        (p514.ring.zero, p514.ring.one, p514.ring.zero, p514.ring.zero))
+    bad = (p514.ring.zero, p514.ring.one, p514.ring.zero, p514.ring.zero)
     with pytest.raises(NotGroundField):
-        ffht_inverse(bad)
-    badf = SpectrumBlock(p514, Kind.FOURIER,
-                         (p514.ring.zero, p514.ring.element(0, 1),
-                          p514.ring.zero, p514.ring.zero))
+        invert(p514, Kind.HARTLEY, bad)
+    badf = (p514.ring.zero, p514.ring.element(0, 1), p514.ring.zero, p514.ring.zero)
     with pytest.raises(NotGroundField):
-        ffft_inverse(badf)
+        invert(p514, Kind.FOURIER, badf)
 
 
 def test_extension_residue_detected():
@@ -307,7 +328,7 @@ def test_extension_residue_detected():
     vals = [params.ring.zero] * 26
     vals[13] = params.ring.element(params.field.element((0, 1, 0)), 0)
     with pytest.raises(NotGroundField):
-        ffht_inverse(SpectrumBlock(params, Kind.HARTLEY, tuple(vals)))
+        invert(params, Kind.HARTLEY, vals)
 
 
 def test_block_validation(p514):
@@ -582,16 +603,6 @@ def test_design_of_any_case_spelling_is_the_kinds_design():
     for spelling in ("HARTLEY", "Hartley", "hartley"):
         assert design(params, spelling) is design(params, Kind.HARTLEY)
     assert design(params, "FOURIER") is design(params, Kind.FOURIER)
-
-
-@pytest.mark.parametrize("spelling", ["hartley", "HARTLEY", "Hartley", Kind.HARTLEY],
-                         ids=["lower", "upper", "title", "member"])
-def test_spectrum_block_holds_the_kind_of_any_spelling(p514, spelling):
-    spec = ffht_forward(TimeBlock(p514, (4, 0, 1, 2)))
-    again = SpectrumBlock(p514, spelling, spec.values)
-    assert again == spec and again.kind is Kind.HARTLEY
-    with pytest.raises(ValueError, match="not a valid Kind$"):
-        SpectrumBlock(p514, "foo", spec.values)
 
 
 def test_design_cache_is_bounded():
