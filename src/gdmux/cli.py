@@ -399,8 +399,31 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _joined_snr_db(argv: list[str]) -> list[str]:
+    """argv of `design` with each `--snr-db X`, X a number such as -1e1 or -inf, as `--snr-db=X`.
+
+    argparse reads a token that starts with "-" as a flag unless it looks
+    like -10 or -2.5, so `--snr-db -1e1` and `--snr-db -inf` would end in
+    "expected one argument"; `--snr-db=X` reads any float.
+    """
+    if argv[:1] != ["design"]:
+        return argv
+    out = []
+    for token in argv:
+        if out and out[-1] == "--snr-db" and token.startswith("-"):
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                out[-1] = f"--snr-db={token}"
+                continue
+        out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parser().parse_args(_joined_snr_db(sys.argv[1:] if argv is None else list(argv)))
     try:
         return _COMMANDS[args.command](args)
     except (FrameFormatError, UnicodeDecodeError) as exc:

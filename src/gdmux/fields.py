@@ -193,6 +193,18 @@ class ExtField:
         P.setflags(write=False)
         return P
 
+    @cached_property
+    def frobenius_matrix(self) -> np.ndarray:
+        """(m, m) read-only matrix of a -> a^p on coefficient vectors (GF(p)-linear).
+
+        Column t is (x^t)^p = y^t with y = x^p, so the matrix is the powers
+        of y, one per column. For m = 1 "x" is 0 and any y gives [[1]].
+        """
+        y = self.powers(np.eye(1, self.m, 1)[0], self.p + 1)[self.p]
+        F = self.powers(y, self.m).T
+        F.setflags(write=False)
+        return F
+
     def mul_matrices(self, a: np.ndarray) -> np.ndarray:
         """(..., m, m) matrices of multiplication by the elements a (..., m)."""
         return np.einsum("...j,jab->...ab", a, self.x_power_matrices) % self.p

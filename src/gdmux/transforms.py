@@ -29,15 +29,23 @@ identities, like the orthogonality of the carriers, hold for every valid
 them on a basis over a grid of designs; nothing re-checks them at runtime.
 
 The leader-space core. A compiled Design holds G (N, n), the transform
-at the coset leaders (n = 2m*nu coefficients per frame), D (n, N), its
-left inverse (G @ D = I mod p), and the stacked powers of the conjugacy
-map sigma. Every batch map is a short composition of four private
-kernels on it: _mux (L = v @ G), _demux (v = L @ D, with the syndrome
-check v @ G == L, true exactly for the frames mux could have produced),
+at the coset leaders (n = 2m*nu coefficients per frame), and the stacked
+powers of the conjugacy map sigma. G has rank N, so N of its columns
+carry the information: an information set I with G_I invertible. The
+other columns are either identically zero, or "rest" columns with
+G_rest = G_I @ C. The design keeps the column order perm = (I, rest,
+zero) and W = [D_I | C] (N, N + r), where D_I = G_I^-1 (mod p). Every
+batch map is a short composition of four private kernels on it:
+_mux (L = v @ G), _demux (v = L_I @ D_I, with the check L_rest ==
+L_I @ C and the zero test L_zero == 0, both in one product L_I @ W),
 _expand (the orbit walk V[orbit[t]] = sigma^t @ V[leader]) and
 _orbit_error (the closure check sigma^len(orbit) @ leader == leader,
-with no spectrum expanded). inverse_batch accepts a spectrum S exactly
-when, with L = S at the leaders, v @ G == L and _expand(L) == S: then
+with no spectrum expanded). For leaders in [0, p) the check and the
+zero test hold exactly when L is in the row space of G, i.e. exactly
+for the frames mux could have produced, and then v @ G == L. A frame
+costs N(N + r) multiply-adds, where a left inverse and a re-encode
+cost 2nN. inverse_batch accepts a spectrum S exactly when, with L = S
+at the leaders, L passes the check and _expand(L) == S: then
 forward(v) = _expand(v @ G) = S, and otherwise forward(v) differs from
 S at a leader or _expand(L) does elsewhere.
 
@@ -70,14 +78,21 @@ vectors, with no GaloisInt arithmetic:
     mod N (Fourier), times 1/N mod p. Demux reads each output at its
     (re, coefficient 0) entry, so the inverse is one linear form per
     argument t: coefficient 0 of the product, (N, 2m) in all.
-  * sigma is built from the Frobenius matrix, whose columns are the
-    powers of x^p, computed by ExtField.powers like those of zeta. All
-    cosets walk the same powers sigma^t, so a design holds one stack of
-    them, up to the longest orbit. D is gathered, like G, from one
-    (N, 2m) table per orbit length.
+  * sigma is built from the Frobenius matrix (ExtField.frobenius_matrix),
+    whose columns are the powers of x^p, computed by ExtField.powers
+    like those of zeta. All cosets walk the same powers sigma^t, so a
+    design holds one stack of them, up to the longest orbit. A left
+    inverse D (n, N) of G is read, like G, from one (N, 2m) table per
+    orbit length.
+  * I comes from one batched row reduction mod p. The cosets of k and -k
+    form a group; the column blocks of G of different groups are
+    independent, and the first 2m rows of a block span it. Reducing
+    those few rows of every group at once gives the pivots (I) and E,
+    with G = G_I @ E. Then C = E_rest and D_I = E @ D, formed a few
+    groups at a time, so D is never held whole.
 
 No dense matrix is part of a design, and the library builds none: the
-inverse is D. _forward_flat (2mN x N) is the reference tests compare
+inverse is D_I. _forward_flat (2mN x N) is the reference tests compare
 forward_batch against.
 """
 
@@ -92,7 +107,7 @@ import numpy as np
 
 from .cosets import CosetTable, Kind, coset_table
 from .errors import InconsistentFrame, NotGroundField, UnsupportedParams
-from .fields import ExtField, SystemParams
+from .fields import SystemParams
 from .trig import cas_coeffs
 
 
@@ -115,16 +130,6 @@ class TimeBlock:
 # ---------------------------------------------------------------------------
 # Layout: a spectrum batch is an int64 array (F, N, 2, m); axis 2 is re/im,
 # axis 3 the GF(p) coefficients. Flattened per-block length is 2*m*N.
-
-def frobenius_matrix(field: ExtField) -> np.ndarray:
-    """(m, m) matrix of a -> a^p on coefficient vectors (GF(p)-linear).
-
-    Column t is (x^t)^p = y^t with y = x^p, so the matrix is the powers
-    of y, one per column. For m = 1 "x" is 0 and any y gives [[1]].
-    """
-    y = field.powers(np.eye(1, field.m, 1)[0], field.p + 1)[field.p]
-    return field.powers(y, field.m).T
-
 
 def _kernel_coeffs(params: SystemParams, kind) -> np.ndarray:
     """(N, 2, m) transform kernel by argument t = i*k mod N: cas(t) or zeta^t."""
@@ -173,48 +178,58 @@ DESIGN_BUDGET_BYTES = 256 << 20   # largest compiled design; bigger ones are ref
 class Design:
     """Everything the batch maps need for one (params, kind), compiled once.
 
-    G (N, n) and D (n, N), with n = 2m*nu coefficients per frame, act on
-    flattened leader arrays: G is the transform restricted to the coset
-    leaders and D its left inverse, G @ D = I (mod p), the library's only
-    inverse. They are float so that BLAS applies them: float32 when
+    G (N, n), with n = 2m*nu coefficients per frame, is the transform
+    restricted to the coset leaders: mux is v @ G. Its rank is N, and perm
+    (n,) orders its columns as (I, rest, zero): an information set
+    I of N columns with G_I invertible, the other nonzero columns, and
+    the columns of G that are identically zero. W = [D_I | C] (N, N + r),
+    r = len(rest), holds D_I = G_I^-1 (mod p), the library's only
+    inverse, and C = D_I @ G_rest, so that G_rest = G_I @ C: a leader row
+    L in [0, p) is one mux produced exactly when L_rest == L_I @ C and
+    L_zero == 0, and then its symbols are L_I @ D_I. G, W and
+    sigma_powers are float so that BLAS applies them: float32 when
     2mN(p-1)^2 < 2^24 (leader_dtype), float64 otherwise. sigma_powers
     (L + 1, 2m, 2m) holds sigma^t for t = 0..L, L the longest orbit:
-    every coset walks the same powers. walk (N + nu,) says where the walk
-    finds each spectrum position, and where each orbit ends (the step
-    len(orbit), which the closure check reads). The arrays are read-only:
-    every caller shares them.
+    every coset walks the same powers. walk (N + nu,) int32 says where the
+    walk finds each spectrum position, and where each orbit ends (the
+    step len(orbit), which the closure check reads). The arrays are
+    read-only: every caller shares them.
     """
 
     params: SystemParams
     kind: Kind
     table: CosetTable
     G: np.ndarray
-    D: np.ndarray
+    W: np.ndarray
+    perm: np.ndarray
     sigma_powers: np.ndarray
     walk: np.ndarray
 
     @property
     def nbytes(self) -> int:
-        return sum(a.nbytes for a in (self.G, self.D, self.sigma_powers, self.walk))
+        return sum(a.nbytes for a in (self.G, self.W, self.perm, self.sigma_powers, self.walk))
 
 
 def leader_dtype(p: int, m: int, N: int) -> type:
-    """The float dtype of G and D: float32 when every product sum, below 2mN(p-1)^2,
-    is below 2^24 and so exact in it, else float64."""
+    """The float dtype of G, W and sigma_powers: float32 when every product sum, below
+    2mN(p-1)^2, is below 2^24 and so exact in it, else float64."""
     return np.float32 if 2 * m * N * (p - 1) ** 2 < 1 << 24 else np.float64
 
 
 def design_nbytes(p: int, m: int, N: int, nu: int, longest: int) -> int:
-    """Design.nbytes of a design with nu cosets, from the array shapes alone.
+    """A bound on Design.nbytes of a design with nu cosets, from the array shapes alone.
 
-    G and D have n = 2m*nu columns and rows of N entries of leader_dtype,
-    4 or 8 bytes; sigma_powers holds longest + 1 int64 matrices of size
-    (2m, 2m), longest <= 2m being the longest orbit, and walk N + nu int64
-    indices. The size grows as m*nu*N.
+    G has N rows of n = 2m*nu entries of leader_dtype, 4 or 8 bytes, and W
+    at most as many (N + r <= n); perm holds n intp indices,
+    sigma_powers longest + 1 matrices of size (2m, 2m) in leader_dtype,
+    longest <= 2m being the longest orbit, and walk N + nu int32 indices.
+    Design.nbytes is the bound less N entries per zero column of G (there
+    are at least 2m - 1: coset 0's value lies in GF(p)). It grows as
+    m*nu*N.
     """
     w = 2 * m
     entry = np.dtype(leader_dtype(p, m, N)).itemsize
-    return 2 * N * (w * nu) * entry + ((longest + 1) * w * w + N + nu) * 8
+    return (2 * N * w * nu + (longest + 1) * w * w) * entry + 8 * w * nu + (N + nu) * 4
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -231,45 +246,140 @@ def _sigma_powers(sigma: np.ndarray, p: int, longest: int) -> np.ndarray:
     return out
 
 
-def _walk(table: CosetTable, lengths: np.ndarray) -> np.ndarray:
+def _walk(N: int, leaders: np.ndarray, lengths: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """(N + nu,) rows of the orbit walk: spectrum positions, then orbit ends.
 
-    Position orbit_c[t] reads row c * (L + 1) + t, sigma^t @ leader_c;
-    entry N + c reads the row of t = len(orbit_c).
+    Position orbit_c[t] = leader_c * step^t reads row c * (L + 1) + t,
+    sigma^t @ leader_c; entry N + c reads the row of t = len(orbit_c).
+    shifts holds step^t mod N for t = 0..L.
     """
-    N, nu, longest = table.N, table.nu, table.longest
-    rows = np.arange(nu * (longest + 1)).reshape(nu, longest + 1)
-    walk = np.empty(N + nu, dtype=np.int64)
-    walk[np.concatenate(table.cosets)] = rows[np.arange(longest + 1) < lengths[:, None]]
+    nu, steps = len(leaders), len(shifts)
+    rows = np.arange(nu * steps).reshape(nu, steps)
+    walk = np.empty(N + nu, dtype=np.int32)
+    on = np.arange(steps) < lengths[:, None]
+    walk[(np.outer(leaders, shifts) % N)[on]] = rows[on]
     walk[N:] = rows[np.arange(nu), lengths]
     return walk
 
 
-def _leader_matrices(params: SystemParams, table: CosetTable, lengths: np.ndarray,
-                     ker: np.ndarray, sigma_powers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """G (N, n) and D (n, N) in leader_dtype, each gathered from an (N, 2m) table.
+def _leader_matrices(params: SystemParams, table: CosetTable, leaders: np.ndarray,
+                     lengths: np.ndarray, shifts: np.ndarray, coset_of: np.ndarray,
+                     ker: np.ndarray, sigma_powers: np.ndarray) -> tuple[np.ndarray, ...]:
+    """G (N, n), W (N, N + r) and perm (n,) of the design; G and W in leader_dtype.
 
     G is the transform at the leaders: G[i, (c, a)] = ker[i * leader_c, a].
+    W and perm come from _information_set, which reads a left inverse D
+    (n, N) of G, G @ D = I (mod p), off _inverse_tables:
+    D[(c, a), i] = Q[len(orbit_c) - 1, i * leader_c, a].
+    """
+    N, w = params.N, 2 * params.m
+    dt = leader_dtype(params.p, params.m, N)
+    a = np.arange(w)
+    args = np.outer(leaders, np.arange(N)) % N                        # (nu, N): leader * i
+    G = ker.reshape(N, w).astype(dt)[args.T[:, :, None], a].reshape(N, -1)
+    Q = _inverse_tables(params, table.kind, shifts, ker, sigma_powers).astype(dt)
+    args += (lengths - 1)[:, None] * N                                # rows of Q.reshape(-1, w)
+    W, perm = _information_set(params, leaders, coset_of, G, Q.reshape(-1, w), args)
+    return _readonly(G), _readonly(W), _readonly(perm)
+
+
+def _inverse_tables(params: SystemParams, kind: Kind, shifts: np.ndarray, ker: np.ndarray,
+                    sigma_powers: np.ndarray) -> np.ndarray:
+    """Q (L, N, 2m), L the longest orbit: Q[len - 1] is the inverse transform, by argument,
+    of the leader of an orbit of length len.
+
     Demux is reconstruction followed by the inverse transform, read at
     each output's (re, coefficient 0) entry. Reconstruction sets
     V[orbit[t]] = sigma^t @ leader, so the leader of coset c reaches
     output i through sum_{t < len(orbit)} R_t[i * orbit[t]], where
     R_t = _inverse_form @ sigma^t. Since orbit[t] = s^t * leader, with s
-    the table's step, that sum is Q_len[i * leader], with
-    Q_len = sum_{t < len} R_t[n * s^t] one table per orbit length.
+    the coset step, that sum is Q_len[i * leader], with
+    Q_len = sum_{t < len} R_t[n * s^t].
+    """
+    N, p = params.N, params.p
+    longest = len(shifts) - 1
+    R = (_inverse_form(params, kind, ker) @ sigma_powers[:longest]) % p   # (L, N, 2m)
+    return np.cumsum(R[np.arange(longest)[:, None], np.outer(shifts[:-1], np.arange(N)) % N],
+                     axis=0) % p
+
+
+@lru_cache(maxsize=64)
+def _inverses(p: int) -> np.ndarray:
+    """(p,) read-only: the inverse mod p of each residue, 0 for 0."""
+    return _readonly(np.array([0] + [pow(x, -1, p) for x in range(1, p)]))
+
+
+def _row_reduce(B: np.ndarray, p: int) -> None:
+    """Reduce each matrix B[:, i] of the int64 batch B (k, g, c), entries in [0, p), in place
+    to reduced row echelon form mod p, one row at a time. The pivot of a row is its first
+    nonzero entry, which is 1; a row that depends on the rows above it reduces to zero."""
+    inverse, at = _inverses(p), np.arange(B.shape[1])
+    for r, row in enumerate(B):
+        col = B[:, at, (row != 0).argmax(axis=1)]    # column 0 of a zero row, which stays zero
+        row *= inverse[col[r]][:, None]
+        col[r] = 0
+        B -= col[:, :, None] * row
+        B %= p
+
+
+def _information_set(params: SystemParams, leaders: np.ndarray, coset_of: np.ndarray,
+                     G: np.ndarray, tables: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, ...]:
+    """W = [D_I | C] (N, N + r) in G's dtype and perm = (I, rest, zero) (n,) of G.
+
+    The cosets of k and -k form one group (one coset when -k is in k's).
+    The column blocks of G of different groups have independent row
+    spaces whose ranks sum to N, and rows 0..min(N, 2m) - 1 span each
+    block: row i of a block is a GF(p)-linear image of (z^i, z^-i),
+    z = zeta^k, a sequence of linear recurrence order 2m. One batched
+    row reduction of those rows, group by group, gives the reduced rows
+    E_g and their pivot columns, which make up I, with G = G_I @ E and E
+    block diagonal. So C = E_rest, and for any left inverse D of G,
+    D_I = G_I^-1 = E @ D. D is given as D[(c, a), i] = tables[at[c, i], a]
+    and read a few groups at a time, so that no full D is built.
     """
     N, w, p = params.N, 2 * params.m, params.p
-    dt = leader_dtype(p, params.m, N)
-    a = np.arange(w)
-    args = np.outer(table.leaders, np.arange(N)) % N                  # (nu, N): leader * i
-    G = ker.reshape(N, w).astype(dt)[args.T[:, :, None], a].reshape(N, -1)
-    longest = len(sigma_powers) - 1
-    R = (_inverse_form(params, table.kind, ker) @ sigma_powers[:longest]) % p  # (L, N, 2m)
-    shifts = np.array([pow(table.step, t, N) for t in range(longest)])
-    Q = np.cumsum(R[np.arange(longest)[:, None], np.outer(shifts, np.arange(N)) % N], axis=0) % p
-    # D[(c, a), i] = Q_len(c)[i * leader_c, a], gathered straight into the final layout
-    D = Q.astype(dt)[(lengths - 1)[:, None, None], args[:, None, :], a[:, None]]
-    return _readonly(G), _readonly(D.reshape(-1, N))
+    nu, n = len(leaders), len(leaders) * w
+    partner = coset_of[-leaders % N]
+    first = np.flatnonzero(np.arange(nu) <= partner)
+    pairs = np.array([first, partner[first]]).T                       # (g, 2): the group's cosets
+    # columns of G of each group; a group of one coset reads w zero columns, n..n + w - 1
+    cols = pairs * w
+    cols[pairs[:, 0] == pairs[:, 1], 1] = n
+    cols = (cols[:, :, None] + np.arange(w)).reshape(len(pairs), 2 * w)
+    top = np.zeros((min(N, w), n + w), dtype=np.int64)
+    top[:, :n] = G[:len(top)]
+    B = top[:, cols]                                                  # (k, g, 2w)
+    _row_reduce(B, p)
+    # each column of a group is a pivot (0), another nonzero column (1), a
+    # zero one (2) or one of the extra zero columns (3); a column of G is
+    # zero exactly where it is zero in rows 0..k - 1
+    nonzero = B != 0
+    pivot_rows = nonzero.any(axis=2)                                  # (k, g)
+    ri, gi = np.nonzero(pivot_rows)
+    pivots = nonzero[ri, gi].argmax(axis=1)
+    cls = (2 - nonzero.any(axis=0)) + (cols >= n)
+    cls[gi, pivots] = 0
+    order = np.argsort(cls.reshape(-1), kind="stable")
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    position = position.reshape(cols.shape)                           # of each column in perm
+    r = int(np.count_nonzero(cls == 1))
+    W = np.zeros((N, N + r), dtype=G.dtype)
+    # C: pivot row i of group g is row position[pivot] of W, with its entry
+    # at a rest column of the group in column position[column]
+    row_of = np.zeros(pivot_rows.shape, dtype=np.intp)
+    row_of[ri, gi] = position[gi, pivots]
+    rest = pivot_rows[:, :, None] & (cls == 1)
+    W.reshape(-1)[(row_of[:, :, None] * (N + r) + position)[rest]] = B[rest]
+    # D_I: the rows E_g @ D of a few groups at a time, about 2^18 entries of D each
+    E = B.transpose(1, 2, 0).astype(G.dtype)                          # (g, 2w, k)
+    step = max(1, (1 << 18) // (2 * w * N))
+    for lo in range(0, len(pairs), step):
+        D = tables[at[pairs[lo:lo + step]].transpose(0, 2, 1)].reshape(-1, N, 2 * w)
+        on = pivot_rows[:, lo:lo + step].T
+        rows_of_D_I = (D @ E[lo:lo + step]).transpose(0, 2, 1)[on]
+        W[row_of[:, lo:lo + step].T[on], :N] = mod_p(rows_of_D_I, p)
+    return W, cols.reshape(-1)[order[:n]]
 
 
 @lru_cache(maxsize=DESIGN_CACHE_SIZE)
@@ -281,17 +391,24 @@ def design(params: SystemParams, kind) -> Design:
     """
     if not isinstance(kind, Kind):      # any other spelling shares the Kind's design
         return design(params, Kind(kind))
-    table = coset_table(params.N, params.p, kind)
-    size = design_nbytes(params.p, params.m, params.N, table.nu, table.longest)
+    N, p = params.N, params.p
+    table = coset_table(N, p, kind)
+    longest = table.longest
+    size = design_nbytes(p, params.m, N, table.nu, longest)
     if size > DESIGN_BUDGET_BYTES:
         raise UnsupportedParams(
             f"{params}/{kind}: compiled design needs {size / 2**20:.1f} MiB, "
             f"over the {DESIGN_BUDGET_BYTES / 2**20:.0f} MiB budget")
+    leaders = np.array(table.leaders)
     lengths = np.array([len(orbit) for orbit in table.cosets])
-    sigma_powers = _readonly(_sigma_powers(sigma_matrix(params, kind), params.p, table.longest))
-    G, D = _leader_matrices(params, table, lengths, _kernel_coeffs(params, kind), sigma_powers)
-    return Design(params=params, kind=kind, table=table, G=G, D=D,
-                  sigma_powers=sigma_powers, walk=_readonly(_walk(table, lengths)))
+    shifts = np.array([pow(table.step, t, N) for t in range(longest + 1)])
+    walk = _readonly(_walk(N, leaders, lengths, shifts))
+    sigma_powers = _sigma_powers(sigma_matrix(params, kind), p, longest)
+    G, W, perm = _leader_matrices(params, table, leaders, lengths, shifts,
+                                  walk[:N] // (longest + 1), _kernel_coeffs(params, kind),
+                                  sigma_powers)
+    return Design(params=params, kind=kind, table=table, G=G, W=W, perm=perm,
+                  sigma_powers=_readonly(sigma_powers.astype(G.dtype)), walk=walk)
 
 
 # ---------------------------------------------------------------------------
@@ -356,11 +473,17 @@ def _mux(d: Design, vs: np.ndarray) -> np.ndarray:
     return mod_p(vs @ d.G, d.params.p)
 
 
-def _demux(d: Design, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(v, same) of leader rows L (F, n) in [0, p), in G's dtype: v = L @ D in it, and the
-    syndrome check same = (v @ G == L), true throughout the frames mux could have produced."""
-    vs = mod_p(L @ d.D, d.params.p)
-    return vs, _mux(d, vs) == L
+def _demux(d: Design, rows: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """(v, bad) of int64 leader rows (F, n) in [0, p): v = L_I @ D_I in G's dtype, and bad
+    None when every frame passes the check L_rest == L_I @ C and L_zero == 0, true exactly
+    for the frames mux could have produced, else the (F,) frames that fail it."""
+    N, r = d.params.N, d.W.shape[1] - d.params.N
+    L = rows.take(d.perm, axis=1).astype(d.G.dtype)                  # (I, rest, zero)
+    out = mod_p(L[:, :N] @ d.W, d.params.p)
+    vs, check, rest, zero = out[:, :N], out[:, N:], L[:, N:N + r], L[:, N + r:]
+    if (check == rest).all() and not zero.any():
+        return vs, None
+    return vs, (check != rest).any(axis=1) | zero.any(axis=1)
 
 
 def _expand(d: Design, L: np.ndarray) -> np.ndarray:
@@ -369,8 +492,9 @@ def _expand(d: Design, L: np.ndarray) -> np.ndarray:
     N, m, p = d.params.N, d.params.m, d.params.p
     w = 2 * m
     # column t*2m + a is row a of sigma^t; each sum has 2m terms below p^2
-    powers = d.sigma_powers.transpose(2, 0, 1).reshape(w, -1).astype(d.G.dtype)
-    steps = mod_p(L.reshape(-1, w) @ powers, p).astype(np.int64).reshape(len(L), -1, w)
+    powers = d.sigma_powers.transpose(2, 0, 1).reshape(w, -1)
+    steps = mod_p(L.reshape(-1, w) @ powers, p).astype(np.int64)
+    steps = steps.reshape(len(L), d.table.nu * len(d.sigma_powers), w)   # -1 fails for no frames
     return steps[:, d.walk[:N]].reshape(len(L), N, 2, m)
 
 
@@ -382,7 +506,7 @@ def _orbit_error(d: Design, rows: np.ndarray) -> Optional[InconsistentFrame]:
     lead = rows.reshape(len(rows), nu, w).transpose(1, 0, 2)            # (nu, F, 2m)
     # walk[N + c] is step len(orbit_c) in coset c's block of L + 1 steps
     closing = d.sigma_powers[d.walk[d.params.N:] % len(d.sigma_powers)].transpose(0, 2, 1)
-    ends = mod_p(_residues(lead, p).astype(d.G.dtype) @ closing.astype(d.G.dtype), p)
+    ends = mod_p(_residues(lead, p).astype(d.G.dtype) @ closing, p)
     bad = (ends != lead).any(axis=2)                                    # (nu, F)
     if not bad.any():
         return None
@@ -415,9 +539,9 @@ def demux_batch(params: SystemParams, kind, leaders: np.ndarray) -> np.ndarray:
     rows, single = _frames(leaders, (d.table.nu, 2, params.m), "leader values")
     if not in_range(rows, params.p):
         raise _orbit_error(d, rows)
-    vs, same = _demux(d, rows.astype(d.G.dtype))
-    if not same.all():
-        raise _orbit_error(d, rows) or _not_ground_field(int(same.all(axis=1).argmin()), params.p)
+    vs, bad = _demux(d, rows)
+    if bad is not None:
+        raise _orbit_error(d, rows) or _not_ground_field(int(bad.argmax()), params.p)
     vs = vs.astype(np.int64)
     return vs[0] if single else vs
 
@@ -453,9 +577,11 @@ def inverse_batch(params: SystemParams, kind, spectra: np.ndarray) -> np.ndarray
     N, m, p = params.N, params.m, params.p
     rows, single = _frames(spectra, (N, 2, m), "spectrum values")
     S = _residues(rows, p).reshape(-1, N, 2, m)
-    L = S[:, d.table.leaders].reshape(len(S), -1).astype(d.G.dtype)
-    vs, same = _demux(d, L)
-    good = same.all(axis=1) & (_expand(d, L) == S).all(axis=(1, 2, 3))
+    L = S[:, d.table.leaders].reshape(len(S), len(d.perm))
+    vs, bad = _demux(d, L)
+    good = (_expand(d, L.astype(d.G.dtype)) == S).all(axis=(1, 2, 3))
+    if bad is not None:
+        good &= ~bad
     if not good.all():
         raise _not_ground_field(int(good.argmin()), p)
     vs = vs.astype(np.int64)
@@ -470,7 +596,7 @@ def sigma_matrix(params: SystemParams, kind: Kind) -> np.ndarray:
     """(2m, 2m) matrix, on stacked (re, im) coefficients, of the value map paired with
     the coset step k -> CosetTable.step * k on spectra of ground-field blocks:
     z.frobenius() for Fourier, z.conj_frobenius() for Hartley."""
-    Fm = frobenius_matrix(params.field)
+    Fm = params.field.frobenius_matrix
     m, p = params.m, params.p
     out = np.zeros((2 * m, 2 * m), dtype=np.int64)
     out[:m, :m] = Fm

@@ -12,6 +12,7 @@ from gdmux.cosets import CosetTable, coset_table, divisors
 from gdmux.fields import (MAX_FIELD_SIZE, MAX_PRIME, ExtField, FieldElement, get_field, is_prime,
                           mult_order)
 from gdmux.pipeline import _parse_header, demux_batch, frame_header, leader_array, mux
+from gdmux.transforms import _forward_flat
 
 # desk-scale systems with p^m <= 1000, used for exhaustive property checks
 SMALL_SYSTEMS = [
@@ -212,6 +213,91 @@ def leader_inverse(params: SystemParams, blocks: np.ndarray, maps) -> np.ndarray
     return np.concatenate([
         np.einsum("tib,tba->ai", row0[np.outer(orbit, i) % N], sigma_t[:len(orbit)]) % p
         for orbit, sigma_t in maps])
+
+
+def information_set(d):
+    """(I, rest, zero, D_I, C) of a compiled design, read off its perm and W = [D_I | C]."""
+    N = d.params.N
+    r = d.W.shape[1] - N
+    perm = d.perm.astype(np.intp)
+    return perm[:N], perm[N:N + r], perm[N + r:], d.W[:, :N], d.W[:, N:]
+
+
+def rank_mod_p(M, p: int) -> int:
+    """Rank over GF(p) of an integer matrix, one pivot column at a time."""
+    M = np.array(M, dtype=np.int64) % p
+    rank = 0
+    for c in range(M.shape[1]):
+        below = np.flatnonzero(M[rank:, c])
+        if not len(below):
+            continue
+        M[[rank, rank + below[0]]] = M[[rank + below[0], rank]]
+        M[rank] = M[rank] * pow(int(M[rank, c]), -1, p) % p
+        others = np.arange(len(M)) != rank
+        M[others] = (M[others] - np.outer(M[others, c], M[rank])) % p
+        rank += 1
+        if rank == len(M):
+            break
+    return rank
+
+
+def coset_groups(table: CosetTable) -> list[list[int]]:
+    """The cosets of k and -k together, as coset indices: one list of one or two per group."""
+    index = {k: c for c, orbit in enumerate(table.cosets) for k in orbit}
+    groups: dict[int, list[int]] = {}
+    for c, lead in enumerate(table.leaders):
+        groups.setdefault(min(c, index[(-lead) % table.N]), []).append(c)
+    return list(groups.values())
+
+
+def leader_matrices(params: SystemParams, kind):
+    """(G, D): the transform at the coset leaders (N, n), read off the dense forward matrix,
+    and the left inverse leader_inverse builds one coset at a time, G @ D = I (mod p)."""
+    N, w = params.N, 2 * params.m
+    table = coset_table(N, params.p, kind)
+    G = _forward_flat(params, kind).reshape(N, w, N)[list(table.leaders)].reshape(-1, N).T
+    maps = orbit_maps(table, sigma_matrix(params, kind), params.p)
+    return G, leader_inverse(params, inverse_blocks(params, kind), maps)
+
+
+def reencode_demux(params: SystemParams, kind, leaders) -> np.ndarray:
+    """demux_batch through the dense left inverse and the re-encode check: v = L @ D, accepted
+    where v @ G == L (mod p). A refused batch raises the closure error of reconstruct_walk if
+    some orbit does not close, else NotGroundField at the first frame that does not re-encode."""
+    G, D = leader_matrices(params, kind)
+    p = params.p
+    leaders = np.asarray(leaders, dtype=np.int64)
+    L = leaders.reshape(-1, G.shape[1])
+    vs = L @ D % p
+    same = (vs @ G % p == L).all(axis=1)
+    if not same.all():
+        reconstruct_walk(params, kind, leaders)
+        f = int(np.argmin(same))
+        raise NotGroundField(f"frame {f}: recovered symbols are not in GF({p})", frame_index=f)
+    return vs[0] if leaders.ndim == 3 else vs
+
+
+def reencode_inverse(params: SystemParams, kind, spectra) -> np.ndarray:
+    """inverse_batch through the re-encode oracle: a spectrum is accepted where its leader
+    values re-encode and their orbit walk gives the spectrum back, and the first other one
+    raises NotGroundField."""
+    table = coset_table(params.N, params.p, kind)
+    spectra = np.asarray(spectra, dtype=np.int64) % params.p
+    S = spectra.reshape((-1,) + spectra.shape[-3:])
+    out = []
+    for f, spectrum in enumerate(S):
+        leaders = spectrum[list(table.leaders)]
+        try:
+            vs = reencode_demux(params, kind, leaders)
+            good = np.array_equal(reconstruct_walk(params, kind, leaders), spectrum)
+        except GdmError:
+            good = False
+        if not good:
+            raise NotGroundField(f"frame {f}: recovered symbols are not in GF({params.p})",
+                                 frame_index=f)
+        out.append(vs)
+    vs = np.array(out, dtype=np.int64).reshape(len(S), params.N)
+    return vs[0] if spectra.ndim == 3 else vs
 
 
 def outcome_of(exc: GdmError):

@@ -255,6 +255,44 @@ def test_usage_errors_exit_1_with_argparse_usage_text(capsys, monkeypatch, argv)
     assert ours.err.startswith("usage: gdmux") and ": error: " in ours.err
 
 
+@pytest.mark.parametrize("spelling,same_as", [
+    (["--snr-db", "-1e1"], ["--snr-db", "-10"]), (["--snr-db", "-1E+1"], ["--snr-db", "-10"]),
+    (["--snr-db", "-inf"], ["--snr-db=-inf"]), (["--snr-db", "-nan"], ["--snr-db=-nan"]),
+], ids=["exponent", "upper-exponent", "minus-inf", "minus-nan"])
+def test_design_snr_db_takes_any_negative_number(capsys, spelling, same_as):
+    # argparse reads "-1e1" and "-inf" as flags ("expected one argument")
+    # unless they are joined to --snr-db; only -10 and -2.5 passed before
+    args = ["design", "-p", "5", "-N", "4"]
+    assert run(capsys, *args, *spelling) == run(capsys, *args, *same_as)
+
+
+def test_design_snr_db_of_minus_inf_is_not_admissible(capsys):
+    code, out, err = run(capsys, "design", "-p", "5", "-N", "4", "--snr-db", "-inf")
+    assert (code, err) == (0, "")
+    assert out.endswith("\nat -inf dB: gamma_max = 0.0000 -> NOT admissible\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["design", "-p", "5", "-N", "4", "--snr-db"], ["design", "-p", "5", "-N", "4", "--snr-db", "-x"],
+    ["design", "-p", "-1e1", "-N", "4"], ["design", "-p", "5", "--snr-db", "-N", "4"],
+    ["design", "-p", "5", "-N", "4", "--poly", "--snr-db", "-1e1"],
+    ["mux", "-p", "5", "-N", "4", "--snr-db", "-1e1"],
+    ["design", "--snr", "-1e1", "-p", "5", "-N", "4"],
+], ids=["no-value", "flag-like", "other-flag", "value-is-a-flag", "as-a-value", "other-command",
+        "abbreviated"])
+def test_other_snr_db_usage_errors_are_argparse_own(capsys, monkeypatch, argv):
+    # only a number right after --snr-db of design is joined to it; every
+    # other usage error is byte for byte what argparse itself writes
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    ours = capsys.readouterr().err
+    assert info.value.code == 1 and ours.startswith("usage: gdmux")
+    monkeypatch.setattr(cli._Parser, "error", argparse.ArgumentParser.error)
+    with pytest.raises(SystemExit):
+        cli._parser().parse_args(argv)
+    assert capsys.readouterr().err == ours
+
+
 @pytest.mark.parametrize("argv", [["-h"], ["mux", "-h"], ["cosets", "--help"]])
 def test_help_exits_0(capsys, argv):
     with pytest.raises(SystemExit) as info:

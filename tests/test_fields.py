@@ -11,7 +11,7 @@ from gdmux import (InvalidParams, NonInvertible, NoSuchRoot, NotAUnit, SystemPar
 from gdmux import cosets, fields, trig
 from gdmux.fields import (MAX_FIELD_SIZE, ExtField, is_prime, poly_is_irreducible,
                           smallest_irreducible)
-from gdmux.transforms import DESIGN_BUDGET_BYTES, frobenius_matrix
+from gdmux.transforms import DESIGN_BUDGET_BYTES
 
 import support
 from support import SMALL_SYSTEMS, design_grid
@@ -372,4 +372,4 @@ def test_mul_matrices_match_the_element_product(p, m):
     values = rng.integers(0, p, size=(6, m))
     for a, M in zip(values, field.mul_matrices(values)):
         assert np.array_equal(M, support.mul_matrix(field.element(a)))
-    assert np.array_equal(frobenius_matrix(field), support.frobenius_matrix(field))
+    assert np.array_equal(field.frobenius_matrix, support.frobenius_matrix(field))

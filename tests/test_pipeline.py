@@ -27,8 +27,8 @@ from gdmux.statsim import galois_acf, psd_estimate, synthesize_envelope
 from gdmux.transforms import (DESIGN_BUDGET_BYTES, _forward_flat, design, design_nbytes,
                               forward_batch, inverse_batch, leader_dtype, sigma_matrix)
 
-from support import (ACCEPT_SYSTEMS, dense_inverse, design_grid, make, outcome, outcome_of,
-                     reconstruct_walk, reference_deserialize, reference_iter_frames,
+from support import (ACCEPT_SYSTEMS, dense_inverse, design_grid, information_set, make, outcome,
+                     outcome_of, reconstruct_walk, reference_deserialize, reference_iter_frames,
                      reference_serialize, scope_designs)
 
 
@@ -101,8 +101,10 @@ def test_basis_round_trip_and_conjugacy_closure_over_grid():
     # all inputs of each design: demux(mux(v)) = v (carrier orthogonality
     # with energy N, and an injective leader map) and that forward(v) and
     # reconstruct(mux(v)) both equal the dense forward matrix's product (the
-    # spectrum is closed under the conjugacy map). G @ D = I (mod p) is the
-    # same left-inverse property on the compiled matrices.
+    # spectrum is closed under the conjugacy map). On the compiled arrays:
+    # G_I @ D_I = I (mod p), so D_I inverts G at the information set I, and
+    # G = G_I @ E with E = [I | C | 0] in the columns (I, rest, zero), so
+    # the leader rows L_I @ [I | C | 0] are exactly those mux produces.
     grid = design_grid()
     assert 2 * len(grid) == 346
     for p, m, N in grid:
@@ -110,7 +112,11 @@ def test_basis_round_trip_and_conjugacy_closure_over_grid():
         basis = np.eye(N, dtype=np.int64)
         for kind in (Kind.HARTLEY, Kind.FOURIER):
             d = design(params, kind)
-            assert np.array_equal(np.fmod(d.G @ d.D, p), basis), (p, m, N, kind)
+            I, rest, zero, D_I, C = information_set(d)
+            G = d.G.astype(np.int64)
+            assert np.array_equal(G[:, I] @ D_I.astype(np.int64) % p, basis), (p, m, N, kind)
+            assert np.array_equal(G[:, rest], G[:, I] @ C.astype(np.int64) % p), (p, m, N, kind)
+            assert not G[:, zero].any(), (p, m, N, kind)
             leaders = mux_batch(params, kind, basis)
             assert np.array_equal(demux_batch(params, kind, leaders), basis), (p, m, N, kind)
             dense = (basis @ _forward_flat(params, kind).T % p).reshape(N, N, 2, m)
@@ -258,7 +264,7 @@ def _product_bound(design_key) -> int:
 
 
 def test_float32_products_exact_across_scope():
-    # mux and demux sums stay below 2mN(p-1)^2, so G and D may be float32,
+    # mux and demux sums stay below 2mN(p-1)^2, so G and W may be float32,
     # whose mod_p is exact below 2^24, exactly where that bound is below it
     counts = {np.float32: 0, np.float64: 0}
     for p, m, N in scope_designs():
@@ -285,7 +291,7 @@ def test_float32_bound_edges_of_the_buildable_scope(kind):
     for (p, m, N), dtype in ((below, np.float32), (above, np.float64)):
         params = make(p, m, N)
         d = design(params, kind)
-        assert d.G.dtype == d.D.dtype == dtype
+        assert d.G.dtype == d.W.dtype == d.sigma_powers.dtype == dtype
         vs = rng.integers(0, p, size=(64, N))
         vs[0] = p - 1
         leaders = mux_batch(params, kind, vs)

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gdmux import (Kind, NotGroundField, SystemParams, TimeBlock, UnsupportedParams,
-                   forward_batch, inverse_batch)
+from gdmux import (InconsistentFrame, Kind, NotGroundField, SystemParams, TimeBlock,
+                   UnsupportedParams, forward_batch, inverse_batch)
 from gdmux import transforms
 from gdmux.cosets import coset_table
 from gdmux.fields import MAX_PRIME, is_prime
-from gdmux.pipeline import demux_batch, mux_batch, validate_system
+from gdmux.pipeline import demux_batch, mux_batch, reconstruct_batch, validate_system
 from gdmux.transforms import (DESIGN_BUDGET_BYTES, DESIGN_CACHE_SIZE, _forward_flat,
                               _inverse_form, _kernel_coeffs, design,
                               design_nbytes, leader_dtype, mod_p, sigma_matrix)
@@ -144,6 +144,20 @@ def test_integer_input_of_any_width_is_accepted():
     assert np.array_equal(mux_batch(params, Kind.HARTLEY, [[4, 0, 1, 2]]), want)
     with pytest.raises(ValueError, match="integer symbols, got an array of dtype float64$"):
         mux_batch(params, Kind.HARTLEY, [[1.7, 0, 0, 0]])
+
+
+@pytest.mark.parametrize("kind", [Kind.HARTLEY, Kind.FOURIER])
+def test_a_batch_of_no_frames_maps_to_no_frames(kind):
+    # forward_batch, reconstruct_batch and inverse_batch ended in a reshape
+    # ValueError on zero frames; mux_batch and demux_batch did not
+    params = make(7, 2, 48)
+    nu = coset_table(48, 7, kind).nu
+    cases = [(mux_batch, (0, 48), (0, nu, 2, 2)), (demux_batch, (0, nu, 2, 2), (0, 48)),
+             (forward_batch, (0, 48), (0, 48, 2, 2)), (inverse_batch, (0, 48, 2, 2), (0, 48)),
+             (reconstruct_batch, (0, nu, 2, 2), (0, 48, 2, 2))]
+    for fn, shape, want in cases:
+        out = fn(params, kind, np.zeros(shape, dtype=np.int64))
+        assert out.shape == want and out.dtype == np.int64, fn.__name__
 
 
 @pytest.mark.parametrize("fn,shape,what", [
@@ -479,14 +493,14 @@ def test_design_3_7_2186_builds_and_round_trips():
         table = coset_table(2186, 3, kind)
         try:
             size = design(params, kind).nbytes
-            assert size == design_nbytes(3, 7, 2186, table.nu, table.longest) <= DESIGN_BUDGET_BYTES
+            assert size <= design_nbytes(3, 7, 2186, table.nu, table.longest) <= DESIGN_BUDGET_BYTES
             assert np.array_equal(demux_batch(params, kind, mux_batch(params, kind, vs)), vs)
         finally:
             design.cache_clear()   # 37 MiB Hartley, 73 MiB Fourier: hold one at a time
 
 
 def test_design_3_8_3280_builds_in_float32_at_about_its_size():
-    # 4-byte G and D take 170 MiB, where 8-byte ones would be over the budget
+    # 4-byte G and W take at most 170 MiB, where 8-byte ones would be over the budget
     params = make(3, 8, 3280)
     table = coset_table(3280, 3, Kind.HARTLEY)
     size = design_nbytes(3, 8, 3280, table.nu, table.longest)
@@ -498,7 +512,8 @@ def test_design_3_8_3280_builds_in_float32_at_about_its_size():
         d = design(params, Kind.HARTLEY)
         back = demux_batch(params, Kind.HARTLEY, mux_batch(params, Kind.HARTLEY, vs))
         _, peak = tracemalloc.get_traced_memory()
-        assert d.G.dtype == d.D.dtype == np.float32 and d.nbytes == size
+        assert d.G.dtype == d.W.dtype == np.float32 and d.nbytes <= size
+        assert d.W.shape[0] == 3280 and d.perm.shape == d.G.shape[1:]
         assert np.array_equal(back, vs)
         assert peak <= 1.2 * size
     finally:
@@ -507,7 +522,7 @@ def test_design_3_8_3280_builds_in_float32_at_about_its_size():
 
 
 def test_design_over_budget_refused_before_allocation():
-    params = make(3, 8, 6560)   # G and D would take about 668 MiB at 4 bytes an entry
+    params = make(3, 8, 6560)   # G and W could take about 668 MiB at 4 bytes an entry
     table = coset_table(6560, 3, Kind.HARTLEY)
     assert design_nbytes(3, 8, 6560, table.nu, table.longest) > DESIGN_BUDGET_BYTES
     tracemalloc.start()
@@ -523,7 +538,7 @@ def test_design_over_budget_refused_before_allocation():
     assert peak < 1 << 20
     with pytest.raises(UnsupportedParams):
         validate_system(params, Kind.FOURIER)
-    with pytest.raises(UnsupportedParams):   # the inverse is the design's D
+    with pytest.raises(UnsupportedParams):   # the inverse is the design's W
         inverse_batch(params, Kind.HARTLEY, np.zeros((6560, 2, 8), dtype=np.int64))
 
 
@@ -531,9 +546,12 @@ def test_design_over_budget_refused_before_allocation():
 @pytest.mark.parametrize("kind", [Kind.HARTLEY, Kind.FOURIER])
 def test_design_nbytes_within_prediction(p, m, N, kind):
     d = design(make(p, m, N), kind)
-    assert 0 < d.nbytes == design_nbytes(p, m, N, d.table.nu, d.table.longest)
-    assert d.G.dtype == d.D.dtype == leader_dtype(p, m, N) == np.float32
-    for a in (d.G, d.D, d.sigma_powers, d.walk[None]):
+    assert 0 < d.nbytes <= design_nbytes(p, m, N, d.table.nu, d.table.longest)
+    assert d.G.dtype == d.W.dtype == leader_dtype(p, m, N) == np.float32
+    n = 2 * m * d.table.nu
+    assert d.G.shape == (N, n) and d.perm.shape == (n,)
+    assert N <= d.W.shape[1] <= n and d.W.shape[0] == N
+    for a in (d.G, d.W, d.perm[None], d.sigma_powers, d.walk[None]):
         with pytest.raises(ValueError):
             a[0, 0] = 1   # shared by every caller, so read-only
 
@@ -548,8 +566,14 @@ def test_design_nbytes_exact_over_grid():
         for kind in (Kind.HARTLEY, Kind.FOURIER):
             d = design(params, kind)
             case = (p, m, N, kind)
-            assert d.nbytes == design_nbytes(p, m, N, d.table.nu, d.table.longest), case
-            assert d.G.dtype == d.D.dtype == leader_dtype(p, m, N), case
+            nu, longest, entry = d.table.nu, d.table.longest, d.G.itemsize
+            assert d.nbytes <= design_nbytes(p, m, N, nu, longest), case
+            # no larger than the G, left inverse D (n, N) and int64 sigma powers it replaced
+            assert d.nbytes < 2 * N * 2 * m * nu * entry + ((longest + 1) * 4 * m * m + N + nu) * 8
+            assert d.G.dtype == d.W.dtype == d.sigma_powers.dtype == leader_dtype(p, m, N), case
+            n = 2 * m * nu
+            assert d.perm.shape == (n,) and sorted(d.perm) == list(range(n)), case
+            assert d.W.shape[0] == N and N <= d.W.shape[1] <= n, case
             sigma = support.sigma_matrix(params, kind)
             assert np.array_equal(sigma_matrix(params, kind), sigma), case
             assert np.array_equal(d.sigma_powers[1], sigma), case
@@ -564,7 +588,13 @@ def test_design_nbytes_exact_over_grid():
             blocks = support.inverse_blocks(params, kind)
             assert np.array_equal(_inverse_form(params, kind, _kernel_coeffs(params, kind)),
                                   blocks[:, 0, :]), case
-            assert np.array_equal(d.D, support.leader_inverse(params, blocks, maps)), case
+            # D_I = E @ D for the object-built left inverse D, E = [I | C | 0] in (I, rest, zero)
+            I, rest, _, D_I, C = support.information_set(d)
+            E = np.zeros((N, n), dtype=np.int64)
+            E[:, I] = np.eye(N, dtype=np.int64)
+            E[:, rest] = C
+            D = support.leader_inverse(params, blocks, maps)
+            assert np.array_equal(E @ D % p, D_I), case
 
 
 def test_design_budget_checks_the_exact_size(monkeypatch):
@@ -572,23 +602,121 @@ def test_design_budget_checks_the_exact_size(monkeypatch):
     table = coset_table(26, 3, Kind.HARTLEY)
     size = design_nbytes(3, 3, 26, table.nu, table.longest)
     assert size < design_nbytes(3, 3, 26, 26, table.longest)
-    assert size == 4 * 2 * 26 * 6 * table.nu + 8 * ((table.longest + 1) * 36 + 26 + table.nu)
+    n = 6 * table.nu
+    assert size == 4 * (2 * 26 * n + (table.longest + 1) * 36) + 8 * n + 4 * (26 + table.nu)
     design.cache_clear()
     monkeypatch.setattr(transforms, "DESIGN_BUDGET_BYTES", size - 1)
     with pytest.raises(UnsupportedParams):
         design(params, Kind.HARTLEY)
     monkeypatch.setattr(transforms, "DESIGN_BUDGET_BYTES", size)
-    assert design(params, Kind.HARTLEY).nbytes == size
+    assert design(params, Kind.HARTLEY).nbytes <= size
 
 
 def test_design_3_7_1093_fits_the_budget_by_its_coset_count():
-    # 16*m*nu*N bytes of float32 G and D, plus the walk and the sigma
-    # powers: 9.3 and 18.4 MiB; nu = N would take 127.6 MiB
-    sizes = {Kind.HARTLEY: 9_703_760, Kind.FOURIER: 19_241_856}
+    # at most 16*m*nu*N bytes of float32 G and W, plus perm, the walk and
+    # the sigma powers: 9.2 and 18.4 MiB; nu = N would take 127.7 MiB
+    sizes = {Kind.HARTLEY: 9_696_160, Kind.FOURIER: 19_248_168}
     for kind, size in sizes.items():
         table = coset_table(1093, 3, kind)
         assert design_nbytes(3, 7, 1093, table.nu, table.longest) == size
     assert design_nbytes(3, 7, 1093, 1093, 14) > 6 * max(sizes.values())
+
+
+def test_information_set_groups_over_grid():
+    # design() row-reduces the columns of G coset group by coset group, a
+    # group being the cosets of k and -k, on rows 0..2m-1 only: per group
+    # those rows span what all N rows span, and the group ranks sum to N.
+    # The cosets alone do not split G so: at (3, 2, 4) Hartley their ranks
+    # sum to more than N.
+    grid = design_grid()
+    assert 2 * len(grid) == 346
+    for p, m, N in grid:
+        params = make(p, m, N)
+        for kind in (Kind.HARTLEY, Kind.FOURIER):
+            d = design(params, kind)
+            G, w = d.G.astype(np.int64), 2 * m
+            ranks = []
+            for group in support.coset_groups(d.table):
+                cols = np.concatenate([np.arange(c * w, (c + 1) * w) for c in group])
+                ranks.append(support.rank_mod_p(G[:, cols], p))
+                assert support.rank_mod_p(G[:w, cols], p) == ranks[-1], (p, m, N, kind, group)
+            assert sum(ranks) == N, (p, m, N, kind)
+    d = design(make(3, 2, 4), Kind.HARTLEY)
+    G = d.G.astype(np.int64)
+    assert sum(support.rank_mod_p(G[:, c * 4:(c + 1) * 4], 3) for c in range(d.table.nu)) > 4
+
+
+SILENT_CORRUPTIONS = {((3, 3, 26), Kind.HARTLEY): (52, 72), ((3, 3, 26), Kind.FOURIER): (52, 120),
+                      ((5, 1, 4), Kind.HARTLEY): (16, 24), ((7, 2, 48), Kind.HARTLEY): (36, 672)}
+
+
+@pytest.mark.parametrize("pmn,kind", list(SILENT_CORRUPTIONS))
+def test_silent_corruptions_are_the_zero_rows_of_c(pmn, kind):
+    # changing one leader coefficient of a frame gives another frame mux
+    # could have produced exactly when it hits a column of I whose row of C
+    # is zero: (p - 1) of them per such row. Brute force over every
+    # coefficient and every change agrees.
+    params = make(*pmn)
+    p, N = params.p, params.N
+    d = design(params, kind)
+    vs = np.random.default_rng(N).integers(0, p, size=N)
+    flat = mux_batch(params, kind, vs).reshape(-1)
+    silent = 0
+    for c in range(len(flat)):
+        for delta in range(1, p):
+            bad = flat.copy()
+            bad[c] = (bad[c] + delta) % p
+            try:
+                back = demux_batch(params, kind, bad.reshape(d.table.nu, 2, params.m))
+            except (InconsistentFrame, NotGroundField):
+                continue
+            assert not np.array_equal(back, vs)
+            silent += 1
+    C = support.information_set(d)[4]
+    predicted = (p - 1) * int(np.count_nonzero(~C.any(axis=1)))
+    assert (silent, (p - 1) * len(flat)) == (predicted, (p - 1) * len(flat)) \
+        == SILENT_CORRUPTIONS[pmn, kind]
+
+
+def _corrupt(draw, frames, p):
+    """frames (F, n) with a drawn set of digit changes and out-of-range values."""
+    frames = frames.copy()
+    for _ in range(draw(st.integers(0, 3))):
+        f = draw(st.integers(0, len(frames) - 1))
+        c = draw(st.integers(0, frames.shape[1] - 1))
+        how = draw(st.sampled_from(["digit", "above", "negative"]))
+        if how == "digit":
+            frames[f, c] = (frames[f, c] + draw(st.integers(1, p - 1))) % p
+        elif how == "above":
+            frames[f, c] = draw(st.integers(p, 3 * p))
+        else:
+            frames[f, c] = -draw(st.integers(1, p))
+    return frames
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(ACCEPT_SYSTEMS + [(3, 2, 4), (13, 1, 12), (5, 2, 24)]),
+       st.sampled_from([Kind.HARTLEY, Kind.FOURIER]), st.data())
+def test_demux_and_inverse_accept_what_the_reencode_oracle_accepts(pmn, kind, data):
+    # corrupted leader arrays (digit changes, values outside [0, p), batches
+    # cut short) give the same values, or the same (class, message,
+    # frame_index), as the dense left inverse and the re-encode v @ G == L
+    params = make(*pmn)
+    p, N = params.p, params.N
+    nu = coset_table(N, p, kind).nu
+    F = data.draw(st.integers(1, 6))
+    vs = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))).integers(0, p, (F, N))
+    frames = mux_batch(params, kind, vs).reshape(F, -1)
+    frames = _corrupt(data.draw, frames, p)[:data.draw(st.integers(0, F))]
+    leaders = frames.reshape(-1, nu, 2, params.m)
+    assert outcome(demux_batch, params, kind, leaders) == outcome(
+        support.reencode_demux, params, kind, leaders)
+    # spectra: the orbit walk of clean frames, then the same kind of damage
+    spectra = forward_batch(params, kind, vs).reshape(F, -1)
+    spectra = _corrupt(data.draw, spectra, p)[:data.draw(st.integers(0, F))]
+    spectra = spectra.reshape(-1, N, 2, params.m)
+    assert outcome(inverse_batch, params, kind, spectra) == outcome(
+        support.reencode_inverse, params, kind, spectra)
 
 
 def test_design_is_shared_by_every_spelling_of_a_kind():
