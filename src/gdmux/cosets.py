@@ -23,8 +23,8 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import InvalidParams, NotCoprime
-from .fields import MAX_FIELD_SIZE, factorize
+from .errors import InvalidParams, NotCoprime, require_positive
+from .fields import MAX_FIELD_SIZE, factorize, require_odd_prime
 
 
 class Kind(str, Enum):
@@ -74,10 +74,10 @@ class CosetTable:
 
 
 def _orbits(N: int, p: int, kind: Kind) -> CosetTable:
-    if N < 1:
-        raise NotCoprime(f"N must be >= 1, got {N}")
+    require_positive("N", N)
     if N >= MAX_FIELD_SIZE:     # refused before the table is allocated
         raise InvalidParams(f"N must be < {MAX_FIELD_SIZE}, as it divides p^m - 1, got {N}")
+    require_odd_prime(p)
     if math.gcd(N, p) != 1:
         raise NotCoprime(f"gcd({N}, {p}) != 1")
     step = (p if kind is Kind.FOURIER else -p) % N

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidParams, NonInvertible, NoSuchRoot, NotAUnit
+from .errors import InvalidParams, NonInvertible, NoSuchRoot, NotAUnit, require_positive
 
 MAX_PRIME = 251
 MAX_FIELD_SIZE = 1 << 20
@@ -33,6 +33,15 @@ MAX_FIELD_SIZE = 1 << 20
 
 def is_prime(n: int) -> bool:
     return n > 1 and factorize(n) == {n: 1}
+
+
+def require_odd_prime(p: int) -> None:
+    """InvalidParams unless p is an odd prime <= MAX_PRIME; the bound is checked first, so
+    no primality test runs on a p out of scope."""
+    if p > MAX_PRIME:
+        raise InvalidParams(f"p must be <= {MAX_PRIME}, got {p}")
+    if not is_prime(p) or p == 2:
+        raise InvalidParams(f"p must be an odd prime, got {p}")
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -120,11 +129,7 @@ class ExtField:
     """
 
     def __init__(self, p: int, m: int, poly: Optional[tuple[int, ...]] = None):
-        # bounds first: neither primality nor p^m is worked out for input out of scope
-        if p > MAX_PRIME:
-            raise InvalidParams(f"p must be <= {MAX_PRIME}, got {p}")
-        if not is_prime(p) or p == 2:
-            raise InvalidParams(f"p must be an odd prime, got {p}")
+        require_odd_prime(p)
         if m < 1:
             raise InvalidParams(f"extension degree must be >= 1, got {m}")
         # p > 2, so p^m > 2^m > MAX_FIELD_SIZE from m = MAX_FIELD_SIZE.bit_length() on
@@ -587,8 +592,11 @@ def sqrt_of_minus_one(p: int, m: int,
 class SystemParams:
     """One multiplex design: field GF(p^m), block length N, root of unity zeta.
 
-    Frozen and hashable so kernel caches can key on it. Use create() to get
-    a validated instance with the deterministic defaults filled in.
+    zeta is find_root_of_unity(p, m, N, poly), the canonical-first element
+    of order N, so (p, m, N, poly), the fields a GDM1 header names, fix
+    the design. Frozen and hashable so kernel caches can key on it. Use
+    create() to get a validated instance with zeta and the default
+    polynomial filled in.
     """
 
     p: int
@@ -599,30 +607,14 @@ class SystemParams:
 
     @classmethod
     def create(cls, p: int, m: int, N: int,
-               poly: Optional[tuple[int, ...]] = None,
-               zeta=None) -> "SystemParams":
+               poly: Optional[tuple[int, ...]] = None) -> "SystemParams":
         field = get_field(p, m, tuple(poly) if poly is not None else None)
-        if N < 1:
-            raise InvalidParams(f"N must be >= 1, got {N}")
+        require_positive("N", N)
         if (field.order - 1) % N != 0:
             raise InvalidParams(
                 f"N = {N} does not divide p^m - 1 = {field.order - 1}")
-        if zeta is None:
-            z = find_root_of_unity(p, m, N, field.poly)
-        else:
-            if isinstance(zeta, FieldElement):
-                if zeta.field != field:
-                    raise InvalidParams(
-                        f"zeta = {zeta} is an element of {zeta.field} mod {zeta.field.poly}, "
-                        f"not of the design's {field} mod {field.poly}")
-                z = zeta
-            elif isinstance(zeta, int):
-                z = field.scalar(zeta) if m == 1 else field.from_int(zeta)
-            else:
-                z = field.element(zeta)
-            if mult_order(z) != N:
-                raise InvalidParams(f"zeta = {z} does not have order {N}")
-        return cls(p=p, m=m, N=N, poly=field.poly, zeta=z.coeffs)
+        zeta = find_root_of_unity(p, m, N, field.poly)
+        return cls(p=p, m=m, N=N, poly=field.poly, zeta=zeta.coeffs)
 
     @cached_property
     def field(self) -> ExtField:

@@ -21,8 +21,10 @@ Wire format (little endian): magic "GDM1", u16 p, u8 m, u16 N, u8 kind
 (constant term first, leading 1 omitted), u16 nu, then nu leader values
 of 2m bytes each (re coefficients low-first, then im), one byte per GF(p)
 coefficient. A design with N > MAX_WIRE_N has no header (UnsupportedParams).
-Every byte of a header is determined by the design, so a stream of one
-design is a (frames, frame_len) byte array.
+Every byte of a header is determined by the design, and the header's
+fields determine the design: its zeta is the one SystemParams.create
+derives from (p, m, N, poly). A stream of one design is a
+(frames, frame_len) byte array.
 encode_frames writes such a stream in one piece. decode_frames,
 iter_frames and deserialize read one run of frames with equal headers at
 a time: one header comparison and one coefficient range check per run,
@@ -262,8 +264,6 @@ def _parse_header(data: bytes, offset: int, expect: Optional[SystemParams],
     table = coset_table(N, p, kind)
     if nu != table.nu:
         raise ParamMismatch(f"header claims {nu} leaders, cosets give {table.nu}")
-    if expect is not None and params != expect:      # the same fields, another zeta
-        raise ParamMismatch(f"frame for {params}, expected {expect}")
     # the design reduces the polynomial mod p; refusing unreduced bytes
     # leaves one valid header per design
     if any(c >= p for c in poly):

@@ -262,27 +262,6 @@ def _walk(N: int, leaders: np.ndarray, lengths: np.ndarray, shifts: np.ndarray) 
     return walk
 
 
-def _leader_matrices(params: SystemParams, table: CosetTable, leaders: np.ndarray,
-                     lengths: np.ndarray, shifts: np.ndarray, coset_of: np.ndarray,
-                     ker: np.ndarray, sigma_powers: np.ndarray) -> tuple[np.ndarray, ...]:
-    """G (N, n), W (N, N + r) and perm (n,) of the design; G and W in leader_dtype.
-
-    G is the transform at the leaders: G[i, (c, a)] = ker[i * leader_c, a].
-    W and perm come from _information_set, which reads a left inverse D
-    (n, N) of G, G @ D = I (mod p), off _inverse_tables:
-    D[(c, a), i] = Q[len(orbit_c) - 1, i * leader_c, a].
-    """
-    N, w = params.N, 2 * params.m
-    dt = leader_dtype(params.p, params.m, N)
-    a = np.arange(w)
-    args = np.outer(leaders, np.arange(N)) % N                        # (nu, N): leader * i
-    G = ker.reshape(N, w).astype(dt)[args.T[:, :, None], a].reshape(N, -1)
-    Q = _inverse_tables(params, table.kind, shifts, ker, sigma_powers).astype(dt)
-    args += (lengths - 1)[:, None] * N                                # rows of Q.reshape(-1, w)
-    W, perm = _information_set(params, leaders, coset_of, G, Q.reshape(-1, w), args)
-    return _readonly(G), _readonly(W), _readonly(perm)
-
-
 def _inverse_tables(params: SystemParams, kind: Kind, shifts: np.ndarray, ker: np.ndarray,
                     sigma_powers: np.ndarray) -> np.ndarray:
     """Q (L, N, 2m), L the longest orbit: Q[len - 1] is the inverse transform, by argument,
@@ -350,36 +329,33 @@ def _information_set(params: SystemParams, leaders: np.ndarray, coset_of: np.nda
     top[:, :n] = G[:len(top)]
     B = top[:, cols]                                                  # (k, g, 2w)
     _row_reduce(B, p)
-    # each column of a group is a pivot (0), another nonzero column (1), a
-    # zero one (2) or one of the extra zero columns (3); a column of G is
-    # zero exactly where it is zero in rows 0..k - 1
+    # the pivot rows, by group and then pivot column, are the rows of W; a
+    # column of G is zero exactly where it is zero in rows 0..k - 1
     nonzero = B != 0
-    pivot_rows = nonzero.any(axis=2)                                  # (k, g)
-    ri, gi = np.nonzero(pivot_rows)
+    ri, gi = np.nonzero(nonzero.any(axis=2))
     pivots = nonzero[ri, gi].argmax(axis=1)
-    cls = (2 - nonzero.any(axis=0)) + (cols >= n)
-    cls[gi, pivots] = 0
-    order = np.argsort(cls.reshape(-1), kind="stable")
-    position = np.empty_like(order)
-    position[order] = np.arange(len(order))
-    position = position.reshape(cols.shape)                           # of each column in perm
-    r = int(np.count_nonzero(cls == 1))
+    order = np.lexsort((pivots, gi))
+    ri, gi, pivots = ri[order], gi[order], pivots[order]
+    used = nonzero.any(axis=0)                                        # (g, 2w)
+    in_I = np.zeros_like(used)
+    in_I[gi, pivots] = True
+    rest, zero = used & ~in_I, ~used & (cols < n)
+    r = int(np.count_nonzero(rest))
     W = np.zeros((N, N + r), dtype=G.dtype)
-    # C: pivot row i of group g is row position[pivot] of W, with its entry
-    # at a rest column of the group in column position[column]
-    row_of = np.zeros(pivot_rows.shape, dtype=np.intp)
-    row_of[ri, gi] = position[gi, pivots]
-    rest = pivot_rows[:, :, None] & (cls == 1)
-    W.reshape(-1)[(row_of[:, :, None] * (N + r) + position)[rest]] = B[rest]
+    # C: row j of W is pivot row j, with its entry at a rest column of its
+    # group in column N + (the column's place in rest)
+    place = np.cumsum(rest).reshape(rest.shape) - 1
+    j, a = np.nonzero(rest[gi])
+    W[j, N + place[gi[j], a]] = B[ri[j], gi[j], a]
     # D_I: the rows E_g @ D of a few groups at a time, about 2^18 entries of D each
     E = B.transpose(1, 2, 0).astype(G.dtype)                          # (g, 2w, k)
     step = max(1, (1 << 18) // (2 * w * N))
     for lo in range(0, len(pairs), step):
         D = tables[at[pairs[lo:lo + step]].transpose(0, 2, 1)].reshape(-1, N, 2 * w)
-        on = pivot_rows[:, lo:lo + step].T
-        rows_of_D_I = (D @ E[lo:lo + step]).transpose(0, 2, 1)[on]
-        W[row_of[:, lo:lo + step].T[on], :N] = mod_p(rows_of_D_I, p)
-    return W, cols.reshape(-1)[order[:n]]
+        rows = slice(*np.searchsorted(gi, [lo, lo + step]))             # of W, for these groups
+        E_D = (D @ E[lo:lo + step]).transpose(0, 2, 1)                # (groups, k, N)
+        W[rows, :N] = mod_p(E_D[gi[rows] - lo, ri[rows]], p)
+    return W, np.concatenate([cols[in_I], cols[rest], cols[zero]])
 
 
 @lru_cache(maxsize=DESIGN_CACHE_SIZE)
@@ -404,11 +380,19 @@ def design(params: SystemParams, kind) -> Design:
     shifts = np.array([pow(table.step, t, N) for t in range(longest + 1)])
     walk = _readonly(_walk(N, leaders, lengths, shifts))
     sigma_powers = _sigma_powers(sigma_matrix(params, kind), p, longest)
-    G, W, perm = _leader_matrices(params, table, leaders, lengths, shifts,
-                                  walk[:N] // (longest + 1), _kernel_coeffs(params, kind),
-                                  sigma_powers)
-    return Design(params=params, kind=kind, table=table, G=G, W=W, perm=perm,
-                  sigma_powers=_readonly(sigma_powers.astype(G.dtype)), walk=walk)
+    # G[i, (c, a)] = ker[i * leader_c, a], and a left inverse D (n, N) of G
+    # is D[(c, a), i] = Q[len(orbit_c) - 1, i * leader_c, a]
+    w, dt = 2 * params.m, leader_dtype(p, params.m, N)
+    ker = _kernel_coeffs(params, kind)
+    args = np.outer(leaders, np.arange(N)) % N                        # (nu, N): leader * i
+    G = ker.reshape(N, w).astype(dt)[args.T[:, :, None], np.arange(w)].reshape(N, -1)
+    Q = _inverse_tables(params, kind, shifts, ker, sigma_powers).astype(dt)
+    args += (lengths - 1)[:, None] * N                                # rows of Q.reshape(-1, w)
+    W, perm = _information_set(params, leaders, walk[:N] // (longest + 1), G,
+                               Q.reshape(-1, w), args)
+    return Design(params=params, kind=kind, table=table, G=_readonly(G), W=_readonly(W),
+                  perm=_readonly(perm), sigma_powers=_readonly(sigma_powers.astype(dt)),
+                  walk=walk)
 
 
 # ---------------------------------------------------------------------------

@@ -308,7 +308,11 @@ def test_help_exits_0(capsys, argv):
      f"p^m must be <= {MAX_FIELD_SIZE}, got 3^100000"),
     (["cosets", "-p", "3", "-N", str(MAX_FIELD_SIZE)],
      f"N must be < {MAX_FIELD_SIZE}, as it divides p^m - 1, got {MAX_FIELD_SIZE}"),
-], ids=["p", "m", "N"])
+    (["cosets", "-p", "4", "-N", "3"], "p must be an odd prime, got 4"),
+    (["cosets", "-p", "1", "-N", "4"], "p must be an odd prime, got 1"),
+    (["cosets", "-p", "-3", "-N", "4"], "p must be an odd prime, got -3"),
+    (["cosets", "-p", "253", "-N", "4"], "p must be <= 251, got 253"),
+], ids=["p", "m", "N", "cosets-p-4", "cosets-p-1", "cosets-p--3", "cosets-p-253"])
 def test_out_of_scope_design_input_exits_1_before_any_large_work(capsys, monkeypatch, argv,
                                                                   message):
     # a prime test of 10^18 + 3 by trial division does not finish

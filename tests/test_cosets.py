@@ -77,6 +77,26 @@ def test_not_coprime():
         hartley_cosets(9, 3)
 
 
+@pytest.mark.parametrize("p,message", [(4, "p must be an odd prime, got 4"),
+                                       (1, "p must be an odd prime, got 1"),
+                                       (-3, "p must be an odd prime, got -3"),
+                                       (2, "p must be an odd prime, got 2"),
+                                       (253, "p must be <= 251, got 253")])
+def test_coset_tables_refuse_p_outside_the_scope(p, message):
+    # as GF(p) does: a table for p = 4 or 253 describes no design
+    for kind in (Kind.FOURIER, Kind.HARTLEY):
+        with pytest.raises(InvalidParams, match=f"^{message}$"):
+            coset_table(3, p, kind)
+
+
+@pytest.mark.parametrize("N", [0, -4])
+def test_coset_tables_refuse_n_below_one_as_invalid(N):
+    # NotCoprime means gcd(N, p) != 1; N < 1 is no block length at all
+    with pytest.raises(InvalidParams, match=f"^N must be >= 1, got {N}$") as info:
+        coset_table(N, 3, Kind.HARTLEY)
+    assert not isinstance(info.value, NotCoprime)
+
+
 def test_format_lines():
     lines = hartley_cosets(26, 3).format_lines()
     assert lines[0] == "C0=(0)"

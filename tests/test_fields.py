@@ -303,25 +303,21 @@ def test_params_validation():
     with pytest.raises(InvalidParams):
         SystemParams.create(2, 3, 7)          # characteristic 2 out of scope
     with pytest.raises(InvalidParams):
-        SystemParams.create(5, 1, 4, zeta=4)  # order(4) = 2, not 4
-    with pytest.raises(InvalidParams):
         SystemParams.create(3, 3, 26, poly=(1, 0, 0, 1))  # reducible
-    p = SystemParams.create(5, 1, 4, zeta=3)  # 3 also has order 4
-    assert p.zeta == (3,)
 
 
-def test_params_create_refuses_a_zeta_from_another_field():
-    # (0, 2, 0) has order 26 mod x^3 + 2x + 2, but 13 in the default field
-    # of (3, 3, 26), mod x^3 + 2x + 1, where no round trip would succeed
-    zeta = get_field(3, 3, (2, 2, 0, 1)).element((0, 2, 0))
-    assert mult_order(zeta) == 26
-    assert mult_order(SystemParams.create(3, 3, 26).field.element((0, 2, 0))) == 13
-    with pytest.raises(InvalidParams, match=r"mod \(2, 2, 0, 1\), not of the design's "
-                                            r"GF\(3\^3\) mod \(1, 2, 0, 1\)$"):
-        SystemParams.create(3, 3, 26, zeta=zeta)
-    with pytest.raises(InvalidParams, match="does not have order 26"):
-        SystemParams.create(3, 3, 26, zeta=(0, 2, 0))
-    assert SystemParams.create(3, 3, 26, poly=(2, 2, 0, 1), zeta=zeta).zeta == (0, 2, 0)
+def test_params_zeta_is_the_root_the_header_fields_imply():
+    # a GDM1 header names (p, m, N, poly) and not zeta, so zeta is no
+    # argument of create: a frame muxed under another root of order N
+    # demuxed, from its header, to wrong symbols
+    with pytest.raises(TypeError):
+        SystemParams.create(5, 1, 4, zeta=3)
+    for p, m, N, poly in [(5, 1, 4, None), (3, 3, 26, None), (3, 3, 26, (2, 2, 0, 1)),
+                          (7, 2, 48, None), (3, 4, 80, None)]:
+        params = SystemParams.create(p, m, N, poly=poly)
+        assert params.zeta == find_root_of_unity(p, m, N, params.poly).coeffs
+    assert SystemParams.create(5, 1, 4).zeta == (2,)
+    assert SystemParams.create(3, 3, 26, poly=(2, 2, 0, 1)).zeta == (0, 2, 0)
 
 
 @pytest.mark.parametrize("p,m,N", SMALL_SYSTEMS)

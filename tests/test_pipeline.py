@@ -392,6 +392,22 @@ def test_serialize_round_trip(p, m, N, kind):
         assert demux(back).symbols == v
 
 
+def test_every_design_is_named_by_its_header():
+    # without expect, the reader rebuilds the design from the header
+    # fields alone: it must be the writer's, zeta included, so that its
+    # frames demux to the writer's symbols
+    cases = [(make(*pmn), kind) for pmn in design_grid() for kind in (Kind.HARTLEY, Kind.FOURIER)]
+    cases.append((SystemParams.create(3, 3, 26, poly=(2, 2, 0, 1)), Kind.HARTLEY))
+    for params, kind in cases:
+        vs = np.random.default_rng(params.N).integers(0, params.p, size=(3, params.N))
+        blob = encode_frames(params, kind, mux_batch(params, kind, vs))
+        frames = list(iter_frames(blob))
+        frames.insert(0, deserialize(blob[:frame_byte_length(params, kind)]))
+        for frame, v in zip(frames, [vs[0]] + list(vs)):
+            assert (frame.params, frame.kind) == (params, kind), (params, kind)
+            assert demux(frame).symbols == tuple(v), (params, kind)
+
+
 @pytest.mark.parametrize("kind", [Kind.HARTLEY, Kind.FOURIER])
 def test_header_refuses_n_over_its_16_bit_field(kind, monkeypatch):
     # (3, 12, 106288) is in the declared scope, but the header stores N,
@@ -636,15 +652,18 @@ def test_bad_kind_raises_value_error_at_every_entry_point(p514, kind):
 
 @lru_cache(maxsize=None)
 def _stream_designs():
-    """(params, kind, 12 frames as bytes) for each acceptance system and kind."""
+    """(params, kind, 12 frames as bytes) for each acceptance system and kind, and for (3, 3, 26)
+    Hartley under poly (2, 2, 0, 1), whose frames have the length of the default poly's."""
     out = []
-    for p, m, N in ACCEPT_SYSTEMS:
-        params = make(p, m, N)
-        for kind in (Kind.HARTLEY, Kind.FOURIER):
-            vs = np.random.default_rng(p * N + len(out)).integers(0, p, size=(12, N))
-            blob = encode_frames(params, kind, mux_batch(params, kind, vs))
-            size = frame_byte_length(params, kind)
-            out.append((params, kind, [blob[i:i + size] for i in range(0, len(blob), size)]))
+    designs = [(make(*pmn), kind)
+               for pmn in ACCEPT_SYSTEMS for kind in (Kind.HARTLEY, Kind.FOURIER)]
+    designs.append((SystemParams.create(3, 3, 26, poly=(2, 2, 0, 1)), Kind.HARTLEY))
+    for params, kind in designs:
+        p, N = params.p, params.N
+        vs = np.random.default_rng(p * N + len(out)).integers(0, p, size=(12, N))
+        blob = encode_frames(params, kind, mux_batch(params, kind, vs))
+        size = frame_byte_length(params, kind)
+        out.append((params, kind, [blob[i:i + size] for i in range(0, len(blob), size)]))
     return tuple(out)
 
 
