@@ -3,7 +3,10 @@
 Subcommands: design, cosets, carriers, mux, demux, crosstalk, psd,
 selftest. Exit codes: 0 success, 1 usage/parameter error or a file that
 cannot be read or written, 2 data error (including input text that is
-not UTF-8), 3 selftest failure.
+not UTF-8), 3 selftest failure. argv after the command is parsed by
+that command's parser from build_parser(); the whole parser runs only
+for an argv that is not a command with its own arguments, and its
+errors and help are the same bytes either way.
 
 mux and demux move a whole file through one array. mux parses every
 non-blank line into an (F, N) symbol array, muxes it with one
@@ -399,6 +402,29 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@lru_cache(maxsize=1)
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    """Each command's parser, as the subparsers action of _parser() holds it."""
+    return next(a.choices for a in _parser()._actions if a.dest == "command")
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """_parser().parse_args(argv), with argv[1:] parsed by argv[0]'s own parser.
+
+    The top-level parser hands all of argv[1:] to that parser, so each of
+    its errors and its help are the same bytes either way. The top-level
+    parser runs only when argv[0] is no command or arguments are left
+    over, and then writes its own error.
+    """
+    sub = _subparsers().get(argv[0]) if argv else None
+    if sub is not None:
+        args, extras = sub.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return _parser().parse_args(argv)
+
+
 def _joined_snr_db(argv: list[str]) -> list[str]:
     """argv of `design` with each `--snr-db X`, X a number such as -1e1 or -inf, as `--snr-db=X`.
 
@@ -423,7 +449,7 @@ def _joined_snr_db(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(_joined_snr_db(sys.argv[1:] if argv is None else list(argv)))
+    args = _parse(_joined_snr_db(sys.argv[1:] if argv is None else list(argv)))
     try:
         return _COMMANDS[args.command](args)
     except (FrameFormatError, UnicodeDecodeError) as exc:

@@ -130,8 +130,13 @@ def moebius(n: int) -> int:
 
 
 def divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+    """The divisors of n in ascending order, as products of its prime powers."""
+    if n < 1:
+        raise ValueError("divisors is defined for n >= 1")
+    out = [1]
+    for prime, exp in factorize(n).items():
+        out = [d * prime ** e for d in out for e in range(exp + 1)]
+    return sorted(out)
 
 
 def count_irreducibles(k: int, q: int) -> int:

@@ -19,7 +19,7 @@ checks feasible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property, lru_cache
 from typing import Optional
 
@@ -594,27 +594,34 @@ class SystemParams:
 
     zeta is find_root_of_unity(p, m, N, poly), the canonical-first element
     of order N, so (p, m, N, poly), the fields a GDM1 header names, fix
-    the design. Frozen and hashable so kernel caches can key on it. Use
-    create() to get a validated instance with zeta and the default
-    polynomial filled in.
+    the design. zeta is derived, never given, and poly None is the
+    default polynomial; construction validates (p, m, N, poly) and raises
+    InvalidParams for a design out of scope, so SystemParams(...) and
+    create(...) give equal instances. Frozen and hashable so kernel
+    caches can key on it.
     """
 
     p: int
     m: int
     N: int
-    poly: tuple[int, ...]
-    zeta: tuple[int, ...]
+    poly: Optional[tuple[int, ...]] = None
+    zeta: tuple[int, ...] = dataclass_field(init=False)
+
+    def __post_init__(self):
+        field = get_field(self.p, self.m, None if self.poly is None else tuple(self.poly))
+        require_positive("N", self.N)
+        if (field.order - 1) % self.N != 0:
+            raise InvalidParams(
+                f"N = {self.N} does not divide p^m - 1 = {field.order - 1}")
+        object.__setattr__(self, "poly", field.poly)
+        object.__setattr__(self, "zeta",
+                           find_root_of_unity(self.p, self.m, self.N, field.poly).coeffs)
 
     @classmethod
     def create(cls, p: int, m: int, N: int,
                poly: Optional[tuple[int, ...]] = None) -> "SystemParams":
-        field = get_field(p, m, tuple(poly) if poly is not None else None)
-        require_positive("N", N)
-        if (field.order - 1) % N != 0:
-            raise InvalidParams(
-                f"N = {N} does not divide p^m - 1 = {field.order - 1}")
-        zeta = find_root_of_unity(p, m, N, field.poly)
-        return cls(p=p, m=m, N=N, poly=field.poly, zeta=zeta.coeffs)
+        """SystemParams(p, m, N, poly); the name every caller uses."""
+        return cls(p, m, N, poly)
 
     @cached_property
     def field(self) -> ExtField:

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -6,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gdmux
 from gdmux import UnsupportedParams, cli, fields, statsim, transforms
@@ -443,6 +446,8 @@ def test_main_calls_share_no_parser_state(monkeypatch):
     main(["mux", "-p", "5", "-N", "4", "--kind", "fourier", "--in", "a"])
     main(["demux", "-p", "3", "-m", "3", "-N", "26"])
     main(["crosstalk", "-p", "5", "-N", "4", "--user", "2"])
+    with pytest.raises(SystemExit):     # left over after "--": the whole parser's error
+        main(["crosstalk", "-p", "5", "-N", "4", "--", "--user", "1"])
     main(["crosstalk", "-p", "5", "-N", "4"])
     main(["mux", "-p", "5", "-N", "4"])
     assert [(a["command"], a["kind"], a["m"]) for a in seen] == [
@@ -451,6 +456,47 @@ def test_main_calls_share_no_parser_state(monkeypatch):
     assert (seen[0]["infile"], seen[4]["infile"]) == ("a", "-")
     assert (seen[2]["user"], seen[3]["user"]) == (2, None)
     assert "user" not in seen[4] and "infile" not in seen[2]
+
+
+# argv drawn from every command, its flags, values and junk: a command's
+# parser takes most, the whole parser the rest ("--", extras, no command)
+_ARGV_HEADS = sorted(cli._COMMANDS) + ["bogus", "mu", "-h", "--he", "--", ""]
+_ARGV_TOKENS = ["-p", "-m", "-N", "--poly", "--kind", "--in", "--out", "--user", "--frames",
+                "--seed", "--realizations", "--nfft", "--acf-out", "--snr-db", "--snr", "--fr",
+                "--us", "-h", "--help", "--he", "--", "-", "5", "4", "3", "26", "-1", "x",
+                "fourier", "hartley", "1,0,1", "-1e1", "-inf", "extra", "--bogus", "-p5",
+                "--kind=fourier", "mux"]
+_ARGVS = st.builds(lambda head, flags, tail: head + flags + tail,
+                   st.lists(st.sampled_from(_ARGV_HEADS), max_size=1),
+                   st.sampled_from([[], ["-p", "5", "-N", "4"], ["-p", "3", "-m", "3", "-N", "26"]]),
+                   st.lists(st.sampled_from(_ARGV_TOKENS), max_size=8))
+
+
+def _parse_outcome(parse, argv):
+    """(the parsed vars or the exit code, stdout, stderr) of parse(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def _parse_in_main(argv):
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in cli._COMMANDS:
+            mp.setitem(cli._COMMANDS, name, lambda args: seen.append(args) or 0)
+        assert main(argv) == 0
+    return seen[0]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_ARGVS)
+def test_main_parses_argv_as_the_whole_parser_does(argv):
+    assert _parse_outcome(_parse_in_main, argv) == _parse_outcome(
+        cli._parser().parse_args, cli._joined_snr_db(argv))
 
 
 def test_params_create_searches_the_root_once():

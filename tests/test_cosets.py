@@ -1,12 +1,14 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import gdmux
 from gdmux import (InvalidParams, Kind, NotCoprime, approx_nu, count_irreducibles, coset_table,
                    fourier_cosets, hartley_cosets, moebius, nu_g_formula,
                    nu_h_formula, transforms)
+from gdmux.cosets import divisors
 from gdmux.fields import MAX_FIELD_SIZE
 
 FOURIER_26_3 = [
@@ -110,6 +112,21 @@ def test_moebius():
     assert moebius(6) == 1
     assert moebius(12) == 0
     assert moebius(30) == -1
+
+
+def test_divisors_ascend_as_brute_force():
+    limit = 5000
+    brute = [[] for _ in range(limit + 1)]
+    for d in range(1, limit + 1):       # each n gets its divisors in ascending d
+        for n in range(d, limit + 1, d):
+            brute[n].append(d)
+    assert all(divisors(n) == brute[n] for n in range(1, limit + 1))
+    for p, m in [(3, 12), (7, 7), (101, 3)]:    # q - 1 = 531440, 823542, 1030300
+        n = p ** m - 1
+        span = np.arange(1, n + 1)
+        assert divisors(n) == (span[n % span == 0]).tolist()
+    with pytest.raises(ValueError):
+        divisors(0)
 
 
 def test_count_irreducibles():

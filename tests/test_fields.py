@@ -320,6 +320,25 @@ def test_params_zeta_is_the_root_the_header_fields_imply():
     assert SystemParams.create(3, 3, 26, poly=(2, 2, 0, 1)).zeta == (0, 2, 0)
 
 
+def test_params_constructor_derives_zeta_as_create_does():
+    # SystemParams(p=5, m=1, N=4, poly=(0, 1), zeta=(3,)) once muxed
+    # (4, 0, 1, 2) to a frame its header demuxed to (4, 2, 1, 0)
+    with pytest.raises(TypeError):
+        SystemParams(p=5, m=1, N=4, poly=(0, 1), zeta=(3,))
+    for p, m, N, poly in [(5, 1, 4, None), (5, 1, 4, (0, 1)), (3, 3, 26, None),
+                          (3, 3, 26, [2, 2, 0, 1]), (7, 2, 48, None), (3, 4, 80, None)]:
+        params = SystemParams(p, m, N, poly)
+        assert params == SystemParams.create(p, m, N, poly=poly)
+        assert hash(params) == hash(SystemParams.create(p, m, N, poly=poly))
+        assert params.zeta == find_root_of_unity(p, m, N, params.poly).coeffs
+    for args in [(5, 1, 5), (4, 1, 3), (2, 3, 7), (5, 1, 0), (3, 3, 26, (1, 0, 0, 1))]:
+        with pytest.raises(InvalidParams) as direct:
+            SystemParams(*args)
+        with pytest.raises(InvalidParams) as created:
+            SystemParams.create(*args)
+        assert (type(direct.value), str(direct.value)) == (type(created.value), str(created.value))
+
+
 @pytest.mark.parametrize("p,m,N", SMALL_SYSTEMS)
 def test_params_create_small(p, m, N):
     params = SystemParams.create(p, m, N)
