@@ -205,10 +205,29 @@ class ExtField:
         Column t is (x^t)^p = y^t with y = x^p, so the matrix is the powers
         of y, one per column. For m = 1 "x" is 0 and any y gives [[1]].
         """
-        y = self.powers(np.eye(1, self.m, 1)[0], self.p + 1)[self.p]
+        y = self.power_table(np.eye(1, self.m, 1), [self.p])[0, 0]
         F = self.powers(y, self.m).T
         F.setflags(write=False)
         return F
+
+    @cached_property
+    def frobenius_powers(self) -> np.ndarray:
+        """(m, m, m) read-only: [t] is the matrix of a -> a^(p^t) for t < m; the m-th power of
+        the Frobenius matrix is the identity."""
+        F = np.empty((self.m, self.m, self.m), dtype=np.int64)
+        F[0] = np.eye(self.m, dtype=np.int64)
+        for t in range(1, self.m):
+            F[t] = self.frobenius_matrix @ F[t - 1] % self.p
+        F.setflags(write=False)
+        return F
+
+    @cached_property
+    def trace_forms(self) -> np.ndarray:
+        """(2m, m) read-only: row t - 1 is the linear form of coefficient 0 of
+        a + a^p + ... + a^(p^(t-1)) in the coefficients of a, for t = 1..2m."""
+        out = self.frobenius_powers[np.arange(2 * self.m) % self.m, 0].cumsum(axis=0) % self.p
+        out.setflags(write=False)
+        return out
 
     def mul_matrices(self, a: np.ndarray) -> np.ndarray:
         """(..., m, m) matrices of multiplication by the elements a (..., m)."""
@@ -218,17 +237,55 @@ class ExtField:
         """(n, m) int64 coefficient rows of x^0 .. x^(n-1), for x given by its m coefficients.
 
         Doubling: with the first k powers known, one product with the
-        multiplication matrix of x^k gives up to k more.
+        multiplication matrix of x^k gives up to k more. The products are
+        taken in int32: their sums stay below m(p - 1)^2 < 2^31.
         """
-        out = np.zeros((n, self.m), dtype=np.int64)
+        out = np.zeros((n, self.m), dtype=np.int32)
         out[:1, 0] = 1
-        step, k = self.mul_matrices(np.asarray(x, dtype=np.int64)), 1
+        step, k = self.mul_matrices(np.asarray(x, dtype=np.int64)).astype(np.int32), 1
         while k < n:
             c = min(k, n - k)
             np.matmul(out[:c], step.T, out=out[k:k + c])
             out[k:k + c] %= self.p
-            step, k = step @ step % self.p, k + c
+            k += c
+            if k < n:
+                step = step @ step % self.p
+        return out.astype(np.int64)
+
+    def power_table(self, xs, exponents) -> np.ndarray:
+        """(K, R, m) int64: xs[k]^exponents[r], for the elements xs (K, m) and the exponents
+        (R,), each >= 0.
+
+        Square and multiply: M runs through the multiplication matrices of
+        x^(2^i), and entry r takes the product with M when bit i of its
+        exponent is set.
+        """
+        M = self.mul_matrices(np.asarray(xs, dtype=np.int64))              # (K, m, m)
+        exponents = [int(e) for e in exponents]
+        out = np.zeros((len(M), len(exponents), self.m), dtype=np.int64)
+        out[:, :, 0] = 1
+        for i in range(max(exponents, default=0).bit_length()):
+            if i:
+                M = M @ M % self.p
+            for r, e in enumerate(exponents):
+                if e >> i & 1:
+                    out[:, r] = np.einsum("kab,kb->ka", M, out[:, r]) % self.p
         return out
+
+    @cached_property
+    def primitive(self) -> np.ndarray:
+        """(m,) read-only coefficients of the first generator of GF(p^m)* in canonical order:
+        the first x with x^((q-1)/r) != 1 for every prime r | q - 1, tested 16 at a time."""
+        q, p = self.order, self.p
+        cofactors = [(q - 1) // r for r in factorize(q - 1)]
+        for lo in range(1, q, 16):
+            xs = np.arange(lo, min(lo + 16, q))[:, None] // p ** np.arange(self.m) % p
+            generates = (self.power_table(xs, cofactors) != self.one.coeffs).any(axis=2).all(axis=1)
+            if generates.any():
+                g = xs[generates.argmax()]
+                g.setflags(write=False)
+                return g
+        raise AssertionError(f"{self} has no generator")       # GF(q)* is cyclic
 
     def mul_coeffs(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         p, m = self.p, self.m
@@ -551,25 +608,23 @@ def find_root_of_unity(p: int, m: int, n: int,
                        poly: Optional[tuple[int, ...]] = None) -> FieldElement:
     """The element of multiplicative order exactly n that is first in canonical order.
 
-    g = x^((q-1)/n) for the first x with g^(n/r) != 1 for every prime r | n
-    generates the n-th roots of unity, and the elements of order n are
-    exactly its powers g^k with gcd(k, n) = 1. Of those, read from
-    field.powers(g, n), the one of least canonical index is returned.
-    A pure function of its arguments; the most recent 64 results are
-    kept, so SystemParams.create searches once per design and process.
+    With g the field's generator (ExtField.primitive, found once per
+    field), h = g^((q-1)/n) has order exactly n, and the elements of
+    order n are its powers h^j with gcd(j, n) = 1. Of those, read from
+    field.powers(h, n), the one of least canonical index is returned;
+    the set, and so the result, is the same whichever generator is
+    used. A pure function of its arguments; the most recent 64 results
+    are kept, so SystemParams.create searches once per design and
+    process while it is among them.
     """
     field = get_field(p, m, poly)
     if n < 1 or (field.order - 1) % n != 0:
         raise NoSuchRoot(f"{n} does not divide p^m - 1 = {field.order - 1}")
-    primes = factorize(n)
-    for i in range(1, field.order):
-        g = field.from_int(i) ** ((field.order - 1) // n)
-        if all(g ** (n // r) != field.one for r in primes):
-            break
+    h = field.power_table(field.primitive[None], [(field.order - 1) // n])[0, 0]
     coprime = np.ones(n, dtype=bool)
-    for r in primes:
+    for r in factorize(n):
         coprime[::r] = False
-    roots = field.powers(g.coeffs, n)
+    roots = field.powers(h, n)
     index = np.where(coprime, roots @ p ** np.arange(m), field.order)
     return field.element(roots[index.argmin()])
 
@@ -641,3 +696,16 @@ class SystemParams:
 
     def __str__(self):
         return f"GDM(p={self.p}, m={self.m}, N={self.N}, zeta={self.field.element(self.zeta)})"
+
+
+@lru_cache(maxsize=8)
+def zeta_powers(params: SystemParams) -> np.ndarray:
+    """(N, m) read-only int64 coefficient rows of zeta^0 .. zeta^(N-1).
+
+    The results of the 8 most recent designs are kept, so that the
+    Fourier and the Hartley kernel of one design, and its carriers, share
+    one computation.
+    """
+    out = params.field.powers(params.zeta, params.N)
+    out.setflags(write=False)
+    return out

@@ -71,25 +71,25 @@ vectors, with no GaloisInt arithmetic:
     companion matrix. Multiplication by any batch of elements is
     einsum(a, P) mod p, and by a GI(p^m) value re + j im it is the block
     matrix [[A, -B], [B, A]] of those.
-  * The kernel is computed once per build, as an (N, 2, m) array:
-    zeta^t for Fourier, cas(t) for Hartley (trig.cas_coeffs), both from
-    one array of the powers of zeta. G is gathered from it; the inverse
-    kernel is the same array (Hartley) or the same array read at (-t)
-    mod N (Fourier), times 1/N mod p. Demux reads each output at its
-    (re, coefficient 0) entry, so the inverse is one linear form per
-    argument t: coefficient 0 of the product, (N, 2m) in all.
-  * sigma is built from the Frobenius matrix (ExtField.frobenius_matrix),
-    whose columns are the powers of x^p, computed by ExtField.powers
-    like those of zeta. All cosets walk the same powers sigma^t, so a
-    design holds one stack of them, up to the longest orbit. A left
-    inverse D (n, N) of G is read, like G, from one (N, 2m) table per
-    orbit length.
+  * The kernel is an (N, 2, m) array: zeta^t for Fourier, cas(t) for
+    Hartley (trig.cas_coeffs), both from one array of the powers of zeta
+    (fields.zeta_powers, which the two kinds of a design share). G is
+    gathered from it, one row of it per (i, coset).
+  * sigma is block diagonal: the Frobenius matrix F on re, and F or -F on
+    im. All cosets walk the same powers sigma^t, so a design holds one
+    stack of them, up to the longest orbit, read off the powers of F that
+    the field keeps (ExtField.frobenius_powers).
   * I comes from one batched row reduction mod p. The cosets of k and -k
-    form a group; the column blocks of G of different groups are
-    independent, and the first 2m rows of a block span it. Reducing
-    those few rows of every group at once gives the pivots (I) and E,
-    with G = G_I @ E. Then C = E_rest and D_I = E @ D, formed a few
-    groups at a time, so D is never held whole.
+    form a group of d indices; the column blocks of G of different
+    groups are independent, and the first d rows of a block are a basis
+    of its rows. Reducing the first max(d) rows of every group at once,
+    with the identity beside them, gives the pivots (I), E with
+    G = G_I @ E, and T with E = T @ (those rows). Then C = E_rest, and a
+    group's rows of D_I are T times the first rows of the projection
+    onto the group's frequencies: a circulant over GF(p) whose first
+    row is read off G with the field's trace forms
+    (ExtField.trace_forms). They are formed a few groups at a time;
+    neither a left inverse of G nor an inverse transform is built.
 
 No dense matrix is part of a design, and the library builds none: the
 inverse is D_I. _forward_flat (2mN x N) is the reference tests compare
@@ -107,7 +107,7 @@ import numpy as np
 
 from .cosets import CosetTable, Kind, coset_table
 from .errors import InconsistentFrame, NotGroundField, UnsupportedParams
-from .fields import SystemParams
+from .fields import SystemParams, zeta_powers
 from .trig import cas_coeffs
 
 
@@ -136,7 +136,7 @@ def _kernel_coeffs(params: SystemParams, kind) -> np.ndarray:
     if Kind(kind) is Kind.HARTLEY:
         return cas_coeffs(params)
     ker = np.zeros((params.N, 2, params.m), dtype=np.int64)
-    ker[:, 0] = params.field.powers(params.zeta, params.N)
+    ker[:, 0] = zeta_powers(params)
     return ker
 
 
@@ -147,23 +147,6 @@ def _forward_flat(params: SystemParams, kind) -> np.ndarray:
     n = np.arange(N)
     # flat[k, a, i] = ker[i*k mod N, a], gathered straight into the final layout
     return ker[(np.outer(n, n) % N)[:, None, :], np.arange(w)[:, None]].reshape(N * w, N)
-
-
-def _inverse_form(params: SystemParams, kind, ker: np.ndarray) -> np.ndarray:
-    """(N, 2m): coefficient 0 of (1/N) times the inverse kernel at argument t times z, as a
-    linear form in z's stacked (re, im) coefficients, from the forward kernel ker (N, 2, m).
-
-    The Hartley kernel is its own inverse. The inverse Fourier kernel is
-    zeta^-t = zeta^(N-t), the forward kernel read at (-t) mod N. 1/N is
-    an integer mod p, since N divides p^m - 1. Coefficient 0 of a * b is
-    a @ P0 @ b, P0 = row 0 of the matrices of multiplication by x^j; the
-    real part of (re + j im)(b + j c) is re*b - im*c.
-    """
-    N, p = params.N, params.p
-    if Kind(kind) is Kind.FOURIER:
-        ker = ker[(-np.arange(N)) % N]
-    row0 = ker @ params.field.x_power_matrices[:, 0, :]                 # (N, 2, m)
-    return np.concatenate([row0[:, 0], -row0[:, 1]], axis=1) * pow(N, -1, p) % p
 
 
 # ---------------------------------------------------------------------------
@@ -237,12 +220,18 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _sigma_powers(sigma: np.ndarray, p: int, longest: int) -> np.ndarray:
-    """(longest + 1, 2m, 2m): sigma^t for t = 0..longest."""
-    out = np.empty((longest + 1,) + sigma.shape, dtype=np.int64)
-    out[0] = np.eye(sigma.shape[0], dtype=np.int64)
-    for t in range(1, longest + 1):
-        out[t] = (sigma @ out[t - 1]) % p
+def _sigma_powers(params: SystemParams, kind, longest: int) -> np.ndarray:
+    """(longest + 1, 2m, 2m): sigma^t for t = 0..longest. sigma is block diagonal: the
+    Frobenius matrix F on re, and F or -F on im (sigma_matrix); so sigma^t holds F^t, read
+    off ExtField.frobenius_powers (F^m = 1), and (+-1)^t F^t."""
+    m, p = params.m, params.p
+    t = np.arange(longest + 1)
+    F = params.field.frobenius_powers[t % m]
+    # the im part maps to b^p (Fourier, j^p = j for p = 1 mod 4) or -b^p
+    sign = 1 if Kind(kind) is Kind.FOURIER and p % 4 == 1 else -1
+    out = np.zeros((longest + 1, 2 * m, 2 * m), dtype=np.int64)
+    out[:, :m, :m] = F
+    out[:, m:, m:] = F * (sign ** t % p)[:, None, None] % p
     return out
 
 
@@ -257,104 +246,110 @@ def _walk(N: int, leaders: np.ndarray, lengths: np.ndarray, shifts: np.ndarray) 
     rows = np.arange(nu * steps).reshape(nu, steps)
     walk = np.empty(N + nu, dtype=np.int32)
     on = np.arange(steps) < lengths[:, None]
-    walk[(np.outer(leaders, shifts) % N)[on]] = rows[on]
+    walk[(leaders[:, None] * shifts % N)[on]] = rows[on]
     walk[N:] = rows[np.arange(nu), lengths]
     return walk
-
-
-def _inverse_tables(params: SystemParams, kind: Kind, shifts: np.ndarray, ker: np.ndarray,
-                    sigma_powers: np.ndarray) -> np.ndarray:
-    """Q (L, N, 2m), L the longest orbit: Q[len - 1] is the inverse transform, by argument,
-    of the leader of an orbit of length len.
-
-    Demux is reconstruction followed by the inverse transform, read at
-    each output's (re, coefficient 0) entry. Reconstruction sets
-    V[orbit[t]] = sigma^t @ leader, so the leader of coset c reaches
-    output i through sum_{t < len(orbit)} R_t[i * orbit[t]], where
-    R_t = _inverse_form @ sigma^t. Since orbit[t] = s^t * leader, with s
-    the coset step, that sum is Q_len[i * leader], with
-    Q_len = sum_{t < len} R_t[n * s^t].
-    """
-    N, p = params.N, params.p
-    longest = len(shifts) - 1
-    R = (_inverse_form(params, kind, ker) @ sigma_powers[:longest]) % p   # (L, N, 2m)
-    return np.cumsum(R[np.arange(longest)[:, None], np.outer(shifts[:-1], np.arange(N)) % N],
-                     axis=0) % p
 
 
 @lru_cache(maxsize=64)
 def _inverses(p: int) -> np.ndarray:
     """(p,) read-only: the inverse mod p of each residue, 0 for 0."""
-    return _readonly(np.array([0] + [pow(x, -1, p) for x in range(1, p)]))
+    return _readonly(np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int32))
 
 
-def _row_reduce(B: np.ndarray, p: int) -> None:
-    """Reduce each matrix B[:, i] of the int64 batch B (k, g, c), entries in [0, p), in place
-    to reduced row echelon form mod p, one row at a time. The pivot of a row is its first
-    nonzero entry, which is 1; a row that depends on the rows above it reduces to zero."""
+def _row_reduce(B: np.ndarray, p: int, c: int) -> np.ndarray:
+    """Reduce each matrix B[:, i] of the integer batch B (k, g, c + k), entries in [0, p), in place
+    to reduced row echelon form mod p, one row at a time, with pivots in the first c columns,
+    and return the (k, g) pivot columns. The pivot of a row is its first nonzero entry there,
+    which is 1; a row that depends on the rows above it reduces to zero, and its pivot reads 0.
+    With B[:, :, c:] the identity, it ends as T with T @ B_0 = B, B_0 the batch as given.
+    B's dtype must hold -(p - 1)^2."""
     inverse, at = _inverses(p), np.arange(B.shape[1])
-    for r, row in enumerate(B):
-        col = B[:, at, (row != 0).argmax(axis=1)]    # column 0 of a zero row, which stays zero
-        row *= inverse[col[r]][:, None]
-        col[r] = 0
+    pivots = []
+    for r in range(len(B)):
+        pivots.append((B[r, :, :c] != 0).argmax(axis=1))
+        col = B[:, at, pivots[-1]]                   # column 0 of a zero row, which stays zero
+        row = B[r] * inverse[col[r], None] % p
+        col[r] -= 1                                  # row r becomes B[r] - (col[r] - 1) row
         B -= col[:, :, None] * row
         B %= p
+    return np.array(pivots)
 
 
-def _information_set(params: SystemParams, leaders: np.ndarray, coset_of: np.ndarray,
-                     G: np.ndarray, tables: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, ...]:
+def _information_set(params: SystemParams, leaders: np.ndarray, lengths: np.ndarray,
+                     coset_of: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, ...]:
     """W = [D_I | C] (N, N + r) in G's dtype and perm = (I, rest, zero) (n,) of G.
 
-    The cosets of k and -k form one group (one coset when -k is in k's).
-    The column blocks of G of different groups have independent row
-    spaces whose ranks sum to N, and rows 0..min(N, 2m) - 1 span each
-    block: row i of a block is a GF(p)-linear image of (z^i, z^-i),
-    z = zeta^k, a sequence of linear recurrence order 2m. One batched
-    row reduction of those rows, group by group, gives the reduced rows
-    E_g and their pivot columns, which make up I, with G = G_I @ E and E
-    block diagonal. So C = E_rest, and for any left inverse D of G,
-    D_I = G_I^-1 = E @ D. D is given as D[(c, a), i] = tables[at[c, i], a]
-    and read a few groups at a time, so that no full D is built.
+    The cosets of k and -k form one group (one coset when -k is in k's)
+    of d_g indices, K_g = coset(k) u coset(-k). The column blocks of G of
+    different groups have independent row spaces whose ranks sum to N.
+    Row i of group g's block is a GF(p)-linear image of (z^i, z^-i),
+    z = zeta^k, a sequence of linear recurrence order d_g, so rows
+    0..d_g - 1 span the block; as the d_g sum to N, they are a basis.
+    One batched row reduction of rows 0..k - 1, k = max(d_g), group by
+    group and with the identity beside them, gives the reduced rows
+    E_g = T_g @ B_g (B_g those rows of the block), nonzero in rows
+    0..d_g - 1, and their pivot columns, which make up I, with
+    G = G_I @ E and E block diagonal. So C = E_rest, and
+    D_I = G_I^-1 = E @ D for any left inverse D of G. For D_g, the rows
+    of the transform's inverse that read group g's leaders, B_g @ D_g is
+    rows 0..k - 1 of P_g, the projection onto the frequencies K_g: so
+    group g's rows of D_I are T_g @ P_g[:k]. P_g[i, i'] = r_g(i' - i)
+    with r_g(u) = (1/N) sum_(k in K_g) zeta^(uk), a value of GF(p). Its
+    sum over one orbit is the trace form of the orbit's length
+    (ExtField.trace_forms) applied to the re part of the kernel at u
+    times the leader, G's entries in row u. T_g @ P_g is taken a few
+    groups at a time, about 2^18 entries of P each.
     """
     N, w, p = params.N, 2 * params.m, params.p
     nu, n = len(leaders), len(leaders) * w
     partner = coset_of[-leaders % N]
-    first = np.flatnonzero(np.arange(nu) <= partner)
+    first = (np.arange(nu) <= partner).nonzero()[0]
     pairs = np.array([first, partner[first]]).T                       # (g, 2): the group's cosets
-    # columns of G of each group; a group of one coset reads w zero columns, n..n + w - 1
-    cols = pairs * w
-    cols[pairs[:, 0] == pairs[:, 1], 1] = n
-    cols = (cols[:, :, None] + np.arange(w)).reshape(len(pairs), 2 * w)
-    top = np.zeros((min(N, w), n + w), dtype=np.int64)
-    top[:, :n] = G[:len(top)]
-    B = top[:, cols]                                                  # (k, g, 2w)
-    _row_reduce(B, p)
-    # the pivot rows, by group and then pivot column, are the rows of W; a
-    # column of G is zero exactly where it is zero in rows 0..k - 1
-    nonzero = B != 0
-    ri, gi = np.nonzero(nonzero.any(axis=2))
-    pivots = nonzero[ri, gi].argmax(axis=1)
-    order = np.lexsort((pivots, gi))
-    ri, gi, pivots = ri[order], gi[order], pivots[order]
-    used = nonzero.any(axis=0)                                        # (g, 2w)
-    in_I = np.zeros_like(used)
-    in_I[gi, pivots] = True
+    single = pairs[:, 0] == pairs[:, 1]
+    pairs[single, 1] = nu                                             # coset nu: none
+    sizes = lengths[first] * (2 - single)                             # d_g: coset(-k) = -coset(k)
+    # columns of G of each group; coset nu reads w zero columns, n..n + w - 1
+    cols = (pairs[:, :, None] * w + np.arange(w)).reshape(len(pairs), 2 * w)
+    k = sizes.max()
+    top = np.zeros((k, n + w), dtype=np.int32)
+    top[:, :n] = G[:k]
+    used = (top != 0).any(axis=0)[cols]   # a column of G is zero where it is zero in rows 0..k - 1
+    B = np.concatenate([top[:, cols], np.eye(k, dtype=np.int32)[:, None].repeat(len(cols), axis=1)],
+                       axis=2)                                        # (k, g, 2w + k)
+    pivots = _row_reduce(B, p, 2 * w)
+    # row of B of each pivot; the pivot rows of a group by pivot column are its rows of W
+    ri, gi = (np.arange(k)[:, None] < sizes).nonzero()
+    row_of = np.full(used.shape, -1)
+    row_of[gi, pivots[ri, gi]] = ri
+    in_I = row_of >= 0
+    gi, a = in_I.nonzero()                                            # of each row of W
+    ri = row_of[gi, a]
     rest, zero = used & ~in_I, ~used & (cols < n)
     r = int(np.count_nonzero(rest))
     W = np.zeros((N, N + r), dtype=G.dtype)
-    # C: row j of W is pivot row j, with its entry at a rest column of its
-    # group in column N + (the column's place in rest)
-    place = np.cumsum(rest).reshape(rest.shape) - 1
-    j, a = np.nonzero(rest[gi])
-    W[j, N + place[gi[j], a]] = B[ri[j], gi[j], a]
-    # D_I: the rows E_g @ D of a few groups at a time, about 2^18 entries of D each
-    E = B.transpose(1, 2, 0).astype(G.dtype)                          # (g, 2w, k)
-    step = max(1, (1 << 18) // (2 * w * N))
-    for lo in range(0, len(pairs), step):
-        D = tables[at[pairs[lo:lo + step]].transpose(0, 2, 1)].reshape(-1, N, 2 * w)
-        rows = slice(*np.searchsorted(gi, [lo, lo + step]))             # of W, for these groups
-        E_D = (D @ E[lo:lo + step]).transpose(0, 2, 1)                # (groups, k, N)
-        W[rows, :N] = mod_p(E_D[gi[rows] - lo, ri[rows]], p)
+    # C: row j of W is row ri[j] of B, with its entry at a rest column of
+    # its group in column N + (the column's place in rest)
+    place = rest.cumsum().reshape(rest.shape) + (N - 1)
+    j, a = rest[gi].nonzero()
+    W[j, place[gi[j], a]] = B[ri[j], gi[j], a]
+    # D_I: r_g(u) for every group, then T_g @ P_g[:k] a few groups at a time
+    trace = params.field.trace_forms[lengths - 1] * pow(N, -1, p) % p   # (nu, m)
+    by_coset = np.zeros((nu + 1, N), dtype=G.dtype)                   # and coset nu, none
+    np.einsum("ucm,cm->cu", G.reshape(N, nu, 2, -1)[:, :, 0], trace.astype(G.dtype),
+              out=by_coset[:nu])
+    rho = by_coset[pairs[:, 0]]
+    rho += by_coset[pairs[:, 1]]
+    del by_coset                       # freed before mod_p's temporaries, at the largest N
+    rho = mod_p(rho, p)                                               # (g, N): r_g
+    T = B[:, :, 2 * w:].astype(G.dtype).transpose(1, 0, 2)            # (g, k, k)
+    shift = np.arange(N) - np.arange(k)[:, None]                      # (k, N): i' - i, read mod N
+    step = max(1, (1 << 18) // (k * N))
+    bounds = gi.searchsorted(np.arange(0, len(pairs) + step, step))  # rows of W, by chunk
+    for c, lo in enumerate(range(0, len(pairs), step)):
+        rows = slice(bounds[c], bounds[c + 1])
+        TP = T[lo:lo + step] @ rho[lo:lo + step][:, shift]            # (groups, k, N)
+        W[rows, :N] = mod_p(TP[gi[rows] - lo, ri[rows]], p)
     return W, np.concatenate([cols[in_I], cols[rest], cols[zero]])
 
 
@@ -379,17 +374,13 @@ def design(params: SystemParams, kind) -> Design:
     lengths = np.array([len(orbit) for orbit in table.cosets])
     shifts = np.array([pow(table.step, t, N) for t in range(longest + 1)])
     walk = _readonly(_walk(N, leaders, lengths, shifts))
-    sigma_powers = _sigma_powers(sigma_matrix(params, kind), p, longest)
-    # G[i, (c, a)] = ker[i * leader_c, a], and a left inverse D (n, N) of G
-    # is D[(c, a), i] = Q[len(orbit_c) - 1, i * leader_c, a]
+    sigma_powers = _sigma_powers(params, kind, longest)
+    # G[i, (c, a)] = ker[i * leader_c, a]
     w, dt = 2 * params.m, leader_dtype(p, params.m, N)
     ker = _kernel_coeffs(params, kind)
-    args = np.outer(leaders, np.arange(N)) % N                        # (nu, N): leader * i
-    G = ker.reshape(N, w).astype(dt)[args.T[:, :, None], np.arange(w)].reshape(N, -1)
-    Q = _inverse_tables(params, kind, shifts, ker, sigma_powers).astype(dt)
-    args += (lengths - 1)[:, None] * N                                # rows of Q.reshape(-1, w)
-    W, perm = _information_set(params, leaders, walk[:N] // (longest + 1), G,
-                               Q.reshape(-1, w), args)
+    args = np.arange(N)[:, None] * leaders % N                        # (N, nu): i * leader
+    G = ker.reshape(N, w).astype(dt)[args].reshape(N, -1)
+    W, perm = _information_set(params, leaders, lengths, walk[:N] // (longest + 1), G)
     return Design(params=params, kind=kind, table=table, G=_readonly(G), W=_readonly(W),
                   perm=_readonly(perm), sigma_powers=_readonly(sigma_powers.astype(dt)),
                   walk=walk)
@@ -580,10 +571,4 @@ def sigma_matrix(params: SystemParams, kind: Kind) -> np.ndarray:
     """(2m, 2m) matrix, on stacked (re, im) coefficients, of the value map paired with
     the coset step k -> CosetTable.step * k on spectra of ground-field blocks:
     z.frobenius() for Fourier, z.conj_frobenius() for Hartley."""
-    Fm = params.field.frobenius_matrix
-    m, p = params.m, params.p
-    out = np.zeros((2 * m, 2 * m), dtype=np.int64)
-    out[:m, :m] = Fm
-    # the im part maps to b^p (Fourier, j^p = j for p = 1 mod 4) or -b^p
-    out[m:, m:] = Fm if Kind(kind) is Kind.FOURIER and p % 4 == 1 else (-Fm) % p
-    return out
+    return _sigma_powers(params, kind, 1)[1]

@@ -13,7 +13,7 @@ sum_k x_k * y_k with common energy N; the conjugated sesquilinear form
 does NOT have this property (rows i and N-i pair up instead).
 
 The values come from one coefficient array (cas_coeffs, built from the
-powers of zeta by ExtField.powers). transforms compiles its kernels from
+powers of zeta, fields.zeta_powers). transforms compiles its kernels from
 that array; cas, carrier and carrier_matrix read GaloisInt values off it
 for printing and for scalar references, and rationalize is the one real
 embedding of such arrays.
@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NoRationalization
-from .fields import GaloisInt, SystemParams, centered, sqrt_of_minus_one
+from .fields import GaloisInt, SystemParams, centered, sqrt_of_minus_one, zeta_powers
 
 
 def cas_coeffs(params: SystemParams) -> np.ndarray:
@@ -36,11 +36,14 @@ def cas_coeffs(params: SystemParams) -> np.ndarray:
     re = (zeta^t + zeta^-t) / 2 and im = (zeta^-t - zeta^t) / 2, with
     zeta^-t = zeta^(N-t) read from the same powers.
     """
-    p = params.p
-    fwd = params.field.powers(params.zeta, params.N)
-    rev = fwd[(-np.arange(params.N)) % params.N]
-    inv2 = (p + 1) // 2
-    return np.stack([(fwd + rev) * inv2 % p, (rev - fwd) * inv2 % p], axis=1)
+    fwd = zeta_powers(params)
+    rev = fwd[-np.arange(params.N)]
+    out = np.empty((params.N, 2, params.m), dtype=np.int64)
+    np.add(fwd, rev, out=out[:, 0])
+    np.subtract(rev, fwd, out=out[:, 1])
+    out *= (params.p + 1) // 2
+    out %= params.p
+    return out
 
 
 def rationalize(params: SystemParams, coeffs: np.ndarray) -> np.ndarray:

@@ -1,3 +1,5 @@
+import importlib
+import pkgutil
 import time
 import tracemalloc
 
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from gdmux import (InvalidParams, NonInvertible, NoSuchRoot, NotAUnit, SystemParams,
                    centered, find_root_of_unity, gaussian_ring, get_field,
                    mult_order, sqrt_of_minus_one)
+import gdmux
 from gdmux import cosets, fields, trig
 from gdmux.fields import (MAX_FIELD_SIZE, ExtField, is_prime, poly_is_irreducible,
                           smallest_irreducible)
@@ -211,6 +214,33 @@ def test_sqrt_of_minus_one_matches_the_canonical_scan_over_the_grid():
         assert sqrt_of_minus_one(p, m) == support.scan_sqrt_of_minus_one(p, m), (p, m)
 
 
+@pytest.mark.parametrize("p,m,poly", [(3, 3, (2, 2, 0, 1)), (7, 2, (3, 1, 1))])
+def test_root_search_matches_the_canonical_scan_under_other_polynomials(p, m, poly):
+    assert poly != smallest_irreducible(p, m) and poly_is_irreducible(poly, p)
+    field = get_field(p, m, poly)
+    for N in cosets.divisors(p ** m - 1):
+        zeta = find_root_of_unity(p, m, N, poly)
+        assert zeta.field == field and zeta == support.scan_root_of_unity(p, m, N, poly), N
+    # the field's generator is the first element of order q - 1 in canonical order
+    g = field.element(field.primitive)
+    assert mult_order(g) == p ** m - 1
+    assert all(mult_order(field.from_int(i)) < p ** m - 1 for i in range(1, g.to_int()))
+
+
+@pytest.mark.parametrize("p,m,poly", [(3, 3, (2, 2, 0, 1)), (3, 6, None)])
+def test_root_search_does_not_depend_on_the_order_of_the_searches(p, m, poly):
+    # the generator is found once per field; cold field and root caches, then
+    # the divisors of q - 1 in ascending and in descending order
+    Ns = cosets.divisors(p ** m - 1)
+    zetas = []
+    for order in (Ns, Ns[::-1]):
+        get_field.cache_clear()
+        find_root_of_unity.cache_clear()
+        zetas.append({N: find_root_of_unity(p, m, N, poly).coeffs for N in order})
+    assert zetas[0] == zetas[1]
+    assert zetas[0] == {N: support.scan_root_of_unity(p, m, N, poly).coeffs for N in Ns}
+
+
 @pytest.mark.parametrize("p,m,N", [(101, 3, 1030300), (7, 7, 823542)])
 def test_root_search_at_the_largest_n_matches_the_scan_within_half_the_design_budget(p, m, N):
     find_root_of_unity.cache_clear()
@@ -238,6 +268,26 @@ def test_powers_match_repeated_multiplication(p, m):
             pows = field.powers(x.coeffs, n)
             assert pows.dtype == np.int64 and pows.shape == (n, m)
             assert pows.tolist() == [list(c) for c in expected[:n]]
+
+
+@pytest.mark.parametrize("p,m", [(5, 1), (3, 3), (7, 2), (3, 6), (251, 2)])
+def test_power_table_and_frobenius_forms_match_element_arithmetic(p, m):
+    field = get_field(p, m)
+    rng = np.random.default_rng(p + m)
+    xs = rng.integers(0, p, (3, m))
+    exponents = [0, 1, 2, p, field.order - 2, field.order - 1, 3 * field.order]
+    table = field.power_table(xs, exponents)
+    assert table.shape == (3, len(exponents), m)
+    for x, row in zip(xs, table):
+        x = field.element(x)
+        assert [tuple(r) for r in row.tolist()] == [(x ** e).coeffs for e in exponents]
+        # F^t a = a^(p^t); row t - 1 of trace_forms reads coefficient 0 of a + ... + a^(p^(t-1))
+        for t in range(m):
+            assert tuple(field.frobenius_powers[t] @ x.coeffs % p) == (x ** p ** t).coeffs
+        for t in range(1, 2 * m + 1):
+            total = sum((x ** p ** s for s in range(t)), field.zero)
+            assert field.trace_forms[t - 1] @ x.coeffs % p == total.coeffs[0]
+    assert not field.trace_forms.flags.writeable and not field.frobenius_powers.flags.writeable
 
 
 @pytest.mark.parametrize("p,m,N", [(3, 12, 7), (3, 12, 80), (3, 12, 13), (5, 8, 13)])
@@ -344,6 +394,19 @@ def test_params_create_small(p, m, N):
     params = SystemParams.create(p, m, N)
     assert mult_order(params.zeta_elem) == N
     assert (params.q - 1) % N == 0
+
+
+def test_every_cache_of_the_library_is_bounded():
+    # every lru_cache of a gdmux module, found by the cache_info it carries
+    caches = {}
+    for info in pkgutil.iter_modules(gdmux.__path__):
+        for value in vars(importlib.import_module(f"gdmux.{info.name}")).values():
+            if hasattr(value, "cache_info"):
+                caches[value] = f"{value.__module__}.{value.__qualname__}"
+    assert {"gdmux.transforms.design", "gdmux.transforms._inverses", "gdmux.fields.zeta_powers",
+            "gdmux.fields.find_root_of_unity", "gdmux.fields.get_field"} <= set(caches.values())
+    for cache, name in caches.items():
+        assert cache.cache_info().maxsize is not None, name
 
 
 def test_small_caches_stay_bounded_and_equal_across_eviction():
