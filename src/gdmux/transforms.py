@@ -295,11 +295,13 @@ def _information_set(params: SystemParams, leaders: np.ndarray, lengths: np.ndar
     of the transform's inverse that read group g's leaders, B_g @ D_g is
     rows 0..k - 1 of P_g, the projection onto the frequencies K_g: so
     group g's rows of D_I are T_g @ P_g[:k]. P_g[i, i'] = r_g(i' - i)
-    with r_g(u) = (1/N) sum_(k in K_g) zeta^(uk), a value of GF(p). Its
-    sum over one orbit is the trace form of the orbit's length
-    (ExtField.trace_forms) applied to the re part of the kernel at u
-    times the leader, G's entries in row u. T_g @ P_g is taken a few
-    groups at a time, about 2^18 entries of P each.
+    with r_g(u) = (1/N) sum_(k in K_g) zeta^(uk), a value of GF(p); as
+    K_g = -K_g, the sum is also that of the re part of the kernel at uk.
+    Over one orbit, that re part walks by the Frobenius map, so its sum
+    is the trace form of the orbit's length (ExtField.trace_forms)
+    applied to the re part at u times the leader, G's entries in row u.
+    T_g @ P_g is taken a few groups at a time, about 2^18 entries of P
+    each.
     """
     N, w, p = params.N, 2 * params.m, params.p
     nu, n = len(leaders), len(leaders) * w
