@@ -40,9 +40,9 @@ import numpy as np
 from . import cosets as cosets_mod
 from . import pipeline, statsim, trig
 from .errors import (FrameFormatError, GdmError, InconsistentFrame, InvalidParams,
-                     require_positive)
+                     NotGroundField, require_positive)
 from .fields import MAX_PRIME, SystemParams
-from .transforms import Kind, TimeBlock, design
+from .transforms import Kind, TimeBlock
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -252,7 +252,7 @@ def _first_bad_line(params: SystemParams, kind, lines: list[str]) -> str:
             TimeBlock(params, tuple(int(tok) for tok in line.split()))
         except (ValueError, GdmError) as exc:
             return f"line {lineno}: {exc}"
-        design(params, kind)   # a design over budget is refused at the first good line
+        pipeline.validate_system(params, kind)   # over budget: refused at the first good line
     raise AssertionError("every line parses, yet the bulk parse refused the text")
 
 
@@ -291,9 +291,10 @@ def cmd_demux(args) -> int:
     out = b""
     if len(leaders):
         try:
-            # batch errors carry their own frame index in the message
+            # batch errors carry their own frame index in the message; an
+            # over-budget design (UnsupportedParams) is no data error
             vs = pipeline.demux_batch(params, args.kind, leaders)
-        except GdmError as exc:
+        except (InconsistentFrame, NotGroundField) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_DATA
         out = _symbol_text(vs, params.p)

@@ -48,7 +48,7 @@ class NotGroundField(GdmError):
 
 
 class UnsupportedParams(GdmError):
-    """The compiled design of these parameters would exceed the memory budget."""
+    """A compiled design, or carrier matrix, of these parameters would exceed its budget."""
 
 
 class InconsistentFrame(GdmError):

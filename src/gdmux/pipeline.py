@@ -6,8 +6,9 @@ recovers the symbols from those leaders. The round trip is exact, so in
 the absence of channel errors there is no cross-talk between users.
 
 The batch maps mux_batch, demux_batch and reconstruct_batch are the
-leader-space core of transforms, re-exported here; this module adds the
-frame objects, the metrics, the wire codec and the cross-talk probe.
+leader-space core of transforms, re-exported here with its budget check
+validate_system; this module adds the frame objects, the metrics, the
+wire codec and the cross-talk probe.
 
 Efficiency metrics are kept as exact rationals: the bandwidth compactness
 factor gamma_cc = N/nu, channel gain 100(1 - 1/gamma_cc) percent,
@@ -46,12 +47,12 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .cosets import CosetTable, Kind, coset_table
+from .cosets import Kind, coset_table
 from .errors import (BadLength, BadMagic, GdmError, InconsistentFrame, ParamMismatch,
                      UnsupportedParams, require_positive)
 from .fields import GaloisInt, SystemParams
-from .transforms import (TimeBlock, _frames, demux_batch, design, in_range, mux_batch,
-                         reconstruct_batch)
+from .transforms import (TimeBlock, _frames, demux_batch, in_range, mux_batch, reconstruct_batch,
+                         validate_system)
 # unused here; kept bound because perfbench/tracer.py wraps them in this module
 from .transforms import _forward_flat, sigma_matrix  # noqa: F401
 
@@ -101,21 +102,6 @@ class CrosstalkReport:
     max_leak: int          # largest |recovered symbol| seen on an inactive channel
     active_errors: int     # active-channel symbols not recovered exactly
     clean: bool
-
-
-# ---------------------------------------------------------------------------
-# design lookup
-# ---------------------------------------------------------------------------
-
-def validate_system(params: SystemParams, kind) -> CosetTable:
-    """Coset table of (params, kind), compiling its design if needed.
-
-    Carrier orthogonality and spectrum conjugacy hold for every valid
-    (p, m, N) and are proved by the test suite, not re-checked here. The
-    only refusal left is the memory budget: UnsupportedParams when the
-    compiled design would exceed transforms.DESIGN_BUDGET_BYTES.
-    """
-    return design(params, kind).table
 
 
 # ---------------------------------------------------------------------------

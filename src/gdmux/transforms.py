@@ -58,10 +58,11 @@ Symbols and spectrum entries are reduced mod p first; demux_batch and
 reconstruct_batch refuse leaders outside [0, p), which never close their
 orbits.
 
-design() compiles, once per (params, kind), the coset table and these
-arrays; every spelling of a kind shares the design of its Kind. It
-refuses any design over DESIGN_BUDGET_BYTES before allocating it, and
-keeps the most recent DESIGN_CACHE_SIZE designs.
+validate_system reads the coset table alone and refuses a design whose size
+bound exceeds DESIGN_BUDGET_BYTES. design(), which only the batch maps call,
+runs it, then compiles these arrays once per (params, kind); every spelling
+of a kind shares the design of its Kind. It keeps the most recent
+DESIGN_CACHE_SIZE designs.
 
 A design is compiled by array operations on (..., m) coefficient
 vectors, with no GaloisInt arithmetic:
@@ -355,23 +356,30 @@ def _information_set(params: SystemParams, leaders: np.ndarray, lengths: np.ndar
     return W, np.concatenate([cols[in_I], cols[rest], cols[zero]])
 
 
+def validate_system(params: SystemParams, kind) -> CosetTable:
+    """The coset table of (params, kind), read alone: nothing is compiled. UnsupportedParams when
+    design_nbytes exceeds DESIGN_BUDGET_BYTES. Carrier orthogonality and spectrum conjugacy hold
+    for every valid (p, m, N) and are proved by the test suite, not re-checked here."""
+    table = coset_table(params.N, params.p, kind)
+    size = design_nbytes(params.p, params.m, params.N, table.nu, table.longest)
+    if size > DESIGN_BUDGET_BYTES:
+        raise UnsupportedParams(
+            f"{params}/{table.kind}: compiled design needs {size / 2**20:.1f} MiB, "
+            f"over the {DESIGN_BUDGET_BYTES / 2**20:.0f} MiB budget")
+    return table
+
+
 @lru_cache(maxsize=DESIGN_CACHE_SIZE)
 def design(params: SystemParams, kind) -> Design:
     """The compiled design of (params, kind).
 
-    Raises UnsupportedParams, before allocating any matrix, when the
-    design would need more than DESIGN_BUDGET_BYTES.
+    Raises UnsupportedParams, through validate_system, before allocating
+    any matrix.
     """
     if not isinstance(kind, Kind):      # any other spelling shares the Kind's design
         return design(params, Kind(kind))
-    N, p = params.N, params.p
-    table = coset_table(N, p, kind)
-    longest = table.longest
-    size = design_nbytes(p, params.m, N, table.nu, longest)
-    if size > DESIGN_BUDGET_BYTES:
-        raise UnsupportedParams(
-            f"{params}/{kind}: compiled design needs {size / 2**20:.1f} MiB, "
-            f"over the {DESIGN_BUDGET_BYTES / 2**20:.0f} MiB budget")
+    table = validate_system(params, kind)
+    N, p, longest = params.N, params.p, table.longest
     leaders = np.array(table.leaders)
     lengths = np.array([len(orbit) for orbit in table.cosets])
     shifts = np.array([pow(table.step, t, N) for t in range(longest + 1)])

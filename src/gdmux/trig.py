@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NoRationalization
+from .errors import NoRationalization, UnsupportedParams
 from .fields import GaloisInt, SystemParams, centered, sqrt_of_minus_one, zeta_powers
 
 
@@ -108,7 +108,15 @@ def carrier(i: int, params: SystemParams) -> Carrier:
     return Carrier(i, tuple(table[(i * k) % N] for k in range(N)), params)
 
 
+# largest N of a carrier matrix: N^2 <= 2^20 values, each a GaloisInt
+CARRIER_MAX_N = 1024
+
+
 def carrier_matrix(params: SystemParams) -> CarrierMatrix:
+    """The N carriers; UnsupportedParams for N > CARRIER_MAX_N, before any cas value."""
+    if params.N > CARRIER_MAX_N:
+        raise UnsupportedParams(f"{params}: a carrier matrix of N^2 values needs N <= "
+                                f"{CARRIER_MAX_N}, got N = {params.N}")
     return CarrierMatrix(tuple(carrier(i, params) for i in range(params.N)), params)
 
 

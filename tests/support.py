@@ -467,7 +467,7 @@ def cli_demux_oracle(params: SystemParams, kind, data: bytes):
         return 0, b"", ""
     try:
         vs = demux_batch(params, kind, np.stack(arrays))
-    except GdmError as exc:
+    except (InconsistentFrame, NotGroundField) as exc:
         return 2, None, f"error: {exc}\n"
     return 0, ("\n".join(" ".join(str(int(s)) for s in row) for row in vs) + "\n").encode(), ""
 

@@ -4,6 +4,7 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gdmux
-from gdmux import UnsupportedParams, cli, fields, statsim, transforms
+from gdmux import UnsupportedParams, cli, fields, statsim, transforms, trig
 from gdmux.cli import main
 from gdmux.fields import MAX_FIELD_SIZE, MAX_PRIME, SystemParams, find_root_of_unity
 from gdmux.pipeline import encode_frames, frame_header, mux_batch
@@ -622,6 +623,72 @@ def test_bulk_mux_refuses_an_over_budget_design_as_per_line(tmp_path, capsys, mo
         except UnsupportedParams as exc:
             want = (1, None, f"error: {exc}\n")
         assert _cli_file(tmp_path, capsys, "mux", params, "hartley", text) == want
+
+
+def test_demux_refuses_an_over_budget_design_as_mux_and_crosstalk_do(tmp_path, capsys):
+    # demux reported the refusal of demux_batch as a data error, with exit 2
+    params = make(3, 8, 6560)
+    header = frame_header(params, "hartley")
+    frame = header + bytes(int.from_bytes(header[-2:], "little") * 2 * params.m)
+    code, out, err = _cli_file(tmp_path, capsys, "demux", params, "hartley", 2 * frame)
+    assert (code, out) == (1, None)
+    assert err.startswith("error: GDM(p=3, m=8, N=6560, ")
+    assert err.endswith("/hartley: compiled design needs 668.0 MiB, over the 256 MiB budget\n")
+    assert _cli_file(tmp_path, capsys, "mux", params, "hartley", b"0 " * 6560 + b"\n") == (
+        1, None, err)
+    assert run(capsys, "crosstalk", "-p", "3", "-m", "8", "-N", "6560", "--user", "0",
+               "--frames", "1") == (1, "", err)
+    # a bad frame is still named first, as a data error
+    bad = frame + frame[:-1] + b"\x03"
+    code, out, err = _cli_file(tmp_path, capsys, "demux", params, "hartley", bad)
+    assert (code, out) == (2, None)
+    assert err.startswith("frame 1: ")
+
+
+@pytest.mark.parametrize("kind", ["hartley", "fourier"])
+def test_design_report_compiles_nothing(capsys, kind):
+    # the report read the coset table off a compiled design: 149-191 MiB
+    # traced at (3, 8, 3280), and the design stayed in the cache
+    argv = ["design", "-p", "3", "-m", "8", "-N", "3280", "--kind", kind]
+    params = make(3, 8, 3280)
+    transforms.design.cache_clear()
+    tracemalloc.start()
+    try:
+        cold = run(capsys, *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cold[0] == 0 and cold[2] == ""
+    assert peak < 8 << 20
+    assert transforms.design.cache_info().currsize == 0
+    try:
+        transforms.design(params, kind)
+        assert run(capsys, *argv) == cold
+        assert transforms.design.cache_info().currsize == 1
+    finally:
+        transforms.design.cache_clear()
+
+
+def test_design_report_over_the_budget_exits_1(capsys):
+    code, out, err = run(capsys, "design", "-p", "3", "-m", "8", "-N", "6560")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: GDM(p=3, m=8, N=6560, ")
+    assert err.endswith("/hartley: compiled design needs 668.0 MiB, over the 256 MiB budget\n")
+
+
+def test_carriers_over_their_bound_exit_1_before_any_cas_value(capsys, monkeypatch):
+    # nothing bounded the N^2 GaloisInt values and text lines of `gdmux carriers`
+    assert trig.CARRIER_MAX_N == 1024
+    monkeypatch.setattr(trig, "_cas_by_product", None)      # a call raises TypeError
+    params = make(3, 7, 1093)
+    assert run(capsys, "carriers", "-p", "3", "-m", "7", "-N", "1093") == (
+        1, "", f"error: {params}: a carrier matrix of N^2 values needs N <= 1024, got N = 1093\n")
+    monkeypatch.undo()
+    monkeypatch.setattr(trig, "CARRIER_MAX_N", 4)
+    assert run(capsys, "carriers", "-p", "5", "-N", "4") == (
+        0, (GOLDEN / "carriers_-p_5_-N_4.txt").read_text(), "")
+    monkeypatch.setattr(trig, "CARRIER_MAX_N", 3)
+    assert run(capsys, "carriers", "-p", "5", "-N", "4")[0] == 1
 
 
 def test_bulk_demux_matches_per_frame_oracle(tmp_path, capsys):

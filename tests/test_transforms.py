@@ -732,6 +732,19 @@ def test_design_of_any_case_spelling_is_the_kinds_design():
     assert design(params, "FOURIER") is design(params, Kind.FOURIER)
 
 
+def test_a_kind_and_its_value_take_one_cache_entry():
+    # a Kind is a str equal to its value, with the same hash, so the kind as
+    # a member and as the lowercase string the CLI passes is one cache key:
+    # DESIGN_CACHE_SIZE designs requested in both spellings all stay compiled
+    design.cache_clear()
+    systems = design_grid()[:DESIGN_CACHE_SIZE]
+    assert len(systems) == DESIGN_CACHE_SIZE
+    first = [design(make(*pmn), ("hartley", Kind.HARTLEY)[i % 2]) for i, pmn in enumerate(systems)]
+    assert design.cache_info().currsize == DESIGN_CACHE_SIZE
+    for i, (pmn, d) in enumerate(zip(systems, first)):
+        assert design(make(*pmn), (Kind.HARTLEY, "hartley")[i % 2]) is d
+
+
 def test_design_cache_is_bounded():
     assert 2 * len(SMALL_SYSTEMS) > DESIGN_CACHE_SIZE
     for p, m, N in SMALL_SYSTEMS:
