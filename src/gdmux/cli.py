@@ -8,13 +8,20 @@ that command's parser from build_parser(); the whole parser runs only
 for an argv that is not a command with its own arguments, and its
 errors and help are the same bytes either way.
 
-mux and demux move a whole file through one array. mux parses every
-non-blank line into an (F, N) symbol array, muxes it with one
-pipeline.mux_batch and writes it with one pipeline.encode_frames; demux
-reads it with one pipeline.decode_frames, which names the first bad frame
-("frame N: ..."), and demuxes it with one pipeline.demux_batch. Only when
-the bulk parse refuses the text does mux re-read it line by line, to
-report the first bad line as "line N: ...".
+mux and demux move a whole file through one array. mux parses the text
+on bytes: one table classes every byte as a digit, a blank (space, tab,
+or a \\r right before \\n) or a \\n line break; a token ends where a digit
+meets another byte, and its value is read off its last 3 digits, its
+line off the breaks before it. Text of those bytes alone, with
+tokens of at most 3 digits, N on every non-blank line and each below p,
+becomes an (F, N) symbol array there. Any other text, and every refusal,
+takes the str path: decode, splitlines, int() of each token, and, when
+that refuses too, a re-read line by line that reports the first bad line
+as "line N: ...". So both paths accept the same texts with the same
+rows, and each error reads as before. One pipeline.mux_frames muxes the
+array into the frame buffer. demux reads the frames with one
+pipeline.decode_frames, which names the first bad frame ("frame N:
+..."), and demuxes its uint8 leaders with one pipeline.demux_frames.
 
 demux formats its text from a digit table: each symbol becomes the
 right-aligned digits of the design's widest symbol p-1 plus a space or
@@ -34,6 +41,7 @@ import stat
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -65,6 +73,11 @@ def _digit_table(n: int) -> np.ndarray:
 
 
 _DIGITS = _digit_table(MAX_PRIME)   # demux text: p uses the last len(str(p - 1)) columns
+
+# mux text: the class of each byte, a digit's value or one of these
+_BLANK, _BREAK, _OTHER = 16, 32, 255
+_CLASS = np.frombuffer(bytes(b - 48 if 48 <= b < 58 else _BLANK if b in b" \t\r" else
+                             _BREAK if b == 10 else _OTHER for b in range(256)), dtype=np.uint8)
 
 
 def _parse_poly(text):
@@ -224,11 +237,48 @@ def cmd_cosets(args) -> int:
 
 
 def cmd_carriers(args) -> int:
-    params = _params(args)
-    matrix = trig.carrier_matrix(params)
-    for row in matrix.rows:
-        print(" ".join(str(z) for z in row.samples))
+    for line in trig.carrier_lines(_params(args)):
+        print(line)
     return EXIT_OK
+
+
+def _byte_rows(data: bytes, p: int, N: int) -> Optional[np.ndarray]:
+    """(F, N) uint16 symbols of plain text, or None: the text parse on bytes.
+
+    Plain text holds only ASCII digits, blanks (space, tab, a \\r right
+    before \\n) and \\n line breaks, each token has at most 3 digits, each
+    non-blank line N tokens, and each token is below p. The str path
+    accepts such a text with the same rows; None sends every other text,
+    and every refusal, to it.
+    """
+    if b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
+        return None
+    # read at bytes i = 3..n-2 of the padded text, where bytes 3 and n-2 are breaks
+    c = _CLASS.take(np.frombuffer(b"".join((b"\n" * 4, data, b"\n" * 2)), dtype=np.uint8))
+    if c.max() > _BREAK:
+        return None
+    digit = c < 10
+    pairs = digit[1:] & digit[:-1]
+    if (pairs[2:] & pairs[:-2]).any():      # a token of 4 or more digits
+        return None
+    del pairs                               # each temporary goes as soon as it is read
+    breaks = (c[3:-1] == _BREAK).nonzero()[0]
+    c &= 15                                 # a digit's value, 0 for a blank or a break
+    # the value of a token whose last digit is i: c[i-2] counts only when i-1 is a digit
+    value = np.multiply(c[1:-3] * digit[2:-2], np.uint16(100))
+    value += c[2:-2] * 10
+    value += c[3:-1]
+    del c
+    ends = (digit[3:-1] > digit[4:]).nonzero()[0]
+    del digit
+    # tokens before each break: a line holds 0 or N of them
+    before = ends.searchsorted(breaks)
+    if not set((before[1:] - before[:-1]).tolist()) <= {0, N}:
+        return None
+    value = value[ends]
+    if value.max(initial=0) >= p:
+        return None
+    return value.reshape(-1, N)
 
 
 def _symbol_rows(params: SystemParams, lines: list[str]):
@@ -258,20 +308,21 @@ def _first_bad_line(params: SystemParams, kind, lines: list[str]) -> str:
 
 def cmd_mux(args) -> int:
     params = _params(args)
-    lines = _read_bytes(args.infile).decode().splitlines()
-    vs = _symbol_rows(params, lines)
-    if vs is None:
-        print(_first_bad_line(params, args.kind, lines), file=sys.stderr)
-        return EXIT_DATA
-    out = b""
-    if len(vs):
-        out = pipeline.encode_frames(params, args.kind, pipeline.mux_batch(params, args.kind, vs))
-    _write_bytes(args.outfile, out)
+    data = _read_bytes(args.infile)
+    vs = _byte_rows(data, params.p, params.N)
+    if vs is None:      # not plain text, or refused: read again as str, line by line
+        lines = data.decode().splitlines()
+        vs = _symbol_rows(params, lines)
+        if vs is None:
+            print(_first_bad_line(params, args.kind, lines), file=sys.stderr)
+            return EXIT_DATA
+    _write_bytes(args.outfile, pipeline.mux_frames(params, args.kind, vs) if len(vs) else b"")
     return EXIT_OK
 
 
 def _symbol_text(vs: np.ndarray, p: int) -> bytes:
-    """(F, N) symbols in [0, p) as F lines of N space-separated decimals."""
+    """(F, N) symbols in [0, p), the uint8 of demux_frames, as F lines of N space-separated
+    decimals."""
     width = len(str(p - 1))
     buf = np.empty(vs.shape + (width + 1,), dtype=np.uint8)
     buf[..., :width] = np.take(_DIGITS[:, -width:], vs, axis=0)
@@ -293,7 +344,7 @@ def cmd_demux(args) -> int:
         try:
             # batch errors carry their own frame index in the message; an
             # over-budget design (UnsupportedParams) is no data error
-            vs = pipeline.demux_batch(params, args.kind, leaders)
+            vs = pipeline.demux_frames(params, args.kind, leaders)
         except (InconsistentFrame, NotGroundField) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_DATA

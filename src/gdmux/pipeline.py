@@ -31,6 +31,16 @@ iter_frames and deserialize read one run of frames with equal headers at
 a time: one header comparison and one coefficient range check per run,
 so a refused stream costs what an accepted one does.
 
+The wire-native pair the CLI runs has no int64 stage. The writer,
+mux_frames, casts the symbol rows once to G's dtype and puts
+mod_p(vs @ G) straight into one preallocated uint8 (F, header + n)
+buffer, with the header broadcast into every row; encode_frames checks
+its leaders and writes them through the same buffer. The reader,
+demux_frames, takes the uint8 leaders decode_frames returns, a view of
+the stream already range-checked, gathers them by perm as uint8, casts
+them once to G's dtype and returns uint8 symbols. Only a refused frame
+is widened to int64, to name it as demux_batch does.
+
 Leaders that no frame of symbols maps to raise (InconsistentFrame /
 NotGroundField). A corruption that turns one valid frame into another
 is not detected: it demuxes to wrong symbols. There is no
@@ -51,7 +61,8 @@ from .cosets import Kind, coset_table
 from .errors import (BadLength, BadMagic, GdmError, InconsistentFrame, ParamMismatch,
                      UnsupportedParams, require_positive)
 from .fields import GaloisInt, SystemParams
-from .transforms import (TimeBlock, _frames, demux_batch, in_range, mux_batch, reconstruct_batch,
+from .transforms import (TimeBlock, _demux, _frames, _mux, _not_ground_field, _orbit_error,
+                         demux_batch, design, in_range, mux_batch, reconstruct_batch,
                          validate_system)
 # unused here; kept bound because perfbench/tracer.py wraps them in this module
 from .transforms import _forward_flat, sigma_matrix  # noqa: F401
@@ -196,25 +207,59 @@ def encode_frames(params: SystemParams, kind, leaders: np.ndarray) -> bytes:
 
     Any other shape, or an entry outside [0, p), raises ValueError.
     """
-    header = np.frombuffer(frame_header(params, kind), dtype=np.uint8)
+    header = frame_header(params, kind)
     shape = (coset_table(params.N, params.p, kind).nu, 2, params.m)
     body, single = _frames(leaders, shape, "leader values")
     if single:
         raise ValueError(f"expected frames (F, {shape[0]}, 2, {params.m}), got one frame")
     if not in_range(body, params.p):
         raise ValueError(f"leader coefficients must lie in [0, {params.p})")
-    return np.hstack([np.broadcast_to(header, (len(body), header.size)),
-                      body.astype(np.uint8)]).tobytes()
+    return _write_frames(header, body)
+
+
+def _write_frames(header: bytes, rows: np.ndarray) -> bytes:
+    """F frames of leader rows (F, n) of integers in [0, p), of any real dtype: one uint8
+    buffer (F, len(header) + n), the header broadcast into every row, then the rows."""
+    out = np.empty((len(rows), len(header) + rows.shape[1]), dtype=np.uint8)
+    out[:, :len(header)] = np.frombuffer(header, dtype=np.uint8)
+    out[:, len(header):] = rows
+    return out.tobytes()
+
+
+def mux_frames(params: SystemParams, kind, vs: np.ndarray) -> bytes:
+    """The frames of symbol rows (F, N) of an integer dtype, entries in [0, p), which are not
+    checked: mux_batch and encode_frames in one pass, with the rows cast once to G's dtype and
+    mod_p(vs @ G) written straight into the frame buffer.
+
+    The design is built first, so a design over the budget is refused before a header with
+    N over its 16-bit field.
+    """
+    d = design(params, kind)
+    return _write_frames(frame_header(params, kind), _mux(d, vs.astype(d.G.dtype)))
 
 
 def decode_frames(data: bytes, params: SystemParams, kind) -> np.ndarray:
-    """Leader arrays (F, nu, 2, m) of a stream of (params, kind); raises as iter_frames does."""
+    """uint8 leader arrays (F, nu, 2, m) of a stream of (params, kind), a view of data; raises
+    as iter_frames does."""
     runs, error = _frame_runs(data, params, kind, (frame_header(params, kind), params, kind))
     if error:
         raise error
     if not runs:
-        return np.zeros((0, coset_table(params.N, params.p, kind).nu, 2, params.m), np.int64)
-    return runs[0][2].astype(np.int64)      # with the design known, one header is valid
+        return np.zeros((0, coset_table(params.N, params.p, kind).nu, 2, params.m), np.uint8)
+    return runs[0][2]      # with the design known, one header is valid
+
+
+def demux_frames(params: SystemParams, kind, leaders: np.ndarray) -> np.ndarray:
+    """uint8 symbol rows (F, N) of leader arrays (F, nu, 2, m) in [0, p), as decode_frames
+    returns them: demux_batch without its int64 pass, the perm gather on the leaders' own
+    dtype and one cast to G's dtype. Raises what demux_batch raises for the same frames."""
+    d = design(params, kind)
+    rows = leaders.reshape(len(leaders), -1)
+    vs, bad = _demux(d, rows)
+    if bad is not None:
+        raise (_orbit_error(d, rows.astype(np.int64))      # it reads int64 rows
+               or _not_ground_field(int(bad.argmax()), params.p))
+    return vs.astype(np.uint8)
 
 
 def _parse_header(data: bytes, offset: int, expect: Optional[SystemParams],

@@ -459,11 +459,11 @@ def _mux(d: Design, vs: np.ndarray) -> np.ndarray:
 
 
 def _demux(d: Design, rows: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """(v, bad) of int64 leader rows (F, n) in [0, p): v = L_I @ D_I in G's dtype, and bad
+    """(v, bad) of integer leader rows (F, n) in [0, p): v = L_I @ D_I in G's dtype, and bad
     None when every frame passes the check L_rest == L_I @ C and L_zero == 0, true exactly
     for the frames mux could have produced, else the (F,) frames that fail it."""
     N, r = d.params.N, d.W.shape[1] - d.params.N
-    L = rows.take(d.perm, axis=1).astype(d.G.dtype)                  # (I, rest, zero)
+    L = rows.take(d.perm, axis=1).astype(d.G.dtype)    # (I, rest, zero), gathered in rows' dtype
     out = mod_p(L[:, :N] @ d.W, d.params.p)
     vs, check, rest, zero = out[:, :N], out[:, N:], L[:, N:N + r], L[:, N + r:]
     if (check == rest).all() and not zero.any():

@@ -15,14 +15,15 @@ does NOT have this property (rows i and N-i pair up instead).
 The values come from one coefficient array (cas_coeffs, built from the
 powers of zeta, fields.zeta_powers). transforms compiles its kernels from
 that array; cas, carrier and carrier_matrix read GaloisInt values off it
-for printing and for scalar references, and rationalize is the one real
-embedding of such arrays.
+for scalar references, carrier_lines formats each of them once for
+printing, and rationalize is the one real embedding of such arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
@@ -112,12 +113,30 @@ def carrier(i: int, params: SystemParams) -> Carrier:
 CARRIER_MAX_N = 1024
 
 
-def carrier_matrix(params: SystemParams) -> CarrierMatrix:
-    """The N carriers; UnsupportedParams for N > CARRIER_MAX_N, before any cas value."""
+def _check_carrier_n(params: SystemParams) -> None:
     if params.N > CARRIER_MAX_N:
         raise UnsupportedParams(f"{params}: a carrier matrix of N^2 values needs N <= "
                                 f"{CARRIER_MAX_N}, got N = {params.N}")
+
+
+def carrier_matrix(params: SystemParams) -> CarrierMatrix:
+    """The N carriers; UnsupportedParams for N > CARRIER_MAX_N, before any cas value."""
+    _check_carrier_n(params)
     return CarrierMatrix(tuple(carrier(i, params) for i in range(params.N)), params)
+
+
+def carrier_lines(params: SystemParams) -> Iterator[str]:
+    """The rows of carrier_matrix as text, one line of N space-separated values per carrier.
+
+    Each of the N distinct cas values is formatted once, and row i reads them at i*k mod N.
+    For N > CARRIER_MAX_N the first line raises UnsupportedParams, as carrier_matrix does,
+    before any cas value.
+    """
+    _check_carrier_n(params)
+    N = params.N
+    text = [str(z) for z in _cas_by_product(params)]
+    for i in range(N):
+        yield " ".join([text[i * k % N] for k in range(N)])
 
 
 def rationalize_walsh(matrix: CarrierMatrix) -> list[list[int]]:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import gdmux
 from gdmux import UnsupportedParams, cli, fields, statsim, transforms, trig
@@ -540,6 +540,24 @@ def _mux_corpus(p, N, rng):
               "blank lines and CRLF": b"\r\n" + text(many[:5], eol="\r\n\r\n  \r\n\t\n"),
               "signs and zeros": text([[f"+{v}" if i % 2 else f"0{v}" for i, v in enumerate(r)]
                                        for r in many])}
+    # the byte path's edges: separators it leaves to the str path, NUL, widths of 3 and 4 digits,
+    # tokens at byte 0 and at EOF, and blank-only text
+    for sep in ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f"):
+        corpus[f"{sep!r} between tokens"] = text(many, sep=sep)
+        corpus[f"{sep!r} as line break"] = text(many, eol=sep)
+    corpus["NUL between tokens"] = text(many, sep="\0")
+    corpus["NUL line"] = text(many[:3]) + b"\0\n" + text(many[3:])
+    corpus["3 digits, leading zeros"] = text([[v.zfill(3) for v in r] for r in many])
+    corpus["4 digits, leading zeros"] = text([[v.zfill(4) for v in r] for r in many])
+    corpus["one 4-digit token"] = text(many[:1] + [["0000"] + r[1:] for r in many[1:2]] + many[2:])
+    corpus["largest symbol, 3 digits"] = text(many + [[str(p - 1).zfill(3)] * N])
+    corpus["p, 3 digits"] = text(many + [[str(p).zfill(3)] + ["0"] * (N - 1)])
+    corpus["1000"] = text(many + [["1000"] + ["0"] * (N - 1)])
+    corpus["single line, no newline"] = text(many[:1])[:-1]
+    corpus["blank only"] = b" \t\r\n\n  \n\t"
+    corpus["CRLF and LF"] = b"".join(text([r], eol=("\r\n", "\n")[i % 2])
+                                     for i, r in enumerate(many))
+    corpus["CR before a blank"] = text(many[:2]) + b"\r \n" + text(many[2:])
     bad_tokens = ["x", "1.0", str(p), "-1", "-0x1", "9" * 20, "-" + "9" * 20, "\u0663x", "\u0663"]
     for tok in bad_tokens:
         lines = [list(r) for r in many]
@@ -609,6 +627,70 @@ def test_bulk_mux_matches_per_line_oracle(tmp_path, capsys):
                 assert got == cli_mux_oracle(params, kind, text), (p, m, N, kind, case)
                 outcomes.add(_outcome(got))
     assert outcomes == {"ok", "line"}
+
+
+# the characters of the text fuzz: digits, blanks the byte path reads and ones it leaves to the
+# str path, and bytes that make a token bad
+_FUZZ_ALPHABET = "0123456789 \t\n\r\x0b\x1c+-x"
+
+
+@st.composite
+def _fuzz_texts(draw):
+    """(p, m, N, kind, text): lines of mostly N symbols, some zero-padded, with blanks between
+    them, and now and then a bad token, a short or long line or characters of _FUZZ_ALPHABET
+    put in anywhere, so that many texts parse and many do not; (101, 1, 4) has 3-digit
+    symbols."""
+    p, m, N = draw(st.sampled_from([(5, 1, 4), (101, 1, 4), (7, 1, 3)]))
+    blank = st.sampled_from([" ", " ", " ", "  ", "\t", " \t"])
+    pieces = []
+    for _ in range(draw(st.integers(0, 6))):
+        for _ in range(draw(st.sampled_from([N] * 12 + [N - 1, N + 1]))):
+            if draw(st.integers(0, 39)):
+                width = draw(st.sampled_from([0] * 6 + [3, 4]))
+                token = str(draw(st.integers(0, p - 1))).zfill(width)
+            else:
+                token = draw(st.text("0123456789", min_size=1, max_size=4))
+            pieces.append(draw(blank) + token)
+        pieces.append(draw(st.sampled_from(["", "", " ", "\t"])) + draw(st.sampled_from(
+            ["\n", "\n", "\n", "\r\n", "\n\n", "\n \n"])))
+    for _ in range(draw(st.sampled_from([0] * 5 + [1, 2]))):
+        pieces.insert(draw(st.integers(0, len(pieces))), draw(st.text(_FUZZ_ALPHABET, min_size=1,
+                                                                      max_size=2)))
+    text = "".join(pieces)
+    if draw(st.booleans()):
+        text = text.rstrip("\n")
+    return p, m, N, draw(st.sampled_from(["hartley", "fourier"])), text.encode()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_fuzz_texts())
+def test_mux_of_fuzzed_text_matches_per_line_oracle(tmp_path, capsys, case):
+    # the byte path accepts a text only when the str path gives the same rows
+    p, m, N, kind, text = case
+    params = make(p, m, N)
+    assert _cli_file(tmp_path, capsys, "mux", params, kind, text) == cli_mux_oracle(params, kind,
+                                                                                    text)
+
+
+def test_mux_of_a_large_file_peaks_below_14_times_its_size(tmp_path, capsys):
+    # the str path read 14.4 times the size of a 20k-frame (3, 3, 26) file
+    params = make(3, 3, 26)
+    vs = np.random.default_rng(43).integers(0, 3, size=(20_000, 26))
+    text = ("\n".join(" ".join(map(str, row)) for row in vs.tolist()) + "\n").encode()
+    first_line = text[:text.index(b"\n") + 1]
+    assert _cli_file(tmp_path, capsys, "mux", params, "hartley", first_line)[0] == 0   # warm design
+    src, dst = tmp_path / "big.txt", tmp_path / "big.bin"
+    src.write_bytes(text)
+    tracemalloc.start()
+    try:
+        code = main(["mux", "-p", "3", "-m", "3", "-N", "26", "--in", str(src), "--out", str(dst)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert dst.read_bytes() == encode_frames(params, "hartley", mux_batch(params, "hartley", vs))
+    assert peak <= 14 * len(text)
 
 
 def test_bulk_mux_refuses_an_over_budget_design_as_per_line(tmp_path, capsys, monkeypatch):

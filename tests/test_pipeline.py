@@ -576,6 +576,45 @@ def test_encode_decode_frames_match_per_frame_codec(p, m, N, kind):
     assert decode_frames(b"", params, kind).shape == (0,) + leaders.shape[1:]
 
 
+@pytest.mark.parametrize("p,m,N", ACCEPT_SYSTEMS + [(101, 1, 100)])
+@pytest.mark.parametrize("kind", [Kind.HARTLEY, Kind.FOURIER])
+def test_mux_frames_equals_mux_batch_then_encode_frames(p, m, N, kind):
+    params = make(p, m, N)
+    vs = np.random.default_rng(N).integers(0, p, size=(7, N))
+    want = encode_frames(params, kind, mux_batch(params, kind, vs))
+    for dtype in (np.uint8, np.uint16, np.int64):
+        assert pipeline.mux_frames(params, kind, vs.astype(dtype)) == want
+
+
+def test_mux_frames_refuses_an_over_budget_design_before_the_header():
+    # the CLI built the design (mux_batch) before the header (encode_frames)
+    params = make(3, 12, 531440)
+    assert params.N > pipeline.MAX_WIRE_N
+    with pytest.raises(UnsupportedParams, match="over the 256 MiB budget$"):
+        pipeline.mux_frames(params, Kind.HARTLEY, np.zeros((1, params.N), dtype=np.uint8))
+
+
+@pytest.mark.parametrize("p,m,N", ACCEPT_SYSTEMS)
+@pytest.mark.parametrize("kind", [Kind.HARTLEY, Kind.FOURIER])
+def test_demux_frames_of_decoded_frames_equals_demux_batch(p, m, N, kind):
+    # the same symbols, and for every single-coefficient corruption the same error
+    params = make(p, m, N)
+    vs = np.random.default_rng(N).integers(0, p, size=(5, N))
+    blob = encode_frames(params, kind, mux_batch(params, kind, vs))
+    leaders = decode_frames(blob, params, kind)
+    assert leaders.dtype == np.uint8
+    got = pipeline.demux_frames(params, kind, leaders)
+    assert got.dtype == np.uint8 and np.array_equal(got, vs)
+    outcomes = set()
+    for c in range(leaders[0].size):
+        bad = leaders.copy()
+        bad[3].reshape(-1)[c] = (int(bad[3].reshape(-1)[c]) + 1) % p
+        want = outcome(demux_batch, params, kind, bad.astype(np.int64))
+        assert outcome(pipeline.demux_frames, params, kind, bad) == want
+        outcomes.add(want[0])
+    assert outcomes - {"ok"}
+
+
 def test_encode_frames_refuses_leaders_it_cannot_write(p3326):
     kind = Kind.HARTLEY
     leaders = mux_batch(p3326, kind, np.ones((2, 26), dtype=np.int64))      # (2, 6, 2, 3)

@@ -6,6 +6,8 @@ import pytest
 from gdmux import (GdmError, NoRationalization, SystemParams, carrier, carrier_matrix, cas,
                    rationalize_walsh)
 
+from gdmux.trig import carrier_lines
+
 from support import SMALL_SYSTEMS, design_grid, make, outcome_of, rationalize_by_elements
 
 CAS_GI5 = [
@@ -24,6 +26,14 @@ def p514():
 def test_cas_table_golden(p514):
     got = [[str(cas(i, k, p514)) for k in range(4)] for i in range(4)]
     assert got == CAS_GI5
+
+
+@pytest.mark.parametrize("p,m,N", SMALL_SYSTEMS + [(7, 2, 48), (11, 2, 40)])
+def test_carrier_lines_print_the_carrier_matrix(p, m, N):
+    # `gdmux carriers` formatted every one of the N^2 values of the matrix
+    params = make(p, m, N)
+    assert list(carrier_lines(params)) == [" ".join(str(z) for z in row.samples)
+                                           for row in carrier_matrix(params).rows]
 
 
 def test_cas_from_first_principles(p514):
