@@ -265,15 +265,16 @@ def _byte_rows(data: bytes, p: int, N: int) -> Optional[np.ndarray]:
     breaks = (c[3:-1] == _BREAK).nonzero()[0]
     c &= 15                                 # a digit's value, 0 for a blank or a break
     # the value of a token whose last digit is i: c[i-2] counts only when i-1 is a digit
-    value = np.multiply(c[1:-3] * digit[2:-2], np.uint16(100))
+    # dtype given, not taken from the operands: NumPy before 2 would keep uint8 and wrap
+    value = np.multiply(c[1:-3] * digit[2:-2], 100, dtype=np.uint16)
     value += c[2:-2] * 10
     value += c[3:-1]
     del c
     ends = (digit[3:-1] > digit[4:]).nonzero()[0]
     del digit
     # tokens before each break: a line holds 0 or N of them
-    before = ends.searchsorted(breaks)
-    if not set((before[1:] - before[:-1]).tolist()) <= {0, N}:
+    step = np.diff(ends.searchsorted(breaks))
+    if ((step != 0) & (step != N)).any():
         return None
     value = value[ends]
     if value.max(initial=0) >= p:

@@ -38,8 +38,9 @@ buffer, with the header broadcast into every row; encode_frames checks
 its leaders and writes them through the same buffer. The reader,
 demux_frames, takes the uint8 leaders decode_frames returns, a view of
 the stream already range-checked, gathers them by perm as uint8, casts
-them once to G's dtype and returns uint8 symbols. Only a refused frame
-is widened to int64, to name it as demux_batch does.
+them once to G's dtype and returns uint8 symbols. A refused frame goes
+through the reject step demux_batch runs (transforms._demux_or_raise),
+which widens the rows to int64 only then, so both name it alike.
 
 Leaders that no frame of symbols maps to raise (InconsistentFrame /
 NotGroundField). A corruption that turns one valid frame into another
@@ -61,9 +62,8 @@ from .cosets import Kind, coset_table
 from .errors import (BadLength, BadMagic, GdmError, InconsistentFrame, ParamMismatch,
                      UnsupportedParams, require_positive)
 from .fields import GaloisInt, SystemParams
-from .transforms import (TimeBlock, _demux, _frames, _mux, _not_ground_field, _orbit_error,
-                         demux_batch, design, in_range, mux_batch, reconstruct_batch,
-                         validate_system)
+from .transforms import (TimeBlock, _demux_or_raise, _frames, _mux, demux_batch, design,
+                         in_range, mux_batch, reconstruct_batch, validate_system)
 # unused here; kept bound because perfbench/tracer.py wraps them in this module
 from .transforms import _forward_flat, sigma_matrix  # noqa: F401
 
@@ -252,14 +252,10 @@ def decode_frames(data: bytes, params: SystemParams, kind) -> np.ndarray:
 def demux_frames(params: SystemParams, kind, leaders: np.ndarray) -> np.ndarray:
     """uint8 symbol rows (F, N) of leader arrays (F, nu, 2, m) in [0, p), as decode_frames
     returns them: demux_batch without its int64 pass, the perm gather on the leaders' own
-    dtype and one cast to G's dtype. Raises what demux_batch raises for the same frames."""
-    d = design(params, kind)
+    dtype and one cast to G's dtype. Its reject step is demux_batch's, so it raises what
+    demux_batch raises for the same frames."""
     rows = leaders.reshape(len(leaders), -1)
-    vs, bad = _demux(d, rows)
-    if bad is not None:
-        raise (_orbit_error(d, rows.astype(np.int64))      # it reads int64 rows
-               or _not_ground_field(int(bad.argmax()), params.p))
-    return vs.astype(np.uint8)
+    return _demux_or_raise(design(params, kind), rows).astype(np.uint8)
 
 
 def _parse_header(data: bytes, offset: int, expect: Optional[SystemParams],

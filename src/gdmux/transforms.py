@@ -506,6 +506,17 @@ def _not_ground_field(f: int, p: int) -> NotGroundField:
     return NotGroundField(f"frame {f}: recovered symbols are not in GF({p})", frame_index=f)
 
 
+def _demux_or_raise(d: Design, rows: np.ndarray) -> np.ndarray:
+    """v of integer leader rows (F, n) in [0, p), in G's dtype. A frame mux could not have
+    produced raises InconsistentFrame if some orbit does not close, else NotGroundField; each
+    names the first such frame."""
+    vs, bad = _demux(d, rows)
+    if bad is not None:     # _orbit_error reads int64 rows: widen only here
+        raise (_orbit_error(d, rows.astype(np.int64, copy=False))
+               or _not_ground_field(int(bad.argmax()), d.params.p))
+    return vs
+
+
 def mux_batch(params: SystemParams, kind, vs: np.ndarray) -> np.ndarray:
     """Compress symbol rows (F, N) or (N,) to leader arrays (F, nu, 2, m); symbols are taken mod p."""
     d = design(params, kind)
@@ -524,10 +535,7 @@ def demux_batch(params: SystemParams, kind, leaders: np.ndarray) -> np.ndarray:
     rows, single = _frames(leaders, (d.table.nu, 2, params.m), "leader values")
     if not in_range(rows, params.p):
         raise _orbit_error(d, rows)
-    vs, bad = _demux(d, rows)
-    if bad is not None:
-        raise _orbit_error(d, rows) or _not_ground_field(int(bad.argmax()), params.p)
-    vs = vs.astype(np.int64)
+    vs = _demux_or_raise(d, rows).astype(np.int64)
     return vs[0] if single else vs
 
 

@@ -558,7 +558,9 @@ def _mux_corpus(p, N, rng):
     corpus["CRLF and LF"] = b"".join(text([r], eol=("\r\n", "\n")[i % 2])
                                      for i, r in enumerate(many))
     corpus["CR before a blank"] = text(many[:2]) + b"\r \n" + text(many[2:])
-    bad_tokens = ["x", "1.0", str(p), "-1", "-0x1", "9" * 20, "-" + "9" * 20, "\u0663x", "\u0663"]
+    # 256, 300 and 999 wrap to 0, 44 and 231 if the hundreds are summed in uint8
+    bad_tokens = ["x", "1.0", str(p), "-1", "-0x1", "9" * 20, "-" + "9" * 20, "\u0663x", "\u0663",
+                  "256", "300", "999"]
     for tok in bad_tokens:
         lines = [list(r) for r in many]
         lines[int(rng.integers(len(lines)))][int(rng.integers(N))] = tok
@@ -627,6 +629,13 @@ def test_bulk_mux_matches_per_line_oracle(tmp_path, capsys):
                 assert got == cli_mux_oracle(params, kind, text), (p, m, N, kind, case)
                 outcomes.add(_outcome(got))
     assert outcomes == {"ok", "line"}
+
+
+def test_byte_parse_reads_every_value_of_up_to_3_digits():
+    # the hundreds are summed in uint16 whatever NumPy's promotion rules, so 256 is not read as 0
+    text = "".join(f"{v} {v:03d}\n" for v in range(1000)).encode()
+    assert cli._byte_rows(text, 1000, 2).tolist() == [[v, v] for v in range(1000)]
+    assert cli._byte_rows(text, 999, 2) is None
 
 
 # the characters of the text fuzz: digits, blanks the byte path reads and ones it leaves to the
