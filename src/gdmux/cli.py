@@ -3,10 +3,15 @@
 Subcommands: design, cosets, carriers, mux, demux, crosstalk, psd,
 selftest. Exit codes: 0 success, 1 usage/parameter error or a file that
 cannot be read or written, 2 data error (including input text that is
-not UTF-8), 3 selftest failure. argv after the command is parsed by
-that command's parser from build_parser(); the whole parser runs only
-for an argv that is not a command with its own arguments, and its
-errors and help are the same bytes either way.
+not UTF-8), 3 selftest failure. A plain argv, `command (flag value)*`
+with each flag an exact option string of one of that command's
+one-value flags, given once, and each value "-" or a token that does
+not start with "-" and passes the flag's type and choices, is read off
+that command's parser from build_parser() with no argparse parse. Any
+other argv after the command is parsed by that command's parser, and
+the whole parser runs only for an argv that is not a command with its
+own arguments. argparse writes every usage error and the help, the same
+bytes either way.
 
 mux and demux move a whole file through one array. mux parses the text
 on bytes: one table classes every byte as a digit, a blank (space, tab,
@@ -461,17 +466,56 @@ def _subparsers() -> dict[str, argparse.ArgumentParser]:
     return next(a.choices for a in _parser()._actions if a.dest == "command")
 
 
+def _plain(sub: argparse.ArgumentParser, pairs: list[str]):
+    """sub.parse_known_args(pairs) when pairs is `(flag value)*`, read off sub's actions.
+
+    Each flag is an exact option string of a single-value store action of
+    sub and appears once; each value is "-" or does not start with "-",
+    and passes the action's type and choices. Every required action is
+    there, and the others get their defaults as argparse gives them. Any
+    other pairs give None, and argparse parses them.
+    """
+    if len(pairs) % 2 or sub._mutually_exclusive_groups:
+        return None
+    args = argparse.Namespace(**sub._defaults)
+    for a in sub._actions:
+        if a.default is not argparse.SUPPRESS and not hasattr(args, a.dest):
+            setattr(args, a.dest, a.default)
+    seen = set()
+    try:
+        for flag, text in zip(pairs[::2], pairs[1::2]):
+            a = sub._option_string_actions.get(flag)
+            if (type(a) is not argparse._StoreAction or a.nargs is not None or a in seen
+                    or text.startswith("-") and text != "-"):
+                return None
+            seen.add(a)
+            value = sub._get_value(a, text)
+            sub._check_value(a, value)
+            setattr(args, a.dest, value)
+        for a in sub._actions:
+            if a in seen:
+                continue
+            if a.required:
+                return None
+            if isinstance(a.default, str) and getattr(args, a.dest, None) is a.default:
+                setattr(args, a.dest, sub._get_value(a, a.default))
+    except argparse.ArgumentError:  # a type or choice that refuses: argparse writes the error
+        return None
+    return args, []
+
+
 def _parse(argv: list[str]) -> argparse.Namespace:
     """_parser().parse_args(argv), with argv[1:] parsed by argv[0]'s own parser.
 
-    The top-level parser hands all of argv[1:] to that parser, so each of
-    its errors and its help are the same bytes either way. The top-level
-    parser runs only when argv[0] is no command or arguments are left
-    over, and then writes its own error.
+    A plain argv[1:] is read straight off that parser's actions (_plain);
+    any other is handed whole to its parse_known_args, as the top-level
+    parser would, so each error and the help are the same bytes either
+    way. The top-level parser runs only when argv[0] is no command or
+    arguments are left over, and then writes its own error.
     """
     sub = _subparsers().get(argv[0]) if argv else None
     if sub is not None:
-        args, extras = sub.parse_known_args(argv[1:])
+        args, extras = _plain(sub, argv[1:]) or sub.parse_known_args(argv[1:])
         if not extras:
             args.command = argv[0]
             return args

@@ -8,7 +8,9 @@ the absence of channel errors there is no cross-talk between users.
 The batch maps mux_batch, demux_batch and reconstruct_batch are the
 leader-space core of transforms, re-exported here with its budget check
 validate_system; this module adds the frame objects, the metrics, the
-wire codec and the cross-talk probe.
+wire codec and the cross-talk probe. SAMPLE_BUDGET bounds each draw of
+random frames, here and in statsim, and is checked before anything is
+drawn.
 
 Efficiency metrics are kept as exact rationals: the bandwidth compactness
 factor gamma_cc = N/nu, channel gain 100(1 - 1/gamma_cc) percent,
@@ -59,8 +61,8 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .cosets import Kind, coset_table
-from .errors import (BadLength, BadMagic, GdmError, InconsistentFrame, ParamMismatch,
-                     UnsupportedParams, require_positive)
+from .errors import (BadLength, BadMagic, GdmError, InconsistentFrame, InvalidParams,
+                     ParamMismatch, UnsupportedParams, require_positive)
 from .fields import GaloisInt, SystemParams
 from .transforms import (TimeBlock, _demux_or_raise, _frames, _mux, demux_batch, design,
                          in_range, mux_batch, reconstruct_batch, validate_system)
@@ -374,6 +376,18 @@ def iter_frames(data: bytes, expect: Optional[SystemParams] = None,
 # cross-talk probe
 # ---------------------------------------------------------------------------
 
+# most symbols (frames * N) one draw of random frames may hold; `gdmux psd`'s
+# largest default draw, 100000 ACF frames at N = 250, fits
+SAMPLE_BUDGET = 1 << 25
+
+
+def _check_samples(params: SystemParams, frames: int) -> None:
+    """Refuse, before anything is drawn, frames * N symbols over SAMPLE_BUDGET."""
+    if frames * params.N > SAMPLE_BUDGET:
+        raise InvalidParams(f"{frames} frames of {params.N} symbols exceed the sample "
+                            f"budget of {SAMPLE_BUDGET} symbols per draw")
+
+
 def crosstalk_probe(params: SystemParams, active_user: int, trials: int,
                     kind=Kind.HARTLEY, seed: int = 0) -> CrosstalkReport:
     """Drive one user with random symbols, all others silent, and demux.
@@ -385,6 +399,7 @@ def crosstalk_probe(params: SystemParams, active_user: int, trials: int,
     if not 0 <= active_user < params.N:
         raise ValueError(f"active_user {active_user} outside [0, {params.N})")
     require_positive("trials", trials)
+    _check_samples(params, trials)
     rng = np.random.default_rng(seed)
     vs = np.zeros((trials, params.N), dtype=np.int64)
     vs[:, active_user] = rng.integers(0, params.p, size=trials)

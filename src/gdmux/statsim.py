@@ -44,21 +44,11 @@ import numpy as np
 from .cosets import Kind, coset_table
 from .errors import ExtensionNotEmbeddable, InvalidParams, require_positive
 from .fields import SystemParams, centered
-from .pipeline import mux_batch, validate_system
+from .pipeline import _check_samples, mux_batch, validate_system
+# the budget its draws are checked against, also read as statsim.SAMPLE_BUDGET
+from .pipeline import SAMPLE_BUDGET  # noqa: F401
 from .transforms import forward_batch
 from .trig import rationalize
-
-
-# most symbols (frames * N) one draw of random frames may hold; `gdmux psd`'s
-# largest default draw, 100000 ACF frames at N = 250, fits
-SAMPLE_BUDGET = 1 << 25
-
-
-def _check_samples(params: SystemParams, frames: int) -> None:
-    """Refuse, before anything is drawn, frames * N symbols over SAMPLE_BUDGET."""
-    if frames * params.N > SAMPLE_BUDGET:
-        raise InvalidParams(f"{frames} frames of {params.N} symbols exceed the sample "
-                            f"budget of {SAMPLE_BUDGET} symbols per draw")
 
 
 def _resolve_embedding(params: SystemParams, embedding: str) -> str:

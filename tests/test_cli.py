@@ -189,6 +189,22 @@ def test_psd_over_the_sample_budget_exits_1_before_sampling(capsys, monkeypatch)
                    f"{statsim.SAMPLE_BUDGET} symbols per draw\n")
 
 
+@pytest.mark.parametrize("user", [["--user", "1"], []], ids=["one-user", "each-user"])
+def test_crosstalk_over_the_sample_budget_exits_1_before_sampling(capsys, user):
+    # one draw of 100000000 frames of 4 int64 symbols would be 3.2 GB
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "crosstalk", "-p", "5", "-N", "4", *user,
+                             "--frames", "100000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert err == (f"error: 100000000 frames of 4 symbols exceed the sample budget of "
+                   f"{statsim.SAMPLE_BUDGET} symbols per draw\n")
+    assert peak < 1 << 20
+
+
 def test_psd_command(tmp_path, capsys):
     csv = tmp_path / "psd.csv"
     acf = tmp_path / "acf.csv"
@@ -459,18 +475,67 @@ def test_main_calls_share_no_parser_state(monkeypatch):
     assert "user" not in seen[4] and "infile" not in seen[2]
 
 
-# argv drawn from every command, its flags, values and junk: a command's
-# parser takes most, the whole parser the rest ("--", extras, no command)
+@pytest.mark.parametrize("argv", [
+    ["design", "-p", "5", "-N", "4"],
+    ["design", "-N", "26", "-p", "3", "-m", "3", "--kind", "fourier", "--poly", "1,2,0,1",
+     "--snr-db", "25"],
+    ["cosets", "-p", "3", "-N", "26"], ["cosets", "-N", "26", "--kind", "fourier", "-p", "3"],
+    ["carriers", "-p", "5", "-N", "4"], ["carriers", "-p", "5", "-m", "1", "-N", "4", "--kind", "fourier"],
+    ["mux", "-p", "3", "-m", "3", "-N", "26"],
+    ["mux", "--in", "in.txt", "-p", "3", "-m", "3", "-N", "26", "--out", "-", "--kind", "hartley"],
+    ["demux", "-p", "3", "-m", "3", "-N", "26"],
+    ["demux", "-p", "7", "-m", "2", "-N", "48", "--kind", "fourier", "--in", "-", "--out", "out.txt"],
+    ["crosstalk", "-p", "5", "-N", "4"],
+    ["crosstalk", "-p", "5", "-N", "4", "--user", "2", "--frames", "64", "--seed", "7"],
+    ["psd", "-p", "5", "-N", "4"],
+    ["psd", "-p", "5", "-N", "4", "--frames", "4096", "--realizations", "16", "--nfft", "256",
+     "--seed", "1", "--out", "psd.csv", "--acf-out", "acf.csv"],
+    ["selftest"],
+])
+def test_plain_argv_never_reaches_argparse(monkeypatch, argv):
+    # `command (flag value)*` is read off the command's parser without parsing
+    want = vars(cli._parser().parse_args(argv))
+    def parsed(*args, **kwargs):
+        raise AssertionError(f"argparse parsed {argv}")
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", parsed)
+    assert vars(cli._parse(argv)) == want
+
+
+# argv drawn from every command, its flags, values and junk: plain
+# `command (flag value)*` is read off the command's parser, the rest goes
+# to its parse_known_args, and the whole parser takes "--", extras and no
+# command. The second kind of draw is `command (flag value)*` alone, to
+# reach the plain path's edges: repeated flags, flags of other commands
+# (--user on mux), values that int() reads ("007", " 5", "1_0", an
+# Arabic-Indic 3) and values that start with "-" or are no flag's type
 _ARGV_HEADS = sorted(cli._COMMANDS) + ["bogus", "mu", "-h", "--he", "--", ""]
-_ARGV_TOKENS = ["-p", "-m", "-N", "--poly", "--kind", "--in", "--out", "--user", "--frames",
-                "--seed", "--realizations", "--nfft", "--acf-out", "--snr-db", "--snr", "--fr",
-                "--us", "-h", "--help", "--he", "--", "-", "5", "4", "3", "26", "-1", "x",
-                "fourier", "hartley", "1,0,1", "-1e1", "-inf", "extra", "--bogus", "-p5",
-                "--kind=fourier", "mux"]
-_ARGVS = st.builds(lambda head, flags, tail: head + flags + tail,
-                   st.lists(st.sampled_from(_ARGV_HEADS), max_size=1),
-                   st.sampled_from([[], ["-p", "5", "-N", "4"], ["-p", "3", "-m", "3", "-N", "26"]]),
-                   st.lists(st.sampled_from(_ARGV_TOKENS), max_size=8))
+_ARGV_FLAGS = ["-p", "-m", "-N", "--poly", "--kind", "--in", "--out", "--user", "--frames",
+               "--seed", "--realizations", "--nfft", "--acf-out", "--snr-db", "--snr", "--fr",
+               "--us", "-h", "--help", "--he", "--", "--bogus", "-p5", "--kind=fourier", "--in=-"]
+_ARGV_VALUES = ["-", "5", "4", "3", "26", "-1", "x", "fourier", "hartley", "1,0,1", "-1e1", "-inf",
+                "extra", "mux", "007", "", " 5", "1_0", "\u0663", "a=b", "x.txt"]
+_ARGV_REQUIRED = st.sampled_from([[], ["-p", "5", "-N", "4"], ["-p", "3", "-m", "3", "-N", "26"]])
+
+
+def _argv_pairs(*kinds, max_size):
+    """Lists of flag-value pairs, each flag and value drawn from one of kinds."""
+    pair = st.one_of(*(st.tuples(st.sampled_from(flags), st.sampled_from(values))
+                       for flags, values in kinds))
+    return st.lists(pair.map(list), max_size=max_size).map(lambda pairs: sum(pairs, []))
+
+
+_ARGVS = st.one_of(
+    st.builds(lambda head, required, pairs, tail: head + required + pairs + tail,
+              st.lists(st.sampled_from(_ARGV_HEADS), max_size=1), _ARGV_REQUIRED,
+              _argv_pairs((_ARGV_FLAGS, _ARGV_VALUES), max_size=4),
+              st.lists(st.sampled_from(_ARGV_FLAGS + _ARGV_VALUES), max_size=8)),
+    st.builds(lambda head, required, pairs: [head] + required + pairs,
+              st.sampled_from(sorted(cli._COMMANDS)),
+              st.sampled_from([["-p", "5", "-N", "4"], ["-N", "26", "-p", "3"]]),
+              _argv_pairs((["-m", "--frames", "--seed", "--user", "-p"],
+                           ["3", "007", " 5", "1_0", "\u0663", "-1"]),
+                          (["--kind", "--in", "--out", "--in=-", "-h"],
+                           ["-", "x.txt", "a=b", "", "hartley", "fourier", "-x"]), max_size=3)))
 
 
 def _parse_outcome(parse, argv):
@@ -498,6 +563,39 @@ def _parse_in_main(argv):
 def test_main_parses_argv_as_the_whole_parser_does(argv):
     assert _parse_outcome(_parse_in_main, argv) == _parse_outcome(
         cli._parser().parse_args, cli._joined_snr_db(argv))
+
+
+def _toy_parser():
+    ap = argparse.ArgumentParser(prog="toy")
+    ap.add_argument("--n", type=int, default="7")   # a str default, which argparse converts
+    ap.add_argument("--tag", choices=["a", "b"], required=True)
+    ap.add_argument("--flag", action="store_true")
+    ap.add_argument("--many", action="append")
+    ap.add_argument("--two", nargs=2)
+    ap.add_argument("--name")
+    ap.set_defaults(extra=1)
+    return ap
+
+
+@pytest.mark.parametrize("pairs,plain", [
+    (["--tag", "a"], True), (["--n", "3", "--tag", "b"], True), (["--tag", "-"], False),
+    (["--tag", "c"], False), (["--n", "x", "--tag", "a"], False), ([], False),
+    (["--tag", "a", "--flag", "1"], False), (["--tag", "a", "--many", "x"], False),
+    (["--tag", "a", "--two", "x"], False), (["--tag", "a", "--tag", "b"], False),
+    (["--tag", "a", "--name", "-x"], False), (["--tag", "a", "--name", "x=-"], True),
+    (["--ta", "a"], False), (["--tag=a"], False),
+    (["--tag", "a", "-h", "x"], False),
+], ids=lambda x: x if isinstance(x, bool) else " ".join(x))
+def test_plain_reads_what_parse_known_args_reads(pairs, plain):
+    # the rules on a parser with what gdmux's has not: a str default with a
+    # type, flags with no value, an append and a 2-value flag, set_defaults
+    ap = _toy_parser()
+    got = cli._plain(ap, pairs)
+    assert (got is not None) == plain
+    if plain:
+        assert got == ap.parse_known_args(pairs)
+    ap.add_mutually_exclusive_group()
+    assert cli._plain(ap, ["--tag", "a"]) is None
 
 
 def test_params_create_searches_the_root_once():

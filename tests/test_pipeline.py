@@ -835,3 +835,16 @@ def test_crosstalk_without_trials_is_refused_before_sampling(p514, monkeypatch, 
 def test_crosstalk_invalid_user(p514):
     with pytest.raises(ValueError):
         crosstalk_probe(p514, 7, 10)
+
+
+def test_crosstalk_over_the_sample_budget_is_refused_before_sampling(p514, monkeypatch):
+    def sampled(*args, **kw):
+        raise AssertionError("samples drawn over the budget")
+    monkeypatch.setattr(pipeline.np.random, "default_rng", sampled)
+    over = pipeline.SAMPLE_BUDGET // 4 + 1
+    with pytest.raises(InvalidParams, match=rf"^{over} frames of 4 symbols exceed the sample "):
+        crosstalk_probe(p514, 1, over)
+    with pytest.raises(ValueError, match="outside"):    # the user is checked first
+        crosstalk_probe(p514, 7, over)
+    with pytest.raises(AssertionError, match="drawn"):  # the budget itself is drawn
+        crosstalk_probe(p514, 1, over - 1)
