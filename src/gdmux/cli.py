@@ -477,10 +477,13 @@ def _plain(sub: argparse.ArgumentParser, pairs: list[str]):
     """
     if len(pairs) % 2 or sub._mutually_exclusive_groups:
         return None
-    args = argparse.Namespace(**sub._defaults)
+    args = argparse.Namespace()
     for a in sub._actions:
         if a.default is not argparse.SUPPRESS and not hasattr(args, a.dest):
             setattr(args, a.dest, a.default)
+    for dest, value in sub._defaults.items():   # set_defaults, after the actions' own
+        if not hasattr(args, dest):
+            setattr(args, dest, value)
     seen = set()
     try:
         for flag, text in zip(pairs[::2], pairs[1::2]):

@@ -567,13 +567,13 @@ def test_main_parses_argv_as_the_whole_parser_does(argv):
 
 def _toy_parser():
     ap = argparse.ArgumentParser(prog="toy")
+    ap.set_defaults(extra=1, name="set")    # --name keeps its own default None
     ap.add_argument("--n", type=int, default="7")   # a str default, which argparse converts
     ap.add_argument("--tag", choices=["a", "b"], required=True)
     ap.add_argument("--flag", action="store_true")
     ap.add_argument("--many", action="append")
     ap.add_argument("--two", nargs=2)
-    ap.add_argument("--name")
-    ap.set_defaults(extra=1)
+    ap.add_argument("--name", default=None)
     return ap
 
 
@@ -594,6 +594,10 @@ def test_plain_reads_what_parse_known_args_reads(pairs, plain):
     assert (got is not None) == plain
     if plain:
         assert got == ap.parse_known_args(pairs)
+
+
+def test_plain_leaves_a_parser_with_exclusive_flags_to_argparse():
+    ap = _toy_parser()
     ap.add_mutually_exclusive_group()
     assert cli._plain(ap, ["--tag", "a"]) is None
 
