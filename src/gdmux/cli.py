@@ -7,11 +7,9 @@ not UTF-8), 3 selftest failure. A plain argv, `command (flag value)*`
 with each flag an exact option string of one of that command's
 one-value flags, given once, and each value "-" or a token that does
 not start with "-" and passes the flag's type and choices, is read off
-that command's parser from build_parser() with no argparse parse. Any
-other argv after the command is parsed by that command's parser, and
-the whole parser runs only for an argv that is not a command with its
-own arguments. argparse writes every usage error and the help, the same
-bytes either way.
+that command's parser from build_parser() with no argparse parse. The
+whole parser parses every other argv and writes every usage error and
+the help.
 
 mux and demux move a whole file through one array. mux parses the text
 on bytes: one table classes every byte as a digit, a blank (space, tab,
@@ -20,11 +18,10 @@ meets another byte, and its value is read off its last 3 digits, its
 line off the breaks before it. Text of those bytes alone, with
 tokens of at most 3 digits, N on every non-blank line and each below p,
 becomes an (F, N) symbol array there. Any other text, and every refusal,
-takes the str path: decode, splitlines, int() of each token, and, when
-that refuses too, a re-read line by line that reports the first bad line
-as "line N: ...". So both paths accept the same texts with the same
-rows, and each error reads as before. One pipeline.mux_frames muxes the
-array into the frame buffer. demux reads the frames with one
+takes the str path: decode, then one pass line by line that reads each
+token by int() and stops at the first bad line with "line N: ...". Both
+paths accept the same texts with the same rows. One pipeline.mux_frames
+muxes the array into the frame buffer. demux reads the frames with one
 pipeline.decode_frames, which names the first bad frame ("frame N:
 ..."), and demuxes its uint8 leaders with one pipeline.demux_frames.
 
@@ -287,40 +284,39 @@ def _byte_rows(data: bytes, p: int, N: int) -> Optional[np.ndarray]:
     return value.reshape(-1, N)
 
 
-def _symbol_rows(params: SystemParams, lines: list[str]):
-    """(F, N) symbols of the non-blank lines, or None if some line is not N integers in [0, p)."""
-    rows = [toks for toks in map(str.split, lines) if toks]
-    if any(len(toks) != params.N for toks in rows):
-        return None
-    try:
-        vs = np.array(rows, dtype=np.int64).reshape(len(rows), params.N)
-    except (ValueError, OverflowError):   # numpy parses tokens as int() does, up to int64
-        return None
-    return vs if ((vs >= 0) & (vs < params.p)).all() else None
+def _text_rows(params: SystemParams, kind, text: str) -> np.ndarray | str:
+    """(F, N) int64 symbols of the non-blank lines of text, or the message "line N: ..."
+    of the first line that is not N integers in [0, p).
 
-
-def _first_bad_line(params: SystemParams, kind, lines: list[str]) -> str:
-    """The error message of the first line that is not N integers in [0, p)."""
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
+    Each token is read by int(), and TimeBlock words a refusal. The design
+    is validated at the first good line, so an over-budget design is
+    refused there, and a bad line before it is named instead.
+    """
+    flat = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        toks = line.split()
+        if not toks:
             continue
         try:
-            TimeBlock(params, tuple(int(tok) for tok in line.split()))
-        except (ValueError, GdmError) as exc:
+            row = list(map(int, toks))
+            if len(row) != params.N or min(row) < 0 or max(row) >= params.p:
+                TimeBlock(params, tuple(row))
+        except ValueError as exc:
             return f"line {lineno}: {exc}"
-        pipeline.validate_system(params, kind)   # over budget: refused at the first good line
-    raise AssertionError("every line parses, yet the bulk parse refused the text")
+        if not flat:
+            pipeline.validate_system(params, kind)
+        flat += row
+    return np.array(flat, dtype=np.int64).reshape(-1, params.N)
 
 
 def cmd_mux(args) -> int:
     params = _params(args)
     data = _read_bytes(args.infile)
     vs = _byte_rows(data, params.p, params.N)
-    if vs is None:      # not plain text, or refused: read again as str, line by line
-        lines = data.decode().splitlines()
-        vs = _symbol_rows(params, lines)
-        if vs is None:
-            print(_first_bad_line(params, args.kind, lines), file=sys.stderr)
+    if vs is None:      # not plain text, or refused: read as str, line by line
+        vs = _text_rows(params, args.kind, data.decode())
+        if isinstance(vs, str):
+            print(vs, file=sys.stderr)
             return EXIT_DATA
     _write_bytes(args.outfile, pipeline.mux_frames(params, args.kind, vs) if len(vs) else b"")
     return EXIT_OK
@@ -466,8 +462,8 @@ def _subparsers() -> dict[str, argparse.ArgumentParser]:
     return next(a.choices for a in _parser()._actions if a.dest == "command")
 
 
-def _plain(sub: argparse.ArgumentParser, pairs: list[str]):
-    """sub.parse_known_args(pairs) when pairs is `(flag value)*`, read off sub's actions.
+def _plain(sub: argparse.ArgumentParser, pairs: list[str]) -> Optional[argparse.Namespace]:
+    """sub.parse_args(pairs) when pairs is `(flag value)*`, read off sub's actions.
 
     Each flag is an exact option string of a single-value store action of
     sub and appears once; each value is "-" or does not start with "-",
@@ -504,25 +500,22 @@ def _plain(sub: argparse.ArgumentParser, pairs: list[str]):
                 setattr(args, a.dest, sub._get_value(a, a.default))
     except argparse.ArgumentError:  # a type or choice that refuses: argparse writes the error
         return None
-    return args, []
+    return args
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """_parser().parse_args(argv), with argv[1:] parsed by argv[0]'s own parser.
+    """_parser().parse_args(argv), with a plain argv[1:] read off argv[0]'s own parser.
 
     A plain argv[1:] is read straight off that parser's actions (_plain);
-    any other is handed whole to its parse_known_args, as the top-level
-    parser would, so each error and the help are the same bytes either
-    way. The top-level parser runs only when argv[0] is no command or
-    arguments are left over, and then writes its own error.
+    any other argv goes to the whole parser, which writes each error and
+    the help.
     """
     sub = _subparsers().get(argv[0]) if argv else None
-    if sub is not None:
-        args, extras = _plain(sub, argv[1:]) or sub.parse_known_args(argv[1:])
-        if not extras:
-            args.command = argv[0]
-            return args
-    return _parser().parse_args(argv)
+    args = _plain(sub, argv[1:]) if sub is not None else None
+    if args is None:
+        return _parser().parse_args(argv)
+    args.command = argv[0]
+    return args
 
 
 def _joined_snr_db(argv: list[str]) -> list[str]:

@@ -45,8 +45,6 @@ from .cosets import Kind, coset_table
 from .errors import ExtensionNotEmbeddable, InvalidParams, require_positive
 from .fields import SystemParams, centered
 from .pipeline import _check_samples, mux_batch, validate_system
-# the budget its draws are checked against, also read as statsim.SAMPLE_BUDGET
-from .pipeline import SAMPLE_BUDGET  # noqa: F401
 from .transforms import forward_batch
 from .trig import rationalize
 

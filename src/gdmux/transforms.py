@@ -484,9 +484,9 @@ def _expand(d: Design, L: np.ndarray) -> np.ndarray:
 
 
 def _orbit_error(d: Design, rows: np.ndarray) -> Optional[InconsistentFrame]:
-    """The closure check of int64 leader rows (F, n): InconsistentFrame at the first coset, then
-    frame, where sigma^len(orbit) @ leader != leader, or None. Walked values lie in [0, p), so a
-    leader with an entry outside [0, p) never closes."""
+    """The closure check of int64 leader rows (F, n): InconsistentFrame at the first frame, then
+    its first coset, where sigma^len(orbit) @ leader != leader, or None. Walked values lie in
+    [0, p), so a leader with an entry outside [0, p) never closes."""
     nu, w, p = d.table.nu, 2 * d.params.m, d.params.p
     lead = rows.reshape(len(rows), nu, w).transpose(1, 0, 2)            # (nu, F, 2m)
     # walk[N + c] is step len(orbit_c) in coset c's block of L + 1 steps
@@ -495,7 +495,7 @@ def _orbit_error(d: Design, rows: np.ndarray) -> Optional[InconsistentFrame]:
     bad = (ends != lead).any(axis=2)                                    # (nu, F)
     if not bad.any():
         return None
-    c, f = np.argwhere(bad)[0]
+    f, c = np.argwhere(bad.T)[0]
     return InconsistentFrame(
         f"frame {f}: orbit of leader {d.table.leaders[c]} does not close on its value",
         frame_index=int(f))

@@ -349,8 +349,8 @@ def reconstruct_walk(params: SystemParams, kind, leaders) -> np.ndarray:
 
     Sets V[orbit[t]] = sigma^t @ leader along each orbit, with sigma from
     the object-based sigma_matrix, and raises InconsistentFrame at the
-    first coset whose orbit does not come back to its leader, naming the
-    first frame where it does not.
+    first frame where some orbit does not come back to its leader, naming
+    the first such coset of that frame.
     """
     kind = Kind(kind)
     leaders = np.asarray(leaders, dtype=np.int64)
@@ -360,15 +360,17 @@ def reconstruct_walk(params: SystemParams, kind, leaders) -> np.ndarray:
     F, N, m, p = leaders.shape[0], params.N, params.m, params.p
     out = np.zeros((F, N, 2, m), dtype=np.int64)
     table = coset_table(N, p, kind)
+    open_orbits = [[] for _ in range(F)]   # per frame, the leaders of orbits that do not close
     for c, (orbit, sigma_t) in enumerate(orbit_maps(table, sigma_matrix(params, kind), p)):
         lead = leaders[:, c].reshape(F, 2 * m)
         for t, idx in enumerate(orbit):
             out[:, idx] = ((lead @ sigma_t[t].T) % p).reshape(F, 2, m)
-        bad = (((lead @ sigma_t[len(orbit)].T) % p) != lead).any(axis=1)
-        if bad.any():
-            f = int(np.argwhere(bad)[0][0])
+        for f in np.flatnonzero((((lead @ sigma_t[len(orbit)].T) % p) != lead).any(axis=1)):
+            open_orbits[f].append(orbit[0])
+    for f, leaders_of_f in enumerate(open_orbits):
+        if leaders_of_f:
             raise InconsistentFrame(
-                f"frame {f}: orbit of leader {orbit[0]} does not close on its value",
+                f"frame {f}: orbit of leader {leaders_of_f[0]} does not close on its value",
                 frame_index=f)
     return out[0] if single else out
 

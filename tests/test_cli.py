@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import io
+import math
 import os
 import subprocess
 import sys
@@ -9,10 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import gdmux
-from gdmux import UnsupportedParams, cli, fields, statsim, transforms, trig
+from gdmux import (InconsistentFrame, UnsupportedParams, cli, fields, pipeline, statsim, transforms,
+                   trig)
+from gdmux.cosets import coset_table
 from gdmux.cli import main
 from gdmux.fields import MAX_FIELD_SIZE, MAX_PRIME, SystemParams, find_root_of_unity
 from gdmux.pipeline import encode_frames, frame_header, mux_batch
@@ -186,7 +189,7 @@ def test_psd_over_the_sample_budget_exits_1_before_sampling(capsys, monkeypatch)
                          "--realizations", "1")
     assert (code, out) == (1, "")
     assert err == (f"error: 100000000 frames of 4 symbols exceed the sample budget of "
-                   f"{statsim.SAMPLE_BUDGET} symbols per draw\n")
+                   f"{pipeline.SAMPLE_BUDGET} symbols per draw\n")
 
 
 @pytest.mark.parametrize("user", [["--user", "1"], []], ids=["one-user", "each-user"])
@@ -201,7 +204,7 @@ def test_crosstalk_over_the_sample_budget_exits_1_before_sampling(capsys, user):
         tracemalloc.stop()
     assert (code, out) == (1, "")
     assert err == (f"error: 100000000 frames of 4 symbols exceed the sample budget of "
-                   f"{statsim.SAMPLE_BUDGET} symbols per draw\n")
+                   f"{pipeline.SAMPLE_BUDGET} symbols per draw\n")
     assert peak < 1 << 20
 
 
@@ -502,18 +505,20 @@ def test_plain_argv_never_reaches_argparse(monkeypatch, argv):
 
 
 # argv drawn from every command, its flags, values and junk: plain
-# `command (flag value)*` is read off the command's parser, the rest goes
-# to its parse_known_args, and the whole parser takes "--", extras and no
-# command. The second kind of draw is `command (flag value)*` alone, to
-# reach the plain path's edges: repeated flags, flags of other commands
-# (--user on mux), values that int() reads ("007", " 5", "1_0", an
-# Arabic-Indic 3) and values that start with "-" or are no flag's type
+# `command (flag value)*` is read off the command's parser, and the whole
+# parser takes the rest, such as "--", extras and no command. --snr-db
+# reads nan and -nan as NaN, which both sides give as _NAN. The second
+# kind of draw is `command (flag value)*` alone, to reach the plain path's
+# edges: repeated flags, flags of other commands (--user on mux), values
+# that int() reads ("007", " 5", "1_0", an Arabic-Indic 3) and values
+# that start with "-" or are no flag's type
 _ARGV_HEADS = sorted(cli._COMMANDS) + ["bogus", "mu", "-h", "--he", "--", ""]
 _ARGV_FLAGS = ["-p", "-m", "-N", "--poly", "--kind", "--in", "--out", "--user", "--frames",
                "--seed", "--realizations", "--nfft", "--acf-out", "--snr-db", "--snr", "--fr",
                "--us", "-h", "--help", "--he", "--", "--bogus", "-p5", "--kind=fourier", "--in=-"]
 _ARGV_VALUES = ["-", "5", "4", "3", "26", "-1", "x", "fourier", "hartley", "1,0,1", "-1e1", "-inf",
-                "extra", "mux", "007", "", " 5", "1_0", "\u0663", "a=b", "x.txt"]
+                "inf", "nan", "-nan", "extra", "mux", "007", "", " 5", "1_0", "\u0663", "a=b",
+                "x.txt"]
 _ARGV_REQUIRED = st.sampled_from([[], ["-p", "5", "-N", "4"], ["-p", "3", "-m", "3", "-N", "26"]])
 
 
@@ -538,12 +543,16 @@ _ARGVS = st.one_of(
                            ["-", "x.txt", "a=b", "", "hartley", "fourier", "-x"]), max_size=3)))
 
 
+_NAN = object()     # stands for a parsed NaN, which == never finds equal to itself
+
+
 def _parse_outcome(parse, argv):
-    """(the parsed vars or the exit code, stdout, stderr) of parse(argv)."""
+    """(the parsed vars or the exit code, stdout, stderr) of parse(argv), each NaN as _NAN."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            result = vars(parse(argv))
+            result = {dest: _NAN if isinstance(value, float) and math.isnan(value) else value
+                      for dest, value in vars(parse(argv)).items()}
         except SystemExit as exc:
             result = exc.code
     return result, out.getvalue(), err.getvalue()
@@ -560,6 +569,8 @@ def _parse_in_main(argv):
 
 @settings(max_examples=400, deadline=None)
 @given(_ARGVS)
+@example(["design", "-p", "5", "-N", "4", "--snr-db", "nan"])
+@example(["design", "-p", "5", "-N", "4", "--snr-db", "-nan", "--kind", "fourier"])
 def test_main_parses_argv_as_the_whole_parser_does(argv):
     assert _parse_outcome(_parse_in_main, argv) == _parse_outcome(
         cli._parser().parse_args, cli._joined_snr_db(argv))
@@ -593,7 +604,7 @@ def test_plain_reads_what_parse_known_args_reads(pairs, plain):
     got = cli._plain(ap, pairs)
     assert (got is not None) == plain
     if plain:
-        assert got == ap.parse_known_args(pairs)
+        assert (got, []) == ap.parse_known_args(pairs)
 
 
 def test_plain_leaves_a_parser_with_exclusive_flags_to_argparse():
@@ -785,23 +796,27 @@ def test_mux_of_fuzzed_text_matches_per_line_oracle(tmp_path, capsys, case):
 
 
 def test_mux_of_a_large_file_peaks_below_14_times_its_size(tmp_path, capsys):
-    # the str path read 14.4 times the size of a 20k-frame (3, 3, 26) file
+    # a 20k-frame (3, 3, 26) file: plain text read 14.4 times its size on
+    # the old str path, and 4-digit tokens, which take the str path, 17.3
     params = make(3, 3, 26)
     vs = np.random.default_rng(43).integers(0, 3, size=(20_000, 26))
-    text = ("\n".join(" ".join(map(str, row)) for row in vs.tolist()) + "\n").encode()
-    first_line = text[:text.index(b"\n") + 1]
+    frames = encode_frames(params, "hartley", mux_batch(params, "hartley", vs))
+    first_line = b"0 " * 26 + b"\n"
     assert _cli_file(tmp_path, capsys, "mux", params, "hartley", first_line)[0] == 0   # warm design
     src, dst = tmp_path / "big.txt", tmp_path / "big.bin"
-    src.write_bytes(text)
-    tracemalloc.start()
-    try:
-        code = main(["mux", "-p", "3", "-m", "3", "-N", "26", "--in", str(src), "--out", str(dst)])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert code == 0
-    assert dst.read_bytes() == encode_frames(params, "hartley", mux_batch(params, "hartley", vs))
-    assert peak <= 14 * len(text)
+    for token in ("{}", "{:04d}"):
+        text = ("\n".join(" ".join(map(token.format, row)) for row in vs.tolist()) + "\n").encode()
+        src.write_bytes(text)
+        tracemalloc.start()
+        try:
+            code = main(["mux", "-p", "3", "-m", "3", "-N", "26", "--in", str(src),
+                         "--out", str(dst)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert dst.read_bytes() == frames
+        assert peak <= 14 * len(text), token
 
 
 def test_bulk_mux_refuses_an_over_budget_design_as_per_line(tmp_path, capsys, monkeypatch):
@@ -836,6 +851,27 @@ def test_demux_refuses_an_over_budget_design_as_mux_and_crosstalk_do(tmp_path, c
     code, out, err = _cli_file(tmp_path, capsys, "demux", params, "hartley", bad)
     assert (code, out) == (2, None)
     assert err.startswith("frame 1: ")
+
+
+def test_demux_names_the_first_frame_whose_orbit_does_not_close(tmp_path, capsys):
+    # frame 2 breaks at coset 13 and frame 5 at coset 0: the closure check
+    # scanned cosets first and named frame 5
+    params = make(3, 3, 26)
+    leaders = mux_batch(params, "hartley", np.random.default_rng(5).integers(0, 3, size=(6, 26)))
+    coset = list(coset_table(26, 3, "hartley").leaders).index
+    for f, leader in ((2, 13), (5, 0)):
+        leaders[f, coset(leader), 1, 0] = (leaders[f, coset(leader), 1, 0] + 1) % 3
+    message = "frame 2: orbit of leader 13 does not close on its value"
+    frames = encode_frames(params, "hartley", leaders)
+    for call in (lambda: pipeline.demux_batch(params, "hartley", leaders),
+                 lambda: pipeline.reconstruct_batch(params, "hartley", leaders),
+                 lambda: pipeline.demux_frames(params, "hartley",
+                                               pipeline.decode_frames(frames, params, "hartley"))):
+        with pytest.raises(InconsistentFrame) as info:
+            call()
+        assert (str(info.value), info.value.frame_index) == (message, 2)
+    assert _cli_file(tmp_path, capsys, "demux", params, "hartley", frames) == (
+        2, None, f"error: {message}\n")
 
 
 @pytest.mark.parametrize("kind", ["hartley", "fourier"])

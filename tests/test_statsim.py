@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from gdmux import (ExtensionNotEmbeddable, InvalidParams, Kind, PulseShape, SystemParams,
                    centered, galois_acf, psd_estimate, synthesize_envelope)
-from gdmux import statsim
+from gdmux import pipeline, statsim
 from gdmux.statsim import acf_of_stream, embed_spectra, _resolve_embedding
 
 from support import acf_by_lags
@@ -182,8 +182,8 @@ def test_draws_over_the_sample_budget_are_refused_before_sampling(p514, monkeypa
     # (5,1,4): frames * 4 symbols per draw; one frame over the budget is
     # refused before anything is drawn, and the budget itself is drawn
     monkeypatch.setattr(np.random, "default_rng", lambda *args, **kwargs: _RecordingRng())
-    most = statsim.SAMPLE_BUDGET // 4
-    over = rf"^{most + 1} frames of 4 symbols exceed the sample budget of {statsim.SAMPLE_BUDGET}"
+    most = pipeline.SAMPLE_BUDGET // 4
+    over = rf"^{most + 1} frames of 4 symbols exceed the sample budget of {pipeline.SAMPLE_BUDGET}"
     calls = [lambda frames: synthesize_envelope(p514, Kind.HARTLEY, frames, rng=_RecordingRng(),
                                                 source=source),
              lambda frames: psd_estimate(p514, Kind.HARTLEY, realizations=1, frames=frames,
