@@ -23,7 +23,7 @@ token by int() and stops at the first bad line with "line N: ...". Both
 paths accept the same texts with the same rows. One pipeline.mux_frames
 muxes the array into the frame buffer. demux reads the frames with one
 pipeline.decode_frames, which names the first bad frame ("frame N:
-..."), and demuxes its uint8 leaders with one pipeline.demux_frames.
+..."), and demuxes its uint8 leaders with one pipeline.demux_batch.
 
 demux formats its text from a digit table: each symbol becomes the
 right-aligned digits of the design's widest symbol p-1 plus a space or
@@ -285,7 +285,7 @@ def _byte_rows(data: bytes, p: int, N: int) -> Optional[np.ndarray]:
 
 
 def _text_rows(params: SystemParams, kind, text: str) -> np.ndarray | str:
-    """(F, N) int64 symbols of the non-blank lines of text, or the message "line N: ..."
+    """(F, N) uint8 symbols of the non-blank lines of text, or the message "line N: ..."
     of the first line that is not N integers in [0, p).
 
     Each token is read by int(), and TimeBlock words a refusal. The design
@@ -306,7 +306,7 @@ def _text_rows(params: SystemParams, kind, text: str) -> np.ndarray | str:
         if not flat:
             pipeline.validate_system(params, kind)
         flat += row
-    return np.array(flat, dtype=np.int64).reshape(-1, params.N)
+    return np.array(flat, dtype=np.uint8).reshape(-1, params.N)
 
 
 def cmd_mux(args) -> int:
@@ -323,7 +323,7 @@ def cmd_mux(args) -> int:
 
 
 def _symbol_text(vs: np.ndarray, p: int) -> bytes:
-    """(F, N) symbols in [0, p), the uint8 of demux_frames, as F lines of N space-separated
+    """(F, N) symbols in [0, p), the uint8 of demux_batch, as F lines of N space-separated
     decimals."""
     width = len(str(p - 1))
     buf = np.empty(vs.shape + (width + 1,), dtype=np.uint8)
@@ -346,7 +346,7 @@ def cmd_demux(args) -> int:
         try:
             # batch errors carry their own frame index in the message; an
             # over-budget design (UnsupportedParams) is no data error
-            vs = pipeline.demux_frames(params, args.kind, leaders)
+            vs = pipeline.demux_batch(params, args.kind, leaders)
         except (InconsistentFrame, NotGroundField) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_DATA

@@ -33,16 +33,13 @@ iter_frames and deserialize read one run of frames with equal headers at
 a time: one header comparison and one coefficient range check per run,
 so a refused stream costs what an accepted one does.
 
-The wire-native pair the CLI runs has no int64 stage. The writer,
-mux_frames, casts the symbol rows once to G's dtype and puts
-mod_p(vs @ G) straight into one preallocated uint8 (F, header + n)
-buffer, with the header broadcast into every row; encode_frames checks
-its leaders and writes them through the same buffer. The reader,
-demux_frames, takes the uint8 leaders decode_frames returns, a view of
-the stream already range-checked, gathers them by perm as uint8, casts
-them once to G's dtype and returns uint8 symbols. A refused frame goes
-through the reject step demux_batch runs (transforms._demux_or_raise),
-which widens the rows to int64 only then, so both name it alike.
+The CLI runs the batch maps on the wire's own bytes. The batch maps read
+integer arrays of any width in their own dtype and return uint8, as the
+wire holds them. mux_frames writes the uint8 leaders of mux_batch into
+one preallocated (F, header + n) buffer, the header broadcast into every
+row, as encode_frames does with its checked leaders. decode_frames
+returns the leaders as a uint8 view of the stream, which demux_batch
+reads with no copy beyond its perm gather.
 
 Leaders that no frame of symbols maps to raise (InconsistentFrame /
 NotGroundField). A corruption that turns one valid frame into another
@@ -64,8 +61,8 @@ from .cosets import Kind, coset_table
 from .errors import (BadLength, BadMagic, GdmError, InconsistentFrame, InvalidParams,
                      ParamMismatch, UnsupportedParams, require_positive)
 from .fields import GaloisInt, SystemParams
-from .transforms import (TimeBlock, _demux_or_raise, _frames, _mux, demux_batch, design,
-                         in_range, mux_batch, reconstruct_batch, validate_system)
+from .transforms import (TimeBlock, _frames, demux_batch, in_range, mux_batch,
+                         reconstruct_batch, validate_system)
 # unused here; kept bound because perfbench/tracer.py wraps them in this module
 from .transforms import _forward_flat, sigma_matrix  # noqa: F401
 
@@ -219,25 +216,24 @@ def encode_frames(params: SystemParams, kind, leaders: np.ndarray) -> bytes:
     return _write_frames(header, body)
 
 
-def _write_frames(header: bytes, rows: np.ndarray) -> bytes:
-    """F frames of leader rows (F, n) of integers in [0, p), of any real dtype: one uint8
-    buffer (F, len(header) + n), the header broadcast into every row, then the rows."""
-    out = np.empty((len(rows), len(header) + rows.shape[1]), dtype=np.uint8)
+def _write_frames(header: bytes, leaders: np.ndarray) -> bytes:
+    """F frames of leaders (F, ...) in [0, p): one uint8 buffer (F, len(header) + n), the
+    header broadcast into every row, then each frame's n leader coefficients."""
+    n = math.prod(leaders.shape[1:])
+    out = np.empty((len(leaders), len(header) + n), dtype=np.uint8)
     out[:, :len(header)] = np.frombuffer(header, dtype=np.uint8)
-    out[:, len(header):] = rows
+    out[:, len(header):] = leaders.reshape(len(leaders), n)
     return out.tobytes()
 
 
 def mux_frames(params: SystemParams, kind, vs: np.ndarray) -> bytes:
-    """The frames of symbol rows (F, N) of an integer dtype, entries in [0, p), which are not
-    checked: mux_batch and encode_frames in one pass, with the rows cast once to G's dtype and
-    mod_p(vs @ G) written straight into the frame buffer.
+    """The frames of symbol rows (F, N): encode_frames of mux_batch, with no second check.
 
-    The design is built first, so a design over the budget is refused before a header with
-    N over its 16-bit field.
+    mux_batch builds the design first, so a design over the budget is refused before a header
+    with N over its 16-bit field.
     """
-    d = design(params, kind)
-    return _write_frames(frame_header(params, kind), _mux(d, vs.astype(d.G.dtype)))
+    leaders = mux_batch(params, kind, vs)
+    return _write_frames(frame_header(params, kind), leaders)
 
 
 def decode_frames(data: bytes, params: SystemParams, kind) -> np.ndarray:
@@ -249,15 +245,6 @@ def decode_frames(data: bytes, params: SystemParams, kind) -> np.ndarray:
     if not runs:
         return np.zeros((0, coset_table(params.N, params.p, kind).nu, 2, params.m), np.uint8)
     return runs[0][2]      # with the design known, one header is valid
-
-
-def demux_frames(params: SystemParams, kind, leaders: np.ndarray) -> np.ndarray:
-    """uint8 symbol rows (F, N) of leader arrays (F, nu, 2, m) in [0, p), as decode_frames
-    returns them: demux_batch without its int64 pass, the perm gather on the leaders' own
-    dtype and one cast to G's dtype. Its reject step is demux_batch's, so it raises what
-    demux_batch raises for the same frames."""
-    rows = leaders.reshape(len(leaders), -1)
-    return _demux_or_raise(design(params, kind), rows).astype(np.uint8)
 
 
 def _parse_header(data: bytes, offset: int, expect: Optional[SystemParams],
@@ -401,11 +388,11 @@ def crosstalk_probe(params: SystemParams, active_user: int, trials: int,
     require_positive("trials", trials)
     _check_samples(params, trials)
     rng = np.random.default_rng(seed)
-    vs = np.zeros((trials, params.N), dtype=np.int64)
+    vs = np.zeros((trials, params.N), dtype=np.uint8)
     vs[:, active_user] = rng.integers(0, params.p, size=trials)
     recovered = demux_batch(params, kind, mux_batch(params, kind, vs))
     others = np.delete(recovered, active_user, axis=1)
-    max_leak = int(np.abs(others).max()) if others.size else 0
+    max_leak = int(others.max()) if others.size else 0     # uint8: |v| = v
     active_errors = int((recovered[:, active_user] != vs[:, active_user]).sum())
     return CrosstalkReport(params=params, kind=kind, active_user=active_user,
                            trials=trials, max_leak=max_leak,

@@ -5,8 +5,10 @@ forward_batch takes rows of N symbols of GF(p) to spectra in GI(p^m)^N:
     Fourier:  V_k = sum_i v_i zeta^(ik)
     Hartley:  V_k = sum_i v_i cas_k(i)
 
-Every map here takes and returns integer arrays: a spectrum batch is
-(F, N, 2, m), axis 2 re/im and axis 3 the GF(p) coefficients.
+Every batch map takes an integer array of any width and returns uint8:
+in the declared scope (odd p <= 251) every symbol and coefficient fits
+in a byte. A spectrum batch is (F, N, 2, m), axis 2 re/im and axis 3
+the GF(p) coefficients.
 GaloisRing.from_array and to_array convert such arrays to GaloisInt
 values and back, for printing or scalar checks; there is no per-value
 copy of the maps.
@@ -129,7 +131,7 @@ class TimeBlock:
 # ---------------------------------------------------------------------------
 # coefficient-array kernels
 # ---------------------------------------------------------------------------
-# Layout: a spectrum batch is an int64 array (F, N, 2, m); axis 2 is re/im,
+# Layout: a spectrum batch is a uint8 array (F, N, 2, m); axis 2 is re/im,
 # axis 3 the GF(p) coefficients. Flattened per-block length is 2*m*N.
 
 def _kernel_coeffs(params: SystemParams, kind) -> np.ndarray:
@@ -421,31 +423,33 @@ def mod_p(x: np.ndarray, p: int) -> np.ndarray:
 
 
 def in_range(a: np.ndarray, p: int) -> bool:
-    """Whether every entry of the int64 array a lies in [0, p)."""
-    # viewed as uint64 a negative entry is >= 2^63, so one max checks both ends
-    return bool(a.view(np.uint64).max(initial=0) < p)
+    """Whether every entry of the integer array a lies in [0, p), read in a's own width."""
+    if a.dtype.kind == "i":
+        if a.itemsize == 1 and a.min(initial=0) < 0:    # as uint8, -128 reads 128 < 251
+            return False
+        a = a.view(f"u{a.itemsize}")    # a negative entry reads >= 2^15 > p from 16 bits up
+    return bool(a.max(initial=0) < p)
 
 
 def _residues(a: np.ndarray, p: int) -> np.ndarray:
-    """The int64 array a reduced mod p; a itself when its entries lie in [0, p)."""
-    return a if in_range(a, p) else a % p
+    """The integer array a reduced mod p, or a itself when its entries lie in [0, p): unsigned
+    input in its own dtype, which holds p <= 251, signed input in int64 (NumPy refuses
+    int8 % 251)."""
+    if in_range(a, p):
+        return a
+    return (a if a.dtype.kind == "u" else a.astype(np.int64, copy=False)) % p
 
 
 def _frames(a, shape: tuple[int, ...], what: str) -> tuple[np.ndarray, bool]:
-    """a as int64 rows (F, prod(shape)), and whether a was one item rather than a batch.
+    """a as rows (F, prod(shape)) in its own dtype, and whether a was one item, not a batch.
 
     a is one item of the given shape or a batch (F,) + shape of them; any
-    other array, one of a dtype other than (unsigned) integer, or an
-    unsigned one with an entry of 2^63 or more, raises ValueError
-    ("expected {shape[0]} {what}, ...").
+    other array, or one of a dtype other than (unsigned) integer, raises
+    ValueError ("expected {shape[0]} {what}, ...").
     """
     a = np.asarray(a)
-    if a.dtype != np.int64:
-        if a.dtype.kind not in "iu":    # no silent truncation of 1.7 to 1, nor parsing of "3"
-            raise ValueError(f"expected {shape[0]} integer {what}, got an array of dtype {a.dtype}")
-        if a.dtype.kind == "u" and a.max(initial=0) >= 2 ** 63:   # the int64 cast would wrap it
-            raise ValueError(f"expected {shape[0]} {what} below 2^63, got {a.max()}")
-        a = a.astype(np.int64)
+    if a.dtype.kind not in "iu":    # no silent truncation of 1.7 to 1, nor parsing of "3"
+        raise ValueError(f"expected {shape[0]} integer {what}, got an array of dtype {a.dtype}")
     single = a.ndim == len(shape)
     if a.shape[not single:] != shape:
         raise ValueError(f"expected {shape[0]} {what}, got an array of shape {a.shape}")
@@ -472,21 +476,22 @@ def _demux(d: Design, rows: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray
 
 
 def _expand(d: Design, L: np.ndarray) -> np.ndarray:
-    """Spectra (F, N, 2, m) of leader rows L (F, n) in [0, p), in G's dtype: the orbit walk, one
-    product with the stacked powers sigma^t, read out at V[orbit[t]] through d.walk."""
+    """uint8 spectra (F, N, 2, m) of leader rows L (F, n) in [0, p), in G's dtype: the orbit
+    walk, one product with the stacked powers sigma^t, read out at V[orbit[t]] through d.walk."""
     N, m, p = d.params.N, d.params.m, d.params.p
     w = 2 * m
     # column t*2m + a is row a of sigma^t; each sum has 2m terms below p^2
     powers = d.sigma_powers.transpose(2, 0, 1).reshape(w, -1)
-    steps = mod_p(L.reshape(-1, w) @ powers, p).astype(np.int64)
+    steps = mod_p(L.reshape(-1, w) @ powers, p).astype(np.uint8)
     steps = steps.reshape(len(L), d.table.nu * len(d.sigma_powers), w)   # -1 fails for no frames
     return steps[:, d.walk[:N]].reshape(len(L), N, 2, m)
 
 
 def _orbit_error(d: Design, rows: np.ndarray) -> Optional[InconsistentFrame]:
-    """The closure check of int64 leader rows (F, n): InconsistentFrame at the first frame, then
-    its first coset, where sigma^len(orbit) @ leader != leader, or None. Walked values lie in
-    [0, p), so a leader with an entry outside [0, p) never closes."""
+    """The closure check of integer leader rows (F, n), read in their own dtype:
+    InconsistentFrame at the first frame, then its first coset, where
+    sigma^len(orbit) @ leader != leader, or None. Walked values lie in [0, p), so a leader
+    with an entry outside [0, p) never closes."""
     nu, w, p = d.table.nu, 2 * d.params.m, d.params.p
     lead = rows.reshape(len(rows), nu, w).transpose(1, 0, 2)            # (nu, F, 2m)
     # walk[N + c] is step len(orbit_c) in coset c's block of L + 1 steps
@@ -511,22 +516,21 @@ def _demux_or_raise(d: Design, rows: np.ndarray) -> np.ndarray:
     produced raises InconsistentFrame if some orbit does not close, else NotGroundField; each
     names the first such frame."""
     vs, bad = _demux(d, rows)
-    if bad is not None:     # _orbit_error reads int64 rows: widen only here
-        raise (_orbit_error(d, rows.astype(np.int64, copy=False))
-               or _not_ground_field(int(bad.argmax()), d.params.p))
+    if bad is not None:
+        raise _orbit_error(d, rows) or _not_ground_field(int(bad.argmax()), d.params.p)
     return vs
 
 
 def mux_batch(params: SystemParams, kind, vs: np.ndarray) -> np.ndarray:
-    """Compress symbol rows (F, N) or (N,) to leader arrays (F, nu, 2, m); symbols are taken mod p."""
+    """Compress symbol rows (F, N) or (N,), taken mod p, to uint8 leader arrays (F, nu, 2, m)."""
     d = design(params, kind)
     vs, _ = _frames(vs, (params.N,), "symbols")
     L = _mux(d, _residues(vs, params.p).astype(d.G.dtype))
-    return L.astype(np.int64).reshape(len(vs), d.table.nu, 2, params.m)
+    return L.astype(np.uint8).reshape(len(vs), d.table.nu, 2, params.m)
 
 
 def demux_batch(params: SystemParams, kind, leaders: np.ndarray) -> np.ndarray:
-    """Recover symbol rows (F, N) or (N,) from leader arrays (F, nu, 2, m) or (nu, 2, m).
+    """Recover uint8 symbol rows (F, N) or (N,) from leader arrays (F, nu, 2, m) or (nu, 2, m).
 
     A frame mux could not have produced raises InconsistentFrame if some
     orbit does not close, else NotGroundField; each names the first such frame.
@@ -535,12 +539,12 @@ def demux_batch(params: SystemParams, kind, leaders: np.ndarray) -> np.ndarray:
     rows, single = _frames(leaders, (d.table.nu, 2, params.m), "leader values")
     if not in_range(rows, params.p):
         raise _orbit_error(d, rows)
-    vs = _demux_or_raise(d, rows).astype(np.int64)
+    vs = _demux_or_raise(d, rows).astype(np.uint8)
     return vs[0] if single else vs
 
 
 def reconstruct_batch(params: SystemParams, kind, leaders: np.ndarray) -> np.ndarray:
-    """Expand leader arrays (F, nu, 2, m) or (nu, 2, m) to spectra (F, N, 2, m) or (N, 2, m).
+    """Expand leader arrays (F, nu, 2, m) or (nu, 2, m) to uint8 spectra (F, N, 2, m) or (N, 2, m).
 
     Raises InconsistentFrame, naming the first frame whose orbits do not all close.
     """
@@ -554,14 +558,14 @@ def reconstruct_batch(params: SystemParams, kind, leaders: np.ndarray) -> np.nda
 
 
 def forward_batch(params: SystemParams, kind, vs: np.ndarray) -> np.ndarray:
-    """Transform symbol rows (F, N) or (N,) to spectra (F, N, 2, m); symbols are taken mod p."""
+    """Transform symbol rows (F, N) or (N,), taken mod p, to uint8 spectra (F, N, 2, m)."""
     d = design(params, kind)
     vs, _ = _frames(vs, (params.N,), "symbols")
     return _expand(d, _mux(d, _residues(vs, params.p).astype(d.G.dtype)))
 
 
 def inverse_batch(params: SystemParams, kind, spectra: np.ndarray) -> np.ndarray:
-    """Invert spectra (F, N, 2, m) or (N, 2, m), taken mod p, to symbol rows (F, N) or (N,).
+    """Invert spectra (F, N, 2, m) or (N, 2, m), taken mod p, to uint8 symbol rows (F, N) or (N,).
 
     Raises NotGroundField at the first spectrum of no symbol row, and
     UnsupportedParams for a design over the budget.
@@ -577,7 +581,7 @@ def inverse_batch(params: SystemParams, kind, spectra: np.ndarray) -> np.ndarray
         good &= ~bad
     if not good.all():
         raise _not_ground_field(int(good.argmin()), p)
-    vs = vs.astype(np.int64)
+    vs = vs.astype(np.uint8)
     return vs[0] if single else vs
 
 

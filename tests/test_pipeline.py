@@ -4,6 +4,7 @@ import math
 import re
 import struct
 import time
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -208,7 +209,7 @@ def test_demux_of_corrupted_frames_matches_reference(p, m, N, kind):
     # of demux_batch's fast path sends them to the reference path. Huge
     # entries are not exact in float64 and overflow the reference walk's
     # int64 products.
-    leaders = mux_batch(params, kind, rng.integers(1, p, size=(2, N)))
+    leaders = mux_batch(params, kind, rng.integers(1, p, size=(2, N))).astype(np.int64)
     odds = [-leaders, leaders + p]
     for big in (2 ** 52, 2 ** 53 + 1, np.iinfo(np.int64).max):
         odd = leaders.copy()
@@ -597,27 +598,30 @@ def test_mux_frames_refuses_an_over_budget_design_before_the_header():
 @pytest.mark.parametrize("p,m,N", ACCEPT_SYSTEMS)
 @pytest.mark.parametrize("kind", [Kind.HARTLEY, Kind.FOURIER])
 def test_demux_frames_of_decoded_frames_equals_demux_batch(p, m, N, kind):
-    # the same symbols, and for every single-coefficient corruption the same error
+    # the CLI's demux step, demux_batch on the uint8 view decode_frames returns,
+    # gives the same symbols as on int64 leaders, and for every
+    # single-coefficient corruption the same error
     params = make(p, m, N)
     vs = np.random.default_rng(N).integers(0, p, size=(5, N))
     blob = encode_frames(params, kind, mux_batch(params, kind, vs))
     leaders = decode_frames(blob, params, kind)
-    assert leaders.dtype == np.uint8
-    got = pipeline.demux_frames(params, kind, leaders)
+    assert leaders.dtype == np.uint8 and leaders.base is not None
+    got = demux_batch(params, kind, leaders)
     assert got.dtype == np.uint8 and np.array_equal(got, vs)
     outcomes = set()
     for c in range(leaders[0].size):
         bad = leaders.copy()
         bad[3].reshape(-1)[c] = (int(bad[3].reshape(-1)[c]) + 1) % p
         want = outcome(demux_batch, params, kind, bad.astype(np.int64))
-        assert outcome(pipeline.demux_frames, params, kind, bad) == want
+        assert outcome(demux_batch, params, kind, bad) == want
         outcomes.add(want[0])
     assert outcomes - {"ok"}
 
 
 def test_encode_frames_refuses_leaders_it_cannot_write(p3326):
     kind = Kind.HARTLEY
-    leaders = mux_batch(p3326, kind, np.ones((2, 26), dtype=np.int64))      # (2, 6, 2, 3)
+    # (2, 6, 2, 3), widened so that 257 and -1 fit
+    leaders = mux_batch(p3326, kind, np.ones((2, 26), dtype=np.int64)).astype(np.int64)
     # one frame without its batch axis, another nu, flat rows, an extra axis
     for bad in (leaders[0], leaders[:, :-1], leaders.reshape(2, -1), leaders[None]):
         with pytest.raises(ValueError, match="^expected "):
@@ -815,6 +819,21 @@ def test_demux_reject_expands_no_spectrum(kind, monkeypatch):
 def test_crosstalk_user2(p514):
     rep = crosstalk_probe(p514, 2, 1000, Kind.HARTLEY, seed=5)
     assert rep.clean and rep.max_leak == 0 and rep.active_errors == 0
+
+
+@pytest.mark.parametrize("symbols", [1 << 18, 1 << 20])
+def test_crosstalk_probe_peaks_at_most_20_bytes_per_symbol(p514, symbols):
+    # int64 symbols, leaders and recovered rows peaked at 38 B per symbol: a
+    # draw inside SAMPLE_BUDGET (2^25 symbols) took about 1.2 GiB
+    crosstalk_probe(p514, 1, 4, Kind.HARTLEY)          # the design, built outside the trace
+    tracemalloc.start()
+    try:
+        rep = crosstalk_probe(p514, 1, symbols // 4, Kind.HARTLEY)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.clean
+    assert peak <= 20 * symbols, peak / symbols
 
 
 def test_crosstalk_all_users_3326(p3326):

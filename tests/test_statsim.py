@@ -52,6 +52,17 @@ def test_embed_spectra_consistency(p514):
     assert list(rat) == [(1 + 0j), 0j, (2 + 0j)]
 
 
+@pytest.mark.parametrize("pmn,mode", [((251, 1, 250), "component"), ((5, 1, 4), "rationalized")])
+def test_embed_spectra_reads_uint8_leaders_as_their_int64_copy(pmn, mode):
+    # the batch maps return uint8; a sum or a centering in uint8 would wrap
+    params = SystemParams.create(*pmn)
+    vs = np.random.default_rng(pmn[0]).integers(0, params.p, size=(8, params.N))
+    leaders = pipeline.mux_batch(params, Kind.HARTLEY, vs)
+    assert leaders.dtype == np.uint8 and leaders.max() > params.p // 2
+    got = embed_spectra(params, leaders, mode)
+    assert np.array_equal(got, embed_spectra(params, leaders.astype(np.int64), mode))
+
+
 def test_acf_of_zero_stream():
     vals, errs = acf_of_stream(np.zeros(100, dtype=complex), 5)
     assert np.all(vals == 0)
