@@ -293,13 +293,14 @@ def _text_rows(params: SystemParams, kind, text: str) -> np.ndarray | str:
     refused there, and a bad line before it is named instead.
     """
     flat = []
+    symbols = frozenset(range(params.p))
     for lineno, line in enumerate(text.splitlines(), start=1):
         toks = line.split()
         if not toks:
             continue
         try:
             row = list(map(int, toks))
-            if len(row) != params.N or min(row) < 0 or max(row) >= params.p:
+            if len(row) != params.N or not symbols.issuperset(row):
                 TimeBlock(params, tuple(row))
         except ValueError as exc:
             return f"line {lineno}: {exc}"

@@ -73,6 +73,7 @@ class CosetTable:
         return [f"C{c[0]}=({','.join(str(x) for x in c)})" for c in self.cosets]
 
 
+@lru_cache(maxsize=128)
 def _orbits(N: int, p: int, kind: Kind) -> CosetTable:
     require_positive("N", N)
     if N >= MAX_FIELD_SIZE:     # refused before the table is allocated
@@ -98,20 +99,18 @@ def _orbits(N: int, p: int, kind: Kind) -> CosetTable:
                       leaders=tuple(c[0] for c in cosets))
 
 
-@lru_cache(maxsize=64)
 def fourier_cosets(N: int, p: int) -> CosetTable:
     """Orbits of k -> pk mod N."""
     return _orbits(N, p, Kind.FOURIER)
 
 
-@lru_cache(maxsize=64)
 def hartley_cosets(N: int, p: int) -> CosetTable:
     """Orbits of k -> -pk mod N."""
     return _orbits(N, p, Kind.HARTLEY)
 
 
 def coset_table(N: int, p: int, kind) -> CosetTable:
-    return (fourier_cosets if Kind(kind) is Kind.FOURIER else hartley_cosets)(N, p)
+    return _orbits(N, p, Kind(kind))
 
 
 # ---------------------------------------------------------------------------

@@ -229,6 +229,10 @@ class ExtField:
         out.setflags(write=False)
         return out
 
+    @cached_property
+    def ring(self) -> "GaloisRing":
+        return GaloisRing(self)
+
     def mul_matrices(self, a: np.ndarray) -> np.ndarray:
         """(..., m, m) matrices of multiplication by the elements a (..., m)."""
         return np.einsum("...j,jab->...ab", a, self.x_power_matrices) % self.p
@@ -478,9 +482,9 @@ class GaloisRing:
         return hash(("GI", self.field))
 
 
-@lru_cache(maxsize=64)
 def gaussian_ring(field: ExtField) -> GaloisRing:
-    return GaloisRing(field)
+    """GI(p^m) over field, kept on the field object (ExtField.ring)."""
+    return field.ring
 
 
 class GaloisInt(_Scalar):
@@ -543,7 +547,7 @@ class GaloisInt(_Scalar):
         if n.is_zero:
             if self.is_zero:
                 raise NonInvertible("zero has no multiplicative inverse")
-            raise NonInvertible(f"{self} is a zero divisor of {gaussian_ring(self.field)}")
+            raise NonInvertible(f"{self} is a zero divisor of {self.field.ring}")
         ninv = n.inverse()
         return GaloisInt(self.re * ninv, -(self.im * ninv))
 
@@ -603,20 +607,13 @@ def mult_order(x: FieldElement) -> int:
     return t
 
 
-@lru_cache(maxsize=64)
-def find_root_of_unity(p: int, m: int, n: int,
-                       poly: Optional[tuple[int, ...]] = None) -> FieldElement:
-    """The element of multiplicative order exactly n that is first in canonical order.
-
-    With g the field's generator (ExtField.primitive, found once per
-    field), h = g^((q-1)/n) has order exactly n, and the elements of
-    order n are its powers h^j with gcd(j, n) = 1. Of those, read from
-    field.powers(h, n), the one of least canonical index is returned;
-    the set, and so the result, is the same whichever generator is
-    used. A pure function of its arguments; the most recent 64 results
-    are kept, so SystemParams.create searches once per design and
-    process while it is among them.
-    """
+@lru_cache(maxsize=8)
+def _root_table(p: int, m: int, n: int, poly: Optional[tuple[int, ...]]) -> tuple:
+    """(rows, j, zeta): h^0 .. h^(n-1) as (n, m) read-only uint8 rows, for h = g^((q-1)/n)
+    of order n (g the field's generator, ExtField.primitive, found once per field), and
+    zeta = h^j, the element of order exactly n first in canonical order. The elements of
+    order n are the h^j with gcd(j, n) = 1, the same set whichever g is used. The entries
+    of the 8 most recent (p, m, n, poly) are kept."""
     field = get_field(p, m, poly)
     if n < 1 or (field.order - 1) % n != 0:
         raise NoSuchRoot(f"{n} does not divide p^m - 1 = {field.order - 1}")
@@ -625,8 +622,17 @@ def find_root_of_unity(p: int, m: int, n: int,
     for r in factorize(n):
         coprime[::r] = False
     roots = field.powers(h, n)
-    index = np.where(coprime, roots @ p ** np.arange(m), field.order)
-    return field.element(roots[index.argmin()])
+    j = int(np.where(coprime, roots @ p ** np.arange(m), field.order).argmin())
+    rows = roots.astype(np.uint8)
+    rows.setflags(write=False)
+    return rows, j, field.element(roots[j])
+
+
+def find_root_of_unity(p: int, m: int, n: int,
+                       poly: Optional[tuple[int, ...]] = None) -> FieldElement:
+    """The element of multiplicative order exactly n that is first in canonical order, read
+    from the root table: SystemParams.create searches once per design while it is there."""
+    return _root_table(p, m, n, poly)[2]
 
 
 def sqrt_of_minus_one(p: int, m: int,
@@ -684,7 +690,7 @@ class SystemParams:
 
     @cached_property
     def ring(self) -> GaloisRing:
-        return gaussian_ring(self.field)
+        return self.field.ring
 
     @cached_property
     def zeta_elem(self) -> FieldElement:
@@ -698,14 +704,8 @@ class SystemParams:
         return f"GDM(p={self.p}, m={self.m}, N={self.N}, zeta={self.field.element(self.zeta)})"
 
 
-@lru_cache(maxsize=8)
 def zeta_powers(params: SystemParams) -> np.ndarray:
-    """(N, m) read-only int64 coefficient rows of zeta^0 .. zeta^(N-1).
-
-    The results of the 8 most recent designs are kept, so that the
-    Fourier and the Hartley kernel of one design, and its carriers, share
-    one computation.
-    """
-    out = params.field.powers(params.zeta, params.N)
-    out.setflags(write=False)
-    return out
+    """(N, m) uint8 rows of zeta^0 .. zeta^(N-1), gathered from the root search's rows: with
+    zeta = h^j, zeta^t = h^(jt mod N), so no power is computed again."""
+    rows, j, _ = _root_table(params.p, params.m, params.N, params.poly)
+    return rows[np.arange(params.N) * j % params.N]

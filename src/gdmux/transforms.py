@@ -75,9 +75,9 @@ vectors, with no GaloisInt arithmetic:
     einsum(a, P) mod p, and by a GI(p^m) value re + j im it is the block
     matrix [[A, -B], [B, A]] of those.
   * The kernel is an (N, 2, m) array: zeta^t for Fourier, cas(t) for
-    Hartley (trig.cas_coeffs), both from one array of the powers of zeta
-    (fields.zeta_powers, which the two kinds of a design share). G is
-    gathered from it, one row of it per (i, coset).
+    Hartley (trig.cas_coeffs), both from the powers of zeta that
+    fields.zeta_powers reads off the rows of the design's root search.
+    G is gathered from it, one row of it per (i, coset).
   * sigma is block diagonal: the Frobenius matrix F on re, and F or -F on
     im. All cosets walk the same powers sigma^t, so a design holds one
     stack of them, up to the longest orbit, read off the powers of F that

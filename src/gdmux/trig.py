@@ -12,11 +12,11 @@ matrix its symmetry. Rows are pairwise orthogonal under the bilinear form
 sum_k x_k * y_k with common energy N; the conjugated sesquilinear form
 does NOT have this property (rows i and N-i pair up instead).
 
-The values come from one coefficient array (cas_coeffs, built from the
-powers of zeta, fields.zeta_powers). transforms compiles its kernels from
-that array; cas, carrier and carrier_matrix read GaloisInt values off it
-for scalar references, carrier_lines formats each of them once for
-printing, and rationalize is the one real embedding of such arrays.
+The values come from one coefficient array, cas_coeffs, built from the
+powers of zeta read off the root search (fields.zeta_powers). transforms
+compiles its kernels from that array; cas, carrier and carrier_matrix read
+GaloisInt values off it for scalar references, carrier_lines formats each
+once for printing, and rationalize is the one real embedding of such arrays.
 """
 
 from __future__ import annotations
@@ -35,13 +35,11 @@ def cas_coeffs(params: SystemParams) -> np.ndarray:
     """(N, 2, m) coefficient array of cas(t), t = i*k mod N; axis 1 is re/im.
 
     re = (zeta^t + zeta^-t) / 2 and im = (zeta^-t - zeta^t) / 2, with
-    zeta^-t = zeta^(N-t) read from the same powers.
+    zeta^-t = zeta^(N-t) read from the same powers, widened first: uint8 sums would wrap.
     """
-    fwd = zeta_powers(params)
+    fwd = zeta_powers(params).astype(np.int64)
     rev = fwd[-np.arange(params.N)]
-    out = np.empty((params.N, 2, params.m), dtype=np.int64)
-    np.add(fwd, rev, out=out[:, 0])
-    np.subtract(rev, fwd, out=out[:, 1])
+    out = np.stack([fwd + rev, rev - fwd], axis=1)
     out *= (params.p + 1) // 2
     out %= params.p
     return out

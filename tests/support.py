@@ -10,7 +10,7 @@ from gdmux import (BadLength, CarrierMatrix, CompressedFrame, GaloisInt, GdmErro
                    SystemParams, TimeBlock)
 from gdmux.cosets import CosetTable, coset_table, divisors
 from gdmux.fields import (MAX_FIELD_SIZE, MAX_PRIME, ExtField, FieldElement, get_field, is_prime,
-                          mult_order)
+                          mult_order, poly_is_irreducible)
 from gdmux.pipeline import _parse_header, demux_batch, frame_header, leader_array, mux
 from gdmux.transforms import _forward_flat
 
@@ -84,6 +84,21 @@ def scan_sqrt_of_minus_one(p, m, poly=None):
         return None
     minus_one = -field.one
     return next((x for x in map(field.from_int, range(field.order)) if x * x == minus_one), None)
+
+
+def zeta_powers_by_powers(params: SystemParams) -> np.ndarray:
+    """(N, m) int64 rows of zeta^0 .. zeta^(N-1), computed from zeta itself by ExtField.powers."""
+    return params.field.powers(np.array(params.zeta), params.N)
+
+
+def other_irreducible(p, m) -> tuple[int, ...]:
+    """The last monic irreducible of degree m over GF(p) in canonical order; for m >= 1 and
+    p > 2 it is not the default polynomial."""
+    for idx in reversed(range(p ** m)):
+        cand = tuple(idx // p ** k % p for k in range(m)) + (1,)
+        if poly_is_irreducible(cand, p):
+            return cand
+    raise AssertionError(f"no irreducible of degree {m} over GF({p})")
 
 
 def rationalize_by_elements(matrix: CarrierMatrix) -> list[list[int]]:

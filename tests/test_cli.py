@@ -17,7 +17,7 @@ from gdmux import (InconsistentFrame, UnsupportedParams, cli, fields, pipeline, 
                    trig)
 from gdmux.cosets import coset_table
 from gdmux.cli import main
-from gdmux.fields import MAX_FIELD_SIZE, MAX_PRIME, SystemParams, find_root_of_unity
+from gdmux.fields import MAX_FIELD_SIZE, MAX_PRIME, SystemParams
 from gdmux.pipeline import encode_frames, frame_header, mux_batch
 
 from support import ACCEPT_SYSTEMS, acf_by_lags, cli_demux_oracle, cli_mux_oracle, make
@@ -614,9 +614,9 @@ def test_plain_leaves_a_parser_with_exclusive_flags_to_argparse():
 
 
 def test_params_create_searches_the_root_once():
-    find_root_of_unity.cache_clear()
+    fields._root_table.cache_clear()
     assert SystemParams.create(7, 2, 48) == SystemParams.create(7, 2, 48)
-    info = find_root_of_unity.cache_info()
+    info = fields._root_table.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     assert info.maxsize is not None
 

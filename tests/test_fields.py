@@ -11,10 +11,10 @@ from gdmux import (InvalidParams, NonInvertible, NoSuchRoot, NotAUnit, SystemPar
                    centered, find_root_of_unity, gaussian_ring, get_field,
                    mult_order, sqrt_of_minus_one)
 import gdmux
-from gdmux import cosets, fields, trig
+from gdmux import Kind, cosets, fields, transforms, trig
 from gdmux.fields import (MAX_FIELD_SIZE, ExtField, is_prime, poly_is_irreducible,
                           smallest_irreducible)
-from gdmux.transforms import DESIGN_BUDGET_BYTES
+from gdmux.transforms import DESIGN_BUDGET_BYTES, design
 
 import support
 from support import SMALL_SYSTEMS, design_grid
@@ -235,7 +235,7 @@ def test_root_search_does_not_depend_on_the_order_of_the_searches(p, m, poly):
     zetas = []
     for order in (Ns, Ns[::-1]):
         get_field.cache_clear()
-        find_root_of_unity.cache_clear()
+        fields._root_table.cache_clear()
         zetas.append({N: find_root_of_unity(p, m, N, poly).coeffs for N in order})
     assert zetas[0] == zetas[1]
     assert zetas[0] == {N: support.scan_root_of_unity(p, m, N, poly).coeffs for N in Ns}
@@ -243,7 +243,7 @@ def test_root_search_does_not_depend_on_the_order_of_the_searches(p, m, poly):
 
 @pytest.mark.parametrize("p,m,N", [(101, 3, 1030300), (7, 7, 823542)])
 def test_root_search_at_the_largest_n_matches_the_scan_within_half_the_design_budget(p, m, N):
-    find_root_of_unity.cache_clear()
+    fields._root_table.cache_clear()
     tracemalloc.start()
     try:
         zeta = find_root_of_unity(p, m, N)
@@ -294,7 +294,7 @@ def test_power_table_and_frobenius_forms_match_element_arithmetic(p, m):
 def test_params_create_is_fast_cold_at_the_slow_corners(p, m, N):
     # a root that lies in a small subfield sits deep in the canonical scan
     # order; enumerating the N-th roots of unity does not depend on where
-    find_root_of_unity.cache_clear()
+    fields._root_table.cache_clear()
     get_field.cache_clear()
     start = time.perf_counter()
     params = SystemParams.create(p, m, N)
@@ -397,29 +397,32 @@ def test_params_create_small(p, m, N):
 
 
 def test_every_cache_of_the_library_is_bounded():
-    # every lru_cache of a gdmux module, found by the cache_info it carries
+    # every lru_cache of a gdmux module, found by the cache_info it carries: each holds a
+    # value nothing else holds, so a new cache has to be named here
     caches = {}
     for info in pkgutil.iter_modules(gdmux.__path__):
         for value in vars(importlib.import_module(f"gdmux.{info.name}")).values():
             if hasattr(value, "cache_info"):
                 caches[value] = f"{value.__module__}.{value.__qualname__}"
-    assert {"gdmux.transforms.design", "gdmux.transforms._inverses", "gdmux.fields.zeta_powers",
-            "gdmux.fields.find_root_of_unity", "gdmux.fields.get_field"} <= set(caches.values())
+    assert set(caches.values()) == {
+        "gdmux.fields.get_field", "gdmux.fields._root_table", "gdmux.cosets._orbits",
+        "gdmux.trig._cas_by_product", "gdmux.transforms._inverses", "gdmux.transforms.design",
+        "gdmux.cli._parser", "gdmux.cli._subparsers"}
     for cache, name in caches.items():
         assert cache.cache_info().maxsize is not None, name
 
 
 def test_small_caches_stay_bounded_and_equal_across_eviction():
-    caches = (get_field, gaussian_ring, find_root_of_unity, cosets.fourier_cosets,
-              cosets.hartley_cosets, trig._cas_by_product)
+    caches = {get_field: 64, fields._root_table: 8, cosets._orbits: 128, trig._cas_by_product: 64}
     field = get_field(3, 3)
     x = field.element((1, 2, 0))
     params = SystemParams.create(3, 3, 26)
     cas = trig._cas_by_product(params)
     table = cosets.hartley_cosets(26, 3)
-    # more than 64 designs and more than 64 fields
+    pows = fields.zeta_powers(params)
+    # more than 64 designs, more than 64 fields and more than 128 orbit tables
     grid = design_grid()
-    assert len(grid) > 64
+    assert len(grid) > 64 and len({(N, p) for p, m, N in grid}) > 64
     for p, m, N in grid:
         sweep = SystemParams.create(p, m, N)
         gaussian_ring(sweep.field)
@@ -431,16 +434,75 @@ def test_small_caches_stay_bounded_and_equal_across_eviction():
     for p in primes:
         for m in (1, 2):
             gaussian_ring(get_field(p, m))
-    for cache in caches:
+    for cache, maxsize in caches.items():
         info = cache.cache_info()
-        assert info.maxsize == 64 and info.currsize <= 64, cache
+        assert info.maxsize == maxsize and info.currsize <= maxsize, cache
     again = get_field(3, 3)
     assert again is not field and again == field
+    assert again.ring is not field.ring and again.ring == field.ring == gaussian_ring(again)
     y = again.element((1, 2, 0))
     assert y == x and y * y == x * x and (y * y).coeffs == (x * x).coeffs
     assert np.array_equal(again.x_power_matrices, field.x_power_matrices)
     assert trig._cas_by_product(SystemParams.create(3, 3, 26)) == cas
+    assert np.array_equal(fields.zeta_powers(SystemParams.create(3, 3, 26)), pows)
     assert cosets.hartley_cosets(26, 3) == table
+
+
+def test_zeta_powers_are_the_powers_of_zeta():
+    # the grid under the default polynomial and under one other polynomial per field
+    other = {(p, m): support.other_irreducible(p, m) for p, m, _ in design_grid()}
+    designs = [(p, m, N, None) for p, m, N in design_grid()]
+    designs += [(p, m, N, other[p, m]) for p, m, N in design_grid()]
+    designs += [(3, 7, 2186, None), (3, 8, 3280, None)]
+    for p, m, N, poly in designs:
+        params = SystemParams.create(p, m, N, poly)
+        got = fields.zeta_powers(params)
+        assert got.dtype == np.uint8, (p, m, N, poly)
+        assert np.array_equal(got, support.zeta_powers_by_powers(params)), (p, m, N, poly)
+
+
+def test_a_cold_design_and_its_carriers_compute_no_power(monkeypatch):
+    params = SystemParams.create(5, 4, 78)
+    # the field is warm: its generator and Frobenius matrices exist, from another design
+    for kind in Kind:
+        design(SystemParams.create(5, 4, 16), kind)
+    design.cache_clear()
+    transforms._inverses.cache_clear()
+    trig._cas_by_product.cache_clear()
+    calls = []
+    powers = ExtField.powers
+    monkeypatch.setattr(ExtField, "powers",
+                        lambda self, x, n: calls.append(n) or powers(self, x, n))
+    for kind in Kind:
+        design(params, kind)
+    assert len(list(trig.carrier_lines(params))) == params.N
+    assert calls == []
+
+
+def test_the_root_table_keeps_uint8_rows_and_evicts_at_its_maxsize():
+    p, m, N = 3, 12, 531440
+    get_field(p, m).primitive           # a warm field: the root search adds only its entry
+    fields._root_table.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        params = SystemParams.create(p, m, N)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert mult_order(params.zeta_elem) == N
+    # uint8 rows keep N*m bytes; int64 rows would keep 8*N*m
+    assert kept <= 1.25 * N * m
+    fields._root_table.cache_clear()
+    designs = [(3, 3, N) for N in (2, 13, 26)] + [(3, 4, N) for N in (2, 4, 5, 8, 10, 16, 20)]
+    for design_args in designs:
+        SystemParams.create(*design_args)
+    info = fields._root_table.cache_info()
+    assert (info.misses, info.maxsize, info.currsize) == (10, 8, 8)
+    SystemParams.create(*designs[0])
+    assert fields._root_table.cache_info().misses == 11
+    SystemParams.create(*designs[-1])
+    assert fields._root_table.cache_info().misses == 11
 
 
 @pytest.mark.parametrize("p,m", [(3, 1), (5, 2), (3, 5), (7, 3), (3, 12), (7, 7), (251, 2)])

@@ -17,10 +17,9 @@ from gdmux import (BadLength, BadMagic, GdmError, InconsistentFrame, InvalidPara
                    ParamMismatch, SystemParams, TimeBlock, UnsupportedParams, capacity_check,
                    crosstalk_probe, demux, deserialize, iter_frames, metrics, mux,
                    required_snr, serialize)
-from gdmux import pipeline, transforms
+from gdmux import fields, pipeline, transforms
 from gdmux.cosets import coset_table
-from gdmux.fields import (MAX_FIELD_SIZE, MAX_PRIME, GaloisInt, find_root_of_unity, get_field,
-                          is_prime)
+from gdmux.fields import MAX_FIELD_SIZE, MAX_PRIME, GaloisInt, get_field, is_prime
 from gdmux.pipeline import (CompressedFrame, decode_frames, demux_batch, encode_frames,
                             frame_byte_length, frame_header, leader_array, mux_batch,
                             reconstruct_batch, validate_system)
@@ -525,7 +524,7 @@ def test_crafted_header_of_a_slow_corner_is_refused_fast(parse):
     blob = (struct.pack("<4sHBHB", b"GDM1", 3, 12, 7, 1) + bytes(get_field(3, 12).poly[:12])
             + struct.pack("<H", 0))
     assert len(blob) == 24
-    find_root_of_unity.cache_clear()
+    fields._root_table.cache_clear()
     start = time.perf_counter()
     with pytest.raises(ParamMismatch, match=r"^header claims 0 leaders, "):
         parse(blob)
