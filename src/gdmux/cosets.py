@@ -11,17 +11,19 @@ Fourier coset count is sum_{d|m} I_d(p) - 1 (the -1 removes the
 polynomial x, whose root 0 contributes no index). The Hartley half-count
 (nu_G + N mod 2)/2 + 1 assumes reciprocal cosets pair off with exactly
 two self-reciprocal ones; it matches brute force on the classic cases but
-not universally (N = 3, p = 7 is a counterexample), so brute-force counts
-stay authoritative everywhere.
+not universally (N = 3, p = 7 is a counterexample), so the counts of the
+orbit walk, CosetTable's arrays, stay authoritative everywhere.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import InvalidParams, NotCoprime, require_positive
 from .fields import MAX_FIELD_SIZE, factorize, require_odd_prime
@@ -47,27 +49,31 @@ class Kind(str, Enum):
 
 @dataclass(frozen=True)
 class CosetTable:
-    """Partition of {0..N-1} into sigma-orbits, sorted by leader.
+    """Partition of {0..N-1} into sigma-orbits, sorted by leader, as read-only int32 arrays
+    built by array operations; the orbits as tuples are formed only to print or compare them.
 
-    Each orbit is stored in walk order starting at its leader, so the t-th
-    entry is sigma^t(leader) = step^t * leader mod N.
+    Coset c walks lengths[c] indices from its leader leaders[c], its smallest member: the
+    t-th is sigma^t(leader) = step^t * leader mod N. Index k lies in coset coset_of[k], at
+    place place_of[k] of its walk. (kind, N, p) fix the arrays, so tables compare without them.
     """
 
     kind: Kind
     N: int
     p: int
     step: int
-    cosets: tuple[tuple[int, ...], ...]
-    leaders: tuple[int, ...]
+    leaders: np.ndarray = field(compare=False)
+    lengths: np.ndarray = field(compare=False)
+    coset_of: np.ndarray = field(compare=False)
+    place_of: np.ndarray = field(compare=False)
+    nu: int                   # the number of cosets
+    longest: int              # length of the longest orbit
 
     @property
-    def nu(self) -> int:
-        return len(self.cosets)
-
-    @property
-    def longest(self) -> int:
-        """Length of the longest orbit."""
-        return max(len(c) for c in self.cosets)
+    def cosets(self) -> tuple[tuple[int, ...], ...]:
+        """The orbits as tuples of Python ints in walk order, formed anew to print or compare."""
+        walk = np.lexsort((self.place_of, self.coset_of)).tolist()     # k by coset, then place
+        ends = np.cumsum(self.lengths).tolist()
+        return tuple(tuple(walk[a:b]) for a, b in zip([0] + ends, ends))
 
     def format_lines(self) -> list[str]:
         return [f"C{c[0]}=({','.join(str(x) for x in c)})" for c in self.cosets]
@@ -76,27 +82,34 @@ class CosetTable:
 @lru_cache(maxsize=128)
 def _orbits(N: int, p: int, kind: Kind) -> CosetTable:
     require_positive("N", N)
-    if N >= MAX_FIELD_SIZE:     # refused before the table is allocated
+    if N >= MAX_FIELD_SIZE:     # refused before any array is allocated
         raise InvalidParams(f"N must be < {MAX_FIELD_SIZE}, as it divides p^m - 1, got {N}")
     require_odd_prime(p)
     if math.gcd(N, p) != 1:
         raise NotCoprime(f"gcd({N}, {p}) != 1")
     step = (p if kind is Kind.FOURIER else -p) % N
-    seen = [False] * N
-    cosets = []
-    for s in range(N):
-        if seen[s]:
-            continue
-        # s is the smallest member: everything below is already assigned
-        orbit = []
-        k = s
-        while not seen[k]:
-            seen[k] = True
-            orbit.append(k)
-            k = (step * k) % N
-        cosets.append(tuple(orbit))
-    return CosetTable(kind=kind, N=N, p=p, step=step, cosets=tuple(cosets),
-                      leaders=tuple(c[0] for c in cosets))
+    order, power = 1, step
+    while power != 1 % N:       # the order of step mod N: at most 2m when N | p^m - 1
+        order, power = order + 1, power * step % N
+    # pointer doubling: after the pass of span s, least[k] = k * step^ahead[k] is the least of
+    # k * step^t over t < 2s, and so the leader of k's orbit once 2s >= order
+    least, ahead = np.arange(N, dtype=np.int32), np.zeros(N, dtype=np.int32)
+    for span in (1 << r for r in range((order - 1).bit_length())):
+        at = np.arange(N) * pow(step, span, N) % N                  # k * step^span
+        there = least[at]
+        np.copyto(ahead, ahead[at] + span, where=there < least)
+        np.minimum(least, there, out=least)
+        del at, there           # freed before the next pass and the arrays below
+    leader = least == np.arange(N, dtype=np.int32)
+    coset_of = (np.cumsum(leader, dtype=np.int32) - 1)[least]      # the rank of k's leader
+    lengths = np.bincount(coset_of).astype(np.int32)
+    place_of = -ahead % lengths[coset_of]       # k = leader * step^place, as step^length fixes it
+    leaders = np.flatnonzero(leader).astype(np.int32)
+    for a in (leaders, lengths, coset_of, place_of):
+        a.setflags(write=False)
+    return CosetTable(kind=kind, N=N, p=p, step=step, leaders=leaders, lengths=lengths,
+                      coset_of=coset_of, place_of=place_of, nu=len(leaders),
+                      longest=int(lengths.max()))
 
 
 def fourier_cosets(N: int, p: int) -> CosetTable:

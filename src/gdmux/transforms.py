@@ -62,8 +62,8 @@ orbits.
 
 validate_system reads the coset table alone and refuses a design whose size
 bound exceeds DESIGN_BUDGET_BYTES. design(), which only the batch maps call,
-runs it, then compiles these arrays once per (params, kind); every spelling
-of a kind shares the design of its Kind. It keeps the most recent
+runs it, then compiles these arrays once per (params, Kind(kind)): every
+spelling of a kind is one cache entry. It keeps the most recent
 DESIGN_CACHE_SIZE designs.
 
 A design is compiled by array operations on (..., m) coefficient
@@ -79,9 +79,9 @@ vectors, with no GaloisInt arithmetic:
     fields.zeta_powers reads off the rows of the design's root search.
     G is gathered from it, one row of it per (i, coset).
   * sigma is block diagonal: the Frobenius matrix F on re, and F or -F on
-    im. All cosets walk the same powers sigma^t, so a design holds one
-    stack of them, up to the longest orbit, read off the powers of F that
-    the field keeps (ExtField.frobenius_powers).
+    im. All cosets walk the same powers sigma^t: a design holds one stack
+    of them, up to the longest orbit, read off ExtField.frobenius_powers,
+    and reads each index's coset and place in the walk off the coset table.
   * I comes from one batched row reduction mod p. The cosets of k and -k
     form a group of d indices; the column blocks of G of different
     groups are independent, and the first d rows of a block are a basis
@@ -103,7 +103,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Optional
 
 import numpy as np
@@ -176,10 +176,10 @@ class Design:
     sigma_powers are float so that BLAS applies them: float32 when
     2mN(p-1)^2 < 2^24 (leader_dtype), float64 otherwise. sigma_powers
     (L + 1, 2m, 2m) holds sigma^t for t = 0..L, L the longest orbit:
-    every coset walks the same powers. walk (N + nu,) int32 says where the
-    walk finds each spectrum position, and where each orbit ends (the
-    step len(orbit), which the closure check reads). The arrays are
-    read-only: every caller shares them.
+    every coset walks the same powers. walk (N + nu,) int32 holds rows
+    c * (L + 1) + t, sigma^t @ leader_c: of each position k, at coset c and
+    place t of the coset table, then of each orbit's end t = len(orbit),
+    which the closure check reads. The arrays are read-only and shared.
     """
 
     params: SystemParams
@@ -238,22 +238,6 @@ def _sigma_powers(params: SystemParams, kind, longest: int) -> np.ndarray:
     return out
 
 
-def _walk(N: int, leaders: np.ndarray, lengths: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """(N + nu,) rows of the orbit walk: spectrum positions, then orbit ends.
-
-    Position orbit_c[t] = leader_c * step^t reads row c * (L + 1) + t,
-    sigma^t @ leader_c; entry N + c reads the row of t = len(orbit_c).
-    shifts holds step^t mod N for t = 0..L.
-    """
-    nu, steps = len(leaders), len(shifts)
-    rows = np.arange(nu * steps).reshape(nu, steps)
-    walk = np.empty(N + nu, dtype=np.int32)
-    on = np.arange(steps) < lengths[:, None]
-    walk[(leaders[:, None] * shifts % N)[on]] = rows[on]
-    walk[N:] = rows[np.arange(nu), lengths]
-    return walk
-
-
 @lru_cache(maxsize=64)
 def _inverses(p: int) -> np.ndarray:
     """(p,) read-only: the inverse mod p of each residue, 0 for 0."""
@@ -279,8 +263,8 @@ def _row_reduce(B: np.ndarray, p: int, c: int) -> np.ndarray:
     return np.array(pivots)
 
 
-def _information_set(params: SystemParams, leaders: np.ndarray, lengths: np.ndarray,
-                     coset_of: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, ...]:
+def _information_set(params: SystemParams, table: CosetTable,
+                     G: np.ndarray) -> tuple[np.ndarray, ...]:
     """W = [D_I | C] (N, N + r) in G's dtype and perm = (I, rest, zero) (n,) of G.
 
     The cosets of k and -k form one group (one coset when -k is in k's)
@@ -306,9 +290,9 @@ def _information_set(params: SystemParams, leaders: np.ndarray, lengths: np.ndar
     T_g @ P_g is taken a few groups at a time, about 2^18 entries of P
     each.
     """
-    N, w, p = params.N, 2 * params.m, params.p
-    nu, n = len(leaders), len(leaders) * w
-    partner = coset_of[-leaders % N]
+    N, w, p, nu = params.N, 2 * params.m, params.p, table.nu
+    leaders, lengths, n = table.leaders, table.lengths, nu * w
+    partner = table.coset_of[-leaders % N]
     first = (np.arange(nu) <= partner).nonzero()[0]
     pairs = np.array([first, partner[first]]).T                       # (g, 2): the group's cosets
     single = pairs[:, 0] == pairs[:, 1]
@@ -371,31 +355,33 @@ def validate_system(params: SystemParams, kind) -> CosetTable:
     return table
 
 
-@lru_cache(maxsize=DESIGN_CACHE_SIZE)
-def design(params: SystemParams, kind) -> Design:
-    """The compiled design of (params, kind).
+def _kind_first(cache):
+    """cache, under its name, keyed by Kind(kind); a Kind or its value is already that key."""
+    keys = frozenset(Kind)      # equal to their values, with the same hash
+    keyed = wraps(cache)(lambda params, kind: cache(params, kind if kind in keys else Kind(kind)))
+    keyed.cache_info, keyed.cache_clear = cache.cache_info, cache.cache_clear
+    return keyed
 
-    Raises UnsupportedParams, through validate_system, before allocating
-    any matrix.
-    """
-    if not isinstance(kind, Kind):      # any other spelling shares the Kind's design
-        return design(params, Kind(kind))
+
+@_kind_first
+@lru_cache(maxsize=DESIGN_CACHE_SIZE)
+def design(params: SystemParams, kind: Kind) -> Design:
+    """The compiled design of (params, kind); raises UnsupportedParams, through validate_system,
+    before allocating any matrix."""
+    kind = Kind(kind)                   # a Kind's value is its key, and the Design holds the Kind
     table = validate_system(params, kind)
-    N, p, longest = params.N, params.p, table.longest
-    leaders = np.array(table.leaders)
-    lengths = np.array([len(orbit) for orbit in table.cosets])
-    shifts = np.array([pow(table.step, t, N) for t in range(longest + 1)])
-    walk = _readonly(_walk(N, leaders, lengths, shifts))
-    sigma_powers = _sigma_powers(params, kind, longest)
+    N, p, steps = params.N, params.p, table.longest + 1
+    walk = np.concatenate([table.coset_of * steps + table.place_of,
+                           np.arange(table.nu, dtype=np.int32) * steps + table.lengths])
     # G[i, (c, a)] = ker[i * leader_c, a]
     w, dt = 2 * params.m, leader_dtype(p, params.m, N)
     ker = _kernel_coeffs(params, kind)
-    args = np.arange(N)[:, None] * leaders % N                        # (N, nu): i * leader
+    args = np.arange(N)[:, None] * table.leaders % N                  # (N, nu): i * leader
     G = ker.reshape(N, w).astype(dt)[args].reshape(N, -1)
-    W, perm = _information_set(params, leaders, lengths, walk[:N] // (longest + 1), G)
+    W, perm = _information_set(params, table, G)
     return Design(params=params, kind=kind, table=table, G=_readonly(G), W=_readonly(W),
-                  perm=_readonly(perm), sigma_powers=_readonly(sigma_powers.astype(dt)),
-                  walk=walk)
+                  perm=_readonly(perm), walk=_readonly(walk),
+                  sigma_powers=_readonly(_sigma_powers(params, kind, table.longest).astype(dt)))
 
 
 # ---------------------------------------------------------------------------

@@ -199,6 +199,25 @@ def sigma_matrix(params: SystemParams, kind) -> np.ndarray:
     return np.block([[Fm, zero], [zero, lower]]) % p
 
 
+def orbits(N: int, p: int, kind) -> tuple[tuple[int, ...], ...]:
+    """The orbits of k -> step * k mod N (step = p for Fourier, -p for Hartley), each in walk
+    order from its smallest member, sorted by it: the brute-force reference for CosetTable,
+    walked one index at a time."""
+    step = (p if Kind(kind) is Kind.FOURIER else -p) % N
+    seen = [False] * N
+    out = []
+    for s in range(N):
+        if seen[s]:
+            continue
+        orbit, k = [], s
+        while not seen[k]:
+            seen[k] = True
+            orbit.append(k)
+            k = step * k % N
+        out.append(tuple(orbit))
+    return tuple(out)
+
+
 def orbit_maps(table: CosetTable, sigma: np.ndarray, p: int):
     """Per coset: (orbit index array, sigma^t matrices for t = 0..len(orbit))."""
     w = sigma.shape[0]

@@ -891,7 +891,11 @@ def test_design_report_compiles_nothing(capsys, kind):
     assert peak < 8 << 20
     assert transforms.design.cache_info().currsize == 0
     try:
-        transforms.design(params, kind)
+        built = transforms.design(params, kind)
+        # one build is one miss and one entry, whatever the spelling of its kind
+        assert transforms.design(params, kind.upper()) is built
+        info = transforms.design.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
         assert run(capsys, *argv) == cold
         assert transforms.design.cache_info().currsize == 1
     finally:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,10 +7,13 @@ import pytest
 
 import gdmux
 from gdmux import (InvalidParams, Kind, NotCoprime, approx_nu, count_irreducibles, coset_table,
-                   fourier_cosets, hartley_cosets, moebius, nu_g_formula,
+                   cosets, fourier_cosets, hartley_cosets, moebius, nu_g_formula,
                    nu_h_formula, transforms)
 from gdmux.cosets import divisors
 from gdmux.fields import MAX_FIELD_SIZE
+
+import support
+from support import design_grid
 
 FOURIER_26_3 = [
     (0,), (1, 3, 9), (2, 6, 18), (4, 12, 10), (5, 15, 19),
@@ -26,7 +30,7 @@ def test_fourier_cosets_26_3():
     t = fourier_cosets(26, 3)
     assert t.nu == 10
     assert list(t.cosets) == FOURIER_26_3
-    assert t.leaders == (0, 1, 2, 4, 5, 7, 8, 13, 14, 17)
+    assert t.leaders.tolist() == [0, 1, 2, 4, 5, 7, 8, 13, 14, 17]
 
 
 def test_hartley_cosets_26_3():
@@ -97,6 +101,47 @@ def test_coset_tables_refuse_n_below_one_as_invalid(N):
     with pytest.raises(InvalidParams, match=f"^N must be >= 1, got {N}$") as info:
         coset_table(N, 3, Kind.HARTLEY)
     assert not isinstance(info.value, NotCoprime)
+
+
+# every (p, N) of the design grid, N = 1, the large designs, and N = 65537, where 3 generates
+# the units: one orbit of 65536 indices, far longer than any design's 2m
+ORACLE_TABLES = sorted({(p, N) for p, _, N in design_grid()}) + [
+    (3, 1), (7, 1), (3, 2186), (3, 3280), (3, 65537), (3, 531440)]
+
+
+@pytest.mark.parametrize("kind", [Kind.FOURIER, Kind.HARTLEY])
+def test_array_table_matches_the_orbit_walk(kind):
+    # the table was the tuples support.orbits builds; its arrays say the same, index by index
+    for p, N in ORACLE_TABLES:
+        want = support.orbits(N, p, kind)
+        t = coset_table(N, p, kind)
+        coset_of, place_of = [0] * N, [0] * N
+        for c, orbit in enumerate(want):
+            for place, k in enumerate(orbit):
+                coset_of[k], place_of[k] = c, place
+        assert t.leaders.tolist() == [orbit[0] for orbit in want], (p, N)
+        assert t.lengths.tolist() == [len(orbit) for orbit in want], (p, N)
+        assert t.coset_of.tolist() == coset_of and t.place_of.tolist() == place_of, (p, N)
+        assert t.longest == max(map(len, want)) and t.nu == len(want), (p, N)
+        assert t.cosets == want, (p, N)
+        assert t.format_lines() == [f"C{o[0]}=({','.join(map(str, o))})" for o in want], (p, N)
+        for a in (t.leaders, t.lengths, t.coset_of, t.place_of):
+            assert a.dtype == np.int32 and not a.flags.writeable, (p, N)
+
+
+def test_a_cold_table_keeps_16_and_peaks_at_32_bytes_per_index():
+    # the tuple table kept 58 B per index at this design and peaked at 69 B
+    N = 1030300
+    cosets._orbits.cache_clear()
+    tracemalloc.start()
+    try:
+        table = coset_table(N, 101, Kind.FOURIER)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        cosets._orbits.cache_clear()
+    assert table.nu == 343500
+    assert kept <= 16 * N and peak <= 32 * N, (kept / N, peak / N)
 
 
 def test_format_lines():
@@ -184,7 +229,7 @@ def test_partition_property(p, kind):
         assert t.cosets[0] == (0,)
         assert 1 <= t.nu <= N
         assert all(c[0] == min(c) for c in t.cosets)
-        assert t.leaders == tuple(sorted(t.leaders))
+        assert t.leaders.tolist() == sorted(t.leaders.tolist())
 
 
 def test_fourier_orbit_sizes_divide_m():

@@ -8,10 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from gdmux import (InconsistentFrame, Kind, NotGroundField, SystemParams, TimeBlock,
                    UnsupportedParams, forward_batch, inverse_batch)
-from gdmux import transforms
-from gdmux.cosets import coset_table
+from gdmux import cosets, transforms
+from gdmux.cosets import CosetTable, coset_table
 from gdmux.fields import MAX_PRIME, is_prime
-from gdmux.pipeline import demux_batch, mux_batch, reconstruct_batch, validate_system
+from gdmux.pipeline import (decode_frames, demux_batch, encode_frames, mux_batch, reconstruct_batch,
+                            validate_system)
 from gdmux.transforms import (DESIGN_BUDGET_BYTES, DESIGN_CACHE_SIZE, _forward_flat,
                               _kernel_coeffs, design,
                               design_nbytes, leader_dtype, mod_p, sigma_matrix)
@@ -755,6 +756,31 @@ def test_design_of_any_case_spelling_is_the_kinds_design():
     for spelling in ("HARTLEY", "Hartley", "hartley"):
         assert design(params, spelling) is design(params, Kind.HARTLEY)
     assert design(params, "FOURIER") is design(params, Kind.FOURIER)
+
+
+def test_no_build_wire_or_map_path_forms_the_tuple_view(monkeypatch):
+    # design() turned the table's tuples back into arrays, and validate_system scanned them
+    # for the longest orbit; only printing and comparing form them now
+    def formed(table):
+        raise AssertionError(f"the {table.kind} cosets of N = {table.N} were formed as tuples")
+    monkeypatch.setattr(CosetTable, "cosets", property(formed))
+    cosets._orbits.cache_clear()
+    design.cache_clear()
+    params = make(3, 4, 80)
+    vs = np.random.default_rng(7).integers(0, 3, (5, 80))
+    for kind in (Kind.FOURIER, Kind.HARTLEY):
+        leaders = mux_batch(params, kind, vs)
+        wire = decode_frames(encode_frames(params, kind, leaders), params, kind)
+        assert np.array_equal(demux_batch(params, kind, wire), vs)
+        spectra = reconstruct_batch(params, kind, leaders)
+        assert np.array_equal(inverse_batch(params, kind, spectra), vs)
+        # the orbit of 10 is {10, 30} for both kinds; x in its leader's re part leaves GF(9)
+        c = design(params, kind).table.leaders.tolist().index(10)
+        leaders[2, c, 0, 1] = (leaders[2, c, 0, 1] + 1) % 3
+        with pytest.raises(InconsistentFrame, match="^frame 2: orbit of leader 10 does not close"):
+            reconstruct_batch(params, kind, leaders)
+    with pytest.raises(UnsupportedParams, match="over the 256 MiB budget"):
+        validate_system(make(3, 8, 6560), Kind.HARTLEY)
 
 
 def test_a_kind_and_its_value_take_one_cache_entry():
