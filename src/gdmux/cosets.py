@@ -88,18 +88,21 @@ def _orbits(N: int, p: int, kind: Kind) -> CosetTable:
     if math.gcd(N, p) != 1:
         raise NotCoprime(f"gcd({N}, {p}) != 1")
     step = (p if kind is Kind.FOURIER else -p) % N
-    order, power = 1, step
-    while power != 1 % N:       # the order of step mod N: at most 2m when N | p^m - 1
-        order, power = order + 1, power * step % N
     # pointer doubling: after the pass of span s, least[k] = k * step^ahead[k] is the least of
-    # k * step^t over t < 2s, and so the leader of k's orbit once 2s >= order
-    least, ahead = np.arange(N, dtype=np.int32), np.zeros(N, dtype=np.int32)
-    for span in (1 << r for r in range((order - 1).bit_length())):
-        at = np.arange(N) * pow(step, span, N) % N                  # k * step^span
+    # k * step^t over t < 2s. A pass that lowers no least[k] leaves least[k] <= least[k * step^s]
+    # for every k; along the chain k, k * step^s, ..., which cycles, least is then constant, and
+    # its windows of s steps cover k's orbit, so least[k] is the orbit's leader
+    least, ahead, span = np.arange(N, dtype=np.int32), np.zeros(N, dtype=np.int32), 1
+    at = np.arange(N) * step % N                                    # k * step^span
+    while True:
         there = least[at]
-        np.copyto(ahead, ahead[at] + span, where=there < least)
+        lower = there < least
+        if not np.count_nonzero(lower):
+            break
+        np.copyto(ahead, ahead[at] + span, where=lower)
         np.minimum(least, there, out=least)
-        del at, there           # freed before the next pass and the arrays below
+        at, span = at[at], 2 * span
+    del at, there, lower        # freed before the arrays below
     leader = least == np.arange(N, dtype=np.int32)
     coset_of = (np.cumsum(leader, dtype=np.int32) - 1)[least]      # the rank of k's leader
     lengths = np.bincount(coset_of).astype(np.int32)

@@ -40,16 +40,18 @@ zero) and W = [D_I | C] (N, N + r), where D_I = G_I^-1 (mod p). Every
 batch map is a short composition of four private kernels on it:
 _mux (L = v @ G), _demux (v = L_I @ D_I, with the check L_rest ==
 L_I @ C and the zero test L_zero == 0, both in one product L_I @ W),
-_expand (the orbit walk V[orbit[t]] = sigma^t @ V[leader]) and
+_expand (the orbit walk V[k] = sigma^t @ V[leader], read at each
+index's coset and place t, CosetTable.coset_of and place_of) and
 _orbit_error (the closure check sigma^len(orbit) @ leader == leader,
-with no spectrum expanded). For leaders in [0, p) the check and the
-zero test hold exactly when L is in the row space of G, i.e. exactly
-for the frames mux could have produced, and then v @ G == L. A frame
-costs N(N + r) multiply-adds, where a left inverse and a re-encode
-cost 2nN. inverse_batch accepts a spectrum S exactly when, with L = S
-at the leaders, L passes the check and _expand(L) == S: then
-forward(v) = _expand(v @ G) = S, and otherwise forward(v) differs from
-S at a leader or _expand(L) does elsewhere.
+len(orbit) read off CosetTable.lengths, with no spectrum expanded).
+For leaders in [0, p) the check and the zero test hold exactly when L
+is in the row space of G, i.e. exactly for the frames mux could have
+produced, and then v @ G == L. A frame costs N(N + r) multiply-adds,
+where a left inverse and a re-encode cost 2nN. inverse_batch accepts a
+spectrum S exactly when, with L = S at the leaders, L passes the check
+and _expand(L) == S: then forward(v) = _expand(v @ G) = S, and
+otherwise forward(v) differs from S at a leader or _expand(L) does
+elsewhere.
 
 Exactness. Each kernel is a BLAS product of integers in [0, p) whose
 sums stay below 2mN(p-1)^2, and mod_p reduces such sums exactly in the
@@ -80,8 +82,7 @@ vectors, with no GaloisInt arithmetic:
     G is gathered from it, one row of it per (i, coset).
   * sigma is block diagonal: the Frobenius matrix F on re, and F or -F on
     im. All cosets walk the same powers sigma^t: a design holds one stack
-    of them, up to the longest orbit, read off ExtField.frobenius_powers,
-    and reads each index's coset and place in the walk off the coset table.
+    of them, up to the longest orbit, read off ExtField.frobenius_powers.
   * I comes from one batched row reduction mod p. The cosets of k and -k
     form a group of d indices; the column blocks of G of different
     groups are independent, and the first d rows of a block are a basis
@@ -176,24 +177,22 @@ class Design:
     sigma_powers are float so that BLAS applies them: float32 when
     2mN(p-1)^2 < 2^24 (leader_dtype), float64 otherwise. sigma_powers
     (L + 1, 2m, 2m) holds sigma^t for t = 0..L, L the longest orbit:
-    every coset walks the same powers. walk (N + nu,) int32 holds rows
-    c * (L + 1) + t, sigma^t @ leader_c: of each position k, at coset c and
-    place t of the coset table, then of each orbit's end t = len(orbit),
-    which the closure check reads. The arrays are read-only and shared.
+    every coset walks the same powers. The coset table is the design's
+    only record of its orbits: position k takes sigma^t @ leader_c at its
+    coset c = coset_of[k] and place t = place_of[k], and coset c closes at
+    t = lengths[c]. The arrays are read-only and shared.
     """
 
     params: SystemParams
-    kind: Kind
     table: CosetTable
     G: np.ndarray
     W: np.ndarray
     perm: np.ndarray
     sigma_powers: np.ndarray
-    walk: np.ndarray
 
     @property
     def nbytes(self) -> int:
-        return sum(a.nbytes for a in (self.G, self.W, self.perm, self.sigma_powers, self.walk))
+        return sum(a.nbytes for a in (self.G, self.W, self.perm, self.sigma_powers))
 
 
 def leader_dtype(p: int, m: int, N: int) -> type:
@@ -206,16 +205,16 @@ def design_nbytes(p: int, m: int, N: int, nu: int, longest: int) -> int:
     """A bound on Design.nbytes of a design with nu cosets, from the array shapes alone.
 
     G has N rows of n = 2m*nu entries of leader_dtype, 4 or 8 bytes, and W
-    at most as many (N + r <= n); perm holds n intp indices,
+    at most as many (N + r <= n); perm holds n intp indices, and
     sigma_powers longest + 1 matrices of size (2m, 2m) in leader_dtype,
-    longest <= 2m being the longest orbit, and walk N + nu int32 indices.
-    Design.nbytes is the bound less N entries per zero column of G (there
-    are at least 2m - 1: coset 0's value lies in GF(p)). It grows as
-    m*nu*N.
+    longest <= 2m being the longest orbit. The orbit layout is the coset
+    table's, which the design shares and does not count. Design.nbytes
+    is the bound less N entries per zero column of G (there are at least
+    2m - 1: coset 0's value lies in GF(p)). It grows as m*nu*N.
     """
     w = 2 * m
     entry = np.dtype(leader_dtype(p, m, N)).itemsize
-    return (2 * N * w * nu + (longest + 1) * w * w) * entry + 8 * w * nu + (N + nu) * 4
+    return (2 * N * w * nu + (longest + 1) * w * w) * entry + 8 * w * nu
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -368,19 +367,15 @@ def _kind_first(cache):
 def design(params: SystemParams, kind: Kind) -> Design:
     """The compiled design of (params, kind); raises UnsupportedParams, through validate_system,
     before allocating any matrix."""
-    kind = Kind(kind)                   # a Kind's value is its key, and the Design holds the Kind
     table = validate_system(params, kind)
-    N, p, steps = params.N, params.p, table.longest + 1
-    walk = np.concatenate([table.coset_of * steps + table.place_of,
-                           np.arange(table.nu, dtype=np.int32) * steps + table.lengths])
+    N, p = params.N, params.p
     # G[i, (c, a)] = ker[i * leader_c, a]
     w, dt = 2 * params.m, leader_dtype(p, params.m, N)
     ker = _kernel_coeffs(params, kind)
     args = np.arange(N)[:, None] * table.leaders % N                  # (N, nu): i * leader
     G = ker.reshape(N, w).astype(dt)[args].reshape(N, -1)
     W, perm = _information_set(params, table, G)
-    return Design(params=params, kind=kind, table=table, G=_readonly(G), W=_readonly(W),
-                  perm=_readonly(perm), walk=_readonly(walk),
+    return Design(params=params, table=table, G=_readonly(G), W=_readonly(W), perm=_readonly(perm),
                   sigma_powers=_readonly(_sigma_powers(params, kind, table.longest).astype(dt)))
 
 
@@ -463,14 +458,14 @@ def _demux(d: Design, rows: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray
 
 def _expand(d: Design, L: np.ndarray) -> np.ndarray:
     """uint8 spectra (F, N, 2, m) of leader rows L (F, n) in [0, p), in G's dtype: the orbit
-    walk, one product with the stacked powers sigma^t, read out at V[orbit[t]] through d.walk."""
-    N, m, p = d.params.N, d.params.m, d.params.p
+    walk, one product with the stacked powers sigma^t, read out at each index's coset and place."""
+    N, m, p, table = d.params.N, d.params.m, d.params.p, d.table
     w = 2 * m
     # column t*2m + a is row a of sigma^t; each sum has 2m terms below p^2
     powers = d.sigma_powers.transpose(2, 0, 1).reshape(w, -1)
     steps = mod_p(L.reshape(-1, w) @ powers, p).astype(np.uint8)
-    steps = steps.reshape(len(L), d.table.nu * len(d.sigma_powers), w)   # -1 fails for no frames
-    return steps[:, d.walk[:N]].reshape(len(L), N, 2, m)
+    steps = steps.reshape(len(L), table.nu, len(d.sigma_powers), w)   # -1 fails for no frames
+    return steps[:, table.coset_of, table.place_of].reshape(len(L), N, 2, m)
 
 
 def _orbit_error(d: Design, rows: np.ndarray) -> Optional[InconsistentFrame]:
@@ -480,8 +475,7 @@ def _orbit_error(d: Design, rows: np.ndarray) -> Optional[InconsistentFrame]:
     with an entry outside [0, p) never closes."""
     nu, w, p = d.table.nu, 2 * d.params.m, d.params.p
     lead = rows.reshape(len(rows), nu, w).transpose(1, 0, 2)            # (nu, F, 2m)
-    # walk[N + c] is step len(orbit_c) in coset c's block of L + 1 steps
-    closing = d.sigma_powers[d.walk[d.params.N:] % len(d.sigma_powers)].transpose(0, 2, 1)
+    closing = d.sigma_powers[d.table.lengths].transpose(0, 2, 1)
     ends = mod_p(_residues(lead, p).astype(d.G.dtype) @ closing, p)
     bad = (ends != lead).any(axis=2)                                    # (nu, F)
     if not bad.any():

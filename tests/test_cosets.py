@@ -103,10 +103,12 @@ def test_coset_tables_refuse_n_below_one_as_invalid(N):
     assert not isinstance(info.value, NotCoprime)
 
 
-# every (p, N) of the design grid, N = 1, the large designs, and N = 65537, where 3 generates
-# the units: one orbit of 65536 indices, far longer than any design's 2m
+# every (p, N) of the design grid, N = 1, the large designs, and two N where 3 generates the
+# units, so orbits run far longer than any design's 2m: N = 65537, one Fourier orbit of 2^16
+# indices, and N = 100003, whose orbits of 100002 (Fourier) and 50001 (Hartley) steps are no
+# power of two, so the doubling spans do not line up with them
 ORACLE_TABLES = sorted({(p, N) for p, _, N in design_grid()}) + [
-    (3, 1), (7, 1), (3, 2186), (3, 3280), (3, 65537), (3, 531440)]
+    (3, 1), (7, 1), (3, 2186), (3, 3280), (3, 65537), (3, 100003), (3, 531440)]
 
 
 @pytest.mark.parametrize("kind", [Kind.FOURIER, Kind.HARTLEY])

@@ -1,6 +1,7 @@
 import hashlib
 import time
 import tracemalloc
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from gdmux.transforms import (DESIGN_BUDGET_BYTES, DESIGN_CACHE_SIZE, _forward_f
 
 import support
 from support import (ACCEPT_SYSTEMS, SMALL_SYSTEMS, design_grid, forward_definition, make,
-                     outcome)
+                     outcome, scope_designs)
 
 
 @pytest.fixture(scope="module")
@@ -576,7 +577,7 @@ def test_design_nbytes_within_prediction(p, m, N, kind):
     n = 2 * m * d.table.nu
     assert d.G.shape == (N, n) and d.perm.shape == (n,)
     assert N <= d.W.shape[1] <= n and d.W.shape[0] == N
-    for a in (d.G, d.W, d.perm[None], d.sigma_powers, d.walk[None]):
+    for a in (d.G, d.W, d.perm[None], d.sigma_powers):
         with pytest.raises(ValueError):
             a[0, 0] = 1   # shared by every caller, so read-only
 
@@ -603,13 +604,13 @@ def test_design_nbytes_exact_over_grid():
             assert np.array_equal(sigma_matrix(params, kind), sigma), case
             assert np.array_equal(d.sigma_powers[1], sigma), case
             maps = support.orbit_maps(d.table, sigma, p)
-            steps = d.table.longest + 1
-            assert len(d.sigma_powers) == steps and len(d.walk) == N + len(maps), case
+            assert len(d.sigma_powers) == d.table.longest + 1 and d.table.nu == len(maps), case
             for c, (orbit, sigma_t) in enumerate(maps):
                 assert np.array_equal(d.sigma_powers[:len(orbit) + 1], sigma_t), case
-                # step t of coset c is row c * steps + t of the walk's product
-                rows = c * steps + np.arange(len(orbit) + 1)
-                assert np.array_equal(d.walk[np.append(orbit, N + c)], rows), case
+                # step t of coset c is sigma^t of its leader, and the orbit closes at its length
+                assert (d.table.coset_of[orbit] == c).all(), case
+                assert np.array_equal(d.table.place_of[orbit], np.arange(len(orbit))), case
+                assert d.table.lengths[c] == len(orbit), case
             blocks = support.inverse_blocks(params, kind)
             # D_I = E @ D for the object-built left inverse D, E = [I | C | 0] in (I, rest, zero)
             I, rest, _, D_I, C = support.information_set(d)
@@ -626,7 +627,7 @@ def test_design_budget_checks_the_exact_size(monkeypatch):
     size = design_nbytes(3, 3, 26, table.nu, table.longest)
     assert size < design_nbytes(3, 3, 26, 26, table.longest)
     n = 6 * table.nu
-    assert size == 4 * (2 * 26 * n + (table.longest + 1) * 36) + 8 * n + 4 * (26 + table.nu)
+    assert size == 4 * (2 * 26 * n + (table.longest + 1) * 36) + 8 * n
     design.cache_clear()
     monkeypatch.setattr(transforms, "DESIGN_BUDGET_BYTES", size - 1)
     with pytest.raises(UnsupportedParams):
@@ -636,13 +637,30 @@ def test_design_budget_checks_the_exact_size(monkeypatch):
 
 
 def test_design_3_7_1093_fits_the_budget_by_its_coset_count():
-    # at most 16*m*nu*N bytes of float32 G and W, plus perm, the walk and
-    # the sigma powers: 9.2 and 18.4 MiB; nu = N would take 127.7 MiB
-    sizes = {Kind.HARTLEY: 9_696_160, Kind.FOURIER: 19_248_168}
+    # at most 16*m*nu*N bytes of float32 G and W, plus perm and the sigma
+    # powers: 9.2 and 18.4 MiB; nu = N would take 127.7 MiB
+    sizes = {Kind.HARTLEY: 9_691_472, Kind.FOURIER: 19_243_168}
     for kind, size in sizes.items():
         table = coset_table(1093, 3, kind)
         assert design_nbytes(3, 7, 1093, table.nu, table.longest) == size
     assert design_nbytes(3, 7, 1093, 1093, 14) > 6 * max(sizes.values())
+
+
+def test_the_budget_builds_7259_and_refuses_1303_designs_of_the_scope():
+    # the refusal policy over the declared scope, both kinds: design_nbytes of the coset table
+    # against DESIGN_BUDGET_BYTES, with nothing compiled and one field's tables held at a time;
+    # refused designs start at N = 2850, and built ones reach N = 5602
+    built, refused = [], []
+    for _, field in groupby(scope_designs(), key=lambda d: d[:2]):
+        for p, m, N in field:
+            for kind in (Kind.HARTLEY, Kind.FOURIER):
+                table = coset_table(N, p, kind)
+                fits = design_nbytes(p, m, N, table.nu, table.longest) <= DESIGN_BUDGET_BYTES
+                (built if fits else refused).append((N, p, m, kind))
+        cosets._orbits.cache_clear()
+    assert (len(built), len(refused)) == (7259, 1303)
+    assert min(refused) == (2850, 151, 2, Kind.FOURIER)
+    assert max(built) == (5602, 7, 5, Kind.HARTLEY)
 
 
 def test_information_set_groups_over_grid():
@@ -748,7 +766,8 @@ def test_design_is_shared_by_every_spelling_of_a_kind():
     params = make(3, 3, 26)
     assert design(params, "hartley") is design(params, Kind.HARTLEY)
     assert design(params, "fourier") is design(params, Kind.FOURIER)
-    assert design(params, "Hartley").kind is design(params, "hartley").table.kind is Kind.HARTLEY
+    hartley = design(params, "Hartley")
+    assert hartley.table.kind is design(params, "hartley").table.kind is Kind.HARTLEY
 
 
 def test_design_of_any_case_spelling_is_the_kinds_design():
@@ -807,8 +826,11 @@ def test_design_cache_is_bounded():
 
 # sha256 over every compiled design of design_grid() plus the four larger
 # designs, both kinds: the bytes of G, W, perm as int64, sigma_powers and
-# walk, with zeta, the dtype and the shapes. Any rewrite of the build must
-# give the same arrays, so this digest must not change.
+# the orbit walk, with zeta, the dtype and the shapes. Any rewrite of the
+# build must give the same arrays, so this digest must not change. The
+# walk is formed from the coset table as designs once stored it: rows
+# c * (L + 1) + t of each index at coset c and place t, then of each
+# orbit's end t = len(orbit), L the longest orbit.
 DESIGN_DIGEST = "170e02b542fc493ce978b5473aa9cb3635759ea8c7524bfdc674b96670e39dd2"
 
 
@@ -818,7 +840,10 @@ def design_digest() -> str:
         params = make(p, m, N)
         for kind in (Kind.HARTLEY, Kind.FOURIER):
             d = design(params, kind)
-            arrays = (d.G, d.W, d.perm.astype(np.int64), d.sigma_powers, d.walk)
+            t, steps = d.table, d.table.longest + 1
+            walk = np.concatenate([t.coset_of * steps + t.place_of,
+                                   np.arange(t.nu, dtype=np.int32) * steps + t.lengths])
+            arrays = (d.G, d.W, d.perm.astype(np.int64), d.sigma_powers, walk)
             h.update(repr((p, m, N, str(kind), params.zeta, str(d.G.dtype),
                            [a.shape for a in arrays])).encode())
             for a in arrays:
