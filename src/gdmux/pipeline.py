@@ -31,7 +31,8 @@ derives from (p, m, N, poly). A stream of one design is a
 encode_frames writes such a stream in one piece. decode_frames,
 iter_frames and deserialize read one run of frames with equal headers at
 a time: one header comparison and one coefficient range check per run,
-so a refused stream costs what an accepted one does.
+so a refused stream costs what an accepted one does. Given both expectations,
+they derive the expected frame_header first and parse no header equal to it.
 
 The CLI runs the batch maps on the wire's own bytes. The batch maps read
 integer arrays of any width in their own dtype and return uint8, as the
@@ -176,23 +177,18 @@ _HEADER = struct.Struct("<4sHBHB")
 MAX_WIRE_N = 0xFFFF     # N and nu <= N are u16 header fields
 
 
-def _wire_nu(params: SystemParams, kind) -> int:
-    """The coset count nu of a design the header can describe; UnsupportedParams otherwise."""
-    if params.N > MAX_WIRE_N:
-        raise UnsupportedParams(f"{params}/{kind}: N = {params.N} does not fit the 16-bit N "
-                                f"field of the GDM1 header (N <= {MAX_WIRE_N})")
-    return coset_table(params.N, params.p, kind).nu
-
-
 def frame_byte_length(params: SystemParams, kind) -> int:
-    nu = _wire_nu(params, kind)
-    return _HEADER.size + params.m + 2 + nu * 2 * params.m
+    header = frame_header(params, kind)
+    return len(header) + int.from_bytes(header[-2:], "little") * 2 * params.m
 
 
 def frame_header(params: SystemParams, kind) -> bytes:
-    """The header bytes every frame of (params, kind) starts with."""
+    """The header bytes every frame of (params, kind) starts with; its last two hold nu."""
     kind = Kind(kind)
-    nu = _wire_nu(params, kind)
+    if params.N > MAX_WIRE_N:
+        raise UnsupportedParams(f"{params}/{kind}: N = {params.N} does not fit the 16-bit N "
+                                f"field of the GDM1 header (N <= {MAX_WIRE_N})")
+    nu = coset_table(params.N, params.p, kind).nu
     return (_HEADER.pack(MAGIC, params.p, params.m, params.N, _KIND_CODE[kind])
             + bytes(params.poly[:params.m]) + struct.pack("<H", nu))
 
@@ -207,7 +203,7 @@ def encode_frames(params: SystemParams, kind, leaders: np.ndarray) -> bytes:
     Any other shape, or an entry outside [0, p), raises ValueError.
     """
     header = frame_header(params, kind)
-    shape = (coset_table(params.N, params.p, kind).nu, 2, params.m)
+    shape = (int.from_bytes(header[-2:], "little"), 2, params.m)
     body, single = _frames(leaders, shape, "leader values")
     if single:
         raise ValueError(f"expected frames (F, {shape[0]}, 2, {params.m}), got one frame")
@@ -239,7 +235,7 @@ def mux_frames(params: SystemParams, kind, vs: np.ndarray) -> bytes:
 def decode_frames(data: bytes, params: SystemParams, kind) -> np.ndarray:
     """uint8 leader arrays (F, nu, 2, m) of a stream of (params, kind), a view of data; raises
     as iter_frames does."""
-    runs, error = _frame_runs(data, params, kind, (frame_header(params, kind), params, kind))
+    runs, error = _frame_runs(data, params, kind)
     if error:
         raise error
     if not runs:
@@ -287,16 +283,19 @@ def _parse_header(data: bytes, offset: int, expect: Optional[SystemParams],
     return params, kind, pos
 
 
-def _frame_runs(data: bytes, expect: Optional[SystemParams], expect_kind: Optional[Kind],
-                known: Optional[tuple] = None) -> tuple[list, Optional[GdmError]]:
+def _frame_runs(data: bytes, expect: Optional[SystemParams],
+                expect_kind: Optional[Kind]) -> tuple[list, Optional[GdmError]]:
     """(runs, error): (params, kind, uint8 leaders (F, nu, 2, m)) per run of frames with equal
     headers up to the first bad frame, and its error with frame_index set, or None.
 
-    _parse_header checks each distinct header once (known: one taken as checked). The first
-    run is matched in one piece, later ones in windows of 1, 2, 4, ... frames: linear work.
+    _parse_header checks each distinct header once; with both expectations, their
+    frame_header is taken as checked up front. The first run is matched in one piece, later
+    ones in windows of 1, 2, 4, ... frames: linear work.
     """
     buf = np.frombuffer(data, dtype=np.uint8)
-    checked = {known[0]: known[1:]} if known else {}       # header bytes -> (params, kind)
+    checked = {}                                           # header bytes -> (params, kind)
+    if expect is not None and expect_kind is not None:
+        checked[frame_header(expect, expect_kind)] = expect, Kind(expect_kind)
     runs, pos, index, window = [], 0, 0, len(buf)
     while pos < len(buf):
         try:
@@ -337,15 +336,15 @@ def _frame_runs(data: bytes, expect: Optional[SystemParams], expect_kind: Option
 def deserialize(data: bytes, expect: Optional[SystemParams] = None,
                 expect_kind: Optional[Kind] = None) -> CompressedFrame:
     """Parse exactly one frame; trailing bytes are an error."""
-    params, kind, end = _parse_header(data, 0, expect, expect_kind)
-    size = frame_byte_length(params, kind)
-    runs, error = _frame_runs(data[:size], expect, expect_kind, (bytes(data[:end]), params, kind))
-    if error:
+    runs, error = _frame_runs(data or b"\0", expect, expect_kind)   # b"" is refused as a cut magic
+    if error and error.frame_index == 0:
         error.frame_index = None
         raise error
+    params, kind, leaders = runs[0]
+    size = frame_byte_length(params, kind)
     if len(data) > size:
         raise BadLength(f"{len(data) - size} trailing bytes after frame")
-    return CompressedFrame(params, kind, params.ring.from_array(runs[0][2][0]))
+    return CompressedFrame(params, kind, params.ring.from_array(leaders[0]))
 
 
 def iter_frames(data: bytes, expect: Optional[SystemParams] = None,

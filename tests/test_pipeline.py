@@ -417,7 +417,10 @@ def test_header_refuses_n_over_its_16_bit_field(kind, monkeypatch):
     monkeypatch.setattr(pipeline, "coset_table", _boom)
     calls = [lambda: frame_header(params, kind), lambda: frame_byte_length(params, kind),
              lambda: encode_frames(params, kind, leader_array(frame)[None]),
-             lambda: decode_frames(b"", params, kind), lambda: serialize(frame)]
+             lambda: decode_frames(b"", params, kind), lambda: serialize(frame),
+             # given both expectations, before any frame is read
+             lambda: list(iter_frames(b"NOPE", params, kind)),
+             lambda: deserialize(b"NOPE", params, kind)]
     for call in calls:
         with pytest.raises(UnsupportedParams, match=r"N = 106288 does not fit the 16-bit N field "
                                                     r"of the GDM1 header \(N <= 65535\)$"):
@@ -506,7 +509,7 @@ def test_foreign_header_refused_before_any_design_is_built(p514, p3326, monkeypa
             with pytest.raises(ParamMismatch) as parsed:
                 list(iter_frames(blob, expect=p3326, expect_kind=Kind.HARTLEY))
             assert parsed.value.frame_index == index
-            assert len(calls) == min(index, 1)   # only the good header is built
+            assert len(calls) == 0   # the good header is the expected one: no design is built
             with pytest.raises(ParamMismatch) as decoded:
                 decode_frames(blob, p3326, Kind.HARTLEY)
             assert (str(decoded.value), decoded.value.frame_index) == (str(parsed.value), index)
@@ -765,6 +768,86 @@ def test_frame_parsers_match_the_per_frame_reference(case):
     frames, error = _parsed(reference_iter_frames(data, params, kind))
     want = error or ("ok", [leader_array(frame).tolist() for frame in frames])
     assert outcome(decode_frames, data, params, kind) == want
+
+
+@st.composite
+def _edited_mixed_streams(draw):
+    """(data, one-frame slices of it, the writer's params and kind): 1-8 frames of (5, 1, 4)
+    Hartley and (3, 3, 26) Fourier, then one byte flip, truncation or splice."""
+    designs = [d for d in _stream_designs()
+               if (d[0].p, d[0].m, d[0].N, d[1]) in {(5, 1, 4, Kind.HARTLEY),
+                                                      (3, 3, 26, Kind.FOURIER)}]
+    picks = draw(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 11)),
+                          min_size=1, max_size=8))
+    frames = [designs[d][2][i] for d, i in picks]
+    data = b"".join(frames)
+    starts = list(itertools.accumulate((len(f) for f in frames), initial=0))
+    edit = draw(st.sampled_from(["flip", "cut", "splice"]))
+    if edit == "flip":
+        if draw(st.booleans()):
+            pos = draw(st.sampled_from(starts[:-1])) + draw(st.integers(0, 14))   # a header byte
+        else:
+            pos = draw(st.integers(0, len(data) - 1))
+        pos = min(pos, len(data) - 1)
+        data = data[:pos] + bytes([data[pos] ^ draw(st.integers(1, 255))]) + data[pos + 1:]
+    elif edit == "cut":
+        data = data[:draw(st.integers(0, len(data)))]
+    else:   # a piece of any frame of either design replaces a range of the stream
+        donor = designs[draw(st.integers(0, 1))][2][draw(st.integers(0, 11))]
+        i, j = sorted(draw(st.lists(st.integers(0, len(data)), min_size=2, max_size=2)))
+        k, n = sorted(draw(st.lists(st.integers(0, len(donor)), min_size=2, max_size=2)))
+        data = data[:i] + donor[k:n] + data[j:]
+    slices = [data[a:b] for a, b in zip(starts, starts[1:])]
+    params, kind, _ = designs[picks[0][0]]
+    return data, slices, params, kind
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_edited_mixed_streams())
+def test_readers_match_the_reference_on_edited_mixed_streams(case):
+    # with no expectations and with both, the same frames, then the same error class,
+    # message and frame_index as the per-frame reference
+    data, slices, params, kind = case
+    for expect, expect_kind in ((None, None), (params, kind)):
+        assert (_parsed(iter_frames(data, expect, expect_kind))
+                == _parsed(reference_iter_frames(data, expect, expect_kind)))
+        for piece in slices:
+            assert (_deserialized(deserialize, piece, expect, expect_kind)
+                    == _deserialized(reference_deserialize, piece, expect, expect_kind))
+    frames, error = _parsed(reference_iter_frames(data, params, kind))
+    want = error or ("ok", [leader_array(frame).tolist() for frame in frames])
+    assert outcome(decode_frames, data, params, kind) == want
+
+
+def test_readers_given_the_design_parse_only_headers_that_differ_from_it(p514, p3326,
+                                                                         monkeypatch):
+    kind = Kind.HARTLEY
+    good = encode_frames(p3326, kind, mux_batch(p3326, kind, np.ones((4, 26), dtype=np.int64)))
+    size = frame_byte_length(p3326, kind)
+    other = serialize(mux(TimeBlock(p514, (4, 0, 1, 2)), kind))
+    first = list(iter_frames(good))[0]
+    calls = []
+    parse = pipeline._parse_header
+    monkeypatch.setattr(pipeline, "_parse_header",
+                        lambda data, pos, *a: calls.append(pos) or parse(data, pos, *a))
+    # a clean stream of the expected design parses no header
+    assert len(list(iter_frames(good, p3326, kind))) == 4
+    assert len(decode_frames(good, p3326, kind)) == 4
+    assert deserialize(good[:size], p3326, kind) == first
+    assert calls == []
+    # a header that differs is parsed, once, at its own frame
+    for read in (lambda blob: list(iter_frames(blob, p3326, kind)),
+                 lambda blob: decode_frames(blob, p3326, kind)):
+        calls.clear()
+        with pytest.raises(ParamMismatch) as refused:
+            read(good + other + good)
+        assert refused.value.frame_index == 4 and calls == [len(good)]
+    # bytes after the one frame deserialize reads are counted, with no frame named
+    for expect in ((), (p3326, kind)):
+        for blob, extra in ((good[:size] + b"\0", 1), (good[:size] * 2, size)):
+            with pytest.raises(BadLength, match=rf"^{extra} trailing bytes after frame$") as exc:
+                deserialize(blob, *expect)
+            assert exc.value.frame_index is None
 
 
 def _boom(*args, **kwargs):
