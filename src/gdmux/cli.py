@@ -21,9 +21,13 @@ becomes an (F, N) symbol array there. Any other text, and every refusal,
 takes the str path: decode, then one pass line by line that reads each
 token by int() and stops at the first bad line with "line N: ...". Both
 paths accept the same texts with the same rows. One pipeline.mux_frames
-muxes the array into the frame buffer. demux reads the frames with one
-pipeline.decode_frames, which names the first bad frame ("frame N:
-..."), and demuxes its uint8 leaders with one pipeline.demux_batch.
+muxes the array, which the parse has checked, into the frame buffer under
+the design's header. demux reads the frames with one
+pipeline.decode_frames, which checks their headers and coefficients and
+names the first bad frame ("frame N: ..."), and demuxes its uint8
+leaders with one pipeline.demux_frames, with no second check. Each input
+is checked once, by the parse. A regular input file is read in one
+os.read of its size.
 
 demux formats its text from a digit table: each symbol becomes the
 right-aligned digits of the design's widest symbol p-1 plus a space or
@@ -37,6 +41,7 @@ fsynced.
 from __future__ import annotations
 
 import argparse
+import errno
 import math
 import os
 import stat
@@ -59,6 +64,7 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_SELFTEST = 3
 
+_IN_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)
 _OUT_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
 
 
@@ -160,10 +166,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_bytes(path: str) -> bytes:
+    """The bytes of stdin ("-") or of the file at path: a regular file in one os.read of its
+    fstat size, anything else, and a read cut short, on to the end."""
     if path == "-":
         return sys.stdin.buffer.read()
-    with open(path, "rb") as fh:
-        return fh.read()
+    fd = os.open(path, _IN_FLAGS)
+    try:
+        st = os.fstat(fd)
+        if stat.S_ISDIR(st.st_mode):            # refused as open() words it
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        data = os.read(fd, st.st_size) if stat.S_ISREG(st.st_mode) else b""
+        if len(data) < st.st_size or not data:
+            with open(fd, "rb", closefd=False) as fh:
+                data += fh.read()
+        return data
+    finally:
+        os.close(fd)
 
 
 def _write_bytes(path: str, data: bytes) -> None:
@@ -275,7 +293,8 @@ def _byte_rows(data: bytes, p: int, N: int) -> Optional[np.ndarray]:
     ends = (digit[3:-1] > digit[4:]).nonzero()[0]
     del digit
     # tokens before each break: a line holds 0 or N of them
-    step = np.diff(ends.searchsorted(breaks))
+    at = ends.searchsorted(breaks)
+    step = at[1:] - at[:-1]
     if ((step != 0) & (step != N)).any():
         return None
     value = value[ends]
@@ -347,7 +366,7 @@ def cmd_demux(args) -> int:
         try:
             # batch errors carry their own frame index in the message; an
             # over-budget design (UnsupportedParams) is no data error
-            vs = pipeline.demux_batch(params, args.kind, leaders)
+            vs = pipeline.demux_frames(params, args.kind, leaders)
         except (InconsistentFrame, NotGroundField) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_DATA

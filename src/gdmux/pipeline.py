@@ -33,14 +33,17 @@ iter_frames and deserialize read one run of frames with equal headers at
 a time: one header comparison and one coefficient range check per run,
 so a refused stream costs what an accepted one does. Given both expectations,
 they derive the expected frame_header first and parse no header equal to it.
+deserialize reads only the first frame, its length read off the raw m and
+nu bytes of its header.
 
-The CLI runs the batch maps on the wire's own bytes. The batch maps read
-integer arrays of any width in their own dtype and return uint8, as the
-wire holds them. mux_frames writes the uint8 leaders of mux_batch into
-one preallocated (F, header + n) buffer, the header broadcast into every
-row, as encode_frames does with its checked leaders. decode_frames
-returns the leaders as a uint8 view of the stream, which demux_batch
-reads with no copy beyond its perm gather.
+The CLI runs the batch maps' kernels on what its own parse has checked,
+with no second check. mux_frames writes v @ G of symbol rows in [0, p)
+into one preallocated (F, header + n) buffer, under the header the design
+packed when it was compiled, broadcast into every row, as encode_frames
+does with its checked leaders. decode_frames checks every coefficient
+below p and returns the leaders as a uint8 view of the stream, which
+demux_frames reads with no copy beyond its perm gather. Each gives the
+bytes, symbols and errors of the checked maps (mux_batch, demux_batch).
 
 Leaders that no frame of symbols maps to raise (InconsistentFrame /
 NotGroundField). A corruption that turns one valid frame into another
@@ -62,13 +65,12 @@ from .cosets import Kind, coset_table
 from .errors import (BadLength, BadMagic, GdmError, InconsistentFrame, InvalidParams,
                      ParamMismatch, UnsupportedParams, require_positive)
 from .fields import GaloisInt, SystemParams
-from .transforms import (TimeBlock, _frames, demux_batch, in_range, mux_batch,
-                         reconstruct_batch, validate_system)
+from .transforms import (MAGIC, MAX_WIRE_N, TimeBlock, _HEADER, _KIND_CODE, _demux_or_raise,
+                         _frames, _mux, demux_batch, design, in_range, mux_batch,
+                         reconstruct_batch, validate_system, wire_header)
 # unused here; kept bound because perfbench/tracer.py wraps them in this module
 from .transforms import _forward_flat, sigma_matrix  # noqa: F401
 
-MAGIC = b"GDM1"
-_KIND_CODE = {Kind.FOURIER: 0, Kind.HARTLEY: 1}
 _CODE_KIND = {v: k for k, v in _KIND_CODE.items()}
 
 
@@ -173,24 +175,18 @@ def required_snr(params: SystemParams, kind=Kind.HARTLEY) -> float:
 # wire format
 # ---------------------------------------------------------------------------
 
-_HEADER = struct.Struct("<4sHBHB")
-MAX_WIRE_N = 0xFFFF     # N and nu <= N are u16 header fields
-
-
 def frame_byte_length(params: SystemParams, kind) -> int:
     header = frame_header(params, kind)
     return len(header) + int.from_bytes(header[-2:], "little") * 2 * params.m
 
 
 def frame_header(params: SystemParams, kind) -> bytes:
-    """The header bytes every frame of (params, kind) starts with; its last two hold nu."""
-    kind = Kind(kind)
+    """The header bytes every frame of (params, kind) starts with; its last two hold nu.
+    N > MAX_WIRE_N is refused before any coset table."""
     if params.N > MAX_WIRE_N:
-        raise UnsupportedParams(f"{params}/{kind}: N = {params.N} does not fit the 16-bit N "
-                                f"field of the GDM1 header (N <= {MAX_WIRE_N})")
-    nu = coset_table(params.N, params.p, kind).nu
-    return (_HEADER.pack(MAGIC, params.p, params.m, params.N, _KIND_CODE[kind])
-            + bytes(params.poly[:params.m]) + struct.pack("<H", nu))
+        raise UnsupportedParams(f"{params}/{Kind(kind)}: N = {params.N} does not fit the 16-bit "
+                                f"N field of the GDM1 header (N <= {MAX_WIRE_N})")
+    return wire_header(params, coset_table(params.N, params.p, kind))
 
 
 def serialize(frame: CompressedFrame) -> bytes:
@@ -223,13 +219,15 @@ def _write_frames(header: bytes, leaders: np.ndarray) -> bytes:
 
 
 def mux_frames(params: SystemParams, kind, vs: np.ndarray) -> bytes:
-    """The frames of symbol rows (F, N): encode_frames of mux_batch, with no second check.
+    """The frames of integer symbol rows (F, N) in [0, p), which the caller has checked:
+    encode_frames of mux_batch, with no check, v @ G written under the design's header.
 
-    mux_batch builds the design first, so a design over the budget is refused before a header
-    with N over its 16-bit field.
+    The design is built first, so a design over the budget is refused before a header with N
+    over its 16-bit field.
     """
-    leaders = mux_batch(params, kind, vs)
-    return _write_frames(frame_header(params, kind), leaders)
+    d = design(params, kind)
+    header = d.header or frame_header(params, kind)      # None only for N > MAX_WIRE_N: refused
+    return _write_frames(header, _mux(d, vs.astype(d.G.dtype)))
 
 
 def decode_frames(data: bytes, params: SystemParams, kind) -> np.ndarray:
@@ -241,6 +239,13 @@ def decode_frames(data: bytes, params: SystemParams, kind) -> np.ndarray:
     if not runs:
         return np.zeros((0, coset_table(params.N, params.p, kind).nu, 2, params.m), np.uint8)
     return runs[0][2]      # with the design known, one header is valid
+
+
+def demux_frames(params: SystemParams, kind, leaders: np.ndarray) -> np.ndarray:
+    """uint8 symbol rows (F, N) of leaders (F, nu, 2, m) in [0, p), which the caller has
+    checked, as decode_frames does: demux_batch with no check; raises as it does."""
+    d = design(params, kind)
+    return _demux_or_raise(d, leaders.reshape(len(leaders), -1)).astype(np.uint8)
 
 
 def _parse_header(data: bytes, offset: int, expect: Optional[SystemParams],
@@ -335,13 +340,20 @@ def _frame_runs(data: bytes, expect: Optional[SystemParams],
 
 def deserialize(data: bytes, expect: Optional[SystemParams] = None,
                 expect_kind: Optional[Kind] = None) -> CompressedFrame:
-    """Parse exactly one frame; trailing bytes are an error."""
-    runs, error = _frame_runs(data or b"\0", expect, expect_kind)   # b"" is refused as a cut magic
-    if error and error.frame_index == 0:
+    """Parse exactly one frame; trailing bytes are an error.
+
+    Only the bytes of the first frame, by its raw m and nu, are parsed: the header of a valid
+    frame gives its length, and one that lies about m or nu is refused at frame 0.
+    """
+    data = data or b"\0"                             # b"" is refused as a cut magic
+    m = data[6] if len(data) > 6 else 0             # as in _frame_runs
+    end = _HEADER.size + m + 2
+    size = end + int.from_bytes(data[end - 2:end], "little") * 2 * m
+    runs, error = _frame_runs(data[:size], expect, expect_kind)
+    if error:
         error.frame_index = None
         raise error
     params, kind, leaders = runs[0]
-    size = frame_byte_length(params, kind)
     if len(data) > size:
         raise BadLength(f"{len(data) - size} trailing bytes after frame")
     return CompressedFrame(params, kind, params.ring.from_array(leaders[0]))

@@ -62,11 +62,18 @@ Symbols and spectrum entries are reduced mod p first; demux_batch and
 reconstruct_batch refuse leaders outside [0, p), which never close their
 orbits.
 
+Checked once, at the edge: each public batch map forms its Kind in
+design() and checks its input's shape and dtype (_frames) and range
+(in_range) once; the kernels trust what they are given. pipeline's
+mux_frames and demux_frames run _mux and _demux_or_raise on rows the
+CLI's parse has checked.
+
 validate_system reads the coset table alone and refuses a design whose size
-bound exceeds DESIGN_BUDGET_BYTES. design(), which only the batch maps call,
-runs it, then compiles these arrays once per (params, Kind(kind)): every
-spelling of a kind is one cache entry. It keeps the most recent
-DESIGN_CACHE_SIZE designs.
+bound exceeds DESIGN_BUDGET_BYTES. design(), which only the batch maps and
+the CLI's frame maps call, runs it, then compiles these arrays once per
+(params, Kind(kind)): every spelling of a kind is one cache entry. It keeps
+the most recent DESIGN_CACHE_SIZE designs. A design also holds its GDM1
+header bytes (wire_header), packed once when it is compiled.
 
 A design is compiled by array operations on (..., m) coefficient
 vectors, with no GaloisInt arithmetic:
@@ -103,6 +110,7 @@ forward_batch against.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from functools import lru_cache, wraps
 from typing import Optional
@@ -135,9 +143,9 @@ class TimeBlock:
 # Layout: a spectrum batch is a uint8 array (F, N, 2, m); axis 2 is re/im,
 # axis 3 the GF(p) coefficients. Flattened per-block length is 2*m*N.
 
-def _kernel_coeffs(params: SystemParams, kind) -> np.ndarray:
+def _kernel_coeffs(params: SystemParams, kind: Kind) -> np.ndarray:
     """(N, 2, m) transform kernel by argument t = i*k mod N: cas(t) or zeta^t."""
-    if Kind(kind) is Kind.HARTLEY:
+    if kind == Kind.HARTLEY:
         return cas_coeffs(params)
     ker = np.zeros((params.N, 2, params.m), dtype=np.int64)
     ker[:, 0] = zeta_powers(params)
@@ -147,7 +155,7 @@ def _kernel_coeffs(params: SystemParams, kind) -> np.ndarray:
 def _forward_flat(params: SystemParams, kind) -> np.ndarray:
     """(2mN, N) integer matrix: spectrum coefficients = M @ symbols (mod p); tests only."""
     N, w = params.N, 2 * params.m
-    ker = _kernel_coeffs(params, kind).reshape(N, w)
+    ker = _kernel_coeffs(params, Kind(kind)).reshape(N, w)
     n = np.arange(N)
     # flat[k, a, i] = ker[i*k mod N, a], gathered straight into the final layout
     return ker[(np.outer(n, n) % N)[:, None, :], np.arange(w)[:, None]].reshape(N * w, N)
@@ -159,6 +167,19 @@ def _forward_flat(params: SystemParams, kind) -> np.ndarray:
 
 DESIGN_CACHE_SIZE = 8             # compiled designs kept, least recently used evicted
 DESIGN_BUDGET_BYTES = 256 << 20   # largest compiled design; bigger ones are refused
+
+# the fixed fields of a GDM1 frame header (layout in pipeline's docstring)
+MAGIC = b"GDM1"
+MAX_WIRE_N = 0xFFFF     # N and nu <= N are u16 header fields
+_HEADER = struct.Struct("<4sHBHB")
+_KIND_CODE = {Kind.FOURIER: 0, Kind.HARTLEY: 1}
+
+
+def wire_header(params: SystemParams, table: CosetTable) -> bytes:
+    """The GDM1 header bytes every frame of (params, table.kind) starts with, for N <= MAX_WIRE_N;
+    its last two hold nu."""
+    return (_HEADER.pack(MAGIC, params.p, params.m, params.N, _KIND_CODE[table.kind])
+            + bytes(params.poly[:params.m]) + struct.pack("<H", table.nu))
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,7 +201,8 @@ class Design:
     every coset walks the same powers. The coset table is the design's
     only record of its orbits: position k takes sigma^t @ leader_c at its
     coset c = coset_of[k] and place t = place_of[k], and coset c closes at
-    t = lengths[c]. The arrays are read-only and shared.
+    t = lengths[c]. The arrays are read-only and shared. header is the
+    design's wire_header, packed once here, or None when N > MAX_WIRE_N.
     """
 
     params: SystemParams
@@ -189,6 +211,7 @@ class Design:
     W: np.ndarray
     perm: np.ndarray
     sigma_powers: np.ndarray
+    header: Optional[bytes]
 
     @property
     def nbytes(self) -> int:
@@ -222,7 +245,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _sigma_powers(params: SystemParams, kind, longest: int) -> np.ndarray:
+def _sigma_powers(params: SystemParams, kind: Kind, longest: int) -> np.ndarray:
     """(longest + 1, 2m, 2m): sigma^t for t = 0..longest. sigma is block diagonal: the
     Frobenius matrix F on re, and F or -F on im (sigma_matrix); so sigma^t holds F^t, read
     off ExtField.frobenius_powers (F^m = 1), and (+-1)^t F^t."""
@@ -230,7 +253,7 @@ def _sigma_powers(params: SystemParams, kind, longest: int) -> np.ndarray:
     t = np.arange(longest + 1)
     F = params.field.frobenius_powers[t % m]
     # the im part maps to b^p (Fourier, j^p = j for p = 1 mod 4) or -b^p
-    sign = 1 if Kind(kind) is Kind.FOURIER and p % 4 == 1 else -1
+    sign = 1 if kind == Kind.FOURIER and p % 4 == 1 else -1
     out = np.zeros((longest + 1, 2 * m, 2 * m), dtype=np.int64)
     out[:, :m, :m] = F
     out[:, m:, m:] = F * (sign ** t % p)[:, None, None] % p
@@ -371,12 +394,13 @@ def design(params: SystemParams, kind: Kind) -> Design:
     N, p = params.N, params.p
     # G[i, (c, a)] = ker[i * leader_c, a]
     w, dt = 2 * params.m, leader_dtype(p, params.m, N)
-    ker = _kernel_coeffs(params, kind)
+    ker = _kernel_coeffs(params, table.kind)
     args = np.arange(N)[:, None] * table.leaders % N                  # (N, nu): i * leader
     G = ker.reshape(N, w).astype(dt)[args].reshape(N, -1)
     W, perm = _information_set(params, table, G)
     return Design(params=params, table=table, G=_readonly(G), W=_readonly(W), perm=_readonly(perm),
-                  sigma_powers=_readonly(_sigma_powers(params, kind, table.longest).astype(dt)))
+                  sigma_powers=_readonly(_sigma_powers(params, table.kind, table.longest).astype(dt)),
+                  header=None if N > MAX_WIRE_N else wire_header(params, table))
 
 
 # ---------------------------------------------------------------------------
@@ -573,4 +597,4 @@ def sigma_matrix(params: SystemParams, kind: Kind) -> np.ndarray:
     """(2m, 2m) matrix, on stacked (re, im) coefficients, of the value map paired with
     the coset step k -> CosetTable.step * k on spectra of ground-field blocks:
     z.frobenius() for Fourier, z.conj_frobenius() for Hartley."""
-    return _sigma_powers(params, kind, 1)[1]
+    return _sigma_powers(params, Kind(kind), 1)[1]

@@ -20,7 +20,8 @@ from gdmux.cli import main
 from gdmux.fields import MAX_FIELD_SIZE, MAX_PRIME, SystemParams
 from gdmux.pipeline import encode_frames, frame_header, mux_batch
 
-from support import ACCEPT_SYSTEMS, acf_by_lags, cli_demux_oracle, cli_mux_oracle, make
+from support import (ACCEPT_SYSTEMS, acf_by_lags, cli_demux_oracle, cli_mux_oracle, design_grid,
+                     make, outcome)
 
 
 def run(capsys, *argv):
@@ -258,6 +259,36 @@ def test_unreadable_input_and_unwritable_output_exit_1(tmp_path, capsys, command
         code, _, err = run(capsys, *args, "--in", str(src), "--out", str(bad_out))
         assert code == 1
         assert err.startswith("error: [Errno ")
+
+
+def _read_outcome(read, path):
+    try:
+        return read(path)
+    except OSError as exc:
+        return type(exc), str(exc)
+
+
+def test_read_bytes_reads_what_an_open_file_reads(tmp_path):
+    # a regular file is read in one os.read of its fstat size; a file fstat gives no size
+    # for, a device, a pipe and a directory are read, or refused, as open() does
+    def opened(path):
+        with open(path, "rb") as fh:
+            return fh.read()
+    big = tmp_path / "big"
+    big.write_bytes(bytes(range(256)) * 4099)
+    (tmp_path / "empty").write_bytes(b"")
+    paths = [big, tmp_path / "empty", tmp_path / "missing", tmp_path, "/dev/null"]
+    paths += [path for path in ("/proc/version",) if os.path.exists(path)]
+    for path in paths:
+        assert _read_outcome(cli._read_bytes, str(path)) == _read_outcome(opened, str(path)), path
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    writer = subprocess.Popen([sys.executable, "-c", "import sys; open(sys.argv[1], 'wb').write("
+                               "bytes(range(256)) * 1000)", str(fifo)])
+    try:
+        assert cli._read_bytes(str(fifo)) == bytes(range(256)) * 1000
+    finally:
+        assert writer.wait(timeout=30) == 0
 
 
 @pytest.mark.parametrize("argv", [
@@ -872,6 +903,68 @@ def test_demux_names_the_first_frame_whose_orbit_does_not_close(tmp_path, capsys
         assert (str(info.value), info.value.frame_index) == (message, 2)
     assert _cli_file(tmp_path, capsys, "demux", params, "hartley", frames) == (
         2, None, f"error: {message}\n")
+
+
+def test_mux_and_demux_check_their_input_once(tmp_path, capsys, monkeypatch):
+    # mux_batch ran in_range again on the symbols _byte_rows had checked, demux_batch
+    # on the leaders _frame_runs had checked, and each mux packed its header again
+    calls = []
+
+    def counted(name, fn):
+        return lambda *args: calls.append(name) or fn(*args)
+    for module in (transforms, pipeline):
+        monkeypatch.setattr(module, "in_range", counted("in_range", transforms.in_range))
+        monkeypatch.setattr(module, "wire_header", counted("pack", transforms.wire_header))
+    monkeypatch.setattr(pipeline, "frame_header", counted("frame_header", pipeline.frame_header))
+    params = make(3, 3, 26)
+    vs = np.random.default_rng(9).integers(0, 3, size=(30, 26))
+    text = ("\n".join(" ".join(map(str, row)) for row in vs.tolist()) + "\n").encode()
+    frames = encode_frames(params, "hartley", mux_batch(params, "hartley", vs))
+    transforms.design.cache_clear()
+    calls.clear()
+    assert _cli_file(tmp_path, capsys, "mux", params, "hartley", text) == (0, frames, "")
+    assert calls == ["pack"]                                   # when the design is compiled
+    calls.clear()
+    assert _cli_file(tmp_path, capsys, "mux", params, "hartley", text) == (0, frames, "")
+    assert calls == []
+    assert _cli_file(tmp_path, capsys, "demux", params, "hartley", frames) == (0, text, "")
+    assert "in_range" not in calls
+
+
+_GRID = design_grid()
+
+
+@settings(max_examples=120, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(_GRID), st.sampled_from(["hartley", "fourier"]), st.integers(1, 12),
+       st.data())
+def test_cli_runs_the_checked_maps_without_their_checks(tmp_path, capsys, pmn, kind, count, data):
+    # the CLI's frames and symbols are those of the checked maps, and a frame of
+    # coefficients in [0, p) that fails the check is refused as demux_batch refuses it
+    params = make(*pmn)
+    p, N = params.p, params.N
+    vs = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))).integers(0, p, (count, N))
+    text = ("\n".join(" ".join(map(str, row)) for row in vs.tolist()) + "\n").encode()
+    leaders = mux_batch(params, kind, vs)
+    frames = encode_frames(params, kind, leaders)
+    assert _cli_file(tmp_path, capsys, "mux", params, kind, text) == (0, frames, "")
+    assert _cli_file(tmp_path, capsys, "demux", params, kind, frames) == (0, text, "")
+    assert np.array_equal(pipeline.demux_batch(params, kind, pipeline.decode_frames(
+        frames, params, kind)), vs)
+    # a change at a column outside the information set always fails the check
+    d = transforms.design(params, kind)
+    f = data.draw(st.integers(0, count - 1))
+    column = int(d.perm[data.draw(st.integers(N, len(d.perm) - 1))])
+    bad = leaders.copy()
+    bad[f].reshape(-1)[column] = (int(bad[f].reshape(-1)[column])
+                                  + data.draw(st.integers(1, p - 1))) % p
+    blob = encode_frames(params, kind, bad)
+    want = outcome(pipeline.demux_batch, params, kind, bad)
+    assert want[0] in ("InconsistentFrame", "NotGroundField") and want[2] == f
+    assert outcome(pipeline.demux_frames, params, kind,
+                   pipeline.decode_frames(blob, params, kind)) == want
+    assert _cli_file(tmp_path, capsys, "demux", params, kind, blob) == (
+        2, None, f"error: {want[1]}\n")
 
 
 @pytest.mark.parametrize("kind", ["hartley", "fourier"])

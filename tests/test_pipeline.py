@@ -850,6 +850,35 @@ def test_readers_given_the_design_parse_only_headers_that_differ_from_it(p514, p
             assert exc.value.frame_index is None
 
 
+def test_deserialize_parses_no_header_after_its_one_frame(p514):
+    # a valid (3, 12, 53144) header after the frame was parsed, and without
+    # expect its root table built (20-24 ms), before the trailing bytes were counted
+    frame = serialize(mux(TimeBlock(p514, (4, 0, 1, 2)), Kind.HARTLEY))
+    header = (struct.pack("<4sHBHB", b"GDM1", 3, 12, 53144, 1) + bytes(get_field(3, 12).poly[:12])
+              + struct.pack("<H", coset_table(53144, 3, Kind.HARTLEY).nu))
+    assert len(header) == 24
+    for expect in ((), (p514, Kind.HARTLEY)):
+        assert deserialize(frame, *expect) == deserialize(frame)
+        before = fields._root_table.cache_info()
+        with pytest.raises(BadLength, match=r"^24 trailing bytes after frame$") as exc:
+            deserialize(frame + header, *expect)
+        assert exc.value.frame_index is None
+        after = fields._root_table.cache_info()
+        assert (after.currsize, after.misses) == (before.currsize, before.misses)
+
+
+def test_deserialize_reads_the_first_frame_by_its_raw_m_and_nu(p514, p3326):
+    # a header that lies about nu is refused at frame 0 whatever follows it
+    frame = serialize(mux(TimeBlock(p514, (4, 0, 1, 2)), Kind.HARTLEY))
+    lying = frame[:11] + struct.pack("<H", 2) + frame[13:]
+    for blob in (lying, lying + frame, lying[:-1]):
+        assert outcome(deserialize, blob) == outcome(reference_deserialize, blob)
+        assert outcome(deserialize, blob)[:2] == ("ParamMismatch",
+                                                   "header claims 2 leaders, cosets give 3")
+    for blob in (b"", b"GDM", frame[:6], frame[:12], frame[:-1], frame + frame[:3]):
+        assert outcome(deserialize, blob) == outcome(reference_deserialize, blob)
+
+
 def _boom(*args, **kwargs):
     raise AssertionError("called on a path that must not call it")
 
