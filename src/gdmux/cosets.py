@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -67,6 +67,14 @@ class CosetTable:
     place_of: np.ndarray = field(compare=False)
     nu: int                   # the number of cosets
     longest: int              # length of the longest orbit
+
+    @cached_property
+    def walk_index(self) -> np.ndarray:
+        """(N,) intp: k's row coset_of[k] * (longest + 1) + place_of[k] in a coset-major walk of
+        longest + 1 steps per coset, formed once, at its first use, and kept read-only."""
+        index = self.coset_of.astype(np.intp) * (self.longest + 1) + self.place_of
+        index.setflags(write=False)
+        return index
 
     @property
     def cosets(self) -> tuple[tuple[int, ...], ...]:

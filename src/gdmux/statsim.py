@@ -3,8 +3,10 @@
 Random frames are drawn as one (frames, N) array of symbols, and
 embed_spectra maps whole coefficient arrays (..., 2, 1) to the complex
 plane through centered representatives {-(p-1)/2, ..., (p-1)/2}; no
-value is drawn or embedded one at a time. Two embeddings of GI(p) exist
-for m = 1:
+value is drawn or embedded one at a time. The embedding is a table
+lookup: each value is read off an int8 table of at most p^2 entries,
+built once per call of an entry point, with no arithmetic on the values
+themselves. Two embeddings of GI(p) exist for m = 1:
 
   * component: re + 1i*im, a two-dimensional point per value;
   * rationalized: substitute j := sqrt(-1) mod p and center, available
@@ -22,7 +24,8 @@ The spectrum ACF comes from Gram products of blocks of the stream: every
 lag sum, and the sums of squares behind the standard errors, in
 O(S * max_lag) time and O(S) memory for a stream of S samples. For an
 integer-valued stream, such as every centered embedding, the values are
-exact.
+exact. A rationalized stream is real, and a real stream is correlated in
+real arithmetic: one real Gram product per block, with the same sums.
 
 The synthesized baseband puts one pulse per transmitted coefficient
 (the nu coset leaders per frame) at the compressed symbol clock, applies
@@ -30,7 +33,8 @@ a uniform random start offset over one frame per realization to
 stationarize the block structure, and averages periodograms. For white
 symbol streams the averaged periodogram follows the pulse energy
 spectrum: sinc^2 for the rectangular pulse, with no shaping from the
-multiplex itself.
+multiplex itself. psd_estimate writes every realization's rectangular
+envelope, and its FFT, into the same two buffers.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from .cosets import Kind, coset_table
 from .errors import ExtensionNotEmbeddable, InvalidParams, require_positive
 from .fields import SystemParams, centered
 from .pipeline import _check_samples, mux_batch, validate_system
-from .transforms import forward_batch
+from .transforms import _residues, forward_batch
 from .trig import rationalize
 
 
@@ -61,21 +65,44 @@ def _resolve_embedding(params: SystemParams, embedding: str) -> str:
     return embedding
 
 
-def _sampling_mode(params: SystemParams, embedding: str, source: str) -> str:
-    """What _transmit_symbols draws: "gaussian", or the resolved embedding of GDM leaders."""
+def _embedding_table(params: SystemParams, mode: str) -> np.ndarray:
+    """The int8 table _embed reads for a resolved embedding: the centered residues (p,)
+    ("component"), or rationalize at every pair (re, im) (p, p)."""
+    p = params.p
+    residues = np.arange(p)
+    if mode == "component":
+        return centered(residues, p).astype(np.int8)
+    pairs = np.stack(np.broadcast_arrays(residues[:, None], residues), axis=-1)
+    return rationalize(params, pairs[..., None]).astype(np.int8)
+
+
+def _embed(table: np.ndarray, arr: np.ndarray) -> np.ndarray:
+    """Samples of uint8 coefficient arrays (..., 2, 1) with entries in [0, p), as the batch maps
+    return them, read off an _embedding_table: real float64 ones (rationalized) or complex128."""
+    if table.ndim == 2:
+        index = np.multiply(arr[..., 0, 0], len(table), dtype=np.intp)   # flat index re * p + im
+        index += arr[..., 1, 0]
+        return table.take(index).astype(np.float64)
+    return table.take(arr[..., 0]).astype(np.float64).view(np.complex128)[..., 0]
+
+
+def _sampling_table(params: SystemParams, embedding: str, source: str) -> Optional[np.ndarray]:
+    """What _transmit_symbols draws with: None for the "gaussian" control, or the
+    _embedding_table of GDM leaders under the resolved embedding."""
     if source == "gaussian":
-        return source
+        return None
     if source != "gdm":
         raise ValueError(f"unknown source {source!r}")
-    return _resolve_embedding(params, embedding)
+    return _embedding_table(params, _resolve_embedding(params, embedding))
 
 
 def embed_spectra(params: SystemParams, arr: np.ndarray,
                   embedding: str = "auto") -> np.ndarray:
-    """Map spectrum coefficient arrays (..., 2, 1) to complex samples."""
-    if _resolve_embedding(params, embedding) == "rationalized":
-        return rationalize(params, arr).astype(np.complex128)
-    return centered(arr[..., 0, 0], params.p) + 1j * centered(arr[..., 1, 0], params.p)
+    """Map spectrum coefficient arrays (..., 2, 1) of any integer dtype to complex samples;
+    entries outside [0, p) are read mod p."""
+    table = _embedding_table(params, _resolve_embedding(params, embedding))
+    residues = _residues(np.asarray(arr), params.p).astype(np.uint8, copy=False)
+    return _embed(table, residues).astype(np.complex128, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +137,9 @@ def _lag_sums(x: np.ndarray, lags: int) -> np.ndarray:
     padded = np.zeros((rows + groups) * width, dtype=x.dtype)
     padded[:size] = x
     blocks = padded.reshape(-1, width)
-    head = blocks[:rows].conj().T
+    head = blocks[:rows].T
+    if x.dtype.kind == "c":
+        head = head.conj()
     gram = np.empty((width, 2 * width), dtype=x.dtype)
     row, col = gram.strides
     diagonals = np.lib.stride_tricks.as_strided(gram, (width, width), (col, row + col))
@@ -130,13 +159,18 @@ def acf_of_stream(stream: np.ndarray, max_lag: int) -> tuple[np.ndarray, np.ndar
     _lag_sums of |s|^2; the standard error is sqrt(var / cnt) with
     var = (cnt sum|prod|^2 - |sum prod|^2) / cnt^2, clamped at 0. For an
     integer-valued stream whose sums stay below 2^53 the numerator is
-    exact and the means equal prod_j.mean() bit for bit.
+    exact and the means equal prod_j.mean() bit for bit. A stream of a
+    real dtype is summed in float64, a complex one in complex128; the
+    means are complex either way, and those of a real stream have
+    imaginary parts +0.0.
     """
-    stream = np.asarray(stream, dtype=np.complex128)
+    stream = np.asarray(stream)
+    real = stream.dtype.kind != "c"
+    stream = stream.astype(np.float64 if real else np.complex128, copy=False)
     lags = max_lag + 1
     cnt = len(stream) - np.arange(lags, dtype=np.float64)
-    sums = _lag_sums(stream, lags)
-    squares = _lag_sums(stream.real ** 2 + stream.imag ** 2, lags)
+    sums = _lag_sums(stream, lags).astype(np.complex128, copy=False)
+    squares = _lag_sums(stream ** 2 if real else stream.real ** 2 + stream.imag ** 2, lags)
     spread = np.maximum(cnt * squares - (sums.real ** 2 + sums.imag ** 2), 0.0)
     return sums / cnt, np.sqrt(spread / cnt ** 3)
 
@@ -161,9 +195,12 @@ def galois_acf(params: SystemParams, kind=Kind.HARTLEY, frames: int = 100_000,
     _check_samples(params, frames)
     rng = np.random.default_rng(seed)
     vs = rng.integers(0, params.p, size=(frames, params.N))
-    stream = embed_spectra(params, forward_batch(params, kind, vs), mode).reshape(-1)
+    # each residue's count times its centered square: an exact integer sum over the symbols
+    squares = centered(np.arange(params.p), params.p) ** 2
+    time_r0 = int(np.bincount(vs.reshape(-1), minlength=params.p) @ squares) / vs.size
+    stream = _embed(_embedding_table(params, mode), forward_batch(params, kind, vs)).reshape(-1)
+    del vs                          # freed before the ACF's temporaries
     vals, errs = acf_of_stream(stream, max_lag)
-    time_r0 = float((centered(vs, params.p) ** 2).mean())
     return AcfEstimate(lags=np.arange(max_lag + 1), values=vals, stderr=errs,
                        r0=float(vals[0].real), time_r0=time_r0,
                        frames=frames, embedding=mode)
@@ -239,17 +276,30 @@ class PulseShape:
 
 
 def _transmit_symbols(params: SystemParams, kind, frames: int,
-                      rng: np.random.Generator, mode: str) -> np.ndarray:
-    """Complex symbol stream actually sent, in a _sampling_mode: nu coset leaders per frame."""
+                      rng: np.random.Generator, table: Optional[np.ndarray]) -> np.ndarray:
+    """Complex symbol stream actually sent: nu coset leaders per frame, embedded by a
+    _sampling_table, or with table None a white gaussian control stream at the same clock."""
     _check_samples(params, frames)
     nu = validate_system(params, kind).nu
-    if mode == "gaussian":
+    if table is None:
         # control experiment: white non-multiplexed symbols, same clock
         n = frames * nu
         return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2)
     vs = rng.integers(0, params.p, size=(frames, params.N))
     leaders = mux_batch(params, kind, vs)
-    return embed_spectra(params, leaders, mode).reshape(-1)
+    return _embed(table, leaders).astype(np.complex128, copy=False).reshape(-1)
+
+
+def _envelope(symbols: np.ndarray, pulse: PulseShape, taps: np.ndarray,
+              out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The baseband of a symbol stream, one pulse of the given taps per symbol, flat.
+    Rectangular pulses lie side by side, the products np.repeat(symbols, spp) * amplitude,
+    written into out (len(symbols), spp) when it is given; other pulses are convolved."""
+    if pulse.kind == "rectangular":
+        return np.multiply(symbols[:, None], taps, out=out).reshape(-1)
+    up = np.zeros(len(symbols) * pulse.samples_per_symbol, dtype=np.complex128)
+    up[::pulse.samples_per_symbol] = symbols
+    return np.convolve(up, taps)
 
 
 def synthesize_envelope(params: SystemParams, kind=Kind.HARTLEY, frames: int = 1000,
@@ -266,13 +316,8 @@ def synthesize_envelope(params: SystemParams, kind=Kind.HARTLEY, frames: int = 1
     pulse = pulse or PulseShape()
     rng = rng if rng is not None else np.random.default_rng(0)
     symbols = _transmit_symbols(params, kind, frames, rng,
-                                _sampling_mode(params, embedding, source))
-    spp = pulse.samples_per_symbol
-    if pulse.kind == "rectangular":
-        return np.repeat(symbols, spp) * pulse.taps()[0]
-    up = np.zeros(len(symbols) * spp, dtype=np.complex128)
-    up[::spp] = symbols
-    return np.convolve(up, pulse.taps())
+                                _sampling_table(params, embedding, source))
+    return _envelope(symbols, pulse, pulse.taps())
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +339,41 @@ class PsdEstimate:
     segments: int = 0
 
 
+def _periodogram_sums(params: SystemParams, kind, realizations: int, frames: int,
+                      pulse: PulseShape, taps: np.ndarray, nfft: int, length: int,
+                      rng: np.random.Generator,
+                      table: Optional[np.ndarray]) -> tuple[np.ndarray, int]:
+    """The summed |FFT|^2 of every nfft-point segment of realizations envelopes of the given
+    length, each started at a random offset over one frame, and the number of segments. One
+    envelope buffer (rectangular pulses) and one FFT buffer serve every realization; they are
+    allocated after the first draw and freed on return."""
+    spp = pulse.samples_per_symbol
+    nu = coset_table(params.N, params.p, kind).nu
+    acc = np.zeros(nfft)
+    nseg_total = 0
+    rect = spec = None
+    for _ in range(realizations):
+        symbols = _transmit_symbols(params, kind, frames, rng, table)
+        if rect is None and pulse.kind == "rectangular":
+            rect = np.empty((len(symbols), spp), dtype=np.complex128)
+        env = _envelope(symbols, pulse, taps, out=rect)
+        del symbols
+        if spec is None:
+            spec = np.empty((length // nfft, nfft), dtype=np.complex128)
+        theta = int(rng.integers(0, nu * spp))
+        nseg = (length - theta) // nfft
+        if nseg == 0:
+            raise InvalidParams("frames too small for the requested nfft")
+        segs = env[theta:theta + nseg * nfft].reshape(nseg, nfft)
+        # |X|^2 = re^2 + im^2, squared and summed in place in the FFT's own buffer
+        power = np.fft.fft(segs, axis=1, out=spec[:nseg]).view(np.float64)
+        np.square(power, out=power)
+        np.add(power[:, ::2], power[:, 1::2], out=power[:, ::2])
+        acc += power[:, ::2].sum(axis=0)
+        nseg_total += nseg
+    return acc, nseg_total
+
+
 def psd_estimate(params: SystemParams, kind=Kind.HARTLEY, *,
                  realizations: int = 192, frames: int = 1024,
                  pulse: Optional[PulseShape] = None, nfft: int = 512,
@@ -305,31 +385,30 @@ def psd_estimate(params: SystemParams, kind=Kind.HARTLEY, *,
     uniform over one frame, and contributes nfft-point segments. The
     main lobe excludes the neighborhood of the first sinc null, where the
     discrete-time model bias dominates any multiplex effect.
+
+    A realization's envelope is frames * nu * spp samples long, plus
+    len(taps) - 1 for a raised-cosine pulse; an nfft longer than that is
+    refused with InvalidParams before anything is drawn. An nfft just
+    shorter still fails, after the draw, when the drawn offset leaves
+    fewer than nfft samples.
     """
     require_positive("realizations", realizations)
     require_positive("frames", frames)
     require_positive("nfft", nfft)
-    mode = _sampling_mode(params, embedding, source)
+    table = _sampling_table(params, embedding, source)
     pulse = pulse or PulseShape()
-    rng = np.random.default_rng(seed)
     fs = pulse.sample_rate
     spp = pulse.samples_per_symbol
+    taps = pulse.taps()
     nu = coset_table(params.N, params.p, kind).nu
-    acc = np.zeros(nfft)
-    nseg_total = 0
-    for _ in range(realizations):
-        env = synthesize_envelope(params, kind, frames, pulse, rng, embedding, source)
-        theta = int(rng.integers(0, nu * spp))
-        env = env[theta:]
-        nseg = len(env) // nfft
-        if nseg == 0:
-            raise InvalidParams("frames too small for the requested nfft")
-        segs = env[:nseg * nfft].reshape(nseg, nfft)
-        spec = np.fft.fft(segs, axis=1)
-        acc += (spec.real ** 2 + spec.imag ** 2).sum(axis=0)
-        nseg_total += nseg
+    length = frames * nu * spp + (0 if pulse.kind == "rectangular" else len(taps) - 1)
+    if nfft > length:
+        raise InvalidParams("frames too small for the requested nfft")
+    rng = np.random.default_rng(seed)
+    acc, nseg_total = _periodogram_sums(params, kind, realizations, frames, pulse, taps, nfft,
+                                        length, rng, table)
     # R0 from the same ensemble (fresh draw, same statistics)
-    sym = _transmit_symbols(params, kind, min(frames, 4096), rng, mode)
+    sym = _transmit_symbols(params, kind, min(frames, 4096), rng, table)
     r0 = float((sym.real ** 2 + sym.imag ** 2).mean())
     psd = np.fft.fftshift(acc) / (nseg_total * nfft * fs)
     freqs = np.fft.fftshift(np.fft.fftfreq(nfft, d=1.0 / fs))

@@ -40,10 +40,12 @@ zero) and W = [D_I | C] (N, N + r), where D_I = G_I^-1 (mod p). Every
 batch map is a short composition of four private kernels on it:
 _mux (L = v @ G), _demux (v = L_I @ D_I, with the check L_rest ==
 L_I @ C and the zero test L_zero == 0, both in one product L_I @ W),
-_expand (the orbit walk V[k] = sigma^t @ V[leader], read at each
-index's coset and place t, CosetTable.coset_of and place_of) and
-_orbit_error (the closure check sigma^len(orbit) @ leader == leader,
-len(orbit) read off CosetTable.lengths, with no spectrum expanded).
+_expand (the orbit walk V[k] = sigma^t @ V[leader]: one product of the
+leaders with the design's walk matrix, every sigma^t side by side, then
+one take of each index's step at its coset and place t, read off the
+flat CosetTable.walk_index) and _orbit_error (the closure check
+sigma^len(orbit) @ leader == leader, len(orbit) read off
+CosetTable.lengths, with no spectrum expanded).
 For leaders in [0, p) the check and the zero test hold exactly when L
 is in the row space of G, i.e. exactly for the frames mux could have
 produced, and then v @ G == L. A frame costs N(N + r) multiply-adds,
@@ -88,8 +90,9 @@ vectors, with no GaloisInt arithmetic:
     fields.zeta_powers reads off the rows of the design's root search.
     G is gathered from it, one row of it per (i, coset).
   * sigma is block diagonal: the Frobenius matrix F on re, and F or -F on
-    im. All cosets walk the same powers sigma^t: a design holds one stack
-    of them, up to the longest orbit, read off ExtField.frobenius_powers.
+    im. All cosets walk the same powers sigma^t: a design holds them, up
+    to the longest orbit, side by side in one walk matrix, read off
+    ExtField.frobenius_powers.
   * I comes from one batched row reduction mod p. The cosets of k and -k
     form a group of d indices; the column blocks of G of different
     groups are independent, and the first d rows of a block are a basis
@@ -194,15 +197,18 @@ class Design:
     r = len(rest), holds D_I = G_I^-1 (mod p), the library's only
     inverse, and C = D_I @ G_rest, so that G_rest = G_I @ C: a leader row
     L in [0, p) is one mux produced exactly when L_rest == L_I @ C and
-    L_zero == 0, and then its symbols are L_I @ D_I. G, W and
-    sigma_powers are float so that BLAS applies them: float32 when
-    2mN(p-1)^2 < 2^24 (leader_dtype), float64 otherwise. sigma_powers
-    (L + 1, 2m, 2m) holds sigma^t for t = 0..L, L the longest orbit:
-    every coset walks the same powers. The coset table is the design's
-    only record of its orbits: position k takes sigma^t @ leader_c at its
-    coset c = coset_of[k] and place t = place_of[k], and coset c closes at
-    t = lengths[c]. The arrays are read-only and shared. header is the
-    design's wire_header, packed once here, or None when N > MAX_WIRE_N.
+    L_zero == 0, and then its symbols are L_I @ D_I. G, W and walk are
+    float so that BLAS applies them: float32 when 2mN(p-1)^2 < 2^24
+    (leader_dtype), float64 otherwise. walk (2m, (L + 1) 2m) holds
+    sigma^t for t = 0..L, L the longest orbit, transposed side by side:
+    every coset walks the same powers, and leader @ walk is the leader's
+    whole walk, step t in columns t*2m to t*2m + 2m - 1. sigma_powers
+    (L + 1, 2m, 2m) reads the same array as the stack of sigma^t. The
+    coset table is the design's only record of its orbits: position k
+    takes sigma^t @ leader_c at its coset c = coset_of[k] and place
+    t = place_of[k], and coset c closes at t = lengths[c]. The arrays are
+    read-only and shared. header is the design's wire_header, packed once
+    here, or None when N > MAX_WIRE_N.
     """
 
     params: SystemParams
@@ -210,16 +216,22 @@ class Design:
     G: np.ndarray
     W: np.ndarray
     perm: np.ndarray
-    sigma_powers: np.ndarray
+    walk: np.ndarray
     header: Optional[bytes]
 
     @property
+    def sigma_powers(self) -> np.ndarray:
+        """(L + 1, 2m, 2m) read-only view of walk: sigma^t for t = 0..L."""
+        w = len(self.walk)
+        return self.walk.reshape(w, -1, w).transpose(1, 2, 0)
+
+    @property
     def nbytes(self) -> int:
-        return sum(a.nbytes for a in (self.G, self.W, self.perm, self.sigma_powers))
+        return sum(a.nbytes for a in (self.G, self.W, self.perm, self.walk))
 
 
 def leader_dtype(p: int, m: int, N: int) -> type:
-    """The float dtype of G, W and sigma_powers: float32 when every product sum, below
+    """The float dtype of G, W and walk: float32 when every product sum, below
     2mN(p-1)^2, is below 2^24 and so exact in it, else float64."""
     return np.float32 if 2 * m * N * (p - 1) ** 2 < 1 << 24 else np.float64
 
@@ -229,7 +241,7 @@ def design_nbytes(p: int, m: int, N: int, nu: int, longest: int) -> int:
 
     G has N rows of n = 2m*nu entries of leader_dtype, 4 or 8 bytes, and W
     at most as many (N + r <= n); perm holds n intp indices, and
-    sigma_powers longest + 1 matrices of size (2m, 2m) in leader_dtype,
+    walk longest + 1 matrices of size (2m, 2m) in leader_dtype,
     longest <= 2m being the longest orbit. The orbit layout is the coset
     table's, which the design shares and does not count. Design.nbytes
     is the bound less N entries per zero column of G (there are at least
@@ -398,8 +410,10 @@ def design(params: SystemParams, kind: Kind) -> Design:
     args = np.arange(N)[:, None] * table.leaders % N                  # (N, nu): i * leader
     G = ker.reshape(N, w).astype(dt)[args].reshape(N, -1)
     W, perm = _information_set(params, table, G)
+    # walk[a, t*w + b] = sigma^t[b, a]
+    walk = _sigma_powers(params, table.kind, table.longest).transpose(2, 0, 1).astype(dt, order="C")
     return Design(params=params, table=table, G=_readonly(G), W=_readonly(W), perm=_readonly(perm),
-                  sigma_powers=_readonly(_sigma_powers(params, table.kind, table.longest).astype(dt)),
+                  walk=_readonly(walk.reshape(w, -1)),
                   header=None if N > MAX_WIRE_N else wire_header(params, table))
 
 
@@ -482,14 +496,14 @@ def _demux(d: Design, rows: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray
 
 def _expand(d: Design, L: np.ndarray) -> np.ndarray:
     """uint8 spectra (F, N, 2, m) of leader rows L (F, n) in [0, p), in G's dtype: the orbit
-    walk, one product with the stacked powers sigma^t, read out at each index's coset and place."""
+    walk, one product with the walk matrix, read out at each index's coset and place by one
+    take of the table's walk_index."""
     N, m, p, table = d.params.N, d.params.m, d.params.p, d.table
     w = 2 * m
-    # column t*2m + a is row a of sigma^t; each sum has 2m terms below p^2
-    powers = d.sigma_powers.transpose(2, 0, 1).reshape(w, -1)
-    steps = mod_p(L.reshape(-1, w) @ powers, p).astype(np.uint8)
-    steps = steps.reshape(len(L), table.nu, len(d.sigma_powers), w)   # -1 fails for no frames
-    return steps[:, table.coset_of, table.place_of].reshape(len(L), N, 2, m)
+    # row c * (longest + 1) + t of a frame is sigma^t @ leader_c; each sum has 2m terms below p^2
+    steps = mod_p(L.reshape(-1, w) @ d.walk, p).astype(np.uint8)
+    steps = steps.reshape(len(L), table.nu * (table.longest + 1), w)  # -1 fails for no frames
+    return steps.take(table.walk_index, axis=1).reshape(len(L), N, 2, m)
 
 
 def _orbit_error(d: Design, rows: np.ndarray) -> Optional[InconsistentFrame]:

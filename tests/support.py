@@ -9,10 +9,12 @@ from gdmux import (BadLength, CarrierMatrix, CompressedFrame, GaloisInt, GdmErro
                    InconsistentFrame, Kind, NoRationalization, NoSuchRoot, NotGroundField,
                    SystemParams, TimeBlock)
 from gdmux.cosets import CosetTable, coset_table, divisors
-from gdmux.fields import (MAX_FIELD_SIZE, MAX_PRIME, ExtField, FieldElement, get_field, is_prime,
-                          mult_order, poly_is_irreducible)
-from gdmux.pipeline import _parse_header, demux_batch, frame_header, leader_array, mux
-from gdmux.transforms import _forward_flat
+from gdmux.fields import (MAX_FIELD_SIZE, MAX_PRIME, ExtField, FieldElement, centered, get_field,
+                          is_prime, mult_order, poly_is_irreducible)
+from gdmux.pipeline import _parse_header, demux_batch, frame_header, leader_array, mux, mux_batch
+from gdmux.statsim import AcfEstimate, PsdEstimate, PulseShape, _lag_sums, _resolve_embedding
+from gdmux.transforms import _forward_flat, forward_batch, mod_p
+from gdmux.trig import rationalize
 
 # desk-scale systems with p^m <= 1000, used for exhaustive property checks
 SMALL_SYSTEMS = [
@@ -519,3 +521,103 @@ def acf_by_lags(stream, max_lag: int) -> tuple[np.ndarray, np.ndarray]:
         vals[j] = prod.mean()
         errs[j] = float(np.std(prod) / math.sqrt(len(prod)))
     return vals, errs
+
+
+# ---------------------------------------------------------------------------
+# the orbit walk by two index arrays, and the statistics by arithmetic on
+# every value, in fresh arrays: the references the library's outputs equal
+# byte for byte
+# ---------------------------------------------------------------------------
+
+def two_array_expand(d, L) -> np.ndarray:
+    """`transforms._expand` by a product with the transposed view of sigma_powers, read out
+    with the two int32 index arrays coset_of and place_of."""
+    N, m, p, table = d.params.N, d.params.m, d.params.p, d.table
+    w = 2 * m
+    powers = d.sigma_powers.transpose(2, 0, 1).reshape(w, -1)
+    steps = mod_p(L.reshape(-1, w) @ powers, p).astype(np.uint8)
+    steps = steps.reshape(len(L), table.nu, len(d.sigma_powers), w)
+    return steps[:, table.coset_of, table.place_of].reshape(len(L), N, 2, m)
+
+
+def embed_by_values(params: SystemParams, arr, embedding: str = "auto") -> np.ndarray:
+    """`statsim.embed_spectra` by centered's and rationalize's arithmetic on every value."""
+    if _resolve_embedding(params, embedding) == "rationalized":
+        return rationalize(params, arr).astype(np.complex128)
+    return centered(arr[..., 0, 0], params.p) + 1j * centered(arr[..., 1, 0], params.p)
+
+
+def acf_in_complex(stream, max_lag: int) -> tuple[np.ndarray, np.ndarray]:
+    """`statsim.acf_of_stream` with every stream, real or not, summed in complex128."""
+    stream = np.asarray(stream, dtype=np.complex128)
+    lags = max_lag + 1
+    cnt = len(stream) - np.arange(lags, dtype=np.float64)
+    sums = _lag_sums(stream, lags)
+    squares = _lag_sums(stream.real ** 2 + stream.imag ** 2, lags)
+    spread = np.maximum(cnt * squares - (sums.real ** 2 + sums.imag ** 2), 0.0)
+    return sums / cnt, np.sqrt(spread / cnt ** 3)
+
+
+def galois_acf_by_values(params: SystemParams, kind, frames: int, seed: int,
+                         embedding: str = "auto") -> AcfEstimate:
+    """`statsim.galois_acf` at max_lag N - 1, embedded by embed_by_values and correlated by
+    acf_in_complex, with time_r0 the mean of the centered symbols' squares."""
+    mode = _resolve_embedding(params, embedding)
+    rng = np.random.default_rng(seed)
+    vs = rng.integers(0, params.p, size=(frames, params.N))
+    stream = embed_by_values(params, forward_batch(params, kind, vs), mode).reshape(-1)
+    vals, errs = acf_in_complex(stream, params.N - 1)
+    time_r0 = float((centered(vs, params.p) ** 2).mean())
+    return AcfEstimate(lags=np.arange(params.N), values=vals, stderr=errs,
+                       r0=float(vals[0].real), time_r0=time_r0, frames=frames, embedding=mode)
+
+
+def _symbols_by_values(params: SystemParams, kind, frames: int, rng, embedding: str,
+                       source: str) -> np.ndarray:
+    nu = coset_table(params.N, params.p, kind).nu
+    if source == "gaussian":
+        n = frames * nu
+        return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2)
+    vs = rng.integers(0, params.p, size=(frames, params.N))
+    return embed_by_values(params, mux_batch(params, kind, vs), embedding).reshape(-1)
+
+
+def psd_by_values(params: SystemParams, kind, *, realizations: int, frames: int,
+                  pulse: PulseShape, nfft: int, seed: int, embedding: str = "auto",
+                  source: str = "gdm") -> PsdEstimate:
+    """`statsim.psd_estimate` with symbols embedded by embed_by_values, a rectangular envelope
+    by np.repeat, and fresh arrays for every envelope, FFT and power of every realization."""
+    rng = np.random.default_rng(seed)
+    fs, spp = pulse.sample_rate, pulse.samples_per_symbol
+    nu = coset_table(params.N, params.p, kind).nu
+    acc = np.zeros(nfft)
+    nseg_total = 0
+    for _ in range(realizations):
+        symbols = _symbols_by_values(params, kind, frames, rng, embedding, source)
+        if pulse.kind == "rectangular":
+            env = np.repeat(symbols, spp) * pulse.taps()[0]
+        else:
+            up = np.zeros(len(symbols) * spp, dtype=np.complex128)
+            up[::spp] = symbols
+            env = np.convolve(up, pulse.taps())
+        theta = int(rng.integers(0, nu * spp))
+        env = env[theta:]
+        nseg = len(env) // nfft
+        segs = env[:nseg * nfft].reshape(nseg, nfft)
+        spec = np.fft.fft(segs, axis=1)
+        acc += (spec.real ** 2 + spec.imag ** 2).sum(axis=0)
+        nseg_total += nseg
+    sym = _symbols_by_values(params, kind, min(frames, 4096), rng, embedding, source)
+    r0 = float((sym.real ** 2 + sym.imag ** 2).mean())
+    psd = np.fft.fftshift(acc) / (nseg_total * nfft * fs)
+    freqs = np.fft.fftshift(np.fft.fftfreq(nfft, d=1.0 / fs))
+    tsym = pulse.symbol_duration
+    theory = r0 * pulse.spectrum_sq(freqs) / tsym
+    main = np.abs(freqs * tsym) <= 0.75
+    scale = float((psd[main] * theory[main]).sum() / (theory[main] ** 2).sum())
+    ratio = psd[main] / (scale * theory[main])
+    return PsdEstimate(freqs=freqs, power=psd, theory=theory, r0=r0,
+                       fitted_scale=scale, main_lobe=main,
+                       max_rel_dev=float(np.abs(ratio - 1).max()),
+                       ratio_spread=float(np.abs(ratio / ratio.mean() - 1).max()),
+                       realizations=realizations, frames=frames, segments=nseg_total)

@@ -81,6 +81,17 @@ def test_stdout_matches_its_golden_file(capsys, path):
     assert run(capsys, *path.stem.split("_")) == (0, path.read_text(), "")
 
 
+@pytest.mark.parametrize("path", sorted((GOLDEN / "acf").glob("*.csv")), ids=lambda path: path.stem)
+def test_psd_acf_csv_matches_its_golden_file(tmp_path, capsys, path):
+    # each file holds the ACF CSV of the psd command its name spells, "_" for " ", written with
+    # --out /dev/null --acf-out; its lag sums are exact integer sums, so the bytes hold on any
+    # platform (the PSD CSV rests on the FFT's rounding and is pinned by the oracle tests)
+    acf = tmp_path / "acf.csv"
+    code, out, err = run(capsys, *path.stem.split("_"), "--out", os.devnull, "--acf-out", str(acf))
+    assert (code, out) == (0, "") and err.startswith("realizations=4 ")
+    assert acf.read_bytes() == path.read_bytes()
+
+
 def test_cosets_output(capsys):
     code, out, _ = run(capsys, "cosets", "-p", "3", "-N", "26", "--kind", "fourier")
     assert code == 0
@@ -191,6 +202,17 @@ def test_psd_over_the_sample_budget_exits_1_before_sampling(capsys, monkeypatch)
     assert (code, out) == (1, "")
     assert err == (f"error: 100000000 frames of 4 symbols exceed the sample budget of "
                    f"{pipeline.SAMPLE_BUDGET} symbols per draw\n")
+
+
+def test_psd_of_an_nfft_longer_than_an_envelope_exits_1_before_sampling(capsys, monkeypatch):
+    # 4 frames over 4 realizations: 1 frame * 3 leaders * 8 samples, no segment of 512
+    class NoDraws:
+        def integers(self, *args, **kwargs):
+            raise AssertionError("samples drawn for an nfft no envelope holds")
+    monkeypatch.setattr(np.random, "default_rng", lambda *args, **kwargs: NoDraws())
+    code, out, err = run(capsys, "psd", "-p", "5", "-N", "4", "--frames", "4",
+                         "--realizations", "4", "--nfft", "512")
+    assert (code, out, err) == (1, "", "error: frames too small for the requested nfft\n")
 
 
 @pytest.mark.parametrize("user", [["--user", "1"], []], ids=["one-user", "each-user"])

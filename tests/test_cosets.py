@@ -131,6 +131,18 @@ def test_array_table_matches_the_orbit_walk(kind):
             assert a.dtype == np.int32 and not a.flags.writeable, (p, N)
 
 
+@pytest.mark.parametrize("kind", [Kind.FOURIER, Kind.HARTLEY])
+def test_walk_index_takes_what_coset_of_and_place_of_gather(kind):
+    # one flat take of the walk's (nu, longest + 1) steps reads the same step of each index
+    # as the two int32 arrays; the N = 100003 orbits run far longer than any design's
+    for p, N in ORACLE_TABLES:
+        t = coset_table(N, p, kind)
+        steps = np.arange(t.nu * (t.longest + 1)).reshape(t.nu, t.longest + 1)
+        assert np.array_equal(steps.reshape(-1).take(t.walk_index), steps[t.coset_of, t.place_of])
+        assert t.walk_index.dtype == np.intp and not t.walk_index.flags.writeable, (p, N)
+        assert t.walk_index is t.walk_index, (p, N)             # formed once
+
+
 def test_a_cold_table_keeps_16_and_peaks_at_32_bytes_per_index():
     # the tuple table kept 58 B per index at this design and peaked at 69 B
     N = 1030300

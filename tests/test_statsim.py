@@ -10,7 +10,12 @@ from gdmux import (ExtensionNotEmbeddable, InvalidParams, Kind, PulseShape, Syst
 from gdmux import pipeline, statsim
 from gdmux.statsim import acf_of_stream, embed_spectra, _resolve_embedding
 
-from support import acf_by_lags
+import support
+from support import acf_by_lags, design_grid, make
+
+# every m = 1 design of the grid, under each embedding it admits
+EMBEDDED = [(pmn, mode) for pmn in design_grid() if pmn[1] == 1
+            for mode in ("component", "rationalized")[:1 + (pmn[0] % 4 == 1)]]
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +66,94 @@ def test_embed_spectra_reads_uint8_leaders_as_their_int64_copy(pmn, mode):
     assert leaders.dtype == np.uint8 and leaders.max() > params.p // 2
     got = embed_spectra(params, leaders, mode)
     assert np.array_equal(got, embed_spectra(params, leaders.astype(np.int64), mode))
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint16, np.uint64])
+@pytest.mark.parametrize("p", [5, 13])
+def test_embed_spectra_reads_any_integer_entry_mod_p(p, dtype):
+    # the tables are indexed by residues only: negative entries, uint16 entries >= p and uint64
+    # entries >= 2^63 are reduced first, and embed as their residues
+    params = SystemParams.create(p, 1, p - 1)
+    info = np.iinfo(dtype)
+    edges = [info.min, info.min + 1, -1, 0, p - 1, p, 2 * p + 1, info.max - 1, info.max]
+    values = np.array([v for v in edges if info.min <= v <= info.max], dtype=dtype)
+    pairs = np.stack(np.broadcast_arrays(values[:, None], values), axis=-1)[..., None]
+    residues = np.array([v % p for v in pairs.ravel().tolist()]).reshape(pairs.shape)
+    for mode in ("component", "rationalized"):
+        got = embed_spectra(params, pairs, mode)
+        assert got.tobytes() == support.embed_by_values(params, residues, mode).tobytes()
+    with pytest.raises(ExtensionNotEmbeddable):
+        embed_spectra(SystemParams.create(5, 2, 24), np.full((3, 2, 2), info.max, dtype=dtype))
+
+
+def test_embed_spectra_equals_the_arithmetic_oracle_byte_for_byte():
+    # every (re, im) pair of every m = 1 design of the grid, as uint8 leaders and as int64
+    for (p, m, N), mode in EMBEDDED:
+        params = make(p, m, N)
+        pairs = np.stack(np.divmod(np.arange(p * p), p), axis=-1)[..., None]
+        want = support.embed_by_values(params, pairs, mode).tobytes()
+        for arr in (pairs, pairs.astype(np.uint8)):
+            assert embed_spectra(params, arr, mode).tobytes() == want, (p, N, mode)
+
+
+@pytest.mark.parametrize("kind", [Kind.HARTLEY, Kind.FOURIER])
+def test_galois_acf_equals_the_complex_oracle_byte_for_byte(kind):
+    # rationalized streams are correlated in real arithmetic, component ones in complex; the
+    # values, standard errors and powers are the oracle's bits, signs of zero included
+    for (p, m, N), mode in EMBEDDED:
+        params = make(p, m, N)
+        got = galois_acf(params, kind, frames=12, seed=N, embedding=mode)
+        want = support.galois_acf_by_values(params, kind, frames=12, seed=N, embedding=mode)
+        case = (p, N, mode)
+        assert got.values.tobytes() == want.values.tobytes(), case
+        assert got.stderr.tobytes() == want.stderr.tobytes(), case
+        assert (got.r0, got.time_r0, got.embedding) == (want.r0, want.time_r0, want.embedding), case
+
+
+def _psd_fields(est):
+    return (est.freqs.tobytes(), est.power.tobytes(), est.theory.tobytes(), est.r0,
+            est.fitted_scale, est.main_lobe.tobytes(), est.max_rel_dev, est.ratio_spread,
+            est.realizations, est.frames, est.segments)
+
+
+# beta = 0.6: the raised-cosine spectrum vanishes only beyond |f Tsym| = 0.8, outside the main lobe
+PULSES = [PulseShape(sample_rate=4.0), PulseShape(kind="raised-cosine", beta=0.6, sample_rate=4.0)]
+
+
+@pytest.mark.parametrize("kind", [Kind.HARTLEY, Kind.FOURIER])
+def test_psd_estimate_equals_the_fresh_array_oracle_byte_for_byte(kind):
+    # reused envelope and FFT buffers, squared in place, give the oracle's bits for GDM leaders
+    # under each embedding and for the gaussian control, with rectangular and raised-cosine
+    # pulses
+    for (p, m, N), mode in EMBEDDED:
+        params = make(p, m, N)
+        sources = ["gdm", "gaussian"] if mode == "component" else ["gdm"]
+        for source, pulse in [(source, pulse) for source in sources for pulse in PULSES]:
+            args = dict(realizations=2, frames=6, pulse=pulse, nfft=16, seed=N,
+                        embedding=mode, source=source)
+            got = psd_estimate(params, kind, **args)
+            assert _psd_fields(got) == _psd_fields(support.psd_by_values(params, kind, **args)), (
+                p, N, mode, source, pulse.kind)
+
+
+@pytest.mark.parametrize("pmn", [(5, 1, 4), (7, 1, 6)])
+def test_psd_and_acf_peaks_per_drawn_symbol_stay_flat(pmn):
+    # rationalized at (5,1,4), component at (7,1,6); at 2^13 and 2^15 frames the peak traced
+    # bytes per drawn symbol (frames * N, one realization) stay under a constant: 288 (psd) and
+    # 56 (acf) before the envelope and FFT buffers were reused and real streams summed as real
+    params = make(*pmn)
+    calls = [(lambda f: psd_estimate(params, Kind.HARTLEY, realizations=1, frames=f, nfft=512), 200),
+             (lambda f: galois_acf(params, Kind.HARTLEY, frames=f), 53)]
+    for call, bound in calls:
+        call(256)               # the design and its tables, built once
+        for frames in (1 << 13, 1 << 15):
+            tracemalloc.start()
+            try:
+                call(frames)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound * frames * params.N, (frames, peak / (frames * params.N))
 
 
 def test_acf_of_zero_stream():
@@ -155,6 +248,8 @@ BAD_ARGUMENTS = [
     (psd_estimate, {"frames": 0}, InvalidParams, "frames"),
     (psd_estimate, {"nfft": 0}, InvalidParams, "nfft"),
     (psd_estimate, {"nfft": -4}, InvalidParams, "nfft"),
+    # an envelope of 1 frame * 3 leaders * 8 samples can hold no segment of 512
+    (psd_estimate, {"realizations": 3, "frames": 1, "nfft": 512}, InvalidParams, "frames"),
     (psd_estimate, {"source": "bogus"}, ValueError, "unknown source"),
     (synthesize_envelope, {"frames": 0}, InvalidParams, "frames"),
     (synthesize_envelope, {"frames": -2}, InvalidParams, "frames"),

@@ -476,6 +476,38 @@ def test_inverse_refuses_a_changed_non_leader_bin(p, m, N, kind):
         assert outcome(inverse_batch, params, kind, bad) == want
 
 
+def _walk_outcomes(params, kind, rng):
+    """The outputs, as bytes, or errors of forward_batch, reconstruct_batch and inverse_batch on
+    random rows with an all-(p - 1) row, and of inverse_batch on a spectrum with a changed bin."""
+    p, N, m = params.p, params.N, params.m
+    vs = rng.integers(0, p, size=(4, N))
+    vs[0] = p - 1
+    spectra = forward_batch(params, kind, vs)
+    bad = spectra.copy()
+    bad[2, rng.integers(N), rng.integers(2), rng.integers(m)] += 1
+    bad %= p
+    maps = [(forward_batch, vs), (reconstruct_batch, mux_batch(params, kind, vs)),
+            (inverse_batch, spectra), (inverse_batch, bad)]
+    out = []
+    for fn, arg in maps:
+        try:
+            out.append(fn(params, kind, arg).tobytes())
+        except (InconsistentFrame, NotGroundField) as exc:
+            out.append(support.outcome_of(exc))
+    return out
+
+
+@pytest.mark.parametrize("kind", [Kind.HARTLEY, Kind.FOURIER])
+def test_batch_maps_equal_the_two_array_walk_byte_for_byte(monkeypatch, kind):
+    # _expand takes each index's step with one flat take of CosetTable.walk_index; the
+    # reference gathers it with coset_of and place_of, after a product with sigma_powers' view
+    got = [_walk_outcomes(make(*pmn), kind, np.random.default_rng(pmn)) for pmn in design_grid()]
+    monkeypatch.setattr(transforms, "_expand", support.two_array_expand)
+    want = [_walk_outcomes(make(*pmn), kind, np.random.default_rng(pmn)) for pmn in design_grid()]
+    assert got == want
+    assert any(isinstance(o[3], tuple) for o in got) and all(isinstance(o[2], bytes) for o in got)
+
+
 @pytest.mark.parametrize("shape", [(3, 48, 4, 1), (3, 96, 2, 1), (3, 24, 2, 4), (3, 48, 2, 1),
                                    (48, 4), (3, 48, 4), (2, 3, 48, 2, 2)])
 def test_wrongly_shaped_spectra_refused(shape):
