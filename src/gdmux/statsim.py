@@ -34,7 +34,8 @@ stationarize the block structure, and averages periodograms. For white
 symbol streams the averaged periodogram follows the pulse energy
 spectrum: sinc^2 for the rectangular pulse, with no shaping from the
 multiplex itself. psd_estimate writes every realization's rectangular
-envelope, and its FFT, into the same two buffers.
+envelope into the same buffer, and squares and sums each FFT in the
+FFT's own array.
 """
 
 from __future__ import annotations
@@ -339,41 +340,6 @@ class PsdEstimate:
     segments: int = 0
 
 
-def _periodogram_sums(params: SystemParams, kind, realizations: int, frames: int,
-                      pulse: PulseShape, taps: np.ndarray, nfft: int, length: int,
-                      rng: np.random.Generator,
-                      table: Optional[np.ndarray]) -> tuple[np.ndarray, int]:
-    """The summed |FFT|^2 of every nfft-point segment of realizations envelopes of the given
-    length, each started at a random offset over one frame, and the number of segments. One
-    envelope buffer (rectangular pulses) and one FFT buffer serve every realization; they are
-    allocated after the first draw and freed on return."""
-    spp = pulse.samples_per_symbol
-    nu = coset_table(params.N, params.p, kind).nu
-    acc = np.zeros(nfft)
-    nseg_total = 0
-    rect = spec = None
-    for _ in range(realizations):
-        symbols = _transmit_symbols(params, kind, frames, rng, table)
-        if rect is None and pulse.kind == "rectangular":
-            rect = np.empty((len(symbols), spp), dtype=np.complex128)
-        env = _envelope(symbols, pulse, taps, out=rect)
-        del symbols
-        if spec is None:
-            spec = np.empty((length // nfft, nfft), dtype=np.complex128)
-        theta = int(rng.integers(0, nu * spp))
-        nseg = (length - theta) // nfft
-        if nseg == 0:
-            raise InvalidParams("frames too small for the requested nfft")
-        segs = env[theta:theta + nseg * nfft].reshape(nseg, nfft)
-        # |X|^2 = re^2 + im^2, squared and summed in place in the FFT's own buffer
-        power = np.fft.fft(segs, axis=1, out=spec[:nseg]).view(np.float64)
-        np.square(power, out=power)
-        np.add(power[:, ::2], power[:, 1::2], out=power[:, ::2])
-        acc += power[:, ::2].sum(axis=0)
-        nseg_total += nseg
-    return acc, nseg_total
-
-
 def psd_estimate(params: SystemParams, kind=Kind.HARTLEY, *,
                  realizations: int = 192, frames: int = 1024,
                  pulse: Optional[PulseShape] = None, nfft: int = 512,
@@ -401,12 +367,34 @@ def psd_estimate(params: SystemParams, kind=Kind.HARTLEY, *,
     spp = pulse.samples_per_symbol
     taps = pulse.taps()
     nu = coset_table(params.N, params.p, kind).nu
+    _check_samples(params, frames)
+    validate_system(params, kind)
     length = frames * nu * spp + (0 if pulse.kind == "rectangular" else len(taps) - 1)
     if nfft > length:
         raise InvalidParams("frames too small for the requested nfft")
     rng = np.random.default_rng(seed)
-    acc, nseg_total = _periodogram_sums(params, kind, realizations, frames, pulse, taps, nfft,
-                                        length, rng, table)
+    acc = np.zeros(nfft)
+    nseg_total = 0
+    rect = None
+    for _ in range(realizations):
+        symbols = _transmit_symbols(params, kind, frames, rng, table)
+        if rect is None and pulse.kind == "rectangular":
+            rect = np.empty((len(symbols), spp), dtype=np.complex128)
+        env = _envelope(symbols, pulse, taps, out=rect)
+        del symbols
+        theta = int(rng.integers(0, nu * spp))
+        nseg = (length - theta) // nfft
+        if nseg == 0:
+            raise InvalidParams("frames too small for the requested nfft")
+        segs = env[theta:theta + nseg * nfft].reshape(nseg, nfft)
+        # |X|^2 = re^2 + im^2, squared and summed in place in the FFT's own array
+        power = np.fft.fft(segs, axis=1).view(np.float64)
+        np.square(power, out=power)
+        np.add(power[:, ::2], power[:, 1::2], out=power[:, ::2])
+        acc += power[:, ::2].sum(axis=0)
+        nseg_total += nseg
+        del env, segs, power
+    del rect
     # R0 from the same ensemble (fresh draw, same statistics)
     sym = _transmit_symbols(params, kind, min(frames, 4096), rng, table)
     r0 = float((sym.real ** 2 + sym.imag ** 2).mean())

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gdmux import (ExtensionNotEmbeddable, InvalidParams, Kind, PulseShape, SystemParams,
-                   centered, galois_acf, psd_estimate, synthesize_envelope)
-from gdmux import pipeline, statsim
+                   UnsupportedParams, centered, galois_acf, psd_estimate, synthesize_envelope)
+from gdmux import pipeline, statsim, transforms
 from gdmux.statsim import acf_of_stream, embed_spectra, _resolve_embedding
 
 import support
@@ -122,7 +122,7 @@ PULSES = [PulseShape(sample_rate=4.0), PulseShape(kind="raised-cosine", beta=0.6
 
 @pytest.mark.parametrize("kind", [Kind.HARTLEY, Kind.FOURIER])
 def test_psd_estimate_equals_the_fresh_array_oracle_byte_for_byte(kind):
-    # reused envelope and FFT buffers, squared in place, give the oracle's bits for GDM leaders
+    # a reused envelope buffer and FFTs squared in place give the oracle's bits for GDM leaders
     # under each embedding and for the gaussian control, with rectangular and raised-cosine
     # pulses
     for (p, m, N), mode in EMBEDDED:
@@ -139,11 +139,14 @@ def test_psd_estimate_equals_the_fresh_array_oracle_byte_for_byte(kind):
 @pytest.mark.parametrize("pmn", [(5, 1, 4), (7, 1, 6)])
 def test_psd_and_acf_peaks_per_drawn_symbol_stay_flat(pmn):
     # rationalized at (5,1,4), component at (7,1,6); at 2^13 and 2^15 frames the peak traced
-    # bytes per drawn symbol (frames * N, one realization) stay under a constant: 288 (psd) and
-    # 56 (acf) before the envelope and FFT buffers were reused and real streams summed as real
+    # bytes per drawn symbol (frames * N, one realization) stay under a constant. psd reads 192
+    # and 171 B, against 288 and 256 B before the envelope was written into one reused buffer
+    # and the FFT squared in place; its bound leaves 25% for numpy's own temporaries. galois_acf
+    # reads 50 and 48 B, against 56 B before real streams were summed as real, so its bound
+    # can sit only 8% above the figure without admitting the old one.
     params = make(*pmn)
-    calls = [(lambda f: psd_estimate(params, Kind.HARTLEY, realizations=1, frames=f, nfft=512), 200),
-             (lambda f: galois_acf(params, Kind.HARTLEY, frames=f), 53)]
+    calls = [(lambda f: psd_estimate(params, Kind.HARTLEY, realizations=1, frames=f, nfft=512), 240),
+             (lambda f: galois_acf(params, Kind.HARTLEY, frames=f), 54)]
     for call, bound in calls:
         call(256)               # the design and its tables, built once
         for frames in (1 << 13, 1 << 15):
@@ -301,6 +304,17 @@ def test_draws_over_the_sample_budget_are_refused_before_sampling(p514, monkeypa
             call(most + 1)
         with pytest.raises(_Drawn):
             call(most)
+
+
+def test_psd_checks_both_budgets_before_an_nfft_longer_than_its_envelope(p514, monkeypatch):
+    # the sample and design budgets are checked first, as the draw itself checks them, so
+    # input that breaks a budget and asks for too long an nfft reports the budget
+    most = pipeline.SAMPLE_BUDGET // 4
+    with pytest.raises(InvalidParams, match=rf"^{most + 1} frames of 4 symbols exceed"):
+        psd_estimate(p514, Kind.HARTLEY, realizations=1, frames=most + 1, nfft=1 << 40)
+    monkeypatch.setattr(transforms, "DESIGN_BUDGET_BYTES", 1)
+    with pytest.raises(UnsupportedParams, match="over the 0 MiB budget"):
+        psd_estimate(p514, Kind.HARTLEY, realizations=1, frames=1, nfft=512)
 
 
 def test_galois_acf_takes_every_lag_of_its_stream(p514):
