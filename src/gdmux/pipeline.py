@@ -26,24 +26,26 @@ of 2m bytes each (re coefficients low-first, then im), one byte per GF(p)
 coefficient. A design with N > MAX_WIRE_N has no header (UnsupportedParams).
 Every byte of a header is determined by the design, and the header's
 fields determine the design: its zeta is the one SystemParams.create
-derives from (p, m, N, poly). A stream of one design is a
-(frames, frame_len) byte array.
-encode_frames writes such a stream in one piece. decode_frames,
-iter_frames and deserialize read one run of frames with equal headers at
-a time: one header comparison and one coefficient range check per run,
-so a refused stream costs what an accepted one does. Given both expectations,
-they derive the expected frame_header first and parse no header equal to it.
-deserialize reads only the first frame, its length read off the raw m and
-nu bytes of its header.
+derives from (p, m, N, poly). No other module knows the format: every
+writer and reader reads frame_header, the one header record, packed once
+per (params, Kind(kind)) for the DESIGN_CACHE_SIZE most recent designs,
+and _raw_sizes, the one size rule, which reads a frame's lengths off its
+raw m byte, at offset 6, and its nu. A stream of one design is a
+(frames, frame_len) byte array, which encode_frames writes in one piece.
+decode_frames, iter_frames and deserialize read one run of frames with
+equal headers at a time: one header comparison and one coefficient range
+check per run, so a refused stream costs what an accepted one does. Given
+both expectations, they take the expected frame_header first and parse no
+header equal to it. deserialize reads only the first frame's bytes.
 
 The CLI runs the batch maps' kernels on what its own parse has checked,
 with no second check. mux_frames writes v @ G of symbol rows in [0, p)
-into one preallocated (F, header + n) buffer, under the header the design
-packed when it was compiled, broadcast into every row, as encode_frames
-does with its checked leaders. decode_frames checks every coefficient
-below p and returns the leaders as a uint8 view of the stream, which
-demux_frames reads with no copy beyond its perm gather. Each gives the
-bytes, symbols and errors of the checked maps (mux_batch, demux_batch).
+into one preallocated (F, header + n) buffer, under the design's
+frame_header broadcast into every row, as encode_frames does with its
+checked leaders. decode_frames checks every coefficient below p and
+returns the leaders as a uint8 view of the stream, which demux_frames
+reads with no copy beyond its perm gather. Each gives the bytes, symbols
+and errors of the checked maps (mux_batch, demux_batch).
 
 Leaders that no frame of symbols maps to raise (InconsistentFrame /
 NotGroundField). A corruption that turns one valid frame into another
@@ -56,6 +58,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Iterator, Optional
 
@@ -65,13 +68,11 @@ from .cosets import Kind, coset_table
 from .errors import (BadLength, BadMagic, GdmError, InconsistentFrame, InvalidParams,
                      ParamMismatch, UnsupportedParams, require_positive)
 from .fields import GaloisInt, SystemParams
-from .transforms import (MAGIC, MAX_WIRE_N, TimeBlock, _HEADER, _KIND_CODE, _demux_or_raise,
-                         _frames, _mux, demux_batch, design, in_range, mux_batch,
-                         reconstruct_batch, validate_system, wire_header)
+from .transforms import (DESIGN_CACHE_SIZE, TimeBlock, _demux_or_raise, _frames, _kind_first,
+                         _mux, demux_batch, design, in_range, mux_batch, reconstruct_batch,
+                         validate_system)
 # unused here; kept bound because perfbench/tracer.py wraps them in this module
 from .transforms import _forward_flat, sigma_matrix  # noqa: F401
-
-_CODE_KIND = {v: k for k, v in _KIND_CODE.items()}
 
 
 @dataclass(frozen=True)
@@ -175,18 +176,37 @@ def required_snr(params: SystemParams, kind=Kind.HARTLEY) -> float:
 # wire format
 # ---------------------------------------------------------------------------
 
-def frame_byte_length(params: SystemParams, kind) -> int:
-    header = frame_header(params, kind)
-    return len(header) + int.from_bytes(header[-2:], "little") * 2 * params.m
+MAGIC = b"GDM1"
+MAX_WIRE_N = 0xFFFF     # N and nu <= N are u16 header fields
+_HEADER = struct.Struct("<4sHBHB")      # the fixed fields: magic, p, m, N, kind
+_KINDS = (Kind.FOURIER, Kind.HARTLEY)    # by kind code
 
 
-def frame_header(params: SystemParams, kind) -> bytes:
+@_kind_first
+@lru_cache(maxsize=DESIGN_CACHE_SIZE)
+def frame_header(params: SystemParams, kind: Kind) -> bytes:
     """The header bytes every frame of (params, kind) starts with; its last two hold nu.
     N > MAX_WIRE_N is refused before any coset table."""
     if params.N > MAX_WIRE_N:
-        raise UnsupportedParams(f"{params}/{Kind(kind)}: N = {params.N} does not fit the 16-bit "
+        raise UnsupportedParams(f"{params}/{kind}: N = {params.N} does not fit the 16-bit "
                                 f"N field of the GDM1 header (N <= {MAX_WIRE_N})")
-    return wire_header(params, coset_table(params.N, params.p, kind))
+    return (_HEADER.pack(MAGIC, params.p, params.m, params.N, _KINDS.index(kind))
+            + bytes(params.poly[:params.m])
+            + struct.pack("<H", coset_table(params.N, params.p, kind).nu))
+
+
+def _raw_sizes(data, pos: int = 0) -> tuple[int, int, int]:
+    """(header length, nu, frame length) of the frame at pos, off its raw bytes: the header ends
+    after the m byte at offset 6, m polynomial bytes and the u16 nu, and the frame 2m*nu bytes
+    later. A cut field reads short."""
+    m = data[pos + 6] if pos + 6 < len(data) else 0
+    head = _HEADER.size + m + 2
+    nu = int.from_bytes(data[pos + head - 2:pos + head], "little")
+    return head, nu, head + nu * 2 * m
+
+
+def frame_byte_length(params: SystemParams, kind) -> int:
+    return _raw_sizes(frame_header(params, kind))[2]
 
 
 def serialize(frame: CompressedFrame) -> bytes:
@@ -199,7 +219,7 @@ def encode_frames(params: SystemParams, kind, leaders: np.ndarray) -> bytes:
     Any other shape, or an entry outside [0, p), raises ValueError.
     """
     header = frame_header(params, kind)
-    shape = (int.from_bytes(header[-2:], "little"), 2, params.m)
+    shape = (_raw_sizes(header)[1], 2, params.m)
     body, single = _frames(leaders, shape, "leader values")
     if single:
         raise ValueError(f"expected frames (F, {shape[0]}, 2, {params.m}), got one frame")
@@ -220,14 +240,13 @@ def _write_frames(header: bytes, leaders: np.ndarray) -> bytes:
 
 def mux_frames(params: SystemParams, kind, vs: np.ndarray) -> bytes:
     """The frames of integer symbol rows (F, N) in [0, p), which the caller has checked:
-    encode_frames of mux_batch, with no check, v @ G written under the design's header.
+    encode_frames of mux_batch, with no check, v @ G written under the design's frame_header.
 
     The design is built first, so a design over the budget is refused before a header with N
     over its 16-bit field.
     """
     d = design(params, kind)
-    header = d.header or frame_header(params, kind)      # None only for N > MAX_WIRE_N: refused
-    return _write_frames(header, _mux(d, vs.astype(d.G.dtype)))
+    return _write_frames(frame_header(params, kind), _mux(d, vs.astype(d.G.dtype)))
 
 
 def decode_frames(data: bytes, params: SystemParams, kind) -> np.ndarray:
@@ -237,7 +256,7 @@ def decode_frames(data: bytes, params: SystemParams, kind) -> np.ndarray:
     if error:
         raise error
     if not runs:
-        return np.zeros((0, coset_table(params.N, params.p, kind).nu, 2, params.m), np.uint8)
+        return np.zeros((0, _raw_sizes(frame_header(params, kind))[1], 2, params.m), np.uint8)
     return runs[0][2]      # with the design known, one header is valid
 
 
@@ -257,9 +276,9 @@ def _parse_header(data: bytes, offset: int, expect: Optional[SystemParams],
         raise BadLength("truncated header")
     _, p, m, N, kind_code = _HEADER.unpack_from(data, offset)
     pos = offset + _HEADER.size
-    if kind_code not in _CODE_KIND:
+    if kind_code >= len(_KINDS):
         raise ParamMismatch(f"unknown kind code {kind_code}")
-    kind = _CODE_KIND[kind_code]
+    kind = _KINDS[kind_code]
     if len(data) - pos < m + 2:
         raise BadLength("truncated header")
     poly = tuple(data[pos:pos + m]) + (1,)
@@ -304,16 +323,12 @@ def _frame_runs(data: bytes, expect: Optional[SystemParams],
     runs, pos, index, window = [], 0, 0, len(buf)
     while pos < len(buf):
         try:
-            # a header's length follows from its m byte, at offset 6
-            m = data[pos + 6] if pos + 6 < len(data) else 0
-            header = bytes(data[pos:pos + _HEADER.size + m + 2])
+            head, nu, size = _raw_sizes(data, pos)
+            header = bytes(data[pos:pos + head])
             if header not in checked:
-                params, kind, end = _parse_header(data, pos, expect, expect_kind)
-                header = bytes(data[pos:end])
-                checked[header] = params, kind
+                checked[header] = _parse_header(data, pos, expect, expect_kind)[:2]
             params, kind = checked[header]
-            shape = (int.from_bytes(header[-2:], "little"), 2, params.m)     # nu, re/im, m
-            size = len(header) + math.prod(shape)
+            shape = (nu, 2, params.m)                          # nu, re/im, m
             if len(buf) - pos < size:
                 raise BadLength("truncated leader values")
         except GdmError as exc:
@@ -342,13 +357,11 @@ def deserialize(data: bytes, expect: Optional[SystemParams] = None,
                 expect_kind: Optional[Kind] = None) -> CompressedFrame:
     """Parse exactly one frame; trailing bytes are an error.
 
-    Only the bytes of the first frame, by its raw m and nu, are parsed: the header of a valid
+    Only the bytes of the first frame, by _raw_sizes, are parsed: the header of a valid
     frame gives its length, and one that lies about m or nu is refused at frame 0.
     """
     data = data or b"\0"                             # b"" is refused as a cut magic
-    m = data[6] if len(data) > 6 else 0             # as in _frame_runs
-    end = _HEADER.size + m + 2
-    size = end + int.from_bytes(data[end - 2:end], "little") * 2 * m
+    size = _raw_sizes(data)[2]
     runs, error = _frame_runs(data[:size], expect, expect_kind)
     if error:
         error.frame_index = None

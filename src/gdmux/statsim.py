@@ -332,7 +332,7 @@ class PsdEstimate:
     theory: np.ndarray         # R0_emp * |U(f)|^2 / Tsym
     r0: float
     fitted_scale: float        # least-squares estimate/theory scale on the main lobe
-    main_lobe: np.ndarray      # boolean mask |f Tsym| <= 0.75
+    main_lobe: np.ndarray      # boolean mask |f Tsym| <= 0.75 where theory > 0
     max_rel_dev: float         # max |estimate/(scale*theory) - 1| on the main lobe
     ratio_spread: float        # max |ratio/mean(ratio) - 1| on the main lobe
     realizations: int
@@ -350,7 +350,8 @@ def psd_estimate(params: SystemParams, kind=Kind.HARTLEY, *,
     Each realization draws fresh frames, applies a random start offset
     uniform over one frame, and contributes nfft-point segments. The
     main lobe excludes the neighborhood of the first sinc null, where the
-    discrete-time model bias dominates any multiplex effect.
+    discrete-time model bias dominates any multiplex effect, and every f
+    where the theory is 0 (raised cosine, beta <= 0.5).
 
     A realization's envelope is frames * nu * spp samples long, plus
     len(taps) - 1 for a raised-cosine pulse; an nfft longer than that is
@@ -402,7 +403,7 @@ def psd_estimate(params: SystemParams, kind=Kind.HARTLEY, *,
     freqs = np.fft.fftshift(np.fft.fftfreq(nfft, d=1.0 / fs))
     tsym = pulse.symbol_duration
     theory = r0 * pulse.spectrum_sq(freqs) / tsym
-    main = np.abs(freqs * tsym) <= 0.75
+    main = (np.abs(freqs * tsym) <= 0.75) & (theory > 0)
     scale = float((psd[main] * theory[main]).sum() / (theory[main] ** 2).sum())
     ratio = psd[main] / (scale * theory[main])
     return PsdEstimate(freqs=freqs, power=psd, theory=theory, r0=r0,

@@ -74,8 +74,7 @@ validate_system reads the coset table alone and refuses a design whose size
 bound exceeds DESIGN_BUDGET_BYTES. design(), which only the batch maps and
 the CLI's frame maps call, runs it, then compiles these arrays once per
 (params, Kind(kind)): every spelling of a kind is one cache entry. It keeps
-the most recent DESIGN_CACHE_SIZE designs. A design also holds its GDM1
-header bytes (wire_header), packed once when it is compiled.
+the most recent DESIGN_CACHE_SIZE designs.
 
 A design is compiled by array operations on (..., m) coefficient
 vectors, with no GaloisInt arithmetic:
@@ -113,7 +112,6 @@ forward_batch against.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from functools import lru_cache, wraps
 from typing import Optional
@@ -171,19 +169,6 @@ def _forward_flat(params: SystemParams, kind) -> np.ndarray:
 DESIGN_CACHE_SIZE = 8             # compiled designs kept, least recently used evicted
 DESIGN_BUDGET_BYTES = 256 << 20   # largest compiled design; bigger ones are refused
 
-# the fixed fields of a GDM1 frame header (layout in pipeline's docstring)
-MAGIC = b"GDM1"
-MAX_WIRE_N = 0xFFFF     # N and nu <= N are u16 header fields
-_HEADER = struct.Struct("<4sHBHB")
-_KIND_CODE = {Kind.FOURIER: 0, Kind.HARTLEY: 1}
-
-
-def wire_header(params: SystemParams, table: CosetTable) -> bytes:
-    """The GDM1 header bytes every frame of (params, table.kind) starts with, for N <= MAX_WIRE_N;
-    its last two hold nu."""
-    return (_HEADER.pack(MAGIC, params.p, params.m, params.N, _KIND_CODE[table.kind])
-            + bytes(params.poly[:params.m]) + struct.pack("<H", table.nu))
-
 
 @dataclass(frozen=True, eq=False)
 class Design:
@@ -207,8 +192,7 @@ class Design:
     coset table is the design's only record of its orbits: position k
     takes sigma^t @ leader_c at its coset c = coset_of[k] and place
     t = place_of[k], and coset c closes at t = lengths[c]. The arrays are
-    read-only and shared. header is the design's wire_header, packed once
-    here, or None when N > MAX_WIRE_N.
+    read-only and shared.
     """
 
     params: SystemParams
@@ -217,7 +201,6 @@ class Design:
     W: np.ndarray
     perm: np.ndarray
     walk: np.ndarray
-    header: Optional[bytes]
 
     @property
     def sigma_powers(self) -> np.ndarray:
@@ -413,8 +396,7 @@ def design(params: SystemParams, kind: Kind) -> Design:
     # walk[a, t*w + b] = sigma^t[b, a]
     walk = _sigma_powers(params, table.kind, table.longest).transpose(2, 0, 1).astype(dt, order="C")
     return Design(params=params, table=table, G=_readonly(G), W=_readonly(W), perm=_readonly(perm),
-                  walk=_readonly(walk.reshape(w, -1)),
-                  header=None if N > MAX_WIRE_N else wire_header(params, table))
+                  walk=_readonly(walk.reshape(w, -1)))
 
 
 # ---------------------------------------------------------------------------

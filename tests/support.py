@@ -613,7 +613,7 @@ def psd_by_values(params: SystemParams, kind, *, realizations: int, frames: int,
     freqs = np.fft.fftshift(np.fft.fftfreq(nfft, d=1.0 / fs))
     tsym = pulse.symbol_duration
     theory = r0 * pulse.spectrum_sq(freqs) / tsym
-    main = np.abs(freqs * tsym) <= 0.75
+    main = (np.abs(freqs * tsym) <= 0.75) & (theory > 0)
     scale = float((psd[main] * theory[main]).sum() / (theory[main] ** 2).sum())
     ratio = psd[main] / (scale * theory[main])
     return PsdEstimate(freqs=freqs, power=psd, theory=theory, r0=r0,

@@ -3,6 +3,7 @@ import contextlib
 import io
 import math
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -929,28 +930,34 @@ def test_demux_names_the_first_frame_whose_orbit_does_not_close(tmp_path, capsys
 
 def test_mux_and_demux_check_their_input_once(tmp_path, capsys, monkeypatch):
     # mux_batch ran in_range again on the symbols _byte_rows had checked, demux_batch
-    # on the leaders _frame_runs had checked, and each mux packed its header again
+    # on the leaders _frame_runs had checked, and each mux, then each demux, packed its
+    # header again
     calls = []
+
+    class CountedHeader(struct.Struct):
+        def pack(self, *args):
+            calls.append("pack")
+            return super().pack(*args)
 
     def counted(name, fn):
         return lambda *args: calls.append(name) or fn(*args)
     for module in (transforms, pipeline):
         monkeypatch.setattr(module, "in_range", counted("in_range", transforms.in_range))
-        monkeypatch.setattr(module, "wire_header", counted("pack", transforms.wire_header))
-    monkeypatch.setattr(pipeline, "frame_header", counted("frame_header", pipeline.frame_header))
+    monkeypatch.setattr(pipeline, "_HEADER", CountedHeader(pipeline._HEADER.format))
     params = make(3, 3, 26)
     vs = np.random.default_rng(9).integers(0, 3, size=(30, 26))
     text = ("\n".join(" ".join(map(str, row)) for row in vs.tolist()) + "\n").encode()
     frames = encode_frames(params, "hartley", mux_batch(params, "hartley", vs))
     transforms.design.cache_clear()
+    pipeline.frame_header.cache_clear()
     calls.clear()
     assert _cli_file(tmp_path, capsys, "mux", params, "hartley", text) == (0, frames, "")
-    assert calls == ["pack"]                                   # when the design is compiled
+    assert calls == ["pack"]                        # once, into the design's header record
     calls.clear()
     assert _cli_file(tmp_path, capsys, "mux", params, "hartley", text) == (0, frames, "")
     assert calls == []
     assert _cli_file(tmp_path, capsys, "demux", params, "hartley", frames) == (0, text, "")
-    assert "in_range" not in calls
+    assert calls == []
 
 
 _GRID = design_grid()

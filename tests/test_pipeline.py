@@ -408,6 +408,18 @@ def test_every_design_is_named_by_its_header():
             assert demux(frame).symbols == tuple(v), (params, kind)
 
 
+@pytest.mark.parametrize("pmn,kind,header,length", [
+    ((5, 1, 4), Kind.HARTLEY, "47444d31050001040001000300", 19),
+    ((3, 3, 26), Kind.FOURIER, "47444d310300031a00000102000a00", 75),
+    ((7, 2, 48), Kind.FOURIER, "47444d3107000230000001001b00", 122)])
+def test_header_bytes_are_the_documented_layout(pmn, kind, header, length):
+    # "GDM1", u16 p, u8 m, u16 N, u8 kind, m poly bytes, u16 nu, written out by hand: no
+    # other test reads the layout apart from the code that packs it
+    params = make(*pmn)
+    assert frame_header(params, kind).hex() == header
+    assert frame_byte_length(params, kind) == length
+
+
 @pytest.mark.parametrize("kind", [Kind.HARTLEY, Kind.FOURIER])
 def test_header_refuses_n_over_its_16_bit_field(kind, monkeypatch):
     # (3, 12, 106288) is in the declared scope, but the header stores N,
