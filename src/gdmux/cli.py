@@ -7,9 +7,9 @@ not UTF-8), 3 selftest failure. A plain argv, `command (flag value)*`
 with each flag an exact option string of one of that command's
 one-value flags, given once, and each value "-" or a token that does
 not start with "-" and passes the flag's type and choices, is read off
-that command's parser from build_parser() with no argparse parse. The
-whole parser parses every other argv and writes every usage error and
-the help.
+_FLAGS, the table that build_parser() adds each command's flags from,
+with no argparse parser built. The whole parser parses every other argv
+and writes every usage error and the help.
 
 mux and demux move a whole file through one array. mux parses the text
 on bytes: one table classes every byte as a digit, a blank (space, tab,
@@ -89,21 +89,46 @@ _CLASS = np.frombuffer(bytes(b - 48 if 48 <= b < 58 else _BLANK if b in b" \t\r"
 
 
 def _parse_poly(text):
-    if text is None:
-        return None
     try:
         return tuple(int(c) for c in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError("polynomial must be comma-separated integers, low degree first")
 
 
-def _add_param_flags(sp):
-    sp.add_argument("-p", type=int, required=True, help="ground-field prime")
-    sp.add_argument("-m", type=int, default=1, help="extension degree (default 1)")
-    sp.add_argument("-N", type=int, required=True, help="block length, N | p^m - 1")
-    sp.add_argument("--poly", type=_parse_poly, default=None,
-                    help="reduction polynomial coefficients, low degree first, incl. leading 1")
-    sp.add_argument("--kind", choices=["fourier", "hartley"], default="hartley")
+# Each command's help and its one-value flags as (option, add_argument keywords), in help order:
+# build_parser adds them, and _plain reads a plain argv off the same keywords. A default is used
+# as given, so a flag with a type takes no str default, which argparse would convert.
+_KIND = ("--kind", dict(choices=["fourier", "hartley"], default="hartley"))
+_PARAMS = (
+    ("-p", dict(type=int, required=True, help="ground-field prime")),
+    ("-m", dict(type=int, default=1, help="extension degree (default 1)")),
+    ("-N", dict(type=int, required=True, help="block length, N | p^m - 1")),
+    ("--poly", dict(type=_parse_poly, default=None,
+                    help="reduction polynomial coefficients, low degree first, incl. leading 1")),
+    _KIND,
+)
+_IN_OUT = (("--in", dict(dest="infile", default="-")), ("--out", dict(dest="outfile", default="-")))
+_FLAGS = {
+    "design": ("print the design report for one parameter set", _PARAMS + (
+        ("--snr-db", dict(type=float, default=None, help="check admissibility at this SNR")),)),
+    "cosets": ("print the cyclotomic coset table", (
+        ("-p", dict(type=int, required=True)), ("-N", dict(type=int, required=True)), _KIND)),
+    "carriers": ("print the carrier matrix", _PARAMS),
+    "mux": ("compress a text symbol stream to binary frames", _PARAMS + _IN_OUT),
+    "demux": ("restore a text symbol stream from binary frames", _PARAMS + _IN_OUT),
+    "crosstalk": ("probe per-user leakage through mux/demux", _PARAMS + (
+        ("--user", dict(type=int, default=None, help="active user (default: each in turn)")),
+        ("--frames", dict(type=int, default=1000, help="trials per user")),
+        ("--seed", dict(type=int, default=0)))),
+    "psd": ("estimate the baseband power spectral density", _PARAMS + (
+        ("--frames", dict(type=int, default=100_000, help="total frames, split across realizations")),
+        ("--realizations", dict(type=int, default=128)),
+        ("--nfft", dict(type=int, default=512)),
+        ("--seed", dict(type=int, default=0)),
+        ("--out", dict(dest="outfile", default="-", help="PSD CSV destination")),
+        ("--acf-out", dict(dest="acffile", default=None, help="also write the spectrum ACF CSV")))),
+    "selftest": ("check the built-in golden values", ()),
+}
 
 
 def _params(args) -> SystemParams:
@@ -121,47 +146,10 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="gdmux", description="Galois-division multiplex toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("design", help="print the design report for one parameter set")
-    _add_param_flags(sp)
-    sp.add_argument("--snr-db", type=float, default=None,
-                    help="check admissibility at this SNR")
-
-    sp = sub.add_parser("cosets", help="print the cyclotomic coset table")
-    sp.add_argument("-p", type=int, required=True)
-    sp.add_argument("-N", type=int, required=True)
-    sp.add_argument("--kind", choices=["fourier", "hartley"], default="hartley")
-
-    sp = sub.add_parser("carriers", help="print the carrier matrix")
-    _add_param_flags(sp)
-
-    sp = sub.add_parser("mux", help="compress a text symbol stream to binary frames")
-    _add_param_flags(sp)
-    sp.add_argument("--in", dest="infile", default="-")
-    sp.add_argument("--out", dest="outfile", default="-")
-
-    sp = sub.add_parser("demux", help="restore a text symbol stream from binary frames")
-    _add_param_flags(sp)
-    sp.add_argument("--in", dest="infile", default="-")
-    sp.add_argument("--out", dest="outfile", default="-")
-
-    sp = sub.add_parser("crosstalk", help="probe per-user leakage through mux/demux")
-    _add_param_flags(sp)
-    sp.add_argument("--user", type=int, default=None, help="active user (default: each in turn)")
-    sp.add_argument("--frames", type=int, default=1000, help="trials per user")
-    sp.add_argument("--seed", type=int, default=0)
-
-    sp = sub.add_parser("psd", help="estimate the baseband power spectral density")
-    _add_param_flags(sp)
-    sp.add_argument("--frames", type=int, default=100_000,
-                    help="total frames, split across realizations")
-    sp.add_argument("--realizations", type=int, default=128)
-    sp.add_argument("--nfft", type=int, default=512)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out", dest="outfile", default="-", help="PSD CSV destination")
-    sp.add_argument("--acf-out", dest="acffile", default=None, help="also write the spectrum ACF CSV")
-
-    sub.add_parser("selftest", help="check the built-in golden values")
+    for command, (text, flags) in _FLAGS.items():
+        sp = sub.add_parser(command, help=text)
+        for option, keywords in flags:
+            sp.add_argument(option, **keywords)
     return ap
 
 
@@ -476,66 +464,58 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-@lru_cache(maxsize=1)
-def _subparsers() -> dict[str, argparse.ArgumentParser]:
-    """Each command's parser, as the subparsers action of _parser() holds it."""
-    return next(a.choices for a in _parser()._actions if a.dest == "command")
+def _plain_rules(flags) -> tuple[dict, dict, frozenset]:
+    """Each option's (dest, type, choices), each dest's default and the required dests of one
+    command's flags, as argparse reads them: dest from the option's name, str with no type."""
+    rules, defaults, required = {}, {}, set()
+    for option, keywords in flags:
+        dest = keywords.get("dest", option.lstrip("-").replace("-", "_"))
+        rules[option] = (dest, keywords.get("type", str), keywords.get("choices"))
+        defaults[dest] = keywords.get("default")
+        if keywords.get("required"):
+            required.add(dest)
+    return rules, defaults, frozenset(required)
 
 
-def _plain(sub: argparse.ArgumentParser, pairs: list[str]) -> Optional[argparse.Namespace]:
-    """sub.parse_args(pairs) when pairs is `(flag value)*`, read off sub's actions.
+_PLAIN = {command: _plain_rules(flags) for command, (_, flags) in _FLAGS.items()}
 
-    Each flag is an exact option string of a single-value store action of
-    sub and appears once; each value is "-" or does not start with "-",
-    and passes the action's type and choices. Every required action is
-    there, and the others get their defaults as argparse gives them. Any
-    other pairs give None, and argparse parses them.
+
+def _plain(command: str, pairs: list[str]) -> Optional[argparse.Namespace]:
+    """_parser().parse_args([command, *pairs]) when pairs is `(flag value)*`, read off _FLAGS.
+
+    Each flag is an exact option string of one of the command's flags and
+    appears once; each value is "-" or does not start with "-", and passes
+    the flag's type and choices. Every required flag is there, and the
+    others get their defaults, as given. Any other argv gives None, and
+    argparse parses it.
     """
-    if len(pairs) % 2 or sub._mutually_exclusive_groups:
+    rules = _PLAIN.get(command)
+    if rules is None or len(pairs) % 2:
         return None
-    args = argparse.Namespace()
-    for a in sub._actions:
-        if a.default is not argparse.SUPPRESS and not hasattr(args, a.dest):
-            setattr(args, a.dest, a.default)
-    for dest, value in sub._defaults.items():   # set_defaults, after the actions' own
-        if not hasattr(args, dest):
-            setattr(args, dest, value)
-    seen = set()
-    try:
-        for flag, text in zip(pairs[::2], pairs[1::2]):
-            a = sub._option_string_actions.get(flag)
-            if (type(a) is not argparse._StoreAction or a.nargs is not None or a in seen
-                    or text.startswith("-") and text != "-"):
-                return None
-            seen.add(a)
-            value = sub._get_value(a, text)
-            sub._check_value(a, value)
-            setattr(args, a.dest, value)
-        for a in sub._actions:
-            if a in seen:
-                continue
-            if a.required:
-                return None
-            if isinstance(a.default, str) and getattr(args, a.dest, None) is a.default:
-                setattr(args, a.dest, sub._get_value(a, a.default))
-    except argparse.ArgumentError:  # a type or choice that refuses: argparse writes the error
+    flags, defaults, required = rules
+    values = {}
+    for flag, text in zip(pairs[::2], pairs[1::2]):
+        rule = flags.get(flag)
+        if rule is None or rule[0] in values or text.startswith("-") and text != "-":
+            return None
+        dest, convert, choices = rule
+        try:
+            value = convert(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):  # argparse writes the error
+            return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    if not required <= values.keys():
         return None
-    return args
+    return argparse.Namespace(command=command, **(defaults | values))
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """_parser().parse_args(argv), with a plain argv[1:] read off argv[0]'s own parser.
-
-    A plain argv[1:] is read straight off that parser's actions (_plain);
-    any other argv goes to the whole parser, which writes each error and
-    the help.
-    """
-    sub = _subparsers().get(argv[0]) if argv else None
-    args = _plain(sub, argv[1:]) if sub is not None else None
-    if args is None:
-        return _parser().parse_args(argv)
-    args.command = argv[0]
-    return args
+    """_parser().parse_args(argv): a plain argv is read off _FLAGS (_plain), and the whole
+    parser parses any other argv and writes each error and the help."""
+    args = _plain(argv[0], argv[1:]) if argv else None
+    return _parser().parse_args(argv) if args is None else args
 
 
 def _joined_snr_db(argv: list[str]) -> list[str]:

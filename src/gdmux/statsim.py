@@ -46,7 +46,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cosets import Kind, coset_table
+from .cosets import Kind
 from .errors import ExtensionNotEmbeddable, InvalidParams, require_positive
 from .fields import SystemParams, centered
 from .pipeline import _check_samples, mux_batch, validate_system
@@ -276,12 +276,11 @@ class PulseShape:
         return ts * mag ** 2 / (1 - beta / 4)
 
 
-def _transmit_symbols(params: SystemParams, kind, frames: int,
+def _transmit_symbols(params: SystemParams, kind, frames: int, nu: int,
                       rng: np.random.Generator, table: Optional[np.ndarray]) -> np.ndarray:
     """Complex symbol stream actually sent: nu coset leaders per frame, embedded by a
-    _sampling_table, or with table None a white gaussian control stream at the same clock."""
-    _check_samples(params, frames)
-    nu = validate_system(params, kind).nu
+    _sampling_table, or with table None a white gaussian control stream at the same clock.
+    The caller has checked the draw and the design against their budgets."""
     if table is None:
         # control experiment: white non-multiplexed symbols, same clock
         n = frames * nu
@@ -316,8 +315,10 @@ def synthesize_envelope(params: SystemParams, kind=Kind.HARTLEY, frames: int = 1
     require_positive("frames", frames)
     pulse = pulse or PulseShape()
     rng = rng if rng is not None else np.random.default_rng(0)
-    symbols = _transmit_symbols(params, kind, frames, rng,
-                                _sampling_table(params, embedding, source))
+    table = _sampling_table(params, embedding, source)
+    _check_samples(params, frames)
+    nu = validate_system(params, kind).nu
+    symbols = _transmit_symbols(params, kind, frames, nu, rng, table)
     return _envelope(symbols, pulse, pulse.taps())
 
 
@@ -367,9 +368,8 @@ def psd_estimate(params: SystemParams, kind=Kind.HARTLEY, *,
     fs = pulse.sample_rate
     spp = pulse.samples_per_symbol
     taps = pulse.taps()
-    nu = coset_table(params.N, params.p, kind).nu
     _check_samples(params, frames)
-    validate_system(params, kind)
+    nu = validate_system(params, kind).nu
     length = frames * nu * spp + (0 if pulse.kind == "rectangular" else len(taps) - 1)
     if nfft > length:
         raise InvalidParams("frames too small for the requested nfft")
@@ -378,7 +378,7 @@ def psd_estimate(params: SystemParams, kind=Kind.HARTLEY, *,
     nseg_total = 0
     rect = None
     for _ in range(realizations):
-        symbols = _transmit_symbols(params, kind, frames, rng, table)
+        symbols = _transmit_symbols(params, kind, frames, nu, rng, table)
         if rect is None and pulse.kind == "rectangular":
             rect = np.empty((len(symbols), spp), dtype=np.complex128)
         env = _envelope(symbols, pulse, taps, out=rect)
@@ -397,7 +397,7 @@ def psd_estimate(params: SystemParams, kind=Kind.HARTLEY, *,
         del env, segs, power
     del rect
     # R0 from the same ensemble (fresh draw, same statistics)
-    sym = _transmit_symbols(params, kind, min(frames, 4096), rng, table)
+    sym = _transmit_symbols(params, kind, min(frames, 4096), nu, rng, table)
     r0 = float((sym.real ** 2 + sym.imag ** 2).mean())
     psd = np.fft.fftshift(acc) / (nseg_total * nfft * fs)
     freqs = np.fft.fftshift(np.fft.fftfreq(nfft, d=1.0 / fs))

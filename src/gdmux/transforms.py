@@ -255,12 +255,6 @@ def _sigma_powers(params: SystemParams, kind: Kind, longest: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=64)
-def _inverses(p: int) -> np.ndarray:
-    """(p,) read-only: the inverse mod p of each residue, 0 for 0."""
-    return _readonly(np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int32))
-
-
 def _row_reduce(B: np.ndarray, p: int, c: int) -> np.ndarray:
     """Reduce each matrix B[:, i] of the integer batch B (k, g, c + k), entries in [0, p), in place
     to reduced row echelon form mod p, one row at a time, with pivots in the first c columns,
@@ -268,7 +262,9 @@ def _row_reduce(B: np.ndarray, p: int, c: int) -> np.ndarray:
     which is 1; a row that depends on the rows above it reduces to zero, and its pivot reads 0.
     With B[:, :, c:] the identity, it ends as T with T @ B_0 = B, B_0 the batch as given.
     B's dtype must hold -(p - 1)^2."""
-    inverse, at = _inverses(p), np.arange(B.shape[1])
+    # the inverse of each residue, 0 for 0
+    inverse = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int32)
+    at = np.arange(B.shape[1])
     pivots = []
     for r in range(len(B)):
         pivots.append((B[r, :, :c] != 0).argmax(axis=1))

@@ -550,11 +550,13 @@ def test_main_calls_share_no_parser_state(monkeypatch):
     ["selftest"],
 ])
 def test_plain_argv_never_reaches_argparse(monkeypatch, argv):
-    # `command (flag value)*` is read off the command's parser without parsing
-    want = vars(cli._parser().parse_args(argv))
-    def parsed(*args, **kwargs):
-        raise AssertionError(f"argparse parsed {argv}")
-    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", parsed)
+    # `command (flag value)*` is read off the flag table: no parser is built or parsed with
+    want = vars(cli.build_parser().parse_args(argv))
+    def reached(*args, **kwargs):
+        raise AssertionError(f"argparse reached by {argv}")
+    monkeypatch.setattr(cli, "build_parser", reached)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", reached)
+    cli._parser.cache_clear()
     assert vars(cli._parse(argv)) == want
 
 
@@ -630,41 +632,55 @@ def test_main_parses_argv_as_the_whole_parser_does(argv):
         cli._parser().parse_args, cli._joined_snr_db(argv))
 
 
-def _toy_parser():
-    ap = argparse.ArgumentParser(prog="toy")
-    ap.set_defaults(extra=1, name="set")    # --name keeps its own default None
-    ap.add_argument("--n", type=int, default="7")   # a str default, which argparse converts
-    ap.add_argument("--tag", choices=["a", "b"], required=True)
-    ap.add_argument("--flag", action="store_true")
-    ap.add_argument("--many", action="append")
-    ap.add_argument("--two", nargs=2)
-    ap.add_argument("--name", default=None)
-    return ap
+_TOY = (("--n", dict(type=int, default=7)), ("--tag", dict(choices=["a", "b"], required=True)),
+        ("--name", dict(default=None)))
 
 
 @pytest.mark.parametrize("pairs,plain", [
     (["--tag", "a"], True), (["--n", "3", "--tag", "b"], True), (["--tag", "-"], False),
     (["--tag", "c"], False), (["--n", "x", "--tag", "a"], False), ([], False),
-    (["--tag", "a", "--flag", "1"], False), (["--tag", "a", "--many", "x"], False),
-    (["--tag", "a", "--two", "x"], False), (["--tag", "a", "--tag", "b"], False),
+    (["--tag", "a", "--tag", "b"], False),
     (["--tag", "a", "--name", "-x"], False), (["--tag", "a", "--name", "x=-"], True),
     (["--ta", "a"], False), (["--tag=a"], False),
     (["--tag", "a", "-h", "x"], False),
 ], ids=lambda x: x if isinstance(x, bool) else " ".join(x))
-def test_plain_reads_what_parse_known_args_reads(pairs, plain):
-    # the rules on a parser with what gdmux's has not: a str default with a
-    # type, flags with no value, an append and a 2-value flag, set_defaults
-    ap = _toy_parser()
-    got = cli._plain(ap, pairs)
+def test_plain_reads_what_parse_known_args_reads(monkeypatch, pairs, plain):
+    # the rules on a table entry of shapes gdmux's flags have not: a required flag with
+    # choices, a str flag with no type
+    monkeypatch.setitem(cli._FLAGS, "toy", ("a toy command", _TOY))
+    monkeypatch.setitem(cli._PLAIN, "toy", cli._plain_rules(_TOY))
+    got = cli._plain("toy", pairs)
     assert (got is not None) == plain
     if plain:
-        assert (got, []) == ap.parse_known_args(pairs)
+        assert (got, []) == cli.build_parser().parse_known_args(["toy", *pairs])
 
 
-def test_plain_leaves_a_parser_with_exclusive_flags_to_argparse():
-    ap = _toy_parser()
-    ap.add_mutually_exclusive_group()
-    assert cli._plain(ap, ["--tag", "a"]) is None
+@pytest.mark.parametrize("argv,plain", [
+    (["cosets", "-p", "3", "-N", "26"], True),
+    (["cosets", "-N", "26", "-p", "3", "--kind", "fourier"], True),
+    (["mux", "-p", "5", "-N", "4", "--in", "-"], True),
+    (["mux", "-p", "5", "-N", "4", "--in", "x=-"], True),
+    (["design", "-p", "5", "-N", "4", "--poly", "2,1", "--snr-db", "3.5"], True),
+    (["mux", "-p", "5", "-N", "4", "-p", "5"], False),
+    (["mux", "-p", "5", "-N", "4", "--in", "-x"], False),
+    (["mux", "-p", "5", "-N", "4", "--ki", "fourier"], False),
+    (["mux", "-p", "5", "-N", "4", "--kind=fourier"], False),
+    (["mux", "-p", "5", "-N", "4", "-h", "x"], False),
+    (["mux", "-p", "5", "-N", "4", "--kind", "bogus"], False),
+    (["mux", "-p", "5", "-N", "4", "--kind", "-"], False),
+    (["mux", "-p", "x", "-N", "4"], False),
+    (["design", "-p", "5", "-N", "4", "--poly", "1,x"], False),
+    (["mux", "-p", "5"], False), (["mux"], False),
+    (["mux", "-p", "5", "-N", "4", "--user", "1"], False),
+], ids=lambda x: x if isinstance(x, bool) else " ".join(x))
+def test_plain_reads_gdmux_flags_as_parse_known_args_does(argv, plain):
+    # the same rules on gdmux's own flags: a repeated flag, a value that starts with
+    # "-", an abbreviation, --flag=value, -h, a refused choice or type, a missing required
+    # flag and another command's flag go to argparse
+    got = cli._plain(argv[0], argv[1:])
+    assert (got is not None) == plain
+    if plain:
+        assert (got, []) == cli._parser().parse_known_args(argv)
 
 
 def test_params_create_searches_the_root_once():

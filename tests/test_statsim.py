@@ -317,6 +317,17 @@ def test_psd_checks_both_budgets_before_an_nfft_longer_than_its_envelope(p514, m
         psd_estimate(p514, Kind.HARTLEY, realizations=1, frames=1, nfft=512)
 
 
+def test_psd_and_envelope_check_each_budget_once(p514, monkeypatch):
+    # once per entry point, not again for each realization and the r0 draw
+    calls = []
+    for name in ("_check_samples", "validate_system"):
+        monkeypatch.setattr(statsim, name, lambda *args, name=name, real=getattr(statsim, name):
+                            calls.append(name) or real(*args))
+    psd_estimate(p514, Kind.HARTLEY, realizations=3, frames=64, nfft=64)
+    synthesize_envelope(p514, Kind.HARTLEY, 8)
+    assert calls == ["_check_samples", "validate_system"] * 2
+
+
 @pytest.mark.parametrize("beta", [0.35, 0.5])
 def test_psd_fits_a_raised_cosine_only_where_its_theory_is_positive(beta):
     # the main lobe |f Tsym| <= 0.75 reaches where the spectrum is 0, above (1 + beta)/2 for
