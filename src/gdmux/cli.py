@@ -213,9 +213,10 @@ def cmd_design(args) -> int:
     other = Kind.FOURIER if kind is Kind.HARTLEY else Kind.HARTLEY
     other_nu = cosets_mod.coset_table(params.N, params.p, other).nu
     ring_note = "" if params.ring.is_field else " (ring with zero divisors: p^m = 1 mod 4)"
-    print(f"{params}  kind={kind}")
+    zeta = params.zeta_elem
+    print(f"GDM(p={params.p}, m={params.m}, N={params.N}, zeta={zeta})  kind={kind}")
     print(f"GI({params.p}^{params.m}){ring_note}")
-    print(f"zeta = {params.field.element(params.zeta)}  (order {params.N})")
+    print(f"zeta = {zeta}  (order {params.N})")
     print("cosets:")
     for line in table.format_lines():
         print(f"  {line}")
@@ -368,7 +369,7 @@ def cmd_crosstalk(args) -> int:
     if args.user is not None and not 0 <= args.user < params.N:
         raise InvalidParams(f"--user {args.user} outside [0, {params.N})")
     require_positive("--frames", args.frames)
-    users = [args.user] if args.user is not None else list(range(params.N))
+    users = [args.user] if args.user is not None else range(params.N)
     all_clean = True
     for u in users:
         rep = pipeline.crosstalk_probe(params, u, args.frames, args.kind, seed=args.seed + u)
@@ -384,9 +385,10 @@ def cmd_psd(args) -> int:
     require_positive("--frames", args.frames)
     require_positive("--realizations", args.realizations)
     require_positive("--nfft", args.nfft)
-    frames_per = max(1, args.frames // args.realizations)
-    est = statsim.psd_estimate(params, args.kind, realizations=args.realizations,
-                               frames=frames_per, nfft=args.nfft, seed=args.seed)
+    if args.realizations > args.frames:
+        raise InvalidParams(f"--realizations {args.realizations} exceeds --frames {args.frames}")
+    est = statsim.psd_estimate(params, args.kind, realizations=args.realizations, nfft=args.nfft,
+                               frames=args.frames // args.realizations, seed=args.seed)
     rows = ["freq_hz,psd_est,psd_theory"]
     rows += [f"{f:.6g},{p:.8g},{t:.8g}"
              for f, p, t in zip(est.freqs, est.power, est.theory)]
@@ -414,7 +416,7 @@ def cmd_selftest(args) -> int:
             failures.append(label)
 
     p514 = SystemParams.create(5, 1, 4)
-    check("zeta(5,1,4)", str(p514.field.element(p514.zeta)), "2")
+    check("zeta(5,1,4)", str(p514.zeta_elem), "2")
     matrix = trig.carrier_matrix(p514)
     table1 = [["1", "1", "1", "1"],
               ["1", "3j", "4", "2j"],

@@ -19,7 +19,7 @@ checks feasible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Optional
 
@@ -612,8 +612,8 @@ def _root_table(p: int, m: int, n: int, poly: Optional[tuple[int, ...]]) -> tupl
     """(rows, j, zeta): h^0 .. h^(n-1) as (n, m) read-only uint8 rows, for h = g^((q-1)/n)
     of order n (g the field's generator, ExtField.primitive, found once per field), and
     zeta = h^j, the element of order exactly n first in canonical order. The elements of
-    order n are the h^j with gcd(j, n) = 1, the same set whichever g is used. The entries
-    of the 8 most recent (p, m, n, poly) are kept."""
+    order n are the h^j with gcd(j, n) = 1, the same set whichever g is used. zeta_powers and
+    SystemParams.zeta read the entries of the 8 most recent (p, m, n, poly) kept here."""
     field = get_field(p, m, poly)
     if n < 1 or (field.order - 1) % n != 0:
         raise NoSuchRoot(f"{n} does not divide p^m - 1 = {field.order - 1}")
@@ -631,7 +631,7 @@ def _root_table(p: int, m: int, n: int, poly: Optional[tuple[int, ...]]) -> tupl
 def find_root_of_unity(p: int, m: int, n: int,
                        poly: Optional[tuple[int, ...]] = None) -> FieldElement:
     """The element of multiplicative order exactly n that is first in canonical order, read
-    from the root table: SystemParams.create searches once per design while it is there."""
+    from the root table, as SystemParams.zeta is: one search per design while it is there."""
     return _root_table(p, m, n, poly)[2]
 
 
@@ -651,22 +651,20 @@ def sqrt_of_minus_one(p: int, m: int,
 
 @dataclass(frozen=True)
 class SystemParams:
-    """One multiplex design: field GF(p^m), block length N, root of unity zeta.
+    """One multiplex design: field GF(p^m) reduced by poly, and block length N.
 
-    zeta is find_root_of_unity(p, m, N, poly), the canonical-first element
-    of order N, so (p, m, N, poly), the fields a GDM1 header names, fix
-    the design. zeta is derived, never given, and poly None is the
-    default polynomial; construction validates (p, m, N, poly) and raises
-    InvalidParams for a design out of scope, so SystemParams(...) and
-    create(...) give equal instances. Frozen and hashable so kernel
-    caches can key on it.
+    (p, m, N, poly), the fields a GDM1 header names, are the design and
+    all that equality, hash and str read. zeta, the canonical-first element
+    of order N, is read off the root search (find_root_of_unity) on use,
+    never given; poly None is the default polynomial. Construction
+    validates (p, m, N, poly), raising InvalidParams for a design out of
+    scope, and searches no root. Frozen and hashable so caches key on it.
     """
 
     p: int
     m: int
     N: int
     poly: Optional[tuple[int, ...]] = None
-    zeta: tuple[int, ...] = dataclass_field(init=False)
 
     def __post_init__(self):
         field = get_field(self.p, self.m, None if self.poly is None else tuple(self.poly))
@@ -675,8 +673,6 @@ class SystemParams:
             raise InvalidParams(
                 f"N = {self.N} does not divide p^m - 1 = {field.order - 1}")
         object.__setattr__(self, "poly", field.poly)
-        object.__setattr__(self, "zeta",
-                           find_root_of_unity(self.p, self.m, self.N, field.poly).coeffs)
 
     @classmethod
     def create(cls, p: int, m: int, N: int,
@@ -692,16 +688,20 @@ class SystemParams:
     def ring(self) -> GaloisRing:
         return self.field.ring
 
-    @cached_property
+    @property
     def zeta_elem(self) -> FieldElement:
-        return self.field.element(self.zeta)
+        return find_root_of_unity(self.p, self.m, self.N, self.poly)
+
+    @property
+    def zeta(self) -> tuple[int, ...]:
+        return self.zeta_elem.coeffs
 
     @property
     def q(self) -> int:
         return self.p**self.m
 
     def __str__(self):
-        return f"GDM(p={self.p}, m={self.m}, N={self.N}, zeta={self.field.element(self.zeta)})"
+        return f"GDM(p={self.p}, m={self.m}, N={self.N}, poly={self.poly})"
 
 
 def zeta_powers(params: SystemParams) -> np.ndarray:

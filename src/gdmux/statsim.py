@@ -355,10 +355,9 @@ def psd_estimate(params: SystemParams, kind=Kind.HARTLEY, *,
     where the theory is 0 (raised cosine, beta <= 0.5).
 
     A realization's envelope is frames * nu * spp samples long, plus
-    len(taps) - 1 for a raised-cosine pulse; an nfft longer than that is
-    refused with InvalidParams before anything is drawn. An nfft just
-    shorter still fails, after the draw, when the drawn offset leaves
-    fewer than nfft samples.
+    len(taps) - 1 for a raised-cosine pulse; an nfft longer than what the
+    latest offset, nu * spp - 1, leaves of it is refused with InvalidParams
+    before anything is drawn.
     """
     require_positive("realizations", realizations)
     require_positive("frames", frames)
@@ -371,7 +370,7 @@ def psd_estimate(params: SystemParams, kind=Kind.HARTLEY, *,
     _check_samples(params, frames)
     nu = validate_system(params, kind).nu
     length = frames * nu * spp + (0 if pulse.kind == "rectangular" else len(taps) - 1)
-    if nfft > length:
+    if nfft > length - nu * spp + 1:
         raise InvalidParams("frames too small for the requested nfft")
     rng = np.random.default_rng(seed)
     acc = np.zeros(nfft)
@@ -385,8 +384,6 @@ def psd_estimate(params: SystemParams, kind=Kind.HARTLEY, *,
         del symbols
         theta = int(rng.integers(0, nu * spp))
         nseg = (length - theta) // nfft
-        if nseg == 0:
-            raise InvalidParams("frames too small for the requested nfft")
         segs = env[theta:theta + nseg * nfft].reshape(nseg, nfft)
         # |X|^2 = re^2 + im^2, squared and summed in place in the FFT's own array
         power = np.fft.fft(segs, axis=1).view(np.float64)

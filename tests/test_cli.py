@@ -216,6 +216,18 @@ def test_psd_of_an_nfft_longer_than_an_envelope_exits_1_before_sampling(capsys, 
     assert (code, out, err) == (1, "", "error: frames too small for the requested nfft\n")
 
 
+def test_psd_refuses_more_realizations_than_frames_before_sampling(tmp_path, capsys, monkeypatch):
+    # --frames is the total split across realizations: 128 realizations of 10 frames drew 128
+    def drawn(*args):
+        raise AssertionError("samples drawn for more realizations than frames")
+    monkeypatch.setattr(statsim, "_transmit_symbols", drawn)
+    argv = ["psd", "-p", "5", "-N", "4", "--nfft", "1", "--out", str(tmp_path / "psd.csv")]
+    assert run(capsys, *argv, "--frames", "10", "--realizations", "128") == (
+        1, "", "error: --realizations 128 exceeds --frames 10\n")
+    monkeypatch.undo()
+    assert run(capsys, *argv, "--frames", "4", "--realizations", "4")[0] == 0
+
+
 @pytest.mark.parametrize("user", [["--user", "1"], []], ids=["one-user", "each-user"])
 def test_crosstalk_over_the_sample_budget_exits_1_before_sampling(capsys, user):
     # one draw of 100000000 frames of 4 symbols would peak near 6.8 GB, at 17 B per symbol
@@ -684,8 +696,10 @@ def test_plain_reads_gdmux_flags_as_parse_known_args_does(argv, plain):
 
 
 def test_params_create_searches_the_root_once():
+    # create searches nothing; the first read of zeta searches, and later reads hit
     fields._root_table.cache_clear()
-    assert SystemParams.create(7, 2, 48) == SystemParams.create(7, 2, 48)
+    params = SystemParams.create(7, 2, 48)
+    assert params.zeta == SystemParams.create(7, 2, 48).zeta
     info = fields._root_table.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     assert info.maxsize is not None
@@ -1045,6 +1059,31 @@ def test_design_report_over_the_budget_exits_1(capsys):
     assert (code, out) == (1, "")
     assert err.startswith("error: GDM(p=3, m=8, N=6560, ")
     assert err.endswith("/hartley: compiled design needs 668.0 MiB, over the 256 MiB budget\n")
+
+
+@pytest.mark.parametrize("argv", [
+    "design -p 3 -m 12 -N 531440", "design -p 101 -m 3 -N 1030300", "design -p 7 -m 7 -N 823542",
+    "carriers -p 3 -m 12 -N 531440", "mux -p 7 -m 7 -N 823542 --in line.txt",
+    "crosstalk -p 7 -m 7 -N 823542 --frames 1 --user 0", "crosstalk -p 7 -m 7 -N 823542 --frames 1",
+])
+def test_refusals_of_the_largest_designs_run_no_root_search(tmp_path, monkeypatch, capsys, argv):
+    # each refusal's message named the design by zeta, so each ran the root search first:
+    # a traced peak of 40-74 MiB; the coset tables that refuse these designs take up to 29 MiB
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "line.txt").write_text("0 " * 823542 + "\n")
+    _, _, p, _, m, _, N, *_ = argv.split()
+    fields._root_table.cache_clear()
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv.split())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: GDM(p={p}, m={m}, N={N}, poly=(")
+    info = fields._root_table.cache_info()
+    assert (info.hits, info.misses) == (0, 0)
+    assert peak < 34 << 20
 
 
 def test_carriers_over_their_bound_exit_1_before_any_cas_value(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import pkgutil
 import time
@@ -297,9 +298,9 @@ def test_params_create_is_fast_cold_at_the_slow_corners(p, m, N):
     fields._root_table.cache_clear()
     get_field.cache_clear()
     start = time.perf_counter()
-    params = SystemParams.create(p, m, N)
+    zeta = SystemParams.create(p, m, N).zeta_elem
     assert time.perf_counter() - start < 1.0
-    assert mult_order(params.zeta_elem) == N
+    assert mult_order(zeta) == N
 
 
 def test_centered():
@@ -389,6 +390,30 @@ def test_params_constructor_derives_zeta_as_create_does():
         assert (type(direct.value), str(direct.value)) == (type(created.value), str(created.value))
 
 
+def test_params_are_their_name_and_search_no_root():
+    # zeta is derived from (p, m, N, poly), so it is no field, and validating a design runs no
+    # root search: a refusal or a header check that needs only the name pays none
+    assert [f.name for f in dataclasses.fields(SystemParams)] == ["p", "m", "N", "poly"]
+    fields._root_table.cache_clear()
+    for p, m, N in design_grid() + [(3, 12, 531440), (101, 3, 1030300), (7, 7, 823542)]:
+        assert SystemParams.create(p, m, N) == SystemParams(p, m, N)
+    info = fields._root_table.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("p,m", [(5, 1), (3, 3), (7, 2), (3, 4), (13, 2)])
+def test_params_equal_and_hash_alike_however_their_poly_is_spelled(p, m):
+    N = p ** m - 1
+    poly = get_field(p, m).poly
+    spellings = [None, poly, list(poly), tuple(c + p * (i % 3) for i, c in enumerate(poly))]
+    made = [SystemParams.create(p, m, N, poly=spelled) for spelled in spellings]
+    made += [SystemParams(p, m, N, spelled) for spelled in spellings]
+    assert all(params == made[0] for params in made)
+    assert {hash(params) for params in made} == {hash(made[0])}
+    assert {str(params) for params in made} == {f"GDM(p={p}, m={m}, N={N}, poly={poly})"}
+    assert len({made[0], SystemParams.create(p, m, N, poly=support.other_irreducible(p, m))}) == 2
+
+
 @pytest.mark.parametrize("p,m,N", SMALL_SYSTEMS)
 def test_params_create_small(p, m, N):
     params = SystemParams.create(p, m, N)
@@ -468,6 +493,7 @@ def test_a_cold_design_and_its_carriers_compute_no_power(monkeypatch):
         design(SystemParams.create(5, 4, 16), kind)
     design.cache_clear()
     trig._cas_by_product.cache_clear()
+    fields._root_table.cache_clear()
     calls = []
     powers = ExtField.powers
     monkeypatch.setattr(ExtField, "powers",
@@ -475,32 +501,34 @@ def test_a_cold_design_and_its_carriers_compute_no_power(monkeypatch):
     for kind in Kind:
         design(params, kind)
     assert len(list(trig.carrier_lines(params))) == params.N
-    assert calls == []
+    # the first build's root search takes its N rows, and every later power is read off them
+    assert calls == [params.N]
 
 
 def test_the_root_table_keeps_uint8_rows_and_evicts_at_its_maxsize():
     p, m, N = 3, 12, 531440
     get_field(p, m).primitive           # a warm field: the root search adds only its entry
     fields._root_table.cache_clear()
+    params = SystemParams.create(p, m, N)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        params = SystemParams.create(p, m, N)
+        zeta = params.zeta_elem
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert mult_order(params.zeta_elem) == N
+    assert mult_order(zeta) == N
     # uint8 rows keep N*m bytes; int64 rows would keep 8*N*m
     assert kept <= 1.25 * N * m
     fields._root_table.cache_clear()
     designs = [(3, 3, N) for N in (2, 13, 26)] + [(3, 4, N) for N in (2, 4, 5, 8, 10, 16, 20)]
     for design_args in designs:
-        SystemParams.create(*design_args)
+        SystemParams.create(*design_args).zeta
     info = fields._root_table.cache_info()
     assert (info.misses, info.maxsize, info.currsize) == (10, 8, 8)
-    SystemParams.create(*designs[0])
+    SystemParams.create(*designs[0]).zeta
     assert fields._root_table.cache_info().misses == 11
-    SystemParams.create(*designs[-1])
+    SystemParams.create(*designs[-1]).zeta
     assert fields._root_table.cache_info().misses == 11
 
 

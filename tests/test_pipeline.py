@@ -544,6 +544,7 @@ def test_crafted_header_of_a_slow_corner_is_refused_fast(parse):
     with pytest.raises(ParamMismatch, match=r"^header claims 0 leaders, "):
         parse(blob)
     assert time.perf_counter() - start < 1.0
+    assert fields._root_table.cache_info().currsize == 0
 
 
 def test_unreduced_polynomial_byte_refused(p514, p3326):

@@ -317,6 +317,29 @@ def test_psd_checks_both_budgets_before_an_nfft_longer_than_its_envelope(p514, m
         psd_estimate(p514, Kind.HARTLEY, realizations=1, frames=1, nfft=512)
 
 
+@pytest.mark.parametrize("pulse", [PulseShape(), PulseShape(kind="raised-cosine", beta=0.35)],
+                         ids=["rectangular", "raised-cosine"])
+def test_psd_refuses_an_nfft_its_latest_offset_leaves_short_whatever_the_seed(p514, monkeypatch,
+                                                                            pulse):
+    # the start offset is uniform over [0, nu * spp): an nfft above what the latest offset
+    # leaves of the envelope was accepted for some seeds and refused, after a draw, for others
+    nu, spp = transforms.validate_system(p514, Kind.HARTLEY).nu, pulse.samples_per_symbol
+    length = 4 * nu * spp + (0 if pulse.kind == "rectangular" else len(pulse.taps()) - 1)
+    bound = length - (nu * spp - 1)
+    draws = []
+    real = statsim._transmit_symbols
+    monkeypatch.setattr(statsim, "_transmit_symbols", lambda *args: draws.append(1) or real(*args))
+    for seed in range(10):
+        with pytest.raises(InvalidParams, match="^frames too small for the requested nfft$"):
+            psd_estimate(p514, Kind.HARTLEY, realizations=1, frames=4, nfft=bound + 1,
+                         pulse=pulse, seed=seed)
+    assert draws == []
+    for seed in range(10):
+        est = psd_estimate(p514, Kind.HARTLEY, realizations=1, frames=4, nfft=bound,
+                           pulse=pulse, seed=seed)
+        assert est.segments == 1
+
+
 def test_psd_and_envelope_check_each_budget_once(p514, monkeypatch):
     # once per entry point, not again for each realization and the r0 draw
     calls = []
